@@ -16,13 +16,12 @@ from .linalg import (PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                      binary_entropy, eigvals_hermitian, partial_trace,
                      su2_from_so3, validate_density_matrix,
                      von_neumann_entropy)
-from .measures import (ConditionalEntropyTerms, DiscordReport,
-                       MeasurementOutcome, PostMeasurementEnsemble,
-                       angles_from_direction, bell_diagonal_classical_correlation,
+from .measures import (DiscordReport, MeasurementOutcome,
+                       PostMeasurementEnsemble, angles_from_direction,
+                       bell_diagonal_classical_correlation,
                        classical_correlation, conditional_entropy_closed,
-                       conditional_entropy_direct, conditional_entropy_terms,
-                       construct_zero_discord, direction_from_angles,
-                       displacement_norm_sq, hemisphere_representative,
+                       conditional_entropy_direct, construct_zero_discord,
+                       direction_from_angles, hemisphere_representative,
                        mcdm_discord, minimize_conditional_entropy,
                        mutual_information, post_measurement, projectors,
                        quantum_discord, zero_discord_witness)
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDecomposition",
     "CanonicalDecomposition",
-    "ConditionalEntropyTerms",
     "ConsistencyError",
     "DiscordReport",
     "MeasurementOutcome",
@@ -54,12 +52,10 @@ __all__ = [
     "classical_correlation",
     "conditional_entropy_closed",
     "conditional_entropy_direct",
-    "conditional_entropy_terms",
     "construct_zero_discord",
     "correlation_matrix",
     "decompose",
     "direction_from_angles",
-    "displacement_norm_sq",
     "eigvals_hermitian",
     "format_state",
     "hemisphere_representative",

@@ -47,9 +47,7 @@ def _signed_svd(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sign(det lam): s[0] >= s[1] >= |s[2]|.
     """
     u, s, vt = np.linalg.svd(lam)
-    u = u.copy()
-    v = vt.T.copy()
-    s = s.copy()
+    v = vt.T
     if np.linalg.det(u) < 0.0:
         u[:, 2] *= -1.0
         s[2] = -s[2]
@@ -59,23 +57,19 @@ def _signed_svd(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, v
 
 
-def to_canonical(rho) -> CanonicalDecomposition:
-    """Canonical decomposition of an arbitrary two-qubit state.
+def canonical_rotations(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations (o1, o2) in SO(3) and s with o1 lam o2^T = diag(s), s[0] >= s[1] >= |s[2]|.
 
-    Every state has one; for degenerate correlation spectra the
-    decomposition is not unique and the SVD branch is kept, which makes
-    repeated runs reproducible.
+    An already canonical ``lam`` keeps the identity; otherwise the signed SVD
+    decides (for degenerate spectra its branch is kept, for reproducibility).
     """
-    rho = validate_density_matrix(rho)
-    lam = correlation_matrix(rho)
-
+    lam = np.asarray(lam, dtype=float)
     d = lam.diagonal()
     off = np.max(np.abs(lam - np.diag(d)))
     if off <= _DIAGONAL_FAST_PATH_TOL and d[0] >= d[1] >= abs(d[2]):
-        # already canonical: keep the identity transformation
         o1 = np.eye(3)
         o2 = np.eye(3)
-        s = d.astype(float).copy()
+        s = d.copy()
     else:
         u, s, v = _signed_svd(lam)
         o1 = u.T
@@ -83,7 +77,14 @@ def to_canonical(rho) -> CanonicalDecomposition:
     if s[2] < 0.0 and abs(s[2]) <= DEGENERATE_DET_TOL:
         # the sign is below noise; report the non-negative representative
         s[2] = -s[2]
+    return o1, o2, s
 
+
+def to_canonical(rho) -> CanonicalDecomposition:
+    """Canonical decomposition of an arbitrary two-qubit state: the rotations
+    of :func:`canonical_rotations` lifted to SU(2) and applied to ``rho``."""
+    rho = validate_density_matrix(rho)
+    o1, o2, s = canonical_rotations(correlation_matrix(rho))
     u1 = su2_from_so3(o1)
     u2 = su2_from_so3(o2)
     w = np.kron(u1, u2)
@@ -102,16 +103,20 @@ def is_canonical(rho, tol: float = 1e-9) -> bool:
     return d[0] >= d[1] - tol and d[1] >= abs(d[2]) - tol
 
 
+def hemisphere_representative(n) -> np.ndarray:
+    """The representative of {n, -n} with theta in [0, pi) and phi in [-pi/2, pi/2)."""
+    v = np.asarray(n, dtype=float).copy()
+    if v[0] < 0.0 or (v[0] == 0.0 and v[1] > 0.0) or (v[0] == 0.0 and v[1] == 0.0 and v[2] < 0.0):
+        v = -v
+    return v
+
+
 def mcdm_direction(decomp: CanonicalDecomposition) -> np.ndarray:
     """Bloch axis of the maximal-correlation-direction measurement on the ORIGINAL state.
 
     For the canonical state the measurement is along x; pulled back through
     the canonicalizing rotation it is the axis of u1^dag sigma_1 u1, i.e. the
-    first row of o1.  The sign is fixed to the hemisphere representative
-    (n and -n label the same measurement).
+    first row of o1, reported as its hemisphere representative (n and -n
+    label the same measurement).
     """
-    n = decomp.o1[0, :].copy()
-    n /= np.linalg.norm(n)
-    if n[0] < 0.0 or (n[0] == 0.0 and n[1] > 0.0) or (n[0] == 0.0 and n[1] == 0.0 and n[2] < 0.0):
-        n = -n
-    return n
+    return hemisphere_representative(decomp.o1[0])

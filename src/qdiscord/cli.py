@@ -6,8 +6,10 @@ measurement distribution for random states), ``mixture`` (discord and its
 upper bound along the product/entangled mixture family), ``scatter``
 (discord versus upper bound for random states).
 
-Exit codes: 0 success, 2 unparseable input, 3 a parsed matrix is not a
-valid state.
+Exit codes: 0 success; 2 unparseable input, an unreadable state file, a
+bad option value (such as a non-positive ``--cluster-tol``) or an
+``--out`` path that cannot be written; 3 a parsed matrix is not a valid
+state (including non-finite entries).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import sys
 
 from .errors import StateParseError, ValidationError
 from .experiments import (HISTOGRAM_HEADER, MIXTURE_HEADER, SCATTER_HEADER,
-                          TABLE1_HEADER, ExperimentConfig, bound_scatter,
-                          mixture_curve, optimal_direction_clusters,
-                          optimal_direction_histogram, render_csv, write_output)
+                          TABLE1_HEADER, ExperimentConfig, OutputFile,
+                          bound_scatter, mixture_curve, optimal_direction_clusters,
+                          optimal_direction_histogram, render_csv)
 from .measures import angles_from_direction, quantum_discord
 from .statefile import parse_state_text
 
@@ -34,6 +36,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -67,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="optimal-measurement clusters for random X-states")
     _add_experiment_flags(p, default_samples=10000)
-    p.add_argument("--cluster-tol", type=float, default=0.01,
+    p.add_argument("--cluster-tol", type=_positive_float, default=0.01,
                    help="cluster tolerance between axes, in units of pi (default 0.01)")
 
     p = sub.add_parser("histogram", help="optimal-measurement histogram for random states")
@@ -141,52 +150,38 @@ def _cmd_discord(args) -> int:
     return EXIT_OK
 
 
-def _config_from(args, **extra) -> ExperimentConfig:
-    return ExperimentConfig(samples=args.samples, seed=args.seed,
-                            workers=args.workers, out=args.out, **extra)
-
-
-def _cmd_table1(args) -> int:
-    config = _config_from(args, cluster_tol=args.cluster_tol)
-    rows = optimal_direction_clusters(config)
-    write_output(render_csv(TABLE1_HEADER, rows), config.out)
-    return EXIT_OK
-
-
-def _cmd_histogram(args) -> int:
-    config = _config_from(args, bins=args.bins)
-    rows = optimal_direction_histogram(config)
-    write_output(render_csv(HISTOGRAM_HEADER, rows), config.out)
-    return EXIT_OK
-
-
-def _cmd_mixture(args) -> int:
-    config = _config_from(args)
-    rows = mixture_curve(config)
-    write_output(render_csv(MIXTURE_HEADER, rows), config.out)
-    return EXIT_OK
-
-
-def _cmd_scatter(args) -> int:
-    config = _config_from(args)
+def _scatter_csv(config: ExperimentConfig) -> str:
     rows, mean_sq = bound_scatter(config)
-    summary = f"# mean_squared_gap = {mean_sq:.12g}"
-    write_output(render_csv(SCATTER_HEADER, rows, summary=summary), config.out)
-    return EXIT_OK
+    return render_csv(SCATTER_HEADER, rows, summary=f"# mean_squared_gap = {mean_sq:.12g}")
 
 
-_COMMANDS = {
-    "discord": _cmd_discord,
-    "table1": _cmd_table1,
-    "histogram": _cmd_histogram,
-    "mixture": _cmd_mixture,
-    "scatter": _cmd_scatter,
+# experiment subcommand -> CSV text of its pipeline
+_PIPELINES = {
+    "table1": lambda config: render_csv(TABLE1_HEADER, optimal_direction_clusters(config)),
+    "histogram": lambda config: render_csv(HISTOGRAM_HEADER, optimal_direction_histogram(config)),
+    "mixture": lambda config: render_csv(MIXTURE_HEADER, mixture_curve(config)),
+    "scatter": _scatter_csv,
 }
+
+
+def _cmd_experiment(args) -> int:
+    """Reserve the output file first, then run the pipeline and write its CSV."""
+    extra = {key: getattr(args, key) for key in ("cluster_tol", "bins") if hasattr(args, key)}
+    config = ExperimentConfig(samples=args.samples, seed=args.seed,
+                              workers=args.workers, out=args.out, **extra)
+    try:
+        out = OutputFile(config.out)
+    except OSError as exc:
+        print(f"error: cannot write {config.out!r}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with out:
+        out.write(_PIPELINES[args.command](config))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return _cmd_discord(args) if args.command == "discord" else _cmd_experiment(args)
 
 
 def entry() -> None:

@@ -11,15 +11,17 @@ import math
 import multiprocessing
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .canonical import to_canonical
+from .canonical import canonical_rotations
 from .ensembles import SeededGenerator, mixture_family, project_x_state, random_hs_state
-from .measures import (angles_from_direction, direction_from_angles,
-                       minimize_conditional_entropy, quantum_discord)
+from .fano_bloch import BlockDecomposition, state_blocks
+from .measures import (_minimize_blocks, angles_from_direction,
+                       direction_from_angles, quantum_discord)
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
         if self.bins[0] < 1 or self.bins[1] < 1:
             raise ValueError("bins must be positive")
+        if not (math.isfinite(self.cluster_tol) and self.cluster_tol > 0.0):
+            raise ValueError("cluster_tol must be positive and finite")
         return self
 
 
@@ -52,8 +56,11 @@ def _optimal_angles_task(args: tuple[int, int, bool]) -> tuple[float, float]:
     rho = random_hs_state(SeededGenerator(seed, start=index))
     if x_project:
         rho = project_x_state(rho)
-    decomp = to_canonical(rho)
-    n, _ = minimize_conditional_entropy(decomp.canonical_state)
+    # the canonical form's blocks O1 a, O2 b, O1 R O2^T, without the SU(2) lift
+    blocks = state_blocks(rho)
+    o1, o2, _ = canonical_rotations(blocks.connected())
+    n, _ = _minimize_blocks(BlockDecomposition(a=o1 @ blocks.a, b=o2 @ blocks.b,
+                                               r=o1 @ blocks.r @ o2.T))
     return angles_from_direction(n)
 
 
@@ -179,12 +186,44 @@ def render_csv(header, rows, summary: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+class OutputFile:
+    """Destination of one CSV text: stdout, or ``path`` replaced atomically.
+
+    The constructor creates a unique temp file next to ``path``, so a bad
+    directory raises :class:`OSError` before any computation; :meth:`write`
+    renames it onto ``path``, and leaving the ``with`` block before that removes it.
+    """
+
+    def __init__(self, path: Optional[str]):
+        self.path, self._tmp = path, None
+        if path is not None:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path!r} is a directory")
+            fd, self._tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                             dir=os.path.dirname(path) or ".")
+            os.close(fd)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(self._tmp, 0o666 & ~umask)  # mkstemp creates the file private
+
+    def write(self, text: str) -> None:
+        if self.path is None:
+            sys.stdout.write(text)
+            return
+        with open(self._tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(self._tmp, self.path)
+        self._tmp = None
+
+    def __enter__(self) -> "OutputFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._tmp is not None:
+            os.unlink(self._tmp)
+
+
 def write_output(text: str, path: Optional[str]) -> None:
     """Write to stdout, or atomically to ``path`` (temp file and rename)."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with OutputFile(path) as out:
+        out.write(text)

@@ -26,10 +26,12 @@ EIGENVALUE_FLOOR = 1e-10
 
 
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return ``matrix`` as a complex ndarray, checking shape and hermiticity."""
+    """Return ``matrix`` as a complex ndarray, checking shape, finiteness and hermiticity."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ValidationError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
@@ -40,6 +42,17 @@ def eigvals_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(matrix, tol))
 
 
+def _checked_state(rho, eig_floor: float, trace_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The state as a complex ndarray and its ascending eigenvalues."""
+    rho = require_hermitian(rho)
+    if abs(np.trace(rho).real - 1.0) > trace_tol:
+        raise NotAStateError(f"trace is {float(np.trace(rho).real)!r}, expected 1")
+    w = np.linalg.eigvalsh(rho)
+    if w[0] < -eig_floor:
+        raise NotAStateError(f"negative eigenvalue {float(w[0])!r}")
+    return rho, w
+
+
 def validate_density_matrix(rho, *, eig_floor: float = EIGENVALUE_FLOOR,
                             trace_tol: float = TRACE_TOL) -> np.ndarray:
     """Check unit trace and positivity; return the state as a complex ndarray.
@@ -47,16 +60,16 @@ def validate_density_matrix(rho, *, eig_floor: float = EIGENVALUE_FLOOR,
     Eigenvalues in ``[-eig_floor, 0)`` are accepted as arithmetic noise;
     anything lower raises :class:`NotAStateError`.
     """
-    rho = require_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise NotAStateError(f"trace is {float(np.trace(rho).real)!r}, expected 1")
-    smallest = np.linalg.eigvalsh(rho)[0]
-    if smallest < -eig_floor:
-        raise NotAStateError(f"negative eigenvalue {float(smallest)!r}")
-    return rho
+    return _checked_state(rho, eig_floor, trace_tol)[0]
 
 
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
+def validated_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_density_matrix`, also returning the ascending eigenvalues."""
+    return _checked_state(rho, EIGENVALUE_FLOOR, TRACE_TOL)
+
+
+def entropy_bits(eigenvalues: np.ndarray) -> float:
+    """Entropy in bits of a spectrum; entries at or below 0 contribute nothing."""
     w = eigenvalues[eigenvalues > 0.0]
     if w.size == 0:
         return 0.0
@@ -65,12 +78,7 @@ def _entropy_bits(eigenvalues: np.ndarray) -> float:
 
 def von_neumann_entropy(rho, *, eig_floor: float = EIGENVALUE_FLOOR) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    w = eigvals_hermitian(rho)
-    if w[0] < -eig_floor:
-        raise NotAStateError(f"negative eigenvalue {float(w[0])!r}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise NotAStateError(f"trace is {float(w.sum())!r}, expected 1")
-    return _entropy_bits(np.clip(w, 0.0, None))
+    return entropy_bits(_checked_state(rho, eig_floor, 1e-9)[1])
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -106,7 +114,7 @@ def binary_entropy(x: float) -> float:
     if abs(x) > 1.0 + 1e-12:
         raise ValidationError(f"binary_entropy argument {x!r} outside [-1, 1]")
     x = min(1.0, max(-1.0, x))
-    return _entropy_bits(np.array([(1.0 + x) / 2.0, (1.0 - x) / 2.0]))
+    return entropy_bits(np.array([(1.0 + x) / 2.0, (1.0 - x) / 2.0]))
 
 
 def require_rotation(matrix, tol: float = 1e-12) -> np.ndarray:

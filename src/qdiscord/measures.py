@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import optimize
 from scipy.special import xlogy
 
-from .canonical import CanonicalDecomposition, mcdm_direction, to_canonical
+from .canonical import canonical_rotations, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace,
-                     validate_density_matrix, von_neumann_entropy)
+from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
+                     entropy_bits, partial_trace, validate_density_matrix,
+                     validated_spectrum, von_neumann_entropy)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -47,8 +47,8 @@ GRID_TIE_TOL = 1e-11
 # correlation quantities in [-CLAMP_WINDOW, 0) are reported as 0
 CLAMP_WINDOW = 1e-9
 
-DEFAULT_THETA_BINS = 96
-DEFAULT_PHI_BINS = 192
+THETA_BINS = 96
+PHI_BINS = 192
 
 _LN2 = math.log(2.0)
 
@@ -71,14 +71,6 @@ def direction_from_angles(theta: float, phi: float) -> np.ndarray:
     """Unit vector (sin t cos p, sin t sin p, cos t)."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def hemisphere_representative(n) -> np.ndarray:
-    """The representative of {n, -n} with theta in [0, pi) and phi in [-pi/2, pi/2)."""
-    v = np.asarray(n, dtype=float).copy()
-    if v[0] < 0.0 or (v[0] == 0.0 and v[1] > 0.0) or (v[0] == 0.0 and v[1] == 0.0 and v[2] < 0.0):
-        v = -v
-    return v
 
 
 def angles_from_direction(n) -> tuple[float, float]:
@@ -151,25 +143,6 @@ def conditional_entropy_direct(rho, n) -> float:
 # closed-form conditional entropy                                             #
 # --------------------------------------------------------------------------- #
 
-class ConditionalEntropyTerms(NamedTuple):
-    """Scalars the closed form depends on: f = a.n and g+- = |b +- R^T n|."""
-
-    f: float
-    g_plus: float
-    g_minus: float
-
-
-def conditional_entropy_terms(blocks: BlockDecomposition, n) -> ConditionalEntropyTerms:
-    v = validate_direction(n)
-    f = float(blocks.a @ v)
-    rn = blocks.r.T @ v
-    return ConditionalEntropyTerms(
-        f=f,
-        g_plus=float(np.linalg.norm(blocks.b + rn)),
-        g_minus=float(np.linalg.norm(blocks.b - rn)),
-    )
-
-
 def _branch_scalar(weight2: float, g: float) -> float:
     """(w/2) h(g/w) for w = 1 +- f, with the w -> 0 limit taken as 0."""
     if weight2 < ZERO_PROBABILITY:
@@ -233,50 +206,29 @@ def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
     return _branch_many(1.0 + f, gp) + _branch_many(1.0 - f, gm)
 
 
-def displacement_norm_sq(lambda_diag, n) -> float:
-    """Squared displacement of a measurement branch from the B marginal.
-
-    For a canonical state with correlation triple (L1, L2, L3) this equals
-    (1/16) sum_i L_i^2 n_i^2, maximal (L1^2/16) along the x axis.
-    """
-    lam = np.asarray(lambda_diag, dtype=float)
-    if lam.shape != (3,):
-        raise ValidationError(f"expected a correlation triple, got shape {lam.shape}")
-    v = validate_direction(n)
-    return float((lam ** 2 * v ** 2).sum() / 16.0)
-
-
 # --------------------------------------------------------------------------- #
 # hemisphere optimizer                                                        #
 # --------------------------------------------------------------------------- #
 
-@lru_cache(maxsize=8)
-def _hemisphere_grid(theta_bins: int, phi_bins: int):
-    thetas = np.arange(theta_bins) * (math.pi / theta_bins)
-    phis = -math.pi / 2 + np.arange(phi_bins) * (math.pi / phi_bins)
-    tt = np.repeat(thetas, phi_bins)
-    pp = np.tile(phis, theta_bins)
-    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
-    for arr in (dirs, thetas, phis):
-        arr.setflags(write=False)
-    return dirs, thetas, phis
+_GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
+_GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
+_tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
+_GRID_DIRS = np.stack([np.sin(_tt) * np.cos(_pp), np.sin(_tt) * np.sin(_pp), np.cos(_tt)])
 
 
-def _minimize_blocks(blocks: BlockDecomposition, theta_bins: int,
-                     phi_bins: int) -> tuple[np.ndarray, float]:
-    dirs, thetas, phis = _hemisphere_grid(theta_bins, phi_bins)
-    values = _ce_many(blocks, dirs)
+def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
+    values = _ce_many(blocks, _GRID_DIRS)
     grid_best = float(values.min())
 
     # among grid ties prefer the direction closest to the x axis; mirror-image
     # optima (theta vs pi - theta) tie in that metric too, so fall back to the
     # smallest flat index, i.e. the smaller polar angle
     tied = np.flatnonzero(values <= grid_best + GRID_TIE_TOL)
-    closeness = np.abs(dirs[0, tied])
+    closeness = np.abs(_GRID_DIRS[0, tied])
     near = tied[closeness >= closeness.max() - 1e-9]
     start = int(near[0])
-    t0 = float(thetas[start // phi_bins])
-    p0 = float(phis[start % phi_bins])
+    t0 = float(_GRID_THETAS[start // PHI_BINS])
+    p0 = float(_GRID_PHIS[start % PHI_BINS])
 
     ce = _scalar_objective(blocks)
 
@@ -284,8 +236,8 @@ def _minimize_blocks(blocks: BlockDecomposition, theta_bins: int,
         st = math.sin(x[0])
         return ce(st * math.cos(x[1]), st * math.sin(x[1]), math.cos(x[0]))
 
-    dt = math.pi / theta_bins
-    dp = math.pi / phi_bins
+    dt = math.pi / THETA_BINS
+    dp = math.pi / PHI_BINS
     simplex = np.array([[t0, p0], [t0 + 0.5 * dt, p0], [t0, p0 + 0.5 * dp]])
     result = optimize.minimize(
         objective, np.array([t0, p0]), method="Nelder-Mead",
@@ -303,16 +255,15 @@ def _minimize_blocks(blocks: BlockDecomposition, theta_bins: int,
     return hemisphere_representative(best_n), best_value
 
 
-def minimize_conditional_entropy(rho, *, theta_bins: int = DEFAULT_THETA_BINS,
-                                 phi_bins: int = DEFAULT_PHI_BINS) -> tuple[np.ndarray, float]:
+def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere.
 
-    Two deterministic stages: a dense (theta, phi) grid scan, then a
+    Two deterministic stages: a dense 96 x 192 (theta, phi) grid scan, then a
     simplex refinement started in the best grid cell.  Returns the
     minimizing direction (hemisphere representative) and the value in bits.
     """
     rho = validate_density_matrix(rho)
-    return _minimize_blocks(state_blocks(rho), theta_bins, phi_bins)
+    return _minimize_blocks(state_blocks(rho))
 
 
 # --------------------------------------------------------------------------- #
@@ -323,20 +274,36 @@ def _clamp(value: float) -> float:
     return 0.0 if -CLAMP_WINDOW <= value < 0.0 else value
 
 
+def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, float, float, float]:
+    """Validate ``rho`` once; return its blocks and S(rho_A), S(rho_B), S(rho).
+
+    The marginals have eigenvalues (1 +- |a|)/2 and (1 +- |b|)/2; within the
+    validation tolerance a Bloch length may exceed 1 by rounding noise.
+    """
+    rho, spectrum = validated_spectrum(rho)
+    blocks = state_blocks(rho)
+    s_a = binary_entropy(min(1.0, float(np.linalg.norm(blocks.a))))
+    s_b = binary_entropy(min(1.0, float(np.linalg.norm(blocks.b))))
+    return blocks, s_a, s_b, entropy_bits(spectrum)
+
+
+def _mcdm_axis(blocks: BlockDecomposition) -> np.ndarray:
+    """Maximal-correlation axis: top left singular vector of Lambda = R - a b^T,
+    as its hemisphere representative (the axis ``mcdm_direction`` reports)."""
+    o1, _, _ = canonical_rotations(blocks.connected())
+    return hemisphere_representative(o1[0])
+
+
 def mutual_information(rho) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
-    rho = validate_density_matrix(rho)
-    return _clamp(von_neumann_entropy(partial_trace(rho, "A"))
-                  + von_neumann_entropy(partial_trace(rho, "B"))
-                  - von_neumann_entropy(rho))
+    _, s_a, s_b, s_ab = _blocks_and_entropies(rho)
+    return _clamp(s_a + s_b - s_ab)
 
 
-def classical_correlation(rho, *, theta_bins: int = DEFAULT_THETA_BINS,
-                          phi_bins: int = DEFAULT_PHI_BINS) -> float:
+def classical_correlation(rho) -> float:
     """S(rho_B) minus the minimal conditional entropy, in bits."""
-    rho = validate_density_matrix(rho)
-    _, ce_min = _minimize_blocks(state_blocks(rho), theta_bins, phi_bins)
-    return _clamp(von_neumann_entropy(partial_trace(rho, "B")) - ce_min)
+    blocks, _, s_b, _ = _blocks_and_entropies(rho)
+    return _clamp(s_b - _minimize_blocks(blocks)[1])
 
 
 @dataclass(frozen=True)
@@ -353,25 +320,18 @@ class DiscordReport:
     mcdm_direction: np.ndarray
 
 
-def quantum_discord(rho, *, theta_bins: int = DEFAULT_THETA_BINS,
-                    phi_bins: int = DEFAULT_PHI_BINS) -> DiscordReport:
+def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
-    rho = validate_density_matrix(rho)
-    blocks = state_blocks(rho)
-    decomp = to_canonical(rho)
-    n_mcdm = mcdm_direction(decomp)
+    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rho)
+    n_mcdm = _mcdm_axis(blocks)
 
-    s_a = von_neumann_entropy(partial_trace(rho, "A"))
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    s_ab = von_neumann_entropy(rho)
-
-    n_opt, ce_min = _minimize_blocks(blocks, theta_bins, phi_bins)
+    n_opt, ce_min = _minimize_blocks(blocks)
     ce_mcdm = conditional_entropy_closed(blocks, n_mcdm)
     if ce_mcdm <= ce_min + VALUE_TIE_TOL:
         # the maximal-correlation direction ties with (or beats) the search
         # result; prefer it, which also guarantees the upper-bound property
-        n_opt, ce_min = hemisphere_representative(n_mcdm), ce_mcdm
+        n_opt, ce_min = n_mcdm.copy(), ce_mcdm
 
     mutual = _clamp(s_a + s_b - s_ab)
     classical = _clamp(s_b - ce_min)
@@ -383,22 +343,18 @@ def quantum_discord(rho, *, theta_bins: int = DEFAULT_THETA_BINS,
         optimal_direction=n_opt,
         min_conditional_entropy=ce_min,
         mcdm_conditional_entropy=ce_mcdm,
-        mcdm_direction=hemisphere_representative(n_mcdm),
+        mcdm_direction=n_mcdm,
     )
 
 
-def mcdm_discord(rho, decomp: Optional[CanonicalDecomposition] = None) -> float:
+def mcdm_discord(rho) -> float:
     """Discord formula evaluated at the maximal-correlation direction.
 
     An upper bound on the quantum discord: the direction is a member of the
     set the true discord minimizes over.
     """
-    rho = validate_density_matrix(rho)
-    if decomp is None:
-        decomp = to_canonical(rho)
-    ce = conditional_entropy_closed(state_blocks(rho), mcdm_direction(decomp))
-    return _clamp(von_neumann_entropy(partial_trace(rho, "A"))
-                  - von_neumann_entropy(rho) + ce)
+    blocks, s_a, _, s_ab = _blocks_and_entropies(rho)
+    return _clamp(s_a - s_ab + conditional_entropy_closed(blocks, _mcdm_axis(blocks)))
 
 
 def bell_diagonal_classical_correlation(c) -> float:

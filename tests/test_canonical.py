@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import bell_psi_plus, hs_states, random_unitary
-from qdiscord import (conditional_entropy_closed, correlation_matrix,
-                      is_canonical, mcdm_direction, mutual_information,
-                      off_axis_x_state, quantum_discord, reconstruct,
+from qdiscord import (SeededGenerator, conditional_entropy_closed,
+                      correlation_matrix, direction_from_angles, is_canonical,
+                      mcdm_direction, minimize_conditional_entropy,
+                      mutual_information, off_axis_x_state, project_x_state,
+                      quantum_discord, random_hs_state, reconstruct,
                       state_blocks, su2_from_so3, to_canonical)
+from qdiscord.experiments import _optimal_angles_task
 from qdiscord.measures import X_AXIS
 
 
@@ -102,3 +105,33 @@ class TestLocalUnitaryInvariance:
             assert abs(r0.mutual_information - r1.mutual_information) < 1e-10
             assert abs(r0.classical_correlation - r1.classical_correlation) < 1e-7
             assert abs(r0.discord - r1.discord) < 1e-7
+
+
+class TestBlocksOnlyPaths:
+    """The rotated-blocks and SVD-axis paths against the SU(2)-lifted canonical state."""
+
+    @pytest.mark.parametrize("x_project", [False, True])
+    def test_optimal_angles_match_lifted_state(self, x_project):
+        # the values agree to rounding; near a minimum CE is flat to second
+        # order, so the refined direction is only fixed to ~sqrt(value noise):
+        # a one-ulp change of the lifted blocks alone moves it by ~1e-7
+        seed = 137
+        for index in range(100):
+            rho = random_hs_state(SeededGenerator(seed, start=index))
+            if x_project:
+                rho = project_x_state(rho)
+            canonical = to_canonical(rho).canonical_state
+            n_ref, value_ref = minimize_conditional_entropy(canonical)
+            n = direction_from_angles(*_optimal_angles_task((seed, index, x_project)))
+            value = conditional_entropy_closed(state_blocks(canonical), n)
+            assert abs(value - value_ref) <= 1e-12
+            # n and -n are the same measurement
+            assert min(np.max(np.abs(n - n_ref)), np.max(np.abs(n + n_ref))) <= 1e-6
+
+    @pytest.mark.parametrize("x_project", [False, True])
+    def test_discord_mcdm_axis_matches_to_canonical(self, x_project):
+        for rho in hs_states(139, 100):
+            if x_project:
+                rho = project_x_state(rho)
+            np.testing.assert_array_equal(quantum_discord(rho).mcdm_direction,
+                                          mcdm_direction(to_canonical(rho)))

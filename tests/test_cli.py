@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+import qdiscord.cli
 from qdiscord import format_state, mixture_family, off_axis_x_state
 from qdiscord.cli import main
 from qdiscord.experiments import (ExperimentConfig,
@@ -63,6 +65,14 @@ class TestDiscordCommand:
     def test_invalid_state_exit_3(self, tmp_path, capsys):
         bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
         assert main(["discord", write_state(tmp_path, bad)]) == 3
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf+0i", "0+nani"])
+    def test_non_finite_state_exit_3(self, tmp_path, capsys, entry):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 {entry}\n0 0 0 0.25\n")
+        assert main(["discord", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -162,8 +172,54 @@ class TestDeterminism:
     def test_no_partial_file_left_behind(self, tmp_path):
         out = tmp_path / "x.csv"
         main(["mixture", "--samples", "3", "--out", str(out)])
-        assert out.exists()
-        assert not (tmp_path / "x.csv.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_temp_file_removed_on_failure(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise RuntimeError("computation failed")
+        monkeypatch.setattr(qdiscord.cli, "mixture_curve", broken)
+        with pytest.raises(RuntimeError):
+            main(["mixture", "--samples", "3", "--out", str(tmp_path / "x.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["table1", "histogram", "mixture", "scatter"])
+    def test_missing_directory_fails_before_computing(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        def never(config):
+            raise AssertionError("computed before checking --out")
+        for name in ("optimal_direction_clusters", "optimal_direction_histogram",
+                     "mixture_curve", "bound_scatter"):
+            monkeypatch.setattr(qdiscord.cli, name, never)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main([command, "--samples", "300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "missing_dir").exists()
+
+    def test_directory_as_out_exit_2(self, tmp_path, capsys):
+        assert main(["mixture", "--samples", "3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "x.csv"
+        umask = os.umask(0o022)
+        try:
+            main(["mixture", "--samples", "3", "--out", str(out)])
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o644
+
+
+class TestClusterTolerance:
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+    def test_bad_value_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["table1", "--samples", "5", f"--cluster-tol={value}"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestPipelineHelpers:
@@ -187,3 +243,6 @@ class TestPipelineHelpers:
             ExperimentConfig(samples=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0).validate()
+        for tol in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(cluster_tol=tol).validate()

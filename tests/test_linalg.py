@@ -6,6 +6,7 @@ from conftest import bell_psi_plus, random_rotation
 from qdiscord import (PAULIS, NotAStateError, ValidationError, binary_entropy,
                       eigvals_hermitian, partial_trace, su2_from_so3,
                       validate_density_matrix, von_neumann_entropy)
+from qdiscord.linalg import validated_spectrum
 
 # independently computed with 40-digit arithmetic
 H_OF_0P6 = 0.7219280948873623
@@ -39,6 +40,13 @@ class TestEigvalsHermitian:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError):
             eigvals_hermitian(np.eye(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = value
+        with pytest.raises(ValidationError):
+            eigvals_hermitian(m)
 
 
 class TestVonNeumannEntropy:
@@ -76,6 +84,20 @@ class TestValidateDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(NotAStateError):
             validate_density_matrix(np.diag([1.5, -0.5, 0, 0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[3, 3] = value
+        with pytest.raises(ValidationError):
+            validate_density_matrix(rho)
+
+    def test_spectrum_matches_eigvalsh(self):
+        from conftest import hs_states
+        for rho in hs_states(13, 10):
+            checked, w = validated_spectrum(rho)
+            assert_allclose(checked, rho, atol=0)
+            assert_allclose(w, np.linalg.eigvalsh(rho), atol=0)
 
 
 class TestPartialTrace:

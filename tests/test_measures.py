@@ -7,10 +7,9 @@ from conftest import (bell_psi_plus, hs_states, random_direction,
 from qdiscord import (BlockDecomposition, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
-                      conditional_entropy_direct, conditional_entropy_terms,
-                      construct_zero_discord, direction_from_angles,
-                      displacement_norm_sq, hemisphere_representative,
-                      mcdm_discord, minimize_conditional_entropy,
+                      conditional_entropy_direct, construct_zero_discord,
+                      direction_from_angles, hemisphere_representative,
+                      mcdm_direction, mcdm_discord, minimize_conditional_entropy,
                       mutual_information, off_axis_x_state, partial_trace,
                       post_measurement, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
@@ -152,14 +151,6 @@ class TestConditionalEntropyClosed:
             n = random_direction(rng)
             assert conditional_entropy_closed(bd, n) == conditional_entropy_closed(bd, -n)
 
-    def test_terms_invariants(self, rng):
-        for rho in hs_states(73, 50):
-            bd = state_blocks(rho)
-            t = conditional_entropy_terms(bd, random_direction(rng))
-            assert t.g_plus >= 0.0 and t.g_minus >= 0.0
-            assert t.g_plus <= 1.0 + t.f + 1e-10
-            assert t.g_minus <= 1.0 - t.f + 1e-10
-
     def test_boundary_pure_marginal(self):
         # |+><+| x rho_b has |a| = 1; near-aligned directions exercise the
         # vanishing-probability branch
@@ -175,27 +166,40 @@ class TestConditionalEntropyClosed:
             assert abs(closed - direct) < 1e-10
 
 
+def branch_displacement_sq(rho, n):
+    """(1/2) Tr[D^2] for D = p+ (rho_B|+ - rho_B), from explicit post-measurement
+    states.  D = (Lambda^T n).sigma / 4, so this equals |Lambda^T n|^2 / 16."""
+    plus = post_measurement(rho, n).outcomes[0]
+    d = plus.probability * (plus.state - partial_trace(rho, "B"))
+    return 0.5 * np.trace(d @ d).real
+
+
 class TestDisplacementNorm:
+    # off_axis_x_state is canonical with correlation triple (0.2, 0.2, 0.14787644)
     def test_canonical_maximum(self):
-        lam = np.array([0.2, 0.2, 0.14787644])
-        assert displacement_norm_sq(lam, X) == pytest.approx(0.2 ** 2 / 16, abs=1e-15)
+        assert branch_displacement_sq(off_axis_x_state(), X) == pytest.approx(
+            0.2 ** 2 / 16, abs=1e-15)
 
     def test_component_pick_out(self):
-        lam = np.array([0.2, 0.2, 0.1479])
-        assert displacement_norm_sq(lam, Z) == pytest.approx(0.1479 ** 2 / 16, abs=1e-15)
+        assert branch_displacement_sq(off_axis_x_state(), Z) == pytest.approx(
+            0.14787644 ** 2 / 16, abs=1e-15)
 
     def test_zero_triple(self, rng):
-        assert displacement_norm_sq(np.zeros(3), random_direction(rng)) == 0.0
+        rho = np.kron(random_qubit_state(rng), random_qubit_state(rng))
+        assert branch_displacement_sq(rho, random_direction(rng)) < 1e-28
 
-    def test_bounded_by_largest_component(self, rng):
+    def test_bounded_by_largest_component(self):
+        # the bound L1^2/16 holds for every state and is attained at the MCDM axis
         grid = [direction_from_angles(t, p)
-                for t in np.linspace(0, np.pi, 24, endpoint=False)
-                for p in np.linspace(-np.pi / 2, np.pi / 2, 48, endpoint=False)]
-        for _ in range(10):
-            lam = np.sort(np.abs(rng.uniform(-1, 1, 3)))[::-1]
-            bound = lam[0] ** 2 / 16
+                for t in np.linspace(0, np.pi, 12, endpoint=False)
+                for p in np.linspace(-np.pi / 2, np.pi / 2, 24, endpoint=False)]
+        for rho in hs_states(131, 10):
+            decomp = to_canonical(rho)
+            bound = decomp.lambda_diag[0] ** 2 / 16
             for n in grid:
-                assert displacement_norm_sq(lam, n) <= bound + 1e-15
+                assert branch_displacement_sq(rho, n) <= bound + 1e-15
+            assert branch_displacement_sq(rho, mcdm_direction(decomp)) == pytest.approx(
+                bound, abs=1e-15)
 
 
 class TestMinimizeConditionalEntropy:
@@ -332,10 +336,6 @@ class TestMcdmDiscord:
         for rho in hs_states(89, 100):
             r = quantum_discord(rho)
             assert r.mcdm_discord >= r.discord - 1e-9
-
-    def test_accepts_precomputed_decomposition(self):
-        rho = hs_states(97, 1)[0]
-        assert mcdm_discord(rho, to_canonical(rho)) == pytest.approx(mcdm_discord(rho), abs=0)
 
 
 class TestZeroDiscord:
