@@ -130,7 +130,7 @@ def _cmd_discord(args) -> int:
     try:
         with open(args.statefile) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.statefile!r}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -77,7 +77,8 @@ def _mixture_point_task(q: float) -> tuple[float, float, float]:
 
 
 def _pmap(fn, items, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (workers * 8))

@@ -7,7 +7,7 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a dense hemisphere grid plus simplex refinement minimizes to obtain
+which a dense hemisphere grid plus a stencil refinement minimizes to obtain
 the classical correlation and the quantum discord.  Evaluating the same
 expression at the maximal-correlation direction instead of the optimum
 gives a cheap upper bound on the discord.
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.special import xlogy
 
 from .canonical import canonical_rotations, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
@@ -31,9 +29,11 @@ from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
                      validated_spectrum, von_neumann_entropy)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
-for _ax in (X_AXIS, Y_AXIS, Z_AXIS):
+# tie-break axes x, y, z as columns, each its hemisphere representative
+_TIE_AXES = np.array([[1.0, 0.0, 0.0],
+                      [0.0, -1.0, 0.0],
+                      [0.0, 0.0, 1.0]])
+for _ax in (X_AXIS, _TIE_AXES):
     _ax.setflags(write=False)
 
 DIRECTION_TOL = 1e-12
@@ -49,8 +49,11 @@ CLAMP_WINDOW = 1e-9
 
 THETA_BINS = 96
 PHI_BINS = 192
-
-_LN2 = math.log(2.0)
+# refinement: an 11 x 11 stencil, shrunk tenfold until its half-width is 1e-8
+STENCIL_POINTS = 11
+STENCIL_SHRINK = 0.1
+STENCIL_STOP = 1e-8
+MAX_STENCILS = 100
 
 
 # --------------------------------------------------------------------------- #
@@ -143,77 +146,50 @@ def conditional_entropy_direct(rho, n) -> float:
 # closed-form conditional entropy                                             #
 # --------------------------------------------------------------------------- #
 
-def _branch_scalar(weight2: float, g: float) -> float:
-    """(w/2) h(g/w) for w = 1 +- f, with the w -> 0 limit taken as 0."""
-    if weight2 < ZERO_PROBABILITY:
-        return 0.0
-    if g - weight2 > POSITIVITY_SLACK:
-        raise ConsistencyError(
-            f"|b +- R^T n| = {g!r} exceeds 1 +- a.n = {weight2!r}: input was not a state")
-    x = g / weight2
-    if x >= 1.0:
-        return 0.0
+def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
+    """Closed form on a (3, K) stack of unit vectors: both branches in one pass."""
+    f = blocks.a @ dirs
+    rn = blocks.r.T @ dirs
+    k = dirs.shape[1]
+    w = np.concatenate([1.0 + f, 1.0 - f])
+    g = np.linalg.norm(np.concatenate([blocks.b[:, None] + rn, blocks.b[:, None] - rn], axis=1),
+                       axis=0)
+    # a branch with w -> 0 is a deterministic-zero outcome and contributes 0
+    live = w > ZERO_PROBABILITY
+    if np.any(live & (g - w > POSITIVITY_SLACK)):
+        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
+    x = np.minimum(g / np.where(live, w, 1.0), 1.0)
     p = 0.5 * (1.0 + x)
     q = 0.5 * (1.0 - x)
-    return 0.5 * weight2 * (-(p * math.log2(p) + q * math.log2(q)))
-
-
-def _scalar_objective(blocks: BlockDecomposition):
-    """Fast closed-form evaluator over Bloch vectors, closed over one state's blocks."""
-    a0, a1, a2 = (float(x) for x in blocks.a)
-    b0, b1, b2 = (float(x) for x in blocks.b)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = blocks.r.tolist()
-
-    def ce(n0: float, n1: float, n2: float) -> float:
-        f = a0 * n0 + a1 * n1 + a2 * n2
-        c0 = r00 * n0 + r10 * n1 + r20 * n2
-        c1 = r01 * n0 + r11 * n1 + r21 * n2
-        c2 = r02 * n0 + r12 * n1 + r22 * n2
-        gp = math.sqrt((b0 + c0) ** 2 + (b1 + c1) ** 2 + (b2 + c2) ** 2)
-        gm = math.sqrt((b0 - c0) ** 2 + (b1 - c1) ** 2 + (b2 - c2) ** 2)
-        return _branch_scalar(1.0 + f, gp) + _branch_scalar(1.0 - f, gm)
-
-    return ce
+    h = -(p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
+    terms = np.where(live, 0.5 * w * h, 0.0)
+    return terms[:k] + terms[k:]
 
 
 def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
     """Average entropy of B after measuring A along ``n``, from the block closed form."""
     v = validate_direction(n)
-    return _scalar_objective(blocks)(v[0], v[1], v[2])
-
-
-def _branch_many(weight2: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(weight2)
-    live = weight2 > ZERO_PROBABILITY
-    w = weight2[live]
-    gg = g[live]
-    if np.any(gg - w > POSITIVITY_SLACK):
-        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
-    x = np.minimum(gg / w, 1.0)
-    p = 0.5 * (1.0 + x)
-    q = 0.5 * (1.0 - x)
-    h = -(xlogy(p, p) + xlogy(q, q)) / _LN2
-    out[live] = 0.5 * w * h
-    return out
-
-
-def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
-    """Closed form on a (3, K) stack of unit vectors."""
-    f = blocks.a @ dirs
-    rn = blocks.r.T @ dirs
-    gp = np.linalg.norm(blocks.b[:, None] + rn, axis=0)
-    gm = np.linalg.norm(blocks.b[:, None] - rn, axis=0)
-    return _branch_many(1.0 + f, gp) + _branch_many(1.0 - f, gm)
+    return float(_ce_many(blocks, v[:, None])[0])
 
 
 # --------------------------------------------------------------------------- #
 # hemisphere optimizer                                                        #
 # --------------------------------------------------------------------------- #
 
+def _angle_dirs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """(3, K) stack of the unit vectors at polar angles ``thetas``, azimuths ``phis``."""
+    st = np.sin(thetas)
+    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)])
+
+
 _GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
 _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
-_GRID_DIRS = np.stack([np.sin(_tt) * np.cos(_pp), np.sin(_tt) * np.sin(_pp), np.cos(_tt)])
+_GRID_DIRS = _angle_dirs(_tt, _pp)
+# (theta, phi) offsets of the refinement stencil, in units of its half-width
+_STENCIL_T, _STENCIL_P = (m.ravel() for m in np.meshgrid(
+    np.linspace(-1.0, 1.0, STENCIL_POINTS), np.linspace(-1.0, 1.0, STENCIL_POINTS),
+    indexing="ij"))
 
 
 def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
@@ -227,31 +203,32 @@ def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
     closeness = np.abs(_GRID_DIRS[0, tied])
     near = tied[closeness >= closeness.max() - 1e-9]
     start = int(near[0])
-    t0 = float(_GRID_THETAS[start // PHI_BINS])
-    p0 = float(_GRID_PHIS[start % PHI_BINS])
 
-    ce = _scalar_objective(blocks)
-
-    def objective(x):
-        st = math.sin(x[0])
-        return ce(st * math.cos(x[1]), st * math.sin(x[1]), math.cos(x[0]))
-
-    dt = math.pi / THETA_BINS
-    dp = math.pi / PHI_BINS
-    simplex = np.array([[t0, p0], [t0 + 0.5 * dt, p0], [t0, p0 + 0.5 * dp]])
-    result = optimize.minimize(
-        objective, np.array([t0, p0]), method="Nelder-Mead",
-        options={"initial_simplex": simplex, "xatol": 1e-9, "fatol": 1e-12,
-                 "maxiter": 200, "maxfev": 600})
-    best_n = direction_from_angles(result.x[0], result.x[1])
-    best_value = float(result.fun)
+    # move-or-shrink refinement: move to the stencil's minimum if it is lower,
+    # otherwise shrink the stencil around the incumbent
+    theta, phi = _GRID_THETAS[start // PHI_BINS], _GRID_PHIS[start % PHI_BINS]
+    best_n, best_value = _GRID_DIRS[:, start], float(values[start])
+    step = math.pi / THETA_BINS
+    for _ in range(MAX_STENCILS):
+        thetas = theta + step * _STENCIL_T
+        phis = phi + step * _STENCIL_P
+        dirs = _angle_dirs(thetas, phis)
+        stencil = _ce_many(blocks, dirs)
+        k = int(stencil.argmin())
+        if stencil[k] < best_value:
+            theta, phi = thetas[k], phis[k]
+            best_n, best_value = dirs[:, k], float(stencil[k])
+        else:
+            step *= STENCIL_SHRINK
+            if step <= STENCIL_STOP:
+                break
 
     # equal minima resolve toward the maximal-correlation axis, then y, then z;
     # this also pins the reported direction exactly onto on-axis optima
-    for axis in (X_AXIS, Y_AXIS, Z_AXIS):
-        axis_value = ce(axis[0], axis[1], axis[2])
-        if axis_value <= best_value + VALUE_TIE_TOL:
-            return axis.copy(), axis_value
+    axis_values = _ce_many(blocks, _TIE_AXES)
+    tied = np.flatnonzero(axis_values <= best_value + VALUE_TIE_TOL)
+    if tied.size:
+        return _TIE_AXES[:, tied[0]].copy(), float(axis_values[tied[0]])
     return hemisphere_representative(best_n), best_value
 
 
@@ -259,8 +236,12 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere.
 
     Two deterministic stages: a dense 96 x 192 (theta, phi) grid scan, then a
-    simplex refinement started in the best grid cell.  Returns the
-    minimizing direction (hemisphere representative) and the value in bits.
+    move-or-shrink refinement started in the best grid cell: an 11 x 11
+    (theta, phi) stencil around the incumbent moves to its minimum when that
+    is lower and otherwise shrinks tenfold, from one grid cell down to 1e-8.
+    Minima that tie with the x, y or z axis resolve to that axis, in that
+    order.  Returns the minimizing direction (hemisphere representative) and
+    the value in bits.
     """
     rho = validate_density_matrix(rho)
     return _minimize_blocks(state_blocks(rho))

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qdiscord.cli
+import qdiscord.experiments
 from qdiscord import format_state, mixture_family, off_axis_x_state
 from qdiscord.cli import main
 from qdiscord.experiments import (ExperimentConfig,
@@ -61,6 +65,13 @@ class TestDiscordCommand:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["discord", str(tmp_path / "absent.txt")]) == 2
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["discord", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_invalid_state_exit_3(self, tmp_path, capsys):
         bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
@@ -163,6 +174,30 @@ class TestDeterminism:
               "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_no_larger_than_work(self, capsys, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(qdiscord.experiments.multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=SerialPool))
+        assert main(["mixture", "--samples", "3", "--workers", "50"]) == 0
+        pooled = capsys.readouterr().out
+        assert main(["mixture", "--samples", "3"]) == 0
+        assert pooled == capsys.readouterr().out
+        assert sizes == [3]
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["scatter", "--samples", "25", "--seed", "9", "--out", str(a)])
@@ -246,3 +281,16 @@ class TestPipelineHelpers:
         for tol in (0.0, -0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ExperimentConfig(cluster_tol=tol).validate()
+
+
+class TestDependencies:
+    def test_cli_runs_without_scipy(self):
+        code = ("import contextlib, io, sys, qdiscord.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    qdiscord.cli.main(['mixture', '--samples', '3'])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction,
                       random_qubit_state)
-from qdiscord import (BlockDecomposition, ValidationError,
+from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
                       conditional_entropy_direct, construct_zero_discord,
@@ -14,9 +14,12 @@ from qdiscord import (BlockDecomposition, ValidationError,
                       post_measurement, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
+from qdiscord.measures import _minimize_blocks
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
+# |R^T n| reaches 2 > 1 +- a.n: blocks of no state
+NON_PHYSICAL = BlockDecomposition(a=np.zeros(3), b=np.zeros(3), r=np.diag([2.0, 0.0, 0.0]))
 
 
 def bell_diagonal(c1, c2, c3):
@@ -165,6 +168,10 @@ class TestConditionalEntropyClosed:
             assert closed == pytest.approx(expected, abs=1e-9)
             assert abs(closed - direct) < 1e-10
 
+    def test_non_physical_blocks_raise(self):
+        with pytest.raises(ConsistencyError):
+            conditional_entropy_closed(NON_PHYSICAL, X)
+
 
 def branch_displacement_sq(rho, n):
     """(1/2) Tr[D^2] for D = p+ (rho_B|+ - rho_B), from explicit post-measurement
@@ -202,6 +209,33 @@ class TestDisplacementNorm:
                 bound, abs=1e-15)
 
 
+def fibonacci_sphere(count):
+    """``count`` nearly uniform unit vectors, as the columns of a (3, count) array."""
+    k = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * k / count
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    s = np.sqrt(1.0 - z * z)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def direct_many(rho, dirs):
+    """conditional_entropy_direct at every column of ``dirs``, batched: for each
+    outcome, the eigenvalues of the unnormalized B state Tr_A[(P x 1) rho]."""
+    ns = np.einsum("ik,ijl->kjl", dirs, np.array(PAULIS[1:]))
+    r4 = rho.reshape(2, 2, 2, 2)
+    total = np.zeros(dirs.shape[1])
+    for sign in (1.0, -1.0):
+        m = np.einsum("kac,cbad->kbd", (np.eye(2) + sign * ns) / 2.0, r4)
+        lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        ratio = np.divide(lam, lam.sum(axis=1, keepdims=True), out=np.ones_like(lam),
+                          where=lam > 0.0)
+        total -= np.sum(lam * np.log2(ratio), axis=1)
+    return total
+
+
+SPHERE = fibonacci_sphere(2000)
+
+
 class TestMinimizeConditionalEntropy:
     def test_off_axis_reference_state(self):
         n, value = minimize_conditional_entropy(off_axis_x_state())
@@ -217,8 +251,10 @@ class TestMinimizeConditionalEntropy:
         assert value == pytest.approx(H_OF_0P6, abs=1e-13)
 
     def test_bell_diagonal_unordered_hits_largest_axis(self):
+        # the y axis is reported as its hemisphere representative, without -0.0
         n, value = minimize_conditional_entropy(bell_diagonal(0.1, 0.5, 0.2))
-        assert_allclose(n, Y, atol=0)
+        assert_allclose(n, [0.0, -1.0, 0.0], atol=0)
+        assert not np.signbit(n[[0, 2]]).any()
         assert value == pytest.approx(1.0 - bell_diagonal_classical_correlation([0.1, 0.5, 0.2]),
                                       abs=1e-12)
 
@@ -234,6 +270,19 @@ class TestMinimizeConditionalEntropy:
         n2, v2 = minimize_conditional_entropy(rho)
         assert v1 == v2
         assert_allclose(n1, n2, atol=0)
+
+    def test_non_physical_blocks_raise(self):
+        with pytest.raises(ConsistencyError):
+            _minimize_blocks(NON_PHYSICAL)
+
+    def test_minimum_below_direct_on_fibonacci_sphere(self):
+        for rho in hs_states(113, 50):
+            n, value = minimize_conditional_entropy(rho)
+            assert abs(value - conditional_entropy_direct(rho, n)) < 1e-10
+            sphere = direct_many(rho, SPHERE)
+            assert_allclose(sphere[:5], [conditional_entropy_direct(rho, v) for v in SPHERE[:, :5].T],
+                            rtol=0, atol=1e-12)
+            assert value <= sphere.min() + 1e-12
 
 
 class TestCorrelationMeasures:
