@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fano_bloch import correlation_matrix
+from .fano_bloch import BlockDecomposition, correlation_matrix
 from .linalg import su2_from_so3, validate_density_matrix
 
 # below this, det(Lambda) carries no usable sign information
@@ -80,6 +80,13 @@ def canonical_rotations(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o1, o2, s
 
 
+def canonical_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, BlockDecomposition]:
+    """Rotation o1 and the canonical form's blocks (o1 a, o2 b, o1 R o2^T), without
+    the SU(2) lift; a direction n in the canonical frame is o1^T n for ``blocks``."""
+    o1, o2, _ = canonical_rotations(blocks.connected())
+    return o1, BlockDecomposition(a=o1 @ blocks.a, b=o2 @ blocks.b, r=o1 @ blocks.r @ o2.T)
+
+
 def to_canonical(rho) -> CanonicalDecomposition:
     """Canonical decomposition of an arbitrary two-qubit state: the rotations
     of :func:`canonical_rotations` lifted to SU(2) and applied to ``rho``."""
@@ -105,10 +112,10 @@ def is_canonical(rho, tol: float = 1e-9) -> bool:
 
 def hemisphere_representative(n) -> np.ndarray:
     """The representative of {n, -n} with theta in [0, pi) and phi in [-pi/2, pi/2)."""
-    v = np.asarray(n, dtype=float).copy()
+    v = np.asarray(n, dtype=float)
     if v[0] < 0.0 or (v[0] == 0.0 and v[1] > 0.0) or (v[0] == 0.0 and v[1] == 0.0 and v[2] < 0.0):
         v = -v
-    return v
+    return v + 0.0  # no -0.0 components
 
 
 def mcdm_direction(decomp: CanonicalDecomposition) -> np.ndarray:

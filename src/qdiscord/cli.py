@@ -7,7 +7,7 @@ upper bound along the product/entangled mixture family), ``scatter``
 (discord versus upper bound for random states).
 
 Exit codes: 0 success; 2 unparseable input, an unreadable state file, a
-bad option value (such as a non-positive ``--cluster-tol``) or an
+bad option value (such as a ``--cluster-tol`` outside (0, 0.5]) or an
 ``--out`` path that cannot be written; 3 a parsed matrix is not a valid
 state (including non-finite entries).
 """
@@ -39,10 +39,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _cluster_tol(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    if not 0.0 < value <= 0.5:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 0.5]")
     return value
 
 
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="optimal-measurement clusters for random X-states")
     _add_experiment_flags(p, default_samples=10000)
-    p.add_argument("--cluster-tol", type=_positive_float, default=0.01,
-                   help="cluster tolerance between axes, in units of pi (default 0.01)")
+    p.add_argument("--cluster-tol", type=_cluster_tol, default=0.01,
+                   help="cluster tolerance between axes in units of pi, in (0, 0.5] (default 0.01)")
 
     p = sub.add_parser("histogram", help="optimal-measurement histogram for random states")
     _add_experiment_flags(p, default_samples=10000)
@@ -168,11 +168,11 @@ def _cmd_experiment(args) -> int:
     """Reserve the output file first, then run the pipeline and write its CSV."""
     extra = {key: getattr(args, key) for key in ("cluster_tol", "bins") if hasattr(args, key)}
     config = ExperimentConfig(samples=args.samples, seed=args.seed,
-                              workers=args.workers, out=args.out, **extra)
+                              workers=args.workers, **extra)
     try:
-        out = OutputFile(config.out)
+        out = OutputFile(args.out)
     except OSError as exc:
-        print(f"error: cannot write {config.out!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with out:
         out.write(_PIPELINES[args.command](config))

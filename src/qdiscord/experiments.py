@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import canonical_rotations
+from .canonical import canonical_blocks
 from .ensembles import SeededGenerator, mixture_family, project_x_state, random_hs_state
-from .fano_bloch import BlockDecomposition, state_blocks
+from .fano_bloch import state_blocks
 from .measures import (_minimize_blocks, angles_from_direction,
                        direction_from_angles, quantum_discord)
 
@@ -32,8 +32,7 @@ class ExperimentConfig:
     seed: int = 42
     bins: tuple[int, int] = (100, 100)
     workers: int = 1
-    cluster_tol: float = 0.01  # angular tolerance between axes, in units of pi
-    out: Optional[str] = None
+    cluster_tol: float = 0.01  # angle between axes, in units of pi; axis angles are <= 1/2
 
     def validate(self) -> "ExperimentConfig":
         if self.samples < 1:
@@ -42,8 +41,8 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
         if self.bins[0] < 1 or self.bins[1] < 1:
             raise ValueError("bins must be positive")
-        if not (math.isfinite(self.cluster_tol) and self.cluster_tol > 0.0):
-            raise ValueError("cluster_tol must be positive and finite")
+        if not 0.0 < self.cluster_tol <= 0.5:
+            raise ValueError("cluster_tol must lie in (0, 0.5]")
         return self
 
 
@@ -56,11 +55,8 @@ def _optimal_angles_task(args: tuple[int, int, bool]) -> tuple[float, float]:
     rho = random_hs_state(SeededGenerator(seed, start=index))
     if x_project:
         rho = project_x_state(rho)
-    # the canonical form's blocks O1 a, O2 b, O1 R O2^T, without the SU(2) lift
-    blocks = state_blocks(rho)
-    o1, o2, _ = canonical_rotations(blocks.connected())
-    n, _ = _minimize_blocks(BlockDecomposition(a=o1 @ blocks.a, b=o2 @ blocks.b,
-                                               r=o1 @ blocks.r @ o2.T))
+    # the optimum of the canonical form, without the SU(2) lift
+    n, _ = _minimize_blocks(canonical_blocks(state_blocks(rho))[1])
     return angles_from_direction(n)
 
 

@@ -25,47 +25,46 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = 1e-10
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(matrix) -> np.ndarray:
     """Return ``matrix`` as a complex ndarray, checking shape, finiteness and hermiticity."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ValidationError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
 
-def eigvals_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def eigvals_hermitian(matrix) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix."""
-    return np.linalg.eigvalsh(require_hermitian(matrix, tol))
+    return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
-def _checked_state(rho, eig_floor: float, trace_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked_state(rho, trace_tol: float = TRACE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The state as a complex ndarray and its ascending eigenvalues."""
     rho = require_hermitian(rho)
     if abs(np.trace(rho).real - 1.0) > trace_tol:
         raise NotAStateError(f"trace is {float(np.trace(rho).real)!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -eig_floor:
+    if w[0] < -EIGENVALUE_FLOOR:
         raise NotAStateError(f"negative eigenvalue {float(w[0])!r}")
     return rho, w
 
 
-def validate_density_matrix(rho, *, eig_floor: float = EIGENVALUE_FLOOR,
-                            trace_tol: float = TRACE_TOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check unit trace and positivity; return the state as a complex ndarray.
 
-    Eigenvalues in ``[-eig_floor, 0)`` are accepted as arithmetic noise;
-    anything lower raises :class:`NotAStateError`.
+    Eigenvalues in ``[-EIGENVALUE_FLOOR, 0)`` are accepted as arithmetic
+    noise; anything lower raises :class:`NotAStateError`.
     """
-    return _checked_state(rho, eig_floor, trace_tol)[0]
+    return _checked_state(rho)[0]
 
 
 def validated_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     """:func:`validate_density_matrix`, also returning the ascending eigenvalues."""
-    return _checked_state(rho, EIGENVALUE_FLOOR, TRACE_TOL)
+    return _checked_state(rho)
 
 
 def entropy_bits(eigenvalues: np.ndarray) -> float:
@@ -73,12 +72,13 @@ def entropy_bits(eigenvalues: np.ndarray) -> float:
     w = eigenvalues[eigenvalues > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log2(w)).sum())
+    # 0.0 - s, not -s: a zero entropy is +0.0
+    return 0.0 - float((w * np.log2(w)).sum())
 
 
-def von_neumann_entropy(rho, *, eig_floor: float = EIGENVALUE_FLOOR) -> float:
+def von_neumann_entropy(rho) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    return entropy_bits(_checked_state(rho, eig_floor, 1e-9)[1])
+    return entropy_bits(_checked_state(rho, 1e-9)[1])
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -117,17 +117,17 @@ def binary_entropy(x: float) -> float:
     return entropy_bits(np.array([(1.0 + x) / 2.0, (1.0 - x) / 2.0]))
 
 
-def require_rotation(matrix, tol: float = 1e-12) -> np.ndarray:
+def require_rotation(matrix) -> np.ndarray:
     """Return ``matrix`` as a real 3x3 ndarray, checking orthogonality."""
     o = np.asarray(matrix, dtype=float)
     if o.shape != (3, 3):
         raise ValidationError(f"expected a 3x3 matrix, got shape {o.shape}")
-    if np.max(np.abs(o.T @ o - np.eye(3))) > tol:
+    if np.max(np.abs(o.T @ o - np.eye(3))) > 1e-12:
         raise ValidationError("matrix is not orthogonal within tolerance")
     return o
 
 
-def su2_from_so3(rotation, tol: float = 1e-12) -> np.ndarray:
+def su2_from_so3(rotation) -> np.ndarray:
     """Lift a proper rotation O to the 2x2 unitary U with U^dag sigma_i U = sum_j O_ij sigma_j.
 
     The lift is defined up to a global sign; the representative returned is
@@ -135,7 +135,7 @@ def su2_from_so3(rotation, tol: float = 1e-12) -> np.ndarray:
     the computation well conditioned for every input.  Reflections
     (det O = -1) are rejected: they have no SU(2) counterpart.
     """
-    o = require_rotation(rotation, tol)
+    o = require_rotation(rotation)
     if np.linalg.det(o) < 0.0:
         raise ValidationError("det = -1: reflections have no SU(2) lift")
 

@@ -8,9 +8,10 @@ of B has a closed form in the block decomposition (a, b, R):
     f = a.n,  g+- = |b +- R^T n|,
 
 which a dense hemisphere grid plus a stencil refinement minimizes to obtain
-the classical correlation and the quantum discord.  Evaluating the same
-expression at the maximal-correlation direction instead of the optimum
-gives a cheap upper bound on the discord.
+the classical correlation and the quantum discord, always on the blocks of
+the state's canonical form, where the x axis is the maximal-correlation
+direction (MCDM).  Evaluating the same expression at the MCDM instead of
+the optimum gives a cheap upper bound on the discord.
 """
 
 from __future__ import annotations
@@ -21,20 +22,17 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import canonical_rotations, hemisphere_representative
+from .canonical import canonical_blocks, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
 from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
                      entropy_bits, partial_trace, validate_density_matrix,
                      validated_spectrum, von_neumann_entropy)
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-# tie-break axes x, y, z as columns, each its hemisphere representative
-_TIE_AXES = np.array([[1.0, 0.0, 0.0],
-                      [0.0, -1.0, 0.0],
-                      [0.0, 0.0, 1.0]])
-for _ax in (X_AXIS, _TIE_AXES):
-    _ax.setflags(write=False)
+# tie-break axes x, y, z as columns; in the canonical frame x is the MCDM
+_TIE_AXES = np.eye(3)
+_TIE_AXES.setflags(write=False)
+X_AXIS = _TIE_AXES[:, 0]
 
 DIRECTION_TOL = 1e-12
 # outcomes rarer than this are deterministic-zero; their entropy term is 0
@@ -161,7 +159,8 @@ def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
     x = np.minimum(g / np.where(live, w, 1.0), 1.0)
     p = 0.5 * (1.0 + x)
     q = 0.5 * (1.0 - x)
-    h = -(p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
+    # 0.0 - s, not -s: a zero entropy is +0.0
+    h = 0.0 - (p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
     terms = np.where(live, 0.5 * w * h, 0.0)
     return terms[:k] + terms[k:]
 
@@ -193,6 +192,8 @@ _STENCIL_T, _STENCIL_P = (m.ravel() for m in np.meshgrid(
 
 
 def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
+    """Minimizing direction and minimum of CE for the blocks of :func:`canonical_blocks`,
+    whose x axis is the MCDM; the direction is not a hemisphere representative."""
     values = _ce_many(blocks, _GRID_DIRS)
     grid_best = float(values.min())
 
@@ -223,28 +224,30 @@ def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
             if step <= STENCIL_STOP:
                 break
 
-    # equal minima resolve toward the maximal-correlation axis, then y, then z;
-    # this also pins the reported direction exactly onto on-axis optima
+    # equal minima resolve toward the MCDM x, then y, then z; this also pins
+    # the reported direction exactly onto on-axis optima
     axis_values = _ce_many(blocks, _TIE_AXES)
     tied = np.flatnonzero(axis_values <= best_value + VALUE_TIE_TOL)
     if tied.size:
-        return _TIE_AXES[:, tied[0]].copy(), float(axis_values[tied[0]])
-    return hemisphere_representative(best_n), best_value
+        return _TIE_AXES[:, tied[0]], float(axis_values[tied[0]])
+    return best_n, best_value
 
 
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere.
 
-    Two deterministic stages: a dense 96 x 192 (theta, phi) grid scan, then a
-    move-or-shrink refinement started in the best grid cell: an 11 x 11
-    (theta, phi) stencil around the incumbent moves to its minimum when that
-    is lower and otherwise shrinks tenfold, from one grid cell down to 1e-8.
-    Minima that tie with the x, y or z axis resolve to that axis, in that
-    order.  Returns the minimizing direction (hemisphere representative) and
-    the value in bits.
+    Two deterministic stages on the canonical form's blocks: a dense 96 x 192
+    (theta, phi) grid scan, then a move-or-shrink refinement started in the
+    best grid cell: an 11 x 11 stencil around the incumbent moves to its
+    minimum when that is lower and otherwise shrinks tenfold, from one grid
+    cell down to 1e-8.  Ties resolve to the MCDM axis, then the second, then
+    the third correlation axis.  Returns the direction in the frame of ``rho``
+    (hemisphere representative) and the value in bits, as quantum_discord.
     """
     rho = validate_density_matrix(rho)
-    return _minimize_blocks(state_blocks(rho))
+    o1, canonical = canonical_blocks(state_blocks(rho))
+    n, value = _minimize_blocks(canonical)
+    return hemisphere_representative(o1.T @ n), value
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +255,7 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
 # --------------------------------------------------------------------------- #
 
 def _clamp(value: float) -> float:
-    return 0.0 if -CLAMP_WINDOW <= value < 0.0 else value
+    return 0.0 if -CLAMP_WINDOW <= value <= 0.0 else value
 
 
 def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, float, float, float]:
@@ -268,13 +271,6 @@ def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, float, float, float]
     return blocks, s_a, s_b, entropy_bits(spectrum)
 
 
-def _mcdm_axis(blocks: BlockDecomposition) -> np.ndarray:
-    """Maximal-correlation axis: top left singular vector of Lambda = R - a b^T,
-    as its hemisphere representative (the axis ``mcdm_direction`` reports)."""
-    o1, _, _ = canonical_rotations(blocks.connected())
-    return hemisphere_representative(o1[0])
-
-
 def mutual_information(rho) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
     _, s_a, s_b, s_ab = _blocks_and_entropies(rho)
@@ -284,7 +280,7 @@ def mutual_information(rho) -> float:
 def classical_correlation(rho) -> float:
     """S(rho_B) minus the minimal conditional entropy, in bits."""
     blocks, _, s_b, _ = _blocks_and_entropies(rho)
-    return _clamp(s_b - _minimize_blocks(blocks)[1])
+    return _clamp(s_b - _minimize_blocks(canonical_blocks(blocks)[1])[1])
 
 
 @dataclass(frozen=True)
@@ -305,14 +301,10 @@ def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
     blocks, s_a, s_b, s_ab = _blocks_and_entropies(rho)
-    n_mcdm = _mcdm_axis(blocks)
-
-    n_opt, ce_min = _minimize_blocks(blocks)
-    ce_mcdm = conditional_entropy_closed(blocks, n_mcdm)
-    if ce_mcdm <= ce_min + VALUE_TIE_TOL:
-        # the maximal-correlation direction ties with (or beats) the search
-        # result; prefer it, which also guarantees the upper-bound property
-        n_opt, ce_min = n_mcdm.copy(), ce_mcdm
+    o1, canonical = canonical_blocks(blocks)
+    # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
+    n_opt, ce_min = _minimize_blocks(canonical)
+    ce_mcdm = conditional_entropy_closed(canonical, X_AXIS)
 
     mutual = _clamp(s_a + s_b - s_ab)
     classical = _clamp(s_b - ce_min)
@@ -321,10 +313,10 @@ def quantum_discord(rho) -> DiscordReport:
         classical_correlation=classical,
         discord=_clamp(mutual - classical),
         mcdm_discord=_clamp(s_a - s_ab + ce_mcdm),
-        optimal_direction=n_opt,
+        optimal_direction=hemisphere_representative(o1.T @ n_opt),
         min_conditional_entropy=ce_min,
         mcdm_conditional_entropy=ce_mcdm,
-        mcdm_direction=n_mcdm,
+        mcdm_direction=hemisphere_representative(o1[0]),
     )
 
 
@@ -335,7 +327,7 @@ def mcdm_discord(rho) -> float:
     set the true discord minimizes over.
     """
     blocks, s_a, _, s_ab = _blocks_and_entropies(rho)
-    return _clamp(s_a - s_ab + conditional_entropy_closed(blocks, _mcdm_axis(blocks)))
+    return _clamp(s_a - s_ab + conditional_entropy_closed(canonical_blocks(blocks)[1], X_AXIS))
 
 
 def bell_diagonal_classical_correlation(c) -> float:
@@ -364,8 +356,8 @@ def bell_diagonal_classical_correlation(c) -> float:
 # zero-discord states                                                         #
 # --------------------------------------------------------------------------- #
 
-def zero_discord_witness(blocks: BlockDecomposition, tol: float = 1e-9) -> Optional[np.ndarray]:
-    """Measurement axis n with n n^T a = a and n n^T R = R, if one exists.
+def zero_discord_witness(blocks: BlockDecomposition) -> Optional[np.ndarray]:
+    """Measurement axis n with n n^T a = a and n n^T R = R (within 1e-9), if one exists.
 
     The existence of such an axis is equivalent to zero discord.  The only
     candidate is the dominant left-singular vector of R (all columns of R and
@@ -384,7 +376,7 @@ def zero_discord_witness(blocks: BlockDecomposition, tol: float = 1e-9) -> Optio
         return X_AXIS.copy()
     n = n / np.linalg.norm(n)
     pn = np.outer(n, n)
-    if np.max(np.abs(pn @ a - a)) <= tol and np.max(np.abs(pn @ r - r)) <= tol:
+    if np.max(np.abs(pn @ a - a)) <= 1e-9 and np.max(np.abs(pn @ r - r)) <= 1e-9:
         return hemisphere_representative(n)
     return None
 

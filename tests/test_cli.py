@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 import qdiscord.cli
 import qdiscord.experiments
-from qdiscord import format_state, mixture_family, off_axis_x_state
+from qdiscord import (angles_from_direction, format_state, mixture_family, off_axis_x_state,
+                      reconstruct)
 from qdiscord.cli import main
 from qdiscord.experiments import (ExperimentConfig,
                                   optimal_direction_clusters,
@@ -55,6 +57,24 @@ class TestDiscordCommand:
         assert abs(payload["optimal_theta_over_pi"] - 0.155) < 0.01
         assert payload["mcdm_discord"] >= payload["discord"] - 1e-9
         assert payload["mcdm_direction"] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("rho", [
+        reconstruct(np.diag([1.0, 0.1, 0.5, 0.2])),  # Bell-diagonal, MCDM along y
+        np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),  # |00><00|
+    ], ids=["bell-diagonal", "ket00"])
+    def test_no_negative_zero(self, tmp_path, capsys, rho):
+        path = write_state(tmp_path, rho)
+        assert main(["discord", "--json", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        numbers = [x for v in payload.values() for x in (v if isinstance(v, list) else [v])]
+        assert all(math.copysign(1.0, x) == 1.0 for x in numbers if x == 0.0), payload
+        assert main(["discord", path]) == 0
+        text = capsys.readouterr().out
+        assert "-0" not in [field for line in text.splitlines() for field in line.split()], text
+
+    def test_angles_of_flipped_direction_have_positive_zero_phi(self):
+        _, phi = angles_from_direction((-0.6, 0.0, -0.8))
+        assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.txt"
@@ -249,7 +269,8 @@ class TestOutputPath:
 
 
 class TestClusterTolerance:
-    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+    # axis angles lie in [0, pi/2], so tolerances above 1/2 are refused
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf", "0.51", "2"])
     def test_bad_value_exits_2(self, value, capsys):
         with pytest.raises(SystemExit) as err:
             main(["table1", "--samples", "5", f"--cluster-tol={value}"])
@@ -278,9 +299,27 @@ class TestPipelineHelpers:
             ExperimentConfig(samples=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0).validate()
-        for tol in (0.0, -0.01, float("nan"), float("inf")):
+        for tol in (0.0, -0.01, float("nan"), float("inf"), 0.51, 2.0):
             with pytest.raises(ValueError):
                 ExperimentConfig(cluster_tol=tol).validate()
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestGoldenOutputs:
+    """CSV bytes for fixed seeds, as committed under tests/data."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["table1", "--samples", "500", "--seed", "7"], "table1_samples500_seed7.csv"),
+        (["histogram", "--samples", "500", "--seed", "7"], "histogram_samples500_seed7.csv"),
+        (["mixture"], "mixture_default.csv"),
+    ], ids=["table1", "histogram", "mixture"])
+    def test_csv_bytes_unchanged(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+        with open(os.path.join(DATA, name), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 class TestDependencies:

@@ -118,7 +118,7 @@ class TestMixtureFamily:
 
 class TestOffAxisXState:
     def test_is_valid_state(self):
-        validate_density_matrix(off_axis_x_state(), trace_tol=1e-4)
+        validate_density_matrix(off_axis_x_state())
 
     def test_entries_as_printed(self):
         rho = off_axis_x_state()

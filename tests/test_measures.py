@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction,
-                      random_qubit_state)
+                      random_qubit_state, random_unitary)
 from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
@@ -385,6 +385,54 @@ class TestMcdmDiscord:
         for rho in hs_states(89, 100):
             r = quantum_discord(rho)
             assert r.mcdm_discord >= r.discord - 1e-9
+
+
+def turned(rho, rng):
+    w = np.kron(random_unitary(rng), random_unitary(rng))
+    return w @ rho @ w.conj().T
+
+
+def pure_states(rng, count):
+    kets = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    return [np.outer(k, k.conj()) for k in kets]
+
+
+def bell_diagonal_triples(rng, count):
+    # mixtures of the four Bell states' correlation triples fill the tetrahedron
+    corners = np.array([[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+    return rng.dirichlet(np.ones(4), size=count) @ corners
+
+
+class TestSingleSolvePath:
+    """Every public function reports the solve of ``quantum_discord`` exactly."""
+
+    def states(self):
+        rng = np.random.default_rng(20260518)
+        states = pure_states(rng, 10)
+        states += [turned(bell_diagonal(-p, -p, -p), rng) for p in (0.2, 1 / 3, 0.7, 1.0)]
+        states += [turned(bell_diagonal(*c), rng) for c in bell_diagonal_triples(rng, 10)]
+        states += [construct_zero_discord([0.3, 0.7], random_direction(rng),
+                                          (random_qubit_state(rng), random_qubit_state(rng)))
+                   for _ in range(10)]
+        return states + hs_states(149, 100)
+
+    def test_functions_agree_with_report(self):
+        for rho in self.states():
+            report = quantum_discord(rho)
+            n, value = minimize_conditional_entropy(rho)
+            np.testing.assert_array_equal(n, report.optimal_direction)
+            assert value == report.min_conditional_entropy
+            assert classical_correlation(rho) == report.classical_correlation
+            assert mcdm_discord(rho) == report.mcdm_discord
+            assert report.min_conditional_entropy <= report.mcdm_conditional_entropy
+
+    def test_pure_entangled_state_ties_resolve_to_mcdm(self):
+        rng = np.random.default_rng(20260519)
+        for rho in [bell_psi_plus()] + pure_states(rng, 20):
+            assert von_neumann_entropy(partial_trace(rho, "A")) > 1e-3  # entangled
+            np.testing.assert_array_equal(minimize_conditional_entropy(rho)[0],
+                                          mcdm_direction(to_canonical(rho)))
 
 
 class TestZeroDiscord:
