@@ -1,12 +1,14 @@
 """Reproducible ensemble experiments behind the CLI.
 
-Every pipeline draws state k from the substream (seed, k), so the output is
-a pure function of the configuration: reruns and different worker counts
+Every pipeline draws state k from the substream (seed, k) and solves its
+states in chunks, each state to the same bits as alone, so the output is a
+pure function of the configuration: reruns, chunk sizes and worker counts
 produce byte-identical tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -20,8 +22,8 @@ import numpy as np
 from .canonical import canonical_blocks
 from .ensembles import SeededGenerator, mixture_family, project_x_state, random_hs_state
 from .fano_bloch import state_blocks
-from .measures import (_minimize_blocks, angles_from_direction,
-                       direction_from_angles, quantum_discord)
+from .measures import (_discord_reports, _minimize_many, _stack, angles_from_direction,
+                       direction_from_angles)
 
 
 @dataclass(frozen=True)
@@ -47,39 +49,57 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------- #
-# per-index tasks (module level so they pickle for worker pools)              #
+# chunked solves (module level so they pickle for worker pools)               #
 # --------------------------------------------------------------------------- #
 
-def _optimal_angles_task(args: tuple[int, int, bool]) -> tuple[float, float]:
-    seed, index, x_project = args
-    rho = random_hs_state(SeededGenerator(seed, start=index))
+# states drawn and solved together by one task
+CHUNK_SIZE = 64
+
+
+def _hs_states(config: ExperimentConfig, indices: range) -> list[np.ndarray]:
+    """Random state k drawn from the substream (seed, k), for each index k."""
+    return [random_hs_state(SeededGenerator(config.seed, start=k)) for k in indices]
+
+
+def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> list[tuple]:
+    """Optimal (theta, phi) of each random state's canonical form, after the X
+    projection if ``x_project``, without the SU(2) lift."""
+    rhos = _hs_states(config, indices)
     if x_project:
-        rho = project_x_state(rho)
-    # the optimum of the canonical form, without the SU(2) lift
-    n, _ = _minimize_blocks(canonical_blocks(state_blocks(rho))[1])
-    return angles_from_direction(n)
+        rhos = [project_x_state(rho) for rho in rhos]
+    dirs, _ = _minimize_many(*_stack([canonical_blocks(state_blocks(rho))[1] for rho in rhos]))
+    return [angles_from_direction(n) for n in dirs]
 
 
-def _discord_pair_task(args: tuple[int, int]) -> tuple[float, float]:
-    seed, index = args
-    rho = random_hs_state(SeededGenerator(seed, start=index))
-    report = quantum_discord(rho)
-    return report.discord, report.mcdm_discord
+def _scatter_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
+    """(discord, mcdm_discord) of each random state."""
+    return [(r.discord, r.mcdm_discord) for r in _discord_reports(_hs_states(config, indices))]
 
 
-def _mixture_point_task(q: float) -> tuple[float, float, float]:
-    report = quantum_discord(mixture_family(q))
-    return q, report.discord, report.mcdm_discord
+def _mixture_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
+    """(q, discord, mcdm_discord) at each point of the uniform q grid."""
+    qs = [k / (config.samples - 1) if config.samples > 1 else 0.0 for k in indices]
+    reports = _discord_reports([mixture_family(q) for q in qs])
+    return [(q, r.discord, r.mcdm_discord) for q, r in zip(qs, reports)]
 
 
-def _pmap(fn, items, workers: int) -> list:
-    workers = min(workers, len(items))
+def _solve(chunk_fn, config: ExperimentConfig, **options) -> list[tuple]:
+    """``chunk_fn(config, indices, **options)`` over chunks of CHUNK_SIZE indices,
+    concatenated in index order.  Each state's result depends only on its
+    index, so neither the chunks nor the fork pool, of at most one worker per
+    chunk and per usable core, change the output."""
+    task = functools.partial(chunk_fn, config, **options)
+    chunks = [range(start, min(start + CHUNK_SIZE, config.samples))
+              for start in range(0, config.samples, CHUNK_SIZE)]
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(config.workers, len(chunks), cores)
     if workers <= 1:
-        return [fn(item) for item in items]
-    ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(items) // (workers * 8))
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, items, chunksize=chunk)
+        results = [task(chunk) for chunk in chunks]
+    else:
+        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            results = pool.map(task, chunks, chunksize=1)
+    return [row for chunk in results for row in chunk]
 
 
 # --------------------------------------------------------------------------- #
@@ -102,9 +122,7 @@ def optimal_direction_clusters(config: ExperimentConfig) -> list[tuple[float, fl
     its first member.
     """
     config.validate()
-    angles = _pmap(_optimal_angles_task,
-                   [(config.seed, i, True) for i in range(config.samples)],
-                   config.workers)
+    angles = _solve(_angles_chunk, config, x_project=True)
     tol = config.cluster_tol * math.pi
     cos_tol = math.cos(tol)
     reps: list[np.ndarray] = []
@@ -131,9 +149,7 @@ def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, f
     bins only, in bin order.  Counts sum to ``samples``.
     """
     config.validate()
-    angles = _pmap(_optimal_angles_task,
-                   [(config.seed, i, False) for i in range(config.samples)],
-                   config.workers)
+    angles = _solve(_angles_chunk, config, x_project=False)
     t_bins, p_bins = config.bins
     counts: dict[tuple[int, int], int] = {}
     for theta, phi in angles:
@@ -148,17 +164,13 @@ def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, f
 def mixture_curve(config: ExperimentConfig) -> list[tuple[float, float, float]]:
     """(q, discord, upper bound) on a uniform q grid with ``samples`` points."""
     config.validate()
-    count = config.samples
-    qs = [i / (count - 1) for i in range(count)] if count > 1 else [0.0]
-    return _pmap(_mixture_point_task, qs, config.workers)
+    return _solve(_mixture_chunk, config)
 
 
 def bound_scatter(config: ExperimentConfig) -> tuple[list[tuple[int, float, float]], float]:
     """(index, discord, upper bound) for random states plus the mean squared gap."""
     config.validate()
-    pairs = _pmap(_discord_pair_task,
-                  [(config.seed, i) for i in range(config.samples)],
-                  config.workers)
+    pairs = _solve(_scatter_chunk, config)
     rows = [(i, d, dt) for i, (d, dt) in enumerate(pairs)]
     mean_sq = math.fsum((dt - d) ** 2 for d, dt in pairs) / len(pairs)
     return rows, mean_sq
@@ -186,14 +198,16 @@ def render_csv(header, rows, summary: Optional[str] = None) -> str:
 class OutputFile:
     """Destination of one CSV text: stdout, or ``path`` replaced atomically.
 
-    The constructor creates a unique temp file next to ``path``, so a bad
-    directory raises :class:`OSError` before any computation; :meth:`write`
+    The constructor creates a unique temp file next to ``path``, so an empty
+    path or a bad directory raises :class:`OSError` before any computation; :meth:`write`
     renames it onto ``path``, and leaving the ``with`` block before that removes it.
     """
 
     def __init__(self, path: Optional[str]):
         self.path, self._tmp = path, None
         if path is not None:
+            if not path:
+                raise FileNotFoundError("empty output path")
             if os.path.isdir(path):
                 raise IsADirectoryError(f"{path!r} is a directory")
             fd, self._tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",

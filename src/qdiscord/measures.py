@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,10 @@ STENCIL_POINTS = 11
 STENCIL_SHRINK = 0.1
 STENCIL_STOP = 1e-8
 MAX_STENCILS = 100
+# theta rows of the grid evaluated per call: with 24 x 192 columns no
+# temporary of a call exceeds 3 x 4608 doubles (110 KB), under glibc's
+# default 128 KB mmap threshold
+GRID_BLOCK_ROWS = 24
 
 
 # --------------------------------------------------------------------------- #
@@ -144,17 +148,28 @@ def conditional_entropy_direct(rho, n) -> float:
 # closed-form conditional entropy                                             #
 # --------------------------------------------------------------------------- #
 
-def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
-    """Closed form on a (3, K) stack of unit vectors: both branches in one pass."""
-    f = blocks.a @ dirs
-    rn = blocks.r.T @ dirs
-    k = dirs.shape[1]
-    w = np.concatenate([1.0 + f, 1.0 - f])
-    g = np.linalg.norm(np.concatenate([blocks.b[:, None] + rn, blocks.b[:, None] - rn], axis=1),
-                       axis=0)
+def _stack(blocks: Sequence[BlockDecomposition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of S states as arrays a (S, 3), b (S, 3) and R (S, 3, 3)."""
+    return (np.stack([bd.a for bd in blocks]), np.stack([bd.b for bd in blocks]),
+            np.stack([bd.r for bd in blocks]))
+
+
+def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Closed form for S states on unit vectors ``dirs``, shared (3, K) or per state
+    (S, 3, K): both branches in one pass; returns (S, K).
+
+    Each state's contractions are the same matrix products as for that state
+    alone, so a value does not depend on the states stacked beside it.
+    """
+    f = (a[:, None, :] @ dirs)[:, 0, :]
+    rn = r.swapaxes(1, 2) @ dirs
+    k = f.shape[1]
+    w = np.concatenate([1.0 + f, 1.0 - f], axis=1)
+    g = np.concatenate([np.linalg.norm(b[:, :, None] + rn, axis=1),
+                        np.linalg.norm(b[:, :, None] - rn, axis=1)], axis=1)
     # a branch with w -> 0 is a deterministic-zero outcome and contributes 0
     live = w > ZERO_PROBABILITY
-    if np.any(live & (g - w > POSITIVITY_SLACK)):
+    if (live & (g - w > POSITIVITY_SLACK)).any():
         raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
     x = np.minimum(g / np.where(live, w, 1.0), 1.0)
     p = 0.5 * (1.0 + x)
@@ -162,13 +177,13 @@ def _ce_many(blocks: BlockDecomposition, dirs: np.ndarray) -> np.ndarray:
     # 0.0 - s, not -s: a zero entropy is +0.0
     h = 0.0 - (p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
     terms = np.where(live, 0.5 * w * h, 0.0)
-    return terms[:k] + terms[k:]
+    return terms[:, :k] + terms[:, k:]
 
 
 def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
     """Average entropy of B after measuring A along ``n``, from the block closed form."""
     v = validate_direction(n)
-    return float(_ce_many(blocks, v[:, None])[0])
+    return float(_ce_many(*_stack([blocks]), v[:, None])[0, 0])
 
 
 # --------------------------------------------------------------------------- #
@@ -176,60 +191,90 @@ def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
 # --------------------------------------------------------------------------- #
 
 def _angle_dirs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """(3, K) stack of the unit vectors at polar angles ``thetas``, azimuths ``phis``."""
+    """Unit vectors at polar angles ``thetas``, azimuths ``phis``: (3, K) for
+    (K,) angles, (S, 3, K) for (S, K) angles."""
     st = np.sin(thetas)
-    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)])
+    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=-2)
 
 
 _GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
 _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
 _GRID_DIRS = _angle_dirs(_tt, _pp)
+_GRID_BLOCKS = [np.ascontiguousarray(block)
+                for block in np.hsplit(_GRID_DIRS, THETA_BINS // GRID_BLOCK_ROWS)]
 # (theta, phi) offsets of the refinement stencil, in units of its half-width
 _STENCIL_T, _STENCIL_P = (m.ravel() for m in np.meshgrid(
     np.linspace(-1.0, 1.0, STENCIL_POINTS), np.linspace(-1.0, 1.0, STENCIL_POINTS),
     indexing="ij"))
 
 
-def _minimize_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
-    """Minimizing direction and minimum of CE for the blocks of :func:`canonical_blocks`,
-    whose x axis is the MCDM; the direction is not a hemisphere representative."""
-    values = _ce_many(blocks, _GRID_DIRS)
-    grid_best = float(values.min())
+def _grid_values(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """CE of one state (stacks of one) at every grid direction, in flat grid order."""
+    return np.concatenate([_ce_many(a, b, r, block)[0] for block in _GRID_BLOCKS])
 
-    # among grid ties prefer the direction closest to the x axis; mirror-image
-    # optima (theta vs pi - theta) tie in that metric too, so fall back to the
-    # smallest flat index, i.e. the smaller polar angle
-    tied = np.flatnonzero(values <= grid_best + GRID_TIE_TOL)
-    closeness = np.abs(_GRID_DIRS[0, tied])
-    near = tied[closeness >= closeness.max() - 1e-9]
-    start = int(near[0])
 
-    # move-or-shrink refinement: move to the stencil's minimum if it is lower,
-    # otherwise shrink the stencil around the incumbent
+def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizing directions (S, 3) and minima (S,) of CE for S blocks of
+    :func:`canonical_blocks`, whose x axis is the MCDM, stacked by :func:`_stack`;
+    the directions are not hemisphere representatives.  Each state's result is
+    the same for any S."""
+    count = len(a)
+    start = np.empty(count, dtype=int)
+    value = np.empty(count)
+    for s in range(count):
+        values = _grid_values(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+        # among grid ties prefer the direction closest to the x axis; mirror-image
+        # optima (theta vs pi - theta) tie in that metric too, so fall back to the
+        # smallest flat index, i.e. the smaller polar angle
+        tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
+        closeness = np.abs(_GRID_DIRS[0, tied])
+        start[s] = tied[closeness >= closeness.max() - 1e-9][0]
+        value[s] = values[start[s]]
+
+    # move-or-shrink refinement of every state still active: move to the
+    # stencil's minimum if it is lower, otherwise shrink the stencil around the
+    # incumbent; a state leaves once its stencil is no wider than STENCIL_STOP.
+    # The arrays below hold the active states only and shrink as states leave.
+    active, rows = np.arange(count), np.arange(count)
     theta, phi = _GRID_THETAS[start // PHI_BINS], _GRID_PHIS[start % PHI_BINS]
-    best_n, best_value = _GRID_DIRS[:, start], float(values[start])
-    step = math.pi / THETA_BINS
+    n = _GRID_DIRS[:, start].T
+    step = np.full(count, math.pi / THETA_BINS)
+    sa, sb, sr = a, b, r
+    best_n, best_value = np.empty((count, 3)), np.empty(count)
     for _ in range(MAX_STENCILS):
-        thetas = theta + step * _STENCIL_T
-        phis = phi + step * _STENCIL_P
+        thetas = theta[:, None] + step[:, None] * _STENCIL_T
+        phis = phi[:, None] + step[:, None] * _STENCIL_P
         dirs = _angle_dirs(thetas, phis)
-        stencil = _ce_many(blocks, dirs)
-        k = int(stencil.argmin())
-        if stencil[k] < best_value:
-            theta, phi = thetas[k], phis[k]
-            best_n, best_value = dirs[:, k], float(stencil[k])
-        else:
-            step *= STENCIL_SHRINK
-            if step <= STENCIL_STOP:
+        stencil = _ce_many(sa, sb, sr, dirs)
+        k = stencil.argmin(axis=1)
+        lowest = stencil[rows, k]
+        moved = lowest < value
+        if moved.any():
+            theta = np.where(moved, thetas[rows, k], theta)
+            phi = np.where(moved, phis[rows, k], phi)
+            n = np.where(moved[:, None], dirs[rows, :, k], n)
+            value = np.where(moved, lowest, value)
+        step = np.where(moved, step, step * STENCIL_SHRINK)
+        done = step <= STENCIL_STOP
+        if done.any():
+            best_n[active[done]], best_value[active[done]] = n[done], value[done]
+            keep = ~done
+            active, theta, phi, n, value, step, sa, sb, sr = (
+                x[keep] for x in (active, theta, phi, n, value, step, sa, sb, sr))
+            rows = np.arange(active.size)
+            if not active.size:
                 break
+    best_n[active], best_value[active] = n, value
 
     # equal minima resolve toward the MCDM x, then y, then z; this also pins
     # the reported direction exactly onto on-axis optima
-    axis_values = _ce_many(blocks, _TIE_AXES)
-    tied = np.flatnonzero(axis_values <= best_value + VALUE_TIE_TOL)
-    if tied.size:
-        return _TIE_AXES[:, tied[0]], float(axis_values[tied[0]])
+    axis_values = _ce_many(a, b, r, _TIE_AXES)
+    tied = axis_values <= best_value[:, None] + VALUE_TIE_TOL
+    first = tied.argmax(axis=1)
+    on_axis = tied.any(axis=1)
+    best_n[on_axis] = _TIE_AXES.T[first[on_axis]]
+    best_value[on_axis] = axis_values[on_axis, first[on_axis]]
     return best_n, best_value
 
 
@@ -246,8 +291,8 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """
     rho = validate_density_matrix(rho)
     o1, canonical = canonical_blocks(state_blocks(rho))
-    n, value = _minimize_blocks(canonical)
-    return hemisphere_representative(o1.T @ n), value
+    n, value = _minimize_many(*_stack([canonical]))
+    return hemisphere_representative(o1.T @ n[0]), float(value[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -280,7 +325,7 @@ def mutual_information(rho) -> float:
 def classical_correlation(rho) -> float:
     """S(rho_B) minus the minimal conditional entropy, in bits."""
     blocks, _, s_b, _ = _blocks_and_entropies(rho)
-    return _clamp(s_b - _minimize_blocks(canonical_blocks(blocks)[1])[1])
+    return _clamp(s_b - float(_minimize_many(*_stack([canonical_blocks(blocks)[1]]))[1][0]))
 
 
 @dataclass(frozen=True)
@@ -297,27 +342,36 @@ class DiscordReport:
     mcdm_direction: np.ndarray
 
 
+def _discord_reports(rhos) -> list[DiscordReport]:
+    """:func:`quantum_discord` of each state, with one minimizer call for all of them."""
+    parts = [_blocks_and_entropies(rho) for rho in rhos]
+    rotated = [canonical_blocks(blocks) for blocks, _, _, _ in parts]
+    a, b, r = _stack([bd for _, bd in rotated])
+    n_opt, ce_min = _minimize_many(a, b, r)
+    # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
+    ce_mcdm = _ce_many(a, b, r, X_AXIS[:, None])[:, 0]
+    reports = []
+    for (_, s_a, s_b, s_ab), (o1, _), n, c_min, c_mcdm in zip(parts, rotated, n_opt,
+                                                             ce_min.tolist(), ce_mcdm.tolist()):
+        mutual = _clamp(s_a + s_b - s_ab)
+        classical = _clamp(s_b - c_min)
+        reports.append(DiscordReport(
+            mutual_information=mutual,
+            classical_correlation=classical,
+            discord=_clamp(mutual - classical),
+            mcdm_discord=_clamp(s_a - s_ab + c_mcdm),
+            optimal_direction=hemisphere_representative(o1.T @ n),
+            min_conditional_entropy=c_min,
+            mcdm_conditional_entropy=c_mcdm,
+            mcdm_direction=hemisphere_representative(o1[0]),
+        ))
+    return reports
+
+
 def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
-    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rho)
-    o1, canonical = canonical_blocks(blocks)
-    # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
-    n_opt, ce_min = _minimize_blocks(canonical)
-    ce_mcdm = conditional_entropy_closed(canonical, X_AXIS)
-
-    mutual = _clamp(s_a + s_b - s_ab)
-    classical = _clamp(s_b - ce_min)
-    return DiscordReport(
-        mutual_information=mutual,
-        classical_correlation=classical,
-        discord=_clamp(mutual - classical),
-        mcdm_discord=_clamp(s_a - s_ab + ce_mcdm),
-        optimal_direction=hemisphere_representative(o1.T @ n_opt),
-        min_conditional_entropy=ce_min,
-        mcdm_conditional_entropy=ce_mcdm,
-        mcdm_direction=hemisphere_representative(o1[0]),
-    )
+    return _discord_reports([rho])[0]
 
 
 def mcdm_discord(rho) -> float:

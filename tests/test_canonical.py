@@ -9,7 +9,7 @@ from qdiscord import (SeededGenerator, conditional_entropy_closed,
                       mutual_information, off_axis_x_state, project_x_state,
                       quantum_discord, random_hs_state, reconstruct,
                       state_blocks, su2_from_so3, to_canonical)
-from qdiscord.experiments import _optimal_angles_task
+from qdiscord.experiments import ExperimentConfig, _angles_chunk
 from qdiscord.measures import X_AXIS
 
 
@@ -122,7 +122,10 @@ class TestBlocksOnlyPaths:
                 rho = project_x_state(rho)
             canonical = to_canonical(rho).canonical_state
             n_ref, value_ref = minimize_conditional_entropy(canonical)
-            n = direction_from_angles(*_optimal_angles_task((seed, index, x_project)))
+            # the chunk that holds index alone
+            config = ExperimentConfig(seed=seed)
+            (angles,) = _angles_chunk(config, range(index, index + 1), x_project)
+            n = direction_from_angles(*angles)
             value = conditional_entropy_closed(state_blocks(canonical), n)
             assert abs(value - value_ref) <= 1e-12
             # n and -n are the same measurement

@@ -10,10 +10,10 @@ import pytest
 
 import qdiscord.cli
 import qdiscord.experiments
-from qdiscord import (angles_from_direction, format_state, mixture_family, off_axis_x_state,
-                      reconstruct)
+from qdiscord import (SeededGenerator, angles_from_direction, format_state, mixture_family,
+                      off_axis_x_state, quantum_discord, random_hs_state, reconstruct)
 from qdiscord.cli import main
-from qdiscord.experiments import (ExperimentConfig,
+from qdiscord.experiments import (ExperimentConfig, bound_scatter,
                                   optimal_direction_clusters,
                                   optimal_direction_histogram, render_csv)
 
@@ -187,14 +187,19 @@ class TestExperimentCommands:
 
 class TestDeterminism:
     def test_workers_do_not_change_output(self, tmp_path):
+        # three chunks, a ragged last one among them, over a real pool
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["table1", "--samples", "60", "--seed", "7", "--workers", "1",
+        main(["table1", "--samples", "150", "--seed", "7", "--workers", "1",
               "--out", str(a)])
-        main(["table1", "--samples", "60", "--seed", "7", "--workers", "3",
+        main(["table1", "--samples", "150", "--seed", "7", "--workers", "3",
               "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pool_no_larger_than_work(self, capsys, monkeypatch):
+    @staticmethod
+    def serial_pool(monkeypatch, cores, affinity=True):
+        """Record the pool sizes asked for; the fake pool maps in this process.
+        The machine has ``cores`` usable cores, reported by ``os.sched_getaffinity``,
+        or without ``affinity`` (as off Linux) by ``os.cpu_count`` alone."""
         sizes = []
 
         class SerialPool:
@@ -212,11 +217,33 @@ class TestDeterminism:
 
         monkeypatch.setattr(qdiscord.experiments.multiprocessing, "get_context",
                             lambda method: SimpleNamespace(Pool=SerialPool))
-        assert main(["mixture", "--samples", "3", "--workers", "50"]) == 0
+        if affinity:
+            monkeypatch.setattr(qdiscord.experiments.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+        else:
+            monkeypatch.delattr(qdiscord.experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(qdiscord.experiments.os, "cpu_count",
+                            lambda: 1 if affinity else cores)
+        return sizes
+
+    def test_pool_no_larger_than_work(self, capsys, monkeypatch):
+        # 150 points make three chunks of at most 64
+        sizes = self.serial_pool(monkeypatch, cores=64)
+        assert main(["mixture", "--samples", "150", "--workers", "50"]) == 0
         pooled = capsys.readouterr().out
-        assert main(["mixture", "--samples", "3"]) == 0
+        assert main(["mixture", "--samples", "150"]) == 0
         assert pooled == capsys.readouterr().out
-        assert sizes == [3]
+        assert main(["mixture", "--samples", "3", "--workers", "50"]) == 0
+        assert sizes == [3]  # one chunk runs without a pool
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_no_larger_than_cores(self, capsys, monkeypatch, affinity):
+        sizes = self.serial_pool(monkeypatch, cores=2, affinity=affinity)
+        assert main(["mixture", "--samples", "150", "--workers", "64"]) == 0
+        pooled = capsys.readouterr().out
+        assert main(["mixture", "--samples", "150"]) == 0
+        assert pooled == capsys.readouterr().out
+        assert sizes == [2]
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -252,6 +279,14 @@ class TestOutputPath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (tmp_path / "missing_dir").exists()
+
+    def test_empty_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["mixture", "--samples", "2", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_directory_as_out_exit_2(self, tmp_path, capsys):
         assert main(["mixture", "--samples", "3", "--out", str(tmp_path)]) == 2
@@ -290,6 +325,15 @@ class TestPipelineHelpers:
         assert text == "a,b\n0.5,1\n0.333333333333,2\n"
         assert "\r" not in text
 
+    def test_scatter_rows_equal_single_state_reports(self):
+        # 130 states: two full chunks and a ragged one of two
+        config = ExperimentConfig(samples=130, seed=11)
+        rows, _ = bound_scatter(config)
+        assert [row[0] for row in rows] == list(range(130))
+        for index, discord, mcdm in rows:
+            report = quantum_discord(random_hs_state(SeededGenerator(11, start=index)))
+            assert (discord, mcdm) == (report.discord, report.mcdm_discord)
+
     def test_histogram_rows_sorted(self):
         rows = optimal_direction_histogram(ExperimentConfig(samples=40, seed=3, bins=(10, 10)))
         assert rows == sorted(rows)
@@ -314,7 +358,8 @@ class TestGoldenOutputs:
         (["table1", "--samples", "500", "--seed", "7"], "table1_samples500_seed7.csv"),
         (["histogram", "--samples", "500", "--seed", "7"], "histogram_samples500_seed7.csv"),
         (["mixture"], "mixture_default.csv"),
-    ], ids=["table1", "histogram", "mixture"])
+        (["scatter", "--samples", "500", "--seed", "7"], "scatter_samples500_seed7.csv"),
+    ], ids=["table1", "histogram", "mixture", "scatter"])
     def test_csv_bytes_unchanged(self, tmp_path, argv, name):
         out = tmp_path / name
         assert main(argv + ["--workers", "1", "--out", str(out)]) == 0

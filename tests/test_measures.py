@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,10 +13,11 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationEr
                       direction_from_angles, hemisphere_representative,
                       mcdm_direction, mcdm_discord, minimize_conditional_entropy,
                       mutual_information, off_axis_x_state, partial_trace,
-                      post_measurement, projectors, quantum_discord,
+                      post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
-from qdiscord.measures import _minimize_blocks
+from qdiscord.canonical import canonical_blocks
+from qdiscord.measures import _minimize_many, _stack
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -273,7 +276,20 @@ class TestMinimizeConditionalEntropy:
 
     def test_non_physical_blocks_raise(self):
         with pytest.raises(ConsistencyError):
-            _minimize_blocks(NON_PHYSICAL)
+            _minimize_many(*_stack([NON_PHYSICAL]))
+
+    def test_no_large_temporaries(self):
+        # the grid is evaluated in column blocks with temporaries of at most
+        # 110 KB; evaluating the whole 96 x 192 grid in one call peaked at 3.1 MiB
+        rho = hs_states(151, 1)[0]
+        minimize_conditional_entropy(rho)
+        tracemalloc.start()
+        try:
+            minimize_conditional_entropy(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_minimum_below_direct_on_fibonacci_sphere(self):
         for rho in hs_states(113, 50):
@@ -433,6 +449,23 @@ class TestSingleSolvePath:
             assert von_neumann_entropy(partial_trace(rho, "A")) > 1e-3  # entangled
             np.testing.assert_array_equal(minimize_conditional_entropy(rho)[0],
                                           mcdm_direction(to_canonical(rho)))
+
+
+class TestBatchInvariance:
+    """A state's solve does not depend on the states solved beside it."""
+
+    def test_stack_equals_batches_of_one(self):
+        states = TestSingleSolvePath().states()
+        states += [project_x_state(rho) for rho in hs_states(157, 30)]
+        canonical = [canonical_blocks(state_blocks(rho))[1] for rho in states]
+        for k in range(0, len(canonical), 64):
+            stack = canonical[k:k + 64]
+            n, value = _minimize_many(*_stack(stack))
+            assert n.shape == (len(stack), 3) and value.shape == (len(stack),)
+            for s, blocks in enumerate(stack):
+                n1, value1 = _minimize_many(*_stack([blocks]))
+                np.testing.assert_array_equal(n[s], n1[0])
+                assert value[s] == value1[0]
 
 
 class TestZeroDiscord:
