@@ -7,7 +7,7 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a dense hemisphere grid plus a stencil refinement minimizes to obtain
+which a pruned hemisphere grid plus a stencil refinement minimizes to obtain
 the classical correlation and the quantum discord, always on the blocks of
 the state's canonical form, where the x axis is the maximal-correlation
 direction (MCDM).  Evaluating the same expression at the MCDM instead of
@@ -47,14 +47,19 @@ CLAMP_WINDOW = 1e-9
 
 THETA_BINS = 96
 PHI_BINS = 192
+# the grid scan bounds CE on cells of CELL x CELL points (see _grid_start)
+CELL = 8
+# rounding allowance of a cell's vertex bound, and how far beyond the unit
+# sphere the outer face of a cell's frustum lies
+BOUND_SLACK = 1e-12
 # refinement: an 11 x 11 stencil, shrunk tenfold until its half-width is 1e-8
 STENCIL_POINTS = 11
 STENCIL_SHRINK = 0.1
 STENCIL_STOP = 1e-8
 MAX_STENCILS = 100
-# theta rows of the grid evaluated per call: with 24 x 192 columns no
-# temporary of a call exceeds 3 x 4608 doubles (110 KB), under glibc's
-# default 128 KB mmap threshold
+# grid points evaluated per call, at most 24 x 192: no temporary of a call
+# then exceeds 3 x 4608 doubles (110 KB), under glibc's default 128 KB mmap
+# threshold
 GRID_BLOCK_ROWS = 24
 
 
@@ -154,30 +159,45 @@ def _stack(blocks: Sequence[BlockDecomposition]) -> tuple[np.ndarray, np.ndarray
             np.stack([bd.r for bd in blocks]))
 
 
-def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Closed form for S states on unit vectors ``dirs``, shared (3, K) or per state
-    (S, 3, K): both branches in one pass; returns (S, K).
+def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+              dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = 1 +- a.n and g = |b +- R^T n| of S states at the K columns of
+    ``dirs``, shared (3, K) or per state (S, 3, K): (S, 2K) each, the + branch
+    first.
 
     Each state's contractions are the same matrix products as for that state
     alone, so a value does not depend on the states stacked beside it.
     """
     f = (a[:, None, :] @ dirs)[:, 0, :]
     rn = r.swapaxes(1, 2) @ dirs
-    k = f.shape[1]
     w = np.concatenate([1.0 + f, 1.0 - f], axis=1)
     g = np.concatenate([np.linalg.norm(b[:, :, None] + rn, axis=1),
                         np.linalg.norm(b[:, :, None] - rn, axis=1)], axis=1)
+    return w, g
+
+
+def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum of the two branch terms (w/2) h(g/w) of :func:`_branches`: (S, K).
+    Any n is accepted; where g > w the term is clamped to 0."""
     # a branch with w -> 0 is a deterministic-zero outcome and contributes 0
     live = w > ZERO_PROBABILITY
-    if (live & (g - w > POSITIVITY_SLACK)).any():
-        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
     x = np.minimum(g / np.where(live, w, 1.0), 1.0)
     p = 0.5 * (1.0 + x)
     q = 0.5 * (1.0 - x)
     # 0.0 - s, not -s: a zero entropy is +0.0
     h = 0.0 - (p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
     terms = np.where(live, 0.5 * w * h, 0.0)
+    k = terms.shape[1] // 2
     return terms[:, :k] + terms[:, k:]
+
+
+def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Closed form for S states on unit vectors ``dirs``, shared (3, K) or per state
+    (S, 3, K): both branches in one pass; returns (S, K)."""
+    w, g = _branches(a, b, r, dirs)
+    if ((w > ZERO_PROBABILITY) & (g - w > POSITIVITY_SLACK)).any():
+        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
+    return _branch_entropy(w, g)
 
 
 def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
@@ -201,17 +221,94 @@ _GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
 _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
 _GRID_DIRS = _angle_dirs(_tt, _pp)
-_GRID_BLOCKS = [np.ascontiguousarray(block)
-                for block in np.hsplit(_GRID_DIRS, THETA_BINS // GRID_BLOCK_ROWS)]
 # (theta, phi) offsets of the refinement stencil, in units of its half-width
 _STENCIL_T, _STENCIL_P = (m.ravel() for m in np.meshgrid(
     np.linspace(-1.0, 1.0, STENCIL_POINTS), np.linspace(-1.0, 1.0, STENCIL_POINTS),
     indexing="ij"))
 
+# The grid splits into cells of CELL x CELL points, numbered row-major in
+# (theta, phi).  A cell's points lie in a frustum with 8 vertices: the cone over
+# the cell's 4 corners, half a grid step outside its outermost points on the
+# unit sphere, cut by the plane of those corners and by a parallel plane just
+# beyond the sphere.  The corners are coplanar, as the cell is an isosceles
+# trapezoid.  Adjacent cells share vertices.
 
-def _grid_values(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """CE of one state (stacks of one) at every grid direction, in flat grid order."""
-    return np.concatenate([_ce_many(a, b, r, block)[0] for block in _GRID_BLOCKS])
+def _cell_geometry() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell, the flat grid indices of its points (cells, CELL**2) and the
+    columns of its 8 vertices (cells, 8) in the vertex directions (3, 925): the
+    13 x 25 corners on the sphere, then 2 x 25 outer vertices per cell row."""
+    rows, cols = THETA_BINS // CELL, PHI_BINS // CELL
+    corners = _angle_dirs(*(m.ravel() for m in np.meshgrid(
+        (np.arange(rows + 1) * CELL - 0.5) * (math.pi / THETA_BINS),
+        -math.pi / 2 + (np.arange(cols + 1) * CELL - 0.5) * (math.pi / PHI_BINS),
+        indexing="ij"))).reshape(3, rows + 1, cols + 1)
+    # the corner plane's distance from the origin depends only on the cell row
+    c00, c01, c10 = corners[:, :-1, 0], corners[:, :-1, 1], corners[:, 1:, 0]
+    normal = np.cross(c01 - c00, c10 - c00, axis=0)
+    depth = np.abs((normal * c00).sum(axis=0)) / np.linalg.norm(normal, axis=0)
+    outer = (np.stack([corners[:, :-1], corners[:, 1:]], axis=2)
+             * ((1.0 + BOUND_SLACK) / depth)[:, None, None])
+    i, j = (m.ravel()[:, None] for m in np.meshgrid(np.arange(rows), np.arange(cols),
+                                                    indexing="ij"))
+    points = np.ravel_multi_index(
+        (CELL * i + np.arange(CELL * CELL) // CELL, CELL * j + np.arange(CELL * CELL) % CELL),
+        (THETA_BINS, PHI_BINS))
+    di, dj = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    vertices = np.concatenate([
+        np.ravel_multi_index((i + di, j + dj), corners.shape[1:]),
+        corners[0].size + np.ravel_multi_index((i, di, j + dj), outer.shape[1:])], axis=1)
+    return points, vertices, np.concatenate([corners.reshape(3, -1), outer.reshape(3, -1)], axis=1)
+
+
+_CELL_POINTS, _CELL_VERTICES, _VERTEX_DIRS = _cell_geometry()
+_CELLS, _CELL_SIZE = _CELL_POINTS.shape
+# the grid cell by cell, (3, cells, CELL**2), and each point's closeness to x;
+# C order, as the gather alone would store the components innermost
+_CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS])
+_CELL_CLOSENESS = np.abs(_CELL_DIRS[0])
+# one anchor point per cell, then the vertices
+_BOUND_DIRS = np.concatenate([_CELL_DIRS[:, :, _CELL_SIZE // 2 + CELL // 2], _VERTEX_DIRS], axis=1)
+_BLOCK_CELLS = GRID_BLOCK_ROWS * PHI_BINS // _CELL_SIZE
+
+
+def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float]:
+    """Flat index and value of the lowest 96 x 192 grid point of one state (stacks
+    of one).  Among points within GRID_TIE_TOL of the lowest it takes the one
+    closest to the x axis; mirror-image optima (theta vs pi - theta) tie in that
+    metric too, so then the smallest flat index, i.e. the smaller polar angle.
+
+    Only cells that can hold such a point are evaluated.  Each branch term
+    (w/2) h(g/w) is concave and nonincreasing in g, w = 1 +- a.n is affine and
+    g = |b +- R^T n| convex, so CE is concave on the convex set g <= w, which
+    holds the unit ball.  On a cell whose frustum vertices all lie in that set
+    CE is therefore at least its lowest vertex value, and no point can fail the
+    positivity guard.  Such a cell is skipped when that bound exceeds the lowest
+    anchor by more than GRID_TIE_TOL; every other cell is evaluated in full.
+    """
+    w, g = _branches(a, b, r, _BOUND_DIRS)
+    values = _branch_entropy(w, g)[0]
+    outside = (g > w)[0].reshape(2, -1).any(axis=0)[_CELLS:]
+    bound = values[_CELLS:][_CELL_VERTICES].min(axis=1) - BOUND_SLACK
+    kept = np.flatnonzero((bound <= values[:_CELLS].min() + GRID_TIE_TOL)
+                          | outside[_CELL_VERTICES].any(axis=1))
+    # a matmul over a subset of the grid's columns reproduces the bits of the
+    # whole grid's product when the column count is a multiple of 4, as here,
+    # and the directions are stored row by row, as in _CELL_DIRS
+    blocks = []
+    for k in range(0, kept.size, _BLOCK_CELLS):
+        cells = kept[k:k + _BLOCK_CELLS]
+        if cells[-1] - cells[0] == cells.size - 1:  # a run of cells: no copy
+            dirs = _CELL_DIRS[:, cells[0]:cells[-1] + 1]
+        else:
+            dirs = np.take(_CELL_DIRS, cells, axis=1)
+        blocks.append(_ce_many(a, b, r, dirs.reshape(3, -1))[0])
+    values = np.concatenate(blocks)
+    closeness = np.where(values <= values.min() + GRID_TIE_TOL,
+                         _CELL_CLOSENESS[kept].ravel(), -1.0)
+    closest = np.flatnonzero(closeness >= closeness.max() - 1e-9)
+    points = _CELL_POINTS[kept[closest // _CELL_SIZE], closest % _CELL_SIZE]
+    k = points.argmin()
+    return int(points[k]), float(values[closest[k]])
 
 
 def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,14 +320,7 @@ def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     start = np.empty(count, dtype=int)
     value = np.empty(count)
     for s in range(count):
-        values = _grid_values(a[s:s + 1], b[s:s + 1], r[s:s + 1])
-        # among grid ties prefer the direction closest to the x axis; mirror-image
-        # optima (theta vs pi - theta) tie in that metric too, so fall back to the
-        # smallest flat index, i.e. the smaller polar angle
-        tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
-        closeness = np.abs(_GRID_DIRS[0, tied])
-        start[s] = tied[closeness >= closeness.max() - 1e-9][0]
-        value[s] = values[start[s]]
+        start[s], value[s] = _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1])
 
     # move-or-shrink refinement of every state still active: move to the
     # stencil's minimum if it is lower, otherwise shrink the stencil around the
@@ -281,13 +371,19 @@ def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndar
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere.
 
-    Two deterministic stages on the canonical form's blocks: a dense 96 x 192
-    (theta, phi) grid scan, then a move-or-shrink refinement started in the
-    best grid cell: an 11 x 11 stencil around the incumbent moves to its
-    minimum when that is lower and otherwise shrinks tenfold, from one grid
-    cell down to 1e-8.  Ties resolve to the MCDM axis, then the second, then
-    the third correlation axis.  Returns the direction in the frame of ``rho``
-    (hemisphere representative) and the value in bits, as quantum_discord.
+    Two deterministic stages on the canonical form's blocks: a scan of the
+    96 x 192 (theta, phi) grid, which skips the 8 x 8 cells that a certified
+    lower bound shows cannot hold its lowest point, then a move-or-shrink
+    refinement started in the best grid cell: an 11 x 11 stencil around the
+    incumbent moves to its minimum when that is lower and otherwise shrinks
+    tenfold, from one grid cell down to 1e-8.  Ties resolve to the MCDM axis,
+    then the second, then the third correlation axis.  Returns the direction
+    in the frame of ``rho`` (hemisphere representative) and the value in bits,
+    as quantum_discord.
+
+    The value is reproducible to its last bits; the direction only to about
+    1e-7, because CE is flat to second order at its minimum: a one-ulp change
+    of the input can move the direction by ~1e-7 and the value by ~1e-16.
     """
     rho = validate_density_matrix(rho)
     o1, canonical = canonical_blocks(state_blocks(rho))

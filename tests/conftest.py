@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qdiscord import SeededGenerator, random_hs_state
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def random_unitary(rng, dim=2):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction,
@@ -17,7 +19,11 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationEr
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
 from qdiscord.canonical import canonical_blocks
-from qdiscord.measures import _minimize_many, _stack
+from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
+                               _GRID_THETAS, _VERTEX_DIRS, BOUND_SLACK, GRID_BLOCK_ROWS,
+                               GRID_TIE_TOL, PHI_BINS, THETA_BINS, _angle_dirs,
+                               _branch_entropy, _branches, _ce_many, _grid_start,
+                               _minimize_many, _stack)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -466,6 +472,122 @@ class TestBatchInvariance:
                 n1, value1 = _minimize_many(*_stack([blocks]))
                 np.testing.assert_array_equal(n[s], n1[0])
                 assert value[s] == value1[0]
+
+
+CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected",
+                      "bell_diagonal")
+
+
+def family_state(family, seed):
+    """A seeded state of one of CERTIFIED_FAMILIES, or a Werner state."""
+    rng = np.random.default_rng(seed)
+    if family == "bell_diagonal":
+        return turned(bell_diagonal(*bell_diagonal_triples(rng, 1)[0]), rng)
+    if family == "werner":
+        return bell_diagonal(*np.full(3, -rng.uniform()))
+    if family == "near_pure":
+        eps = 10.0 ** rng.uniform(-10.0, -2.0)
+        return (1.0 - eps) * pure_states(rng, 1)[0] + eps * family_state("hs", seed)
+    rank = int(family[-1]) if family.startswith("rank") else 4
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return project_x_state(rho) if family == "x_projected" else rho
+
+
+def canonical_stack(rho):
+    return _stack([canonical_blocks(state_blocks(rho))[1]])
+
+
+def dense_start(a, b, r):
+    """Reference for measures._grid_start: CE at every point of the 96 x 192
+    grid, in blocks of GRID_BLOCK_ROWS theta rows, and the same start rule."""
+    blocks = np.hsplit(_GRID_DIRS, THETA_BINS // GRID_BLOCK_ROWS)
+    values = np.concatenate([_ce_many(a, b, r, np.ascontiguousarray(block))[0]
+                             for block in blocks])
+    tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
+    closeness = np.abs(_GRID_DIRS[0, tied])
+    start = tied[closeness >= closeness.max() - 1e-9][0]
+    return int(start), float(values[start])
+
+
+class TestGridCertificate:
+    """The pruned grid scan: each cell's frustum holds its points, its vertex
+    bound lies below CE, and the scan starts where the full scan does."""
+
+    DRAWS = 32  # points drawn per cell
+
+    def test_grid_points_inside_their_frustum(self):
+        inner = _VERTEX_DIRS[:, _CELL_VERTICES[:, :4]]  # corners 00, 01, 10, 11
+        outer = _VERTEX_DIRS[:, _CELL_VERTICES[:, 4:]]
+        points = _GRID_DIRS[:, _CELL_POINTS]
+        c00, c01, c10, c11 = inner.transpose(2, 0, 1)
+        centre = inner.sum(axis=2)
+        for p, q in ((c00, c01), (c01, c11), (c11, c10), (c10, c00)):
+            face = np.cross(p, q, axis=0)
+            face /= np.linalg.norm(face, axis=0)
+            face *= np.sign((face * centre).sum(axis=0))
+            assert (np.einsum("ic,icp->cp", face, points) >= -1e-15).all()
+        normal = np.cross(c01 - c00, c10 - c00, axis=0)
+        normal /= np.linalg.norm(normal, axis=0)
+        normal *= np.sign((normal * c00).sum(axis=0))
+        depth = (normal * c00).sum(axis=0)
+        assert_allclose((normal * c11).sum(axis=0), depth, rtol=0, atol=1e-15)
+        assert (np.einsum("ic,icp->cp", normal, points) >= depth[:, None] - 1e-15).all()
+        # the outer face lies beyond the unit sphere, parallel to the corners' plane
+        outer_depth = np.einsum("ic,icv->cv", normal, outer)
+        assert_allclose(outer_depth, 1.0 + BOUND_SLACK, rtol=0, atol=1e-15)
+        assert (outer_depth > 1.0).all()
+
+    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=70)
+    def test_vertex_bound_below_ce_in_cell(self, family, seed):
+        a, b, r = canonical_stack(family_state(family, seed))
+        w, g = _branches(a, b, r, _VERTEX_DIRS)
+        bound = _branch_entropy(w, g)[0][_CELL_VERTICES].min(axis=1)
+        outside = (g > w)[0].reshape(2, -1).any(axis=0)
+        certified = np.flatnonzero(~outside[_CELL_VERTICES].any(axis=1))
+        # the cell's grid points, and points drawn in the (theta, phi) rectangle
+        # they span
+        grid = _ce_many(a, b, r, _GRID_DIRS)[0][_CELL_POINTS[certified]]
+        thetas = _GRID_THETAS[_CELL_POINTS[certified] // PHI_BINS]
+        phis = _GRID_PHIS[_CELL_POINTS[certified] % PHI_BINS]
+        u, v = np.random.default_rng(seed).uniform(size=(2, certified.size, self.DRAWS))
+        drawn = _angle_dirs(thetas.min(axis=1)[:, None] + u * np.ptp(thetas, axis=1)[:, None],
+                            phis.min(axis=1)[:, None] + v * np.ptp(phis, axis=1)[:, None])
+        sampled = _ce_many(a, b, r, drawn.swapaxes(0, 1).reshape(3, -1))[0]
+        sampled = sampled.reshape(certified.size, self.DRAWS)
+        assert (bound[certified, None] <= np.concatenate([grid, sampled], axis=1)).all()
+
+    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner",))
+    def test_pruned_start_equals_dense_scan(self, family):
+        for seed in range(20):
+            a, b, r = canonical_stack(family_state(family, seed))
+            assert _grid_start(a, b, r) == dense_start(a, b, r)
+
+    def test_pure_state_keeps_every_cell_without_large_temporaries(self):
+        # off the unit sphere a pure state's g exceeds w, so every cell has an
+        # outer vertex outside the concave domain and the whole grid is scanned
+        a, b, r = canonical_stack(family_state("rank1", 3))
+        w, g = _branches(a, b, r, _VERTEX_DIRS)
+        assert (g > w)[0].reshape(2, -1).any(axis=0)[_CELL_VERTICES].any(axis=1).all()
+        _minimize_many(a, b, r)
+        tracemalloc.start()
+        try:
+            _minimize_many(a, b, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+    def test_value_reproducible_to_last_bits_direction_to_1e7(self):
+        # CE is flat to second order at its minimum, so a one-ulp change of the
+        # blocks moves the minimizing direction far more than the minimum
+        for rho in hs_states(137, 100):
+            a, b, r = canonical_stack(rho)
+            n, value = _minimize_many(a, b, r)
+            n1, value1 = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
+            assert abs(value1[0] - value[0]) < 1e-14
+            assert np.abs(n1 - n).max() < 2e-7
 
 
 class TestZeroDiscord:

@@ -4,10 +4,10 @@
     PYTHONPATH=src python3 tools/record_bench.py --out BENCH_NAME.json
 
 ``qdiscord`` is imported from ``PYTHONPATH``, so the same script measures
-the batched minimizer (``measures._minimize_many``) and the per-state one
-that preceded it (``measures._minimize_blocks``).  It reports two levels:
+the pruned grid scan (``measures._grid_start``) and the full scan that
+preceded it (``measures._grid_values``).  It reports two levels:
 
-- per state, in microseconds: the 96 x 192 grid scan, the stencil loop with
+- per state, in microseconds: the grid scan, the stencil loop with
   the axis tie-break, and the whole minimizer, on chunks of 64 states and on
   batches of one, over 256 seed-7 Hilbert-Schmidt states, fastest of 7;
 - per CLI run, in seconds of wall time: ``table1``, ``histogram`` and
@@ -56,36 +56,18 @@ def stage_times() -> dict:
     gen = SeededGenerator(SEED)
     canon = [canonical_blocks(state_blocks(random_hs_state(gen)))[1] for _ in range(STATES)]
     grid_s = [0.0]
-    if hasattr(measures, "_minimize_many"):  # the batched minimizer, grid in column blocks
+    name = "_grid_start" if hasattr(measures, "_grid_start") else "_grid_values"
+    evaluate = getattr(measures, name)
 
-        def solve(chunk):
-            measures._minimize_many(*measures._stack(chunk))
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return evaluate(*args)
+        finally:
+            grid_s[0] += time.perf_counter() - start
 
-        name, evaluate = "_grid_values", measures._grid_values
-
-        def timed(*args):
-            start = time.perf_counter()
-            try:
-                return evaluate(*args)
-            finally:
-                grid_s[0] += time.perf_counter() - start
-
-    else:  # one state per call, the whole grid in one _ce_many call
-
-        def solve(chunk):
-            for bd in chunk:
-                measures._minimize_blocks(bd)
-
-        name, evaluate = "_ce_many", measures._ce_many
-
-        def timed(blocks, dirs):
-            if dirs is not measures._GRID_DIRS:
-                return evaluate(blocks, dirs)
-            start = time.perf_counter()
-            try:
-                return evaluate(blocks, dirs)
-            finally:
-                grid_s[0] += time.perf_counter() - start
+    def solve(chunk):
+        measures._minimize_many(*measures._stack(chunk))
 
     def run(chunk) -> tuple[float, float]:
         grid_s[0] = 0.0
@@ -116,8 +98,13 @@ def stage_times() -> dict:
             "states": STATES, "repeats": REPEATS}
 
 
+def usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def cli_times() -> dict:
-    cores = len(os.sched_getaffinity(0))
+    cores = usable_cores()
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
@@ -136,7 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     record = {
-        "machine": {"cores": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+        "machine": {"cores": usable_cores(), "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
         "per_state": stage_times(),
         "cli_wall": {"samples": SAMPLES, "seed": SEED, **cli_times()},
