@@ -20,6 +20,7 @@ from .linalg import su2_from_so3, validate_density_matrix
 # below this, det(Lambda) carries no usable sign information
 DEGENERATE_DET_TOL = 1e-12
 _DIAGONAL_FAST_PATH_TOL = 1e-13
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -39,52 +40,42 @@ class CanonicalDecomposition:
     lambda_diag: np.ndarray
 
 
-def _signed_svd(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with both factors forced into SO(3), the sign moved onto s[2].
-
-    Flipping a single singular value's sign is impossible inside
-    SO(3) x SO(3) (it flips the determinant), so s[2] ends up carrying
-    sign(det lam): s[0] >= s[1] >= |s[2]|.
-    """
-    u, s, vt = np.linalg.svd(lam)
-    v = vt.T
-    if np.linalg.det(u) < 0.0:
-        u[:, 2] *= -1.0
-        s[2] = -s[2]
-    if np.linalg.det(v) < 0.0:
-        v[:, 2] *= -1.0
-        s[2] = -s[2]
-    return u, s, v
-
-
 def canonical_rotations(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotations (o1, o2) in SO(3) and s with o1 lam o2^T = diag(s), s[0] >= s[1] >= |s[2]|.
+    """Rotations (o1, o2) in SO(3) and s with o1 lam o2^T = diag(s), s[0] >= s[1] >= |s[2]|,
+    for one 3x3 matrix or for each of a stack (..., 3, 3).
 
-    An already canonical ``lam`` keeps the identity; otherwise the signed SVD
-    decides (for degenerate spectra its branch is kept, for reproducibility).
+    An already canonical ``lam`` keeps the identity.  Otherwise the SVD
+    decides (for degenerate spectra its branch is kept, for reproducibility),
+    with both factors forced into SO(3): flipping a single singular value's
+    sign is impossible inside SO(3) x SO(3), so s[2] carries sign(det lam).
     """
     lam = np.asarray(lam, dtype=float)
-    d = lam.diagonal()
-    off = np.max(np.abs(lam - np.diag(d)))
-    if off <= _DIAGONAL_FAST_PATH_TOL and d[0] >= d[1] >= abs(d[2]):
-        o1 = np.eye(3)
-        o2 = np.eye(3)
-        s = d.copy()
-    else:
-        u, s, v = _signed_svd(lam)
-        o1 = u.T
-        o2 = v.T
-    if s[2] < 0.0 and abs(s[2]) <= DEGENERATE_DET_TOL:
-        # the sign is below noise; report the non-negative representative
-        s[2] = -s[2]
-    return o1, o2, s
+    fast = np.abs(lam[..., _OFF_DIAGONAL]).max(axis=-1) <= _DIAGONAL_FAST_PATH_TOL
+    u, s, vt = np.linalg.svd(lam)
+    # the determinant of an orthogonal factor is +-1
+    sign_u, sign_v = np.sign(np.linalg.det(u)), np.sign(np.linalg.det(vt))
+    u[..., 2] *= sign_u[..., None]
+    vt[..., 2, :] *= sign_v[..., None]
+    s[..., 2] *= sign_u * sign_v
+    if fast.any():
+        d = lam.diagonal(axis1=-2, axis2=-1)
+        fast &= (d[..., 0] >= d[..., 1]) & (d[..., 1] >= np.abs(d[..., 2]))
+        u[fast] = vt[fast] = np.eye(3)
+        s[fast] = d[fast]
+    # a negative s[2] whose sign is below noise: report the non-negative representative
+    s3 = s[..., 2]
+    s3[(s3 < 0.0) & (s3 >= -DEGENERATE_DET_TOL)] *= -1.0
+    return u.swapaxes(-1, -2), vt, s
 
 
 def canonical_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, BlockDecomposition]:
-    """Rotation o1 and the canonical form's blocks (o1 a, o2 b, o1 R o2^T), without
-    the SU(2) lift; a direction n in the canonical frame is o1^T n for ``blocks``."""
+    """Rotation o1 and the canonical form's blocks (o1 a, o2 b, o1 R o2^T), of one
+    state or of each of a stack, without the SU(2) lift; a direction n in the
+    canonical frame is o1^T n for ``blocks``."""
     o1, o2, _ = canonical_rotations(blocks.connected())
-    return o1, BlockDecomposition(a=o1 @ blocks.a, b=o2 @ blocks.b, r=o1 @ blocks.r @ o2.T)
+    return o1, BlockDecomposition(a=(o1 @ blocks.a[..., None])[..., 0],
+                                  b=(o2 @ blocks.b[..., None])[..., 0],
+                                  r=o1 @ blocks.r @ o2.swapaxes(-1, -2))
 
 
 def to_canonical(rho) -> CanonicalDecomposition:
@@ -111,11 +102,12 @@ def is_canonical(rho, tol: float = 1e-9) -> bool:
 
 
 def hemisphere_representative(n) -> np.ndarray:
-    """The representative of {n, -n} with theta in [0, pi) and phi in [-pi/2, pi/2)."""
+    """The representative of {n, -n} with theta in [0, pi) and phi in [-pi/2, pi/2),
+    of one vector or of each of a stack (..., 3)."""
     v = np.asarray(n, dtype=float)
-    if v[0] < 0.0 or (v[0] == 0.0 and v[1] > 0.0) or (v[0] == 0.0 and v[1] == 0.0 and v[2] < 0.0):
-        v = -v
-    return v + 0.0  # no -0.0 components
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    flip = (x < 0.0) | ((x == 0.0) & ((y > 0.0) | ((y == 0.0) & (z < 0.0))))
+    return np.where(flip[..., None], -v, v) + 0.0  # no -0.0 components
 
 
 def mcdm_direction(decomp: CanonicalDecomposition) -> np.ndarray:

@@ -57,7 +57,8 @@ _X_KRAUS_2 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
 
 def project_x_state(rho) -> np.ndarray:
-    """Project onto the X-shaped subspace (diagonal plus anti-diagonal).
+    """Project a state, or each state of a stack (..., 4, 4), onto the X-shaped
+    subspace (diagonal plus anti-diagonal).
 
     Implemented as the channel E_1 rho E_1 + E_2 rho E_2 with
     E_1 = diag(1,0,0,1), E_2 = diag(0,1,1,0): trace preserving, positivity

@@ -22,7 +22,7 @@ import numpy as np
 from .canonical import canonical_blocks
 from .ensembles import SeededGenerator, mixture_family, project_x_state, random_hs_state
 from .fano_bloch import state_blocks
-from .measures import (_discord_reports, _minimize_many, _stack, angles_from_direction,
+from .measures import (_discord_reports, _minimize_many, angles_from_direction,
                        direction_from_angles)
 
 
@@ -56,9 +56,9 @@ class ExperimentConfig:
 CHUNK_SIZE = 64
 
 
-def _hs_states(config: ExperimentConfig, indices: range) -> list[np.ndarray]:
-    """Random state k drawn from the substream (seed, k), for each index k."""
-    return [random_hs_state(SeededGenerator(config.seed, start=k)) for k in indices]
+def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
+    """Random state k drawn from the substream (seed, k), for each index k, stacked."""
+    return np.stack([random_hs_state(SeededGenerator(config.seed, start=k)) for k in indices])
 
 
 def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> list[tuple]:
@@ -66,8 +66,9 @@ def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> 
     projection if ``x_project``, without the SU(2) lift."""
     rhos = _hs_states(config, indices)
     if x_project:
-        rhos = [project_x_state(rho) for rho in rhos]
-    dirs, _ = _minimize_many(*_stack([canonical_blocks(state_blocks(rho))[1] for rho in rhos]))
+        rhos = project_x_state(rhos)
+    _, canonical = canonical_blocks(state_blocks(rhos))
+    dirs, _ = _minimize_many(canonical.a, canonical.b, canonical.r)
     return [angles_from_direction(n) for n in dirs]
 
 
@@ -79,7 +80,7 @@ def _scatter_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
 def _mixture_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
     """(q, discord, mcdm_discord) at each point of the uniform q grid."""
     qs = [k / (config.samples - 1) if config.samples > 1 else 0.0 for k in indices]
-    reports = _discord_reports([mixture_family(q) for q in qs])
+    reports = _discord_reports(np.stack([mixture_family(q) for q in qs]))
     return [(q, r.discord, r.mcdm_discord) for q, r in zip(qs, reports)]
 
 

@@ -24,16 +24,17 @@ RECONSTRUCT_EIG_FLOOR = 1e-8
 
 
 def decompose(rho) -> np.ndarray:
-    """Pauli coefficient tensor tau of a two-qubit state, as a real 4x4 array.
+    """Pauli coefficient tensor tau of a two-qubit state as a real 4x4 array, or
+    of each state of a stack (..., 4, 4) as (..., 4, 4).
 
     The coefficients of a Hermitian operator are real by construction;
     an imaginary residue above 1e-8 means the input was not Hermitian.
     """
     m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    tau = np.einsum("ijab,ba->ij", TAU_BASIS, m)
-    if np.max(np.abs(tau.imag)) > IMAG_RESIDUE_TOL:
+    tau = np.einsum("ijab,...ba->...ij", TAU_BASIS, m)
+    if (np.abs(tau.imag) > IMAG_RESIDUE_TOL).any():
         raise ValidationError("non-Hermitian input: Pauli coefficients have imaginary parts")
     return tau.real.copy()
 
@@ -60,10 +61,11 @@ def reconstruct(tau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks of the coefficient tensor.
+    """Blocks of the coefficient tensor, of one state or of a stack of them.
 
-    ``a`` and ``b`` are the Bloch vectors of qubits A and B; ``r`` holds the
-    raw correlations Tr[(sigma_i x sigma_j) rho] for i,j in 1..3.
+    ``a`` and ``b`` are the Bloch vectors of qubits A and B, (..., 3); ``r``
+    holds the raw correlations Tr[(sigma_i x sigma_j) rho] for i,j in 1..3,
+    (..., 3, 3).
     """
 
     a: np.ndarray
@@ -71,23 +73,25 @@ class BlockDecomposition:
     r: np.ndarray
 
     def connected(self) -> np.ndarray:
-        """Connected correlation matrix R - a b^T."""
-        return self.r - np.outer(self.a, self.b)
+        """Connected correlation matrix R - a b^T, (..., 3, 3)."""
+        return self.r - self.a[..., :, None] * self.b[..., None, :]
 
 
 def blocks(tau) -> BlockDecomposition:
-    """Split a coefficient tensor into (a, b, R).  Lossless together with tau[0,0]=1."""
+    """(a, b, R) of a coefficient tensor or of each of a stack; lossless with tau[0,0]=1."""
     t = np.asarray(tau, dtype=float)
-    if t.shape != (4, 4):
+    if t.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 tensor, got shape {t.shape}")
-    return BlockDecomposition(a=t[1:, 0].copy(), b=t[0, 1:].copy(), r=t[1:, 1:].copy())
+    return BlockDecomposition(a=t[..., 1:, 0].copy(), b=t[..., 0, 1:].copy(),
+                              r=t[..., 1:, 1:].copy())
 
 
 def state_blocks(rho) -> BlockDecomposition:
-    """Blocks of a state's coefficient tensor."""
+    """Blocks of a state's coefficient tensor, or of each of a stack (..., 4, 4)."""
     return blocks(decompose(rho))
 
 
 def correlation_matrix(rho) -> np.ndarray:
-    """Connected correlation matrix Lambda_ij = <sigma_i sigma_j> - <sigma_i><sigma_j>."""
+    """Connected correlation matrix Lambda_ij = <sigma_i sigma_j> - <sigma_i><sigma_j>
+    of a state, or of each of a stack (..., 4, 4)."""
     return state_blocks(rho).connected()

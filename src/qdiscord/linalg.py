@@ -23,38 +23,45 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # eigenvalues in [-EIGENVALUE_FLOOR, 0) are treated as rounding noise and clamped to 0
 EIGENVALUE_FLOOR = 1e-10
+_HALF_PLUS_MINUS = np.array([0.5, -0.5])
 
 
 def require_hermitian(matrix) -> np.ndarray:
-    """Return ``matrix`` as a complex ndarray, checking shape, finiteness and hermiticity."""
+    """Return ``matrix``, one 2x2 or 4x4 matrix or a stack (..., d, d) of them, as a
+    complex ndarray, checking shape, finiteness and hermiticity."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValidationError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+    if (np.abs(m - m.conj().swapaxes(-1, -2)) > HERMITICITY_TOL).any():
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
 
 def eigvals_hermitian(matrix) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix."""
+    """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix, or of each of a stack."""
     return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
 def _checked_state(rho, trace_tol: float = TRACE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The state as a complex ndarray and its ascending eigenvalues."""
+    """The state, or stack of states, as a complex ndarray and its ascending
+    eigenvalues.  A stack raises what its first state to fail a check raises alone."""
     rho = require_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise NotAStateError(f"trace is {float(np.trace(rho).real)!r}, expected 1")
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > trace_tol
+    if off.any():
+        raise NotAStateError(f"trace is {float(trace[off][0])!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -EIGENVALUE_FLOOR:
-        raise NotAStateError(f"negative eigenvalue {float(w[0])!r}")
+    negative = w[..., 0] < -EIGENVALUE_FLOOR
+    if negative.any():
+        raise NotAStateError(f"negative eigenvalue {float(w[..., 0][negative][0])!r}")
     return rho, w
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check unit trace and positivity; return the state as a complex ndarray.
+    """Check unit trace and positivity of one state or of each of a stack (..., d, d);
+    return the input as a complex ndarray.
 
     Eigenvalues in ``[-EIGENVALUE_FLOOR, 0)`` are accepted as arithmetic
     noise; anything lower raises :class:`NotAStateError`.
@@ -63,22 +70,23 @@ def validate_density_matrix(rho) -> np.ndarray:
 
 
 def validated_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`validate_density_matrix`, also returning the ascending eigenvalues."""
+    """:func:`validate_density_matrix`, also returning the ascending eigenvalues (..., d)."""
     return _checked_state(rho)
 
 
-def entropy_bits(eigenvalues: np.ndarray) -> float:
-    """Entropy in bits of a spectrum; entries at or below 0 contribute nothing."""
-    w = eigenvalues[eigenvalues > 0.0]
-    if w.size == 0:
-        return 0.0
+def entropy_bits(eigenvalues) -> np.ndarray:
+    """Entropy in bits of a spectrum (d,), or of each of a stack (..., d); entries
+    at or below 0 contribute nothing."""
+    w = np.asarray(eigenvalues, dtype=float)
+    live = w > 0.0
+    terms = np.where(live, w * np.log2(w, out=np.zeros_like(w), where=live), 0.0)
     # 0.0 - s, not -s: a zero entropy is +0.0
-    return 0.0 - float((w * np.log2(w)).sum())
+    return 0.0 - terms.sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    return entropy_bits(_checked_state(rho, 1e-9)[1])
+    return float(entropy_bits(_checked_state(rho, 1e-9)[1]))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -104,17 +112,20 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def binary_entropy(x: float) -> float:
-    """Entropy in bits of the eigenvalue pair ((1+x)/2, (1-x)/2).
+def binary_entropy(x):
+    """Entropy in bits of the eigenvalue pair ((1+x)/2, (1-x)/2), for a number or
+    elementwise for an array.
 
     Even in ``x``; equals 1 at x=0 and 0 at x=+-1.  Inputs beyond
     |x| = 1 + 1e-12 signal a broken upstream norm computation and raise.
     """
-    x = float(x)
-    if abs(x) > 1.0 + 1e-12:
-        raise ValidationError(f"binary_entropy argument {x!r} outside [-1, 1]")
-    x = min(1.0, max(-1.0, x))
-    return entropy_bits(np.array([(1.0 + x) / 2.0, (1.0 - x) / 2.0]))
+    x = np.asarray(x, dtype=float)
+    beyond = np.abs(x) > 1.0 + 1e-12
+    if beyond.any():
+        raise ValidationError(f"binary_entropy argument {float(x[beyond][0])!r} outside [-1, 1]")
+    x = np.minimum(1.0, np.maximum(-1.0, x))
+    # 0.5 +- 0.5 x, which rounds as (1 +- x) / 2
+    return entropy_bits(0.5 + x[..., None] * _HALF_PLUS_MINUS)
 
 
 def require_rotation(matrix) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -153,12 +153,6 @@ def conditional_entropy_direct(rho, n) -> float:
 # closed-form conditional entropy                                             #
 # --------------------------------------------------------------------------- #
 
-def _stack(blocks: Sequence[BlockDecomposition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks of S states as arrays a (S, 3), b (S, 3) and R (S, 3, 3)."""
-    return (np.stack([bd.a for bd in blocks]), np.stack([bd.b for bd in blocks]),
-            np.stack([bd.r for bd in blocks]))
-
-
 def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
               dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w = 1 +- a.n and g = |b +- R^T n| of S states at the K columns of
@@ -203,7 +197,7 @@ def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> n
 def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
     """Average entropy of B after measuring A along ``n``, from the block closed form."""
     v = validate_direction(n)
-    return float(_ce_many(*_stack([blocks]), v[:, None])[0, 0])
+    return float(_ce_many(blocks.a[None], blocks.b[None], blocks.r[None], v[:, None])[0, 0])
 
 
 # --------------------------------------------------------------------------- #
@@ -312,10 +306,10 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float
 
 
 def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizing directions (S, 3) and minima (S,) of CE for S blocks of
-    :func:`canonical_blocks`, whose x axis is the MCDM, stacked by :func:`_stack`;
-    the directions are not hemisphere representatives.  Each state's result is
-    the same for any S."""
+    """Minimizing directions (S, 3) and minima (S,) of CE for the stacked blocks
+    a (S, 3), b (S, 3), R (S, 3, 3) of :func:`canonical_blocks`, whose x axis is
+    the MCDM; the directions are not hemisphere representatives.  Each state's
+    result is the same for any S."""
     count = len(a)
     start = np.empty(count, dtype=int)
     value = np.empty(count)
@@ -369,7 +363,8 @@ def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndar
 
 
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
-    """Global minimum of the conditional entropy over the measurement hemisphere.
+    """Global minimum of the conditional entropy over the measurement hemisphere,
+    as :func:`quantum_discord` reports it.
 
     Two deterministic stages on the canonical form's blocks: a scan of the
     96 x 192 (theta, phi) grid, which skips the 8 x 8 cells that a certified
@@ -378,50 +373,51 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     incumbent moves to its minimum when that is lower and otherwise shrinks
     tenfold, from one grid cell down to 1e-8.  Ties resolve to the MCDM axis,
     then the second, then the third correlation axis.  Returns the direction
-    in the frame of ``rho`` (hemisphere representative) and the value in bits,
-    as quantum_discord.
+    in the frame of ``rho`` (hemisphere representative) and the value in bits.
 
     The value is reproducible to its last bits; the direction only to about
     1e-7, because CE is flat to second order at its minimum: a one-ulp change
     of the input can move the direction by ~1e-7 and the value by ~1e-16.
     """
-    rho = validate_density_matrix(rho)
-    o1, canonical = canonical_blocks(state_blocks(rho))
-    n, value = _minimize_many(*_stack([canonical]))
-    return hemisphere_representative(o1.T @ n[0]), float(value[0])
+    report = quantum_discord(rho)
+    return report.optimal_direction, report.min_conditional_entropy
 
 
 # --------------------------------------------------------------------------- #
 # correlation measures                                                        #
 # --------------------------------------------------------------------------- #
 
-def _clamp(value: float) -> float:
-    return 0.0 if -CLAMP_WINDOW <= value <= 0.0 else value
+def _clamp(value: np.ndarray) -> np.ndarray:
+    """Correlation quantities in [-CLAMP_WINDOW, 0] as +0.0, elementwise."""
+    return np.where((-CLAMP_WINDOW <= value) & (value <= 0.0), 0.0, value)
 
 
-def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, float, float, float]:
-    """Validate ``rho`` once; return its blocks and S(rho_A), S(rho_B), S(rho).
+def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate ``rho``, one state or a stack (..., 4, 4), once; return its blocks
+    and S(rho_A), S(rho_B), S(rho), each of shape (...).
 
     The marginals have eigenvalues (1 +- |a|)/2 and (1 +- |b|)/2; within the
     validation tolerance a Bloch length may exceed 1 by rounding noise.
     """
     rho, spectrum = validated_spectrum(rho)
     blocks = state_blocks(rho)
-    s_a = binary_entropy(min(1.0, float(np.linalg.norm(blocks.a))))
-    s_b = binary_entropy(min(1.0, float(np.linalg.norm(blocks.b))))
-    return blocks, s_a, s_b, entropy_bits(spectrum)
+    ab = np.stack([blocks.a, blocks.b], axis=-2)
+    # |a| and |b| as np.linalg.norm takes them of one vector: a dot product
+    lengths = np.sqrt((ab[..., None, :] @ ab[..., :, None])[..., 0, 0])
+    marginal = binary_entropy(np.minimum(1.0, lengths))
+    return blocks, marginal[..., 0], marginal[..., 1], entropy_bits(spectrum)
 
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
     _, s_a, s_b, s_ab = _blocks_and_entropies(rho)
-    return _clamp(s_a + s_b - s_ab)
+    return float(_clamp(s_a + s_b - s_ab))
 
 
 def classical_correlation(rho) -> float:
-    """S(rho_B) minus the minimal conditional entropy, in bits."""
-    blocks, _, s_b, _ = _blocks_and_entropies(rho)
-    return _clamp(s_b - float(_minimize_many(*_stack([canonical_blocks(blocks)[1]]))[1][0]))
+    """S(rho_B) minus the minimal conditional entropy, in bits, as
+    :func:`quantum_discord` reports it."""
+    return quantum_discord(rho).classical_correlation
 
 
 @dataclass(frozen=True)
@@ -439,35 +435,26 @@ class DiscordReport:
 
 
 def _discord_reports(rhos) -> list[DiscordReport]:
-    """:func:`quantum_discord` of each state, with one minimizer call for all of them."""
-    parts = [_blocks_and_entropies(rho) for rho in rhos]
-    rotated = [canonical_blocks(blocks) for blocks, _, _, _ in parts]
-    a, b, r = _stack([bd for _, bd in rotated])
-    n_opt, ce_min = _minimize_many(a, b, r)
+    """:func:`quantum_discord` of each state of a stack (S, 4, 4), with one call
+    per stage for all of them."""
+    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rhos)
+    o1, canonical = canonical_blocks(blocks)
+    n_opt, ce_min = _minimize_many(canonical.a, canonical.b, canonical.r)
     # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
-    ce_mcdm = _ce_many(a, b, r, X_AXIS[:, None])[:, 0]
-    reports = []
-    for (_, s_a, s_b, s_ab), (o1, _), n, c_min, c_mcdm in zip(parts, rotated, n_opt,
-                                                             ce_min.tolist(), ce_mcdm.tolist()):
-        mutual = _clamp(s_a + s_b - s_ab)
-        classical = _clamp(s_b - c_min)
-        reports.append(DiscordReport(
-            mutual_information=mutual,
-            classical_correlation=classical,
-            discord=_clamp(mutual - classical),
-            mcdm_discord=_clamp(s_a - s_ab + c_mcdm),
-            optimal_direction=hemisphere_representative(o1.T @ n),
-            min_conditional_entropy=c_min,
-            mcdm_conditional_entropy=c_mcdm,
-            mcdm_direction=hemisphere_representative(o1[0]),
-        ))
-    return reports
+    ce_mcdm = _ce_many(canonical.a, canonical.b, canonical.r, X_AXIS[:, None])[:, 0]
+    mutual = _clamp(s_a + s_b - s_ab)
+    classical = _clamp(s_b - ce_min)
+    return [DiscordReport(*fields) for fields in zip(
+        mutual.tolist(), classical.tolist(), _clamp(mutual - classical).tolist(),
+        _clamp(s_a - s_ab + ce_mcdm).tolist(),
+        hemisphere_representative((o1.swapaxes(-1, -2) @ n_opt[..., None])[..., 0]),
+        ce_min.tolist(), ce_mcdm.tolist(), hemisphere_representative(o1[..., 0, :]))]
 
 
 def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
-    return _discord_reports([rho])[0]
+    return _discord_reports(np.asarray(rho, dtype=complex)[None])[0]
 
 
 def mcdm_discord(rho) -> float:
@@ -477,7 +464,8 @@ def mcdm_discord(rho) -> float:
     set the true discord minimizes over.
     """
     blocks, s_a, _, s_ab = _blocks_and_entropies(rho)
-    return _clamp(s_a - s_ab + conditional_entropy_closed(canonical_blocks(blocks)[1], X_AXIS))
+    return float(_clamp(s_a - s_ab + conditional_entropy_closed(canonical_blocks(blocks)[1],
+                                                               X_AXIS)))
 
 
 def bell_diagonal_classical_correlation(c) -> float:

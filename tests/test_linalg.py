@@ -100,6 +100,62 @@ class TestValidateDensityMatrix:
             assert_allclose(w, np.linalg.eigvalsh(rho), atol=0)
 
 
+class TestStackedValidation:
+    """A stack (..., d, d) is validated state by state: one invalid state makes
+    the stack raise as that state would alone."""
+
+    @staticmethod
+    def non_hermitian():
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 0.1
+        return m
+
+    @staticmethod
+    def non_finite():
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = np.nan
+        return m
+
+    BAD = {
+        "trace": (lambda: np.eye(4) / 2, NotAStateError, "trace is 2.0, expected 1"),
+        "negative": (lambda: np.diag([1.5, -0.5, 0.0, 0.0]), NotAStateError,
+                     "negative eigenvalue -0.5"),
+        "non_hermitian": (non_hermitian, ValidationError,
+                          "matrix is not Hermitian within tolerance"),
+        "non_finite": (non_finite, ValidationError, "matrix has non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(BAD))
+    @pytest.mark.parametrize("validate", [validate_density_matrix, validated_spectrum])
+    def test_one_bad_state_raises_as_alone(self, fault, validate):
+        from conftest import hs_states
+        make, error, message = self.BAD[fault]
+        bad = make()
+        stack = np.stack(hs_states(19, 6))
+        stack[4] = bad
+        with pytest.raises(ValidationError) as alone:
+            validate(bad)
+        with pytest.raises(ValidationError) as stacked:
+            validate(stack)
+        assert type(alone.value) is error and type(stacked.value) is error
+        assert str(alone.value) == message and str(stacked.value) == message
+
+    def test_valid_stack_equals_single_calls(self):
+        from conftest import hs_states
+        states = hs_states(23, 8)
+        checked, w = validated_spectrum(np.stack(states).reshape(2, 4, 4, 4))
+        assert checked.shape == (2, 4, 4, 4) and w.shape == (2, 4, 4)
+        for k, rho in enumerate(states):
+            single, w1 = validated_spectrum(rho)
+            assert (checked[k // 4, k % 4] == single).all() and (w[k // 4, k % 4] == w1).all()
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3)])
+    def test_rejects_shape(self, shape):
+        with pytest.raises(ValidationError) as err:
+            validate_density_matrix(np.ones(shape))
+        assert str(err.value) == f"expected a 2x2 or 4x4 matrix, got shape {shape}"
+
+
 class TestPartialTrace:
     def test_product_factorization(self, rng):
         from conftest import random_qubit_state

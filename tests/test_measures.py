@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction,
                       random_qubit_state, random_unitary)
-from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationError,
+from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordReport,
+                      ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
                       conditional_entropy_direct, construct_zero_discord,
@@ -18,12 +20,13 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, ValidationEr
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
-from qdiscord.canonical import canonical_blocks
+from qdiscord.canonical import canonical_blocks, canonical_rotations
+from qdiscord.linalg import validated_spectrum
 from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
                                _GRID_THETAS, _VERTEX_DIRS, BOUND_SLACK, GRID_BLOCK_ROWS,
                                GRID_TIE_TOL, PHI_BINS, THETA_BINS, _angle_dirs,
-                               _branch_entropy, _branches, _ce_many, _grid_start,
-                               _minimize_many, _stack)
+                               _branch_entropy, _branches, _ce_many, _discord_reports,
+                               _grid_start, _minimize_many)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -282,7 +285,7 @@ class TestMinimizeConditionalEntropy:
 
     def test_non_physical_blocks_raise(self):
         with pytest.raises(ConsistencyError):
-            _minimize_many(*_stack([NON_PHYSICAL]))
+            _minimize_many(NON_PHYSICAL.a[None], NON_PHYSICAL.b[None], NON_PHYSICAL.r[None])
 
     def test_no_large_temporaries(self):
         # the grid is evaluated in column blocks with temporaries of at most
@@ -463,15 +466,62 @@ class TestBatchInvariance:
     def test_stack_equals_batches_of_one(self):
         states = TestSingleSolvePath().states()
         states += [project_x_state(rho) for rho in hs_states(157, 30)]
-        canonical = [canonical_blocks(state_blocks(rho))[1] for rho in states]
-        for k in range(0, len(canonical), 64):
-            stack = canonical[k:k + 64]
-            n, value = _minimize_many(*_stack(stack))
-            assert n.shape == (len(stack), 3) and value.shape == (len(stack),)
-            for s, blocks in enumerate(stack):
-                n1, value1 = _minimize_many(*_stack([blocks]))
+        canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
+        for k in range(0, len(states), 64):
+            a, b, r = (x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r))
+            n, value = _minimize_many(a, b, r)
+            assert n.shape == (len(a), 3) and value.shape == (len(a),)
+            for s in range(len(a)):
+                n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
                 np.testing.assert_array_equal(n[s], n1[0])
                 assert value[s] == value1[0]
+
+
+    @staticmethod
+    def mixed_stack():
+        """HS and X-projected states, and states whose correlation matrix is
+        already canonical (the identity fast path) or vanishes."""
+        rng = np.random.default_rng(20261018)
+        states = hs_states(163, 24) + [project_x_state(rho) for rho in hs_states(167, 24)]
+        states += [off_axis_x_state(), np.eye(4, dtype=complex) / 4, bell_diagonal(0.5, 0.3, -0.2),
+                   bell_diagonal(0.3, 0.3, 0.3), bell_diagonal(0.6, 0.2, 0.0)]
+        states += [np.kron(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(5)]
+        rng.shuffle(states)
+        return states
+
+    def test_front_end_stack_equals_single_calls(self):
+        states = self.mixed_stack()
+        stack = np.stack(states)
+        checked, spectrum = validated_spectrum(stack)
+        blocks = state_blocks(stack)
+        o1, o2, s = canonical_rotations(blocks.connected())
+        c1, canonical = canonical_blocks(blocks)
+        projected = project_x_state(stack)
+        assert (o1 == np.eye(3)).all(axis=(1, 2)).sum() >= 4  # the fast path is taken
+
+        def same(stacked, single):
+            return stacked.shape == single.shape and (stacked == single).all()
+
+        for k, rho in enumerate(states):
+            assert all(map(same, (checked[k], spectrum[k]), validated_spectrum(rho)))
+            single = state_blocks(rho)
+            assert same(blocks.a[k], single.a) and same(blocks.b[k], single.b)
+            assert same(blocks.r[k], single.r)
+            assert all(map(same, (o1[k], o2[k], s[k]), canonical_rotations(single.connected())))
+            single_o1, single = canonical_blocks(single)
+            assert same(c1[k], single_o1) and same(canonical.a[k], single.a)
+            assert same(canonical.b[k], single.b) and same(canonical.r[k], single.r)
+            assert same(projected[k], project_x_state(rho))
+
+    def test_discord_reports_equal_quantum_discord(self):
+        states = self.mixed_stack()
+        reports = _discord_reports(np.stack(states))
+        assert len(reports) == len(states)
+        for report, rho in zip(reports, states):
+            single = quantum_discord(rho)
+            for field in dataclasses.fields(DiscordReport):
+                stacked, alone = getattr(report, field.name), getattr(single, field.name)
+                assert np.shape(stacked) == np.shape(alone) and np.all(stacked == alone)
 
 
 CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected",
@@ -495,7 +545,8 @@ def family_state(family, seed):
 
 
 def canonical_stack(rho):
-    return _stack([canonical_blocks(state_blocks(rho))[1]])
+    canonical = canonical_blocks(state_blocks(np.asarray(rho)[None]))[1]
+    return canonical.a, canonical.b, canonical.r
 
 
 def dense_start(a, b, r):

@@ -4,12 +4,16 @@
     PYTHONPATH=src python3 tools/record_bench.py --out BENCH_NAME.json
 
 ``qdiscord`` is imported from ``PYTHONPATH``, so the same script measures
-the pruned grid scan (``measures._grid_start``) and the full scan that
-preceded it (``measures._grid_values``).  It reports two levels:
+any commit that has ``measures._grid_start`` and the chunk functions of
+``experiments``.  It reports two levels:
 
-- per state, in microseconds: the grid scan, the stencil loop with
-  the axis tie-break, and the whole minimizer, on chunks of 64 states and on
-  batches of one, over 256 seed-7 Hilbert-Schmidt states, fastest of 7;
+- per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
+  fastest of 7:
+  - the grid scan, the stencil loop with the axis tie-break, and the whole
+    minimizer, on chunks of 64 states and on batches of one;
+  - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
+    pipelines on chunks of 64 indices, from the draw to their rows;
+  - ``quantum_discord`` of each state, a batch of one;
 - per CLI run, in seconds of wall time: ``table1``, ``histogram`` and
   ``scatter`` at 10,000 samples, seed 7, with 1 worker and with as many
   workers as this process may use cores.
@@ -34,8 +38,8 @@ import time
 
 import numpy as np
 
-from qdiscord import SeededGenerator, random_hs_state, state_blocks
-from qdiscord import measures
+from qdiscord import SeededGenerator, quantum_discord, random_hs_state, state_blocks
+from qdiscord import experiments, measures
 from qdiscord.canonical import canonical_blocks
 
 CHUNK = 64
@@ -55,9 +59,9 @@ def stage_times() -> dict:
     that a slow spell of the machine neither counts nor falls on one side."""
     gen = SeededGenerator(SEED)
     canon = [canonical_blocks(state_blocks(random_hs_state(gen)))[1] for _ in range(STATES)]
+    a, b, r = (np.stack([getattr(c, field) for c in canon]) for field in "abr")
     grid_s = [0.0]
-    name = "_grid_start" if hasattr(measures, "_grid_start") else "_grid_values"
-    evaluate = getattr(measures, name)
+    evaluate = measures._grid_start
 
     def timed(*args):
         start = time.perf_counter()
@@ -66,28 +70,24 @@ def stage_times() -> dict:
         finally:
             grid_s[0] += time.perf_counter() - start
 
-    def solve(chunk):
-        measures._minimize_many(*measures._stack(chunk))
-
-    def run(chunk) -> tuple[float, float]:
+    def run(first: int, stop: int) -> tuple[float, float]:
         grid_s[0] = 0.0
         start = time.perf_counter()
-        solve(chunk)
+        measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
         return time.perf_counter() - start, grid_s[0]
 
     inf = (float("inf"), float("inf"))
     firsts = range(0, STATES, CHUNK)
     chunked, single = [inf] * len(firsts), [inf] * STATES
-    setattr(measures, name, timed)
+    measures._grid_start = timed
     try:
         for _ in range(REPEATS):
             for c, first in enumerate(firsts):
-                chunk = canon[first:first + CHUNK]
-                chunked[c] = min(chunked[c], run(chunk))
-                for k, bd in enumerate(chunk, start=first):
-                    single[k] = min(single[k], run([bd]))
+                chunked[c] = min(chunked[c], run(first, first + CHUNK))
+                for k in range(first, first + CHUNK):
+                    single[k] = min(single[k], run(k, k + 1))
     finally:
-        setattr(measures, name, evaluate)
+        measures._grid_start = evaluate
 
     def stages(best) -> dict:
         solve_us, grid_us = (1e6 * sum(t[i] for t in best) / STATES for i in (0, 1))
@@ -96,6 +96,36 @@ def stage_times() -> dict:
 
     return {f"chunks_of_{CHUNK}": stages(chunked), "batches_of_one": stages(single),
             "states": STATES, "repeats": REPEATS}
+
+
+def pipeline_times() -> dict:
+    """Microseconds per state of each pipeline's chunk function on chunks of
+    CHUNK indices, and of quantum_discord on each state alone; each call's
+    fastest of REPEATS, the calls taking turns as in stage_times."""
+    config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    tasks = {
+        "table1_chunk_us": lambda k: experiments._angles_chunk(config, range(k, k + CHUNK), True),
+        "histogram_chunk_us": lambda k: experiments._angles_chunk(config, range(k, k + CHUNK),
+                                                                  False),
+        "scatter_chunk_us": lambda k: experiments._scatter_chunk(config, range(k, k + CHUNK)),
+    }
+    gen = SeededGenerator(SEED)
+    states = [random_hs_state(gen) for _ in range(STATES)]
+    best = {name: [float("inf")] * (STATES // CHUNK) for name in tasks}
+    single = [float("inf")] * STATES
+    for _ in range(REPEATS):
+        for c, first in enumerate(range(0, STATES, CHUNK)):
+            for name, task in tasks.items():
+                start = time.perf_counter()
+                task(first)
+                best[name][c] = min(best[name][c], time.perf_counter() - start)
+            for k in range(first, first + CHUNK):
+                start = time.perf_counter()
+                quantum_discord(states[k])
+                single[k] = min(single[k], time.perf_counter() - start)
+    record = {name: 1e6 * sum(times) / STATES for name, times in best.items()}
+    record["quantum_discord_us"] = 1e6 * sum(single) / STATES
+    return record
 
 
 def usable_cores() -> int:
@@ -126,6 +156,7 @@ def main(argv=None) -> int:
         "machine": {"cores": usable_cores(), "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
         "per_state": stage_times(),
+        "pipelines_per_state": pipeline_times(),
         "cli_wall": {"samples": SAMPLES, "seed": SEED, **cli_times()},
     }
     with open(args.out, "w") as fh:
