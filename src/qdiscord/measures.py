@@ -10,8 +10,11 @@ of B has a closed form in the block decomposition (a, b, R):
 which a pruned hemisphere grid plus a stencil refinement minimizes to obtain
 the classical correlation and the quantum discord, always on the blocks of
 the state's canonical form, where the x axis is the maximal-correlation
-direction (MCDM).  Evaluating the same expression at the MCDM instead of
-the optimum gives a cheap upper bound on the discord.
+direction (MCDM).  X-shaped blocks (R diagonal, a and b along one axis) have
+their minimum on one great circle, which is scanned and refined first; when
+that minimum ties a coordinate axis the hemisphere grid is skipped.
+Evaluating the same expression at the MCDM instead of the optimum gives a
+cheap upper bound on the discord.
 """
 
 from __future__ import annotations
@@ -305,34 +308,26 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float
     return int(points[k]), float(values[closest[k]])
 
 
-def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizing directions (S, 3) and minima (S,) of CE for the stacked blocks
-    a (S, 3), b (S, 3), R (S, 3, 3) of :func:`canonical_blocks`, whose x axis is
-    the MCDM; the directions are not hemisphere representatives.  Each state's
-    result is the same for any S."""
+def _refine(a: np.ndarray, b: np.ndarray, r: np.ndarray, theta: np.ndarray, phi: np.ndarray,
+            n: np.ndarray, value: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Move-or-shrink refinement of S states from (theta, phi), direction n and
+    value, on the (theta, phi) offsets of ``stencil`` in units of its
+    half-width, first one grid step: move to the stencil's minimum if it is
+    lower, otherwise shrink the stencil; a state leaves once its stencil is no
+    wider than STENCIL_STOP.  Returns the directions (S, 3) and values (S,)."""
     count = len(a)
-    start = np.empty(count, dtype=int)
-    value = np.empty(count)
-    for s in range(count):
-        start[s], value[s] = _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1])
-
-    # move-or-shrink refinement of every state still active: move to the
-    # stencil's minimum if it is lower, otherwise shrink the stencil around the
-    # incumbent; a state leaves once its stencil is no wider than STENCIL_STOP.
-    # The arrays below hold the active states only and shrink as states leave.
+    # the arrays below hold the active states only and shrink as states leave
     active, rows = np.arange(count), np.arange(count)
-    theta, phi = _GRID_THETAS[start // PHI_BINS], _GRID_PHIS[start % PHI_BINS]
-    n = _GRID_DIRS[:, start].T
     step = np.full(count, math.pi / THETA_BINS)
-    sa, sb, sr = a, b, r
     best_n, best_value = np.empty((count, 3)), np.empty(count)
     for _ in range(MAX_STENCILS):
-        thetas = theta[:, None] + step[:, None] * _STENCIL_T
-        phis = phi[:, None] + step[:, None] * _STENCIL_P
+        thetas = theta[:, None] + step[:, None] * stencil[0]
+        phis = phi[:, None] + step[:, None] * stencil[1]
         dirs = _angle_dirs(thetas, phis)
-        stencil = _ce_many(sa, sb, sr, dirs)
-        k = stencil.argmin(axis=1)
-        lowest = stencil[rows, k]
+        values = _ce_many(a, b, r, dirs)
+        k = values.argmin(axis=1)
+        lowest = values[rows, k]
         moved = lowest < value
         if moved.any():
             theta = np.where(moved, thetas[rows, k], theta)
@@ -344,22 +339,132 @@ def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndar
         if done.any():
             best_n[active[done]], best_value[active[done]] = n[done], value[done]
             keep = ~done
-            active, theta, phi, n, value, step, sa, sb, sr = (
-                x[keep] for x in (active, theta, phi, n, value, step, sa, sb, sr))
+            active, theta, phi, n, value, step, a, b, r = (
+                x[keep] for x in (active, theta, phi, n, value, step, a, b, r))
             rows = np.arange(active.size)
             if not active.size:
                 break
     best_n[active], best_value[active] = n, value
+    return best_n, best_value
 
-    # equal minima resolve toward the MCDM x, then y, then z; this also pins
-    # the reported direction exactly onto on-axis optima
-    axis_values = _ce_many(a, b, r, _TIE_AXES)
-    tied = axis_values <= best_value[:, None] + VALUE_TIE_TOL
+
+# a refinement from the pole z runs in the frame whose x, y, z are z, x, y
+_POLE_AXES, _POLE_AXES_BACK = np.array([2, 0, 1]), np.array([1, 2, 0])
+_EQUATOR_X = THETA_BINS // 2 * PHI_BINS + PHI_BINS // 2
+
+
+def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (S, 3) and values (S,) of the pruned 96 x 192 grid scan and the
+    11 x 11 stencil refinement, before the axis tie-break.  A stencil on the
+    pole z spans the azimuths near its own phi only, so a state whose scan ends
+    there is refined from the equator of a permuted frame."""
+    count = len(a)
+    start = np.empty(count, dtype=int)
+    value = np.empty(count)
+    for s in range(count):
+        start[s], value[s] = _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+    pole = np.flatnonzero(start < PHI_BINS)
+    if pole.size:
+        a, r = a.copy(), r.copy()
+        a[pole], r[pole] = a[pole][:, _POLE_AXES], r[pole][:, _POLE_AXES]
+        start[pole] = _EQUATOR_X
+    n, value = _refine(a, b, r, _GRID_THETAS[start // PHI_BINS], _GRID_PHIS[start % PHI_BINS],
+                       _GRID_DIRS[:, start].T, value, (_STENCIL_T, _STENCIL_P))
+    if pole.size:
+        n[pole] = n[pole][:, _POLE_AXES_BACK]
+    return n, value
+
+
+# X-shaped blocks have R's off-diagonal entries and the components of a and b
+# off one axis at most this; the canonical rotation leaves up to 3.3e-14 of
+# rounding noise there (seen on pure states)
+X_SHAPE_TOL = 1e-13
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+# per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
+# in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
+_CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
+# the phi = 0 column of the grid and of the stencil; CE on the circle is even
+# in cos(theta) and in sin(theta), so theta runs from 0 to pi/2
+_CIRCLE_DIRS = np.ascontiguousarray(
+    _GRID_DIRS[:, PHI_BINS // 2::PHI_BINS][:, :THETA_BINS // 2 + 1])
+_CIRCLE_STENCIL = _STENCIL_T[_STENCIL_P == 0.0], _STENCIL_P[_STENCIL_P == 0.0]
+# states per circle grid call, as many points as a block of grid rows
+_CIRCLE_BLOCK = GRID_BLOCK_ROWS * PHI_BINS // _CIRCLE_DIRS.shape[1]
+
+
+def _circle_states(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Indices of the X-shaped states of canonical blocks: R diagonal and a, b
+    along one axis, or vanishing, within X_SHAPE_TOL."""
+    along = np.partition(np.maximum(np.abs(a), np.abs(b)), 1, axis=1)
+    return np.flatnonzero((along[:, 1] <= X_SHAPE_TOL)
+                          & (np.abs(r[:, _OFF_DIAGONAL]).max(axis=1) <= X_SHAPE_TOL))
+
+
+def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minima (S,) of CE over the sphere for X-shaped canonical blocks.
+
+    With a and b along e_k and R diagonal, fix the polar angle theta from e_k:
+    w+- = 1 +- a_k cos(theta) is fixed, and g+-^2 = (b_k +- R_kk cos(theta))^2
+    + sin^2(theta) (R_jj^2 cos^2(phi) + R_ii^2 sin^2(phi)) is largest at e_j's
+    azimuth if |R_jj| >= |R_ii|.  Each branch term is nonincreasing in g, so
+    the minimum lies on the great circle through e_k and e_j, which an exact
+    permutation of the axes (k to z, j to x) makes the circle phi = 0.
+    Blocks within X_SHAPE_TOL of that shape move CE by far less than
+    VALUE_TIE_TOL."""
+    k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
+    axes = _CIRCLE_AXES[k]
+    a = np.take_along_axis(a, axes, axis=1)
+    r = np.take_along_axis(r, axes[:, :, None], axis=1)
+    values = np.concatenate([
+        _ce_many(a[s:s + _CIRCLE_BLOCK], b[s:s + _CIRCLE_BLOCK], r[s:s + _CIRCLE_BLOCK],
+                 _CIRCLE_DIRS) for s in range(0, len(a), _CIRCLE_BLOCK)])
+    start = values.argmin(axis=1)
+    return _refine(a, b, r, _GRID_THETAS[start], np.zeros(len(a)), _CIRCLE_DIRS[:, start].T,
+                   values[np.arange(len(a)), start], _CIRCLE_STENCIL)[1]
+
+
+def _axis_ties(axis_values: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Which of the axes x, y, z, with values (S, 3), tie each value (S,)."""
+    return axis_values <= value[:, None] + VALUE_TIE_TOL
+
+
+def _tie_break(n: np.ndarray, value: np.ndarray,
+               axis_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal minima resolve toward the MCDM x, then y, then z; this also pins
+    the reported direction exactly onto on-axis optima.  Updates n (S, 3) and
+    value (S,) in place and returns them."""
+    tied = _axis_ties(axis_values, value)
     first = tied.argmax(axis=1)
     on_axis = tied.any(axis=1)
-    best_n[on_axis] = _TIE_AXES.T[first[on_axis]]
-    best_value[on_axis] = axis_values[on_axis, first[on_axis]]
-    return best_n, best_value
+    n[on_axis] = _TIE_AXES.T[first[on_axis]]
+    value[on_axis] = axis_values[on_axis, first[on_axis]]
+    return n, value
+
+
+def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizing directions (S, 3) and minima (S,) of CE for the stacked blocks
+    a (S, 3), b (S, 3), R (S, 3, 3) of :func:`canonical_blocks`, whose x axis is
+    the MCDM; the directions are not hemisphere representatives.  Each state's
+    result is the same for any S.
+
+    X-shaped states whose minimum on their great circle ties an axis are
+    settled there; every other state takes :func:`_sphere_minimum`.  The
+    tie-break reads the same axis values either way, so an on-axis result has
+    the bits of the hemisphere path.
+    """
+    count = len(a)
+    axis_values = _ce_many(a, b, r, _TIE_AXES)
+    n, value = np.empty((count, 3)), np.empty(count)
+    sphere = np.ones(count, dtype=bool)
+    circle = _circle_states(a, b, r)
+    if circle.size:
+        value[circle] = _circle_minimum(a[circle], b[circle], r[circle])
+        sphere[circle] = ~_axis_ties(axis_values[circle], value[circle]).any(axis=1)
+    if sphere.all():  # no copy of the blocks
+        n, value = _sphere_minimum(a, b, r)
+    elif sphere.any():
+        n[sphere], value[sphere] = _sphere_minimum(a[sphere], b[sphere], r[sphere])
+    return _tie_break(n, value, axis_values)
 
 
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
@@ -371,9 +476,16 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     lower bound shows cannot hold its lowest point, then a move-or-shrink
     refinement started in the best grid cell: an 11 x 11 stencil around the
     incumbent moves to its minimum when that is lower and otherwise shrinks
-    tenfold, from one grid cell down to 1e-8.  Ties resolve to the MCDM axis,
-    then the second, then the third correlation axis.  Returns the direction
-    in the frame of ``rho`` (hemisphere representative) and the value in bits.
+    tenfold, from one grid cell down to 1e-8 (from the pole z, in a frame that
+    puts z on the equator).  Ties resolve to the MCDM axis, then the second,
+    then the third correlation axis.  Returns the direction in the frame of
+    ``rho`` (hemisphere representative) and the value in bits.
+
+    An X-shaped canonical form (R diagonal, a and b along one axis k) has its
+    minimum on the great circle through e_k and the transverse axis of the
+    larger correlation.  The two stages run first on that circle (49 points,
+    an 11-point stencil); a minimum there that ties an axis is settled by the
+    same tie-break, to the same bits, and any other goes on to the sphere.
 
     The value is reproducible to its last bits; the direction only to about
     1e-7, because CE is flat to second order at its minimum: a one-ulp change

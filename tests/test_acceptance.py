@@ -20,15 +20,18 @@ from qdiscord import (SeededGenerator, angles_from_direction,
                       conditional_entropy_closed, conditional_entropy_direct,
                       construct_zero_discord, correlation_matrix,
                       direction_from_angles, minimize_conditional_entropy,
-                      off_axis_x_state, quantum_discord, random_hs_state,
-                      reconstruct, state_blocks, to_canonical,
+                      off_axis_x_state, project_x_state, quantum_discord,
+                      random_hs_state, reconstruct, state_blocks, to_canonical,
                       zero_discord_witness)
+from qdiscord.canonical import canonical_blocks
 from qdiscord.cli import main
-from qdiscord.experiments import ExperimentConfig, bound_scatter, optimal_direction_clusters
+from qdiscord.experiments import (ExperimentConfig, _hs_states, bound_scatter,
+                                  optimal_direction_clusters)
+from qdiscord.measures import (_TIE_AXES, _axis_ties, _ce_many, _circle_minimum,
+                               _circle_states)
 
 WORKERS = min(4, os.cpu_count() or 1)
 X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 
 @contextmanager
@@ -141,16 +144,17 @@ def test_criterion_5_x_state_cluster_table():
         theta0, phi0, pct0 = rows[0]
         assert abs(theta0 - 0.5) <= 1e-9 and abs(phi0) <= 1e-9
         assert 98.0 <= pct0 <= 100.0, f"dominant cluster holds {pct0:.2f}%"
-        # the remainder sits at (pi/2, -pi/2) apart from genuinely off-axis
-        # optima, which this ensemble produces at the 1e-4 level (verified
-        # against the direct-diagonalization oracle); allow them 0.1%
-        stray = 0.0
-        for theta, phi, pct in rows[1:]:
-            n = direction_from_angles(theta * math.pi, phi * math.pi)
-            axis_angle = math.acos(min(1.0, abs(float(n @ Y_AXIS))))
-            if axis_angle > 0.01 * math.pi:
-                stray += pct
-        assert stray <= 0.1, f"off-axis optima hold {stray:.2f}%"
+        # every state's minimum on its great circle (the exact 1-D reduction of
+        # an X-state) ties a coordinate axis, so there is no off-axis optimum
+        # and every cluster is an axis: x, then y at (pi/2, -pi/2), then z
+        config = ExperimentConfig(samples=10000, seed=7)
+        canonical = canonical_blocks(state_blocks(project_x_state(
+            _hs_states(config, range(config.samples)))))[1]
+        a, b, r = canonical.a, canonical.b, canonical.r
+        assert _circle_states(a, b, r).size == config.samples
+        ties = _axis_ties(_ce_many(a, b, r, _TIE_AXES), _circle_minimum(a, b, r))
+        assert int((~ties.any(axis=1)).sum()) == 0, "interior circle optima"
+        assert [(theta, phi) for theta, phi, _ in rows] == [(0.5, 0.0), (0.5, -0.5), (0.0, 0.0)]
 
 
 def test_criterion_6_bound_quality_desk_scale():

@@ -20,13 +20,16 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
+from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.linalg import validated_spectrum
 from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
-                               _GRID_THETAS, _VERTEX_DIRS, BOUND_SLACK, GRID_BLOCK_ROWS,
-                               GRID_TIE_TOL, PHI_BINS, THETA_BINS, _angle_dirs,
-                               _branch_entropy, _branches, _ce_many, _discord_reports,
-                               _grid_start, _minimize_many)
+                               _GRID_THETAS, _TIE_AXES, _VERTEX_DIRS, BOUND_SLACK,
+                               GRID_BLOCK_ROWS, GRID_TIE_TOL, PHI_BINS, THETA_BINS,
+                               VALUE_TIE_TOL, _angle_dirs, _axis_ties, _branch_entropy,
+                               _branches, _ce_many, _circle_minimum, _circle_states,
+                               _discord_reports, _grid_start, _minimize_many,
+                               _sphere_minimum, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -639,6 +642,154 @@ class TestGridCertificate:
             n1, value1 = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
             assert abs(value1[0] - value[0]) < 1e-14
             assert np.abs(n1 - n).max() < 2e-7
+
+
+def sphere_path(a, b, r):
+    """The hemisphere path alone: grid scan, refinement and axis tie-break."""
+    n, value = _sphere_minimum(a, b, r)
+    return _tie_break(n, value, _ce_many(a, b, r, _TIE_AXES))
+
+
+X_FAMILIES = ("plain", "unbiased", "degenerate", "mirror")
+
+
+def x_state(family, seed):
+    """A seeded X-state: diagonal p and anti-diagonal entries within positivity.
+
+    "unbiased" has a = b = 0 (Bell-diagonal), "degenerate" |R_xx| = |R_yy|,
+    "near_pure" is within 1e-12 to 1e-2 of a computational basis state, and
+    "mirror" lies near the reference off-axis state, whose optimum and its
+    mirror image (theta vs pi - theta) are interior."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(4))
+    c = rng.uniform(-1.0, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+    if family == "unbiased":
+        p[2:] = p[1::-1]
+        p /= p.sum()
+    elif family == "degenerate":
+        c[rng.integers(2)] = 0.0
+    elif family == "near_pure":
+        eps = 10.0 ** rng.uniform(-12.0, -2.0)
+        p = (1.0 - eps) * np.eye(4)[rng.integers(4)] + eps * p
+    elif family == "mirror":
+        p[0] = rng.uniform(0.05, 0.11)
+        p[1:] = 0.125, 0.125, 0.75 - p[0]
+        c = np.array([0.0, rng.uniform(0.6, 0.95)])
+    rho = np.diag(p).astype(complex)
+    rho[0, 3] = c[0] * np.sqrt(p[0] * p[3])
+    rho[1, 2] = c[1] * np.sqrt(p[1] * p[2])
+    return rho + np.triu(rho, 1).conj().T
+
+
+class TestXStateCircle:
+    """X-shaped states are solved on one great circle, and the result is that
+    of the hemisphere path, bit for bit."""
+
+    @staticmethod
+    def x_shaped_states():
+        rng = np.random.default_rng(20261020)
+        states = [project_x_state(rho) for rho in hs_states(7, 2000)]
+        states += [turned(bell_diagonal(*c), rng) for c in bell_diagonal_triples(rng, 30)]
+        states += [bell_diagonal(*np.full(3, -q)) for q in np.linspace(0.0, 1.0, 11)]  # Werner
+        states += pure_states(rng, 30)
+        return states + [np.eye(4, dtype=complex) / 4, off_axis_x_state()]
+
+    def test_equals_sphere_path(self):
+        states = self.x_shaped_states()
+        canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
+        assert _circle_states(canonical.a, canonical.b, canonical.r).size == len(states)
+        for k in range(0, len(states), 64):
+            a, b, r = (x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r))
+            n, value = _minimize_many(a, b, r)
+            n2, value2 = sphere_path(a, b, r)
+            assert (n == n2).all() and (value == value2).all()
+
+    @pytest.fixture
+    def sphere_calls(self, monkeypatch):
+        """The number of states of each call of the hemisphere path."""
+        calls = []
+
+        def recorded(a, b, r):
+            calls.append(len(a))
+            return _sphere_minimum(a, b, r)
+
+        monkeypatch.setattr(measures, "_sphere_minimum", recorded)
+        return calls
+
+    def test_interior_optimum_goes_on_to_the_sphere(self, sphere_calls):
+        a, b, r = canonical_stack(off_axis_x_state())
+        assert _circle_states(a, b, r).tolist() == [0]
+        circle = _circle_minimum(a, b, r)
+        assert not _axis_ties(_ce_many(a, b, r, _TIE_AXES), circle).any()
+        n, value = _minimize_many(a, b, r)
+        assert sphere_calls == [1]
+        assert abs(angles_from_direction(n[0])[0] / np.pi - 0.155) < 0.01
+        assert abs(value[0] - circle[0]) <= 1e-15
+
+    def test_mixed_stack_equals_each_state_alone(self):
+        rng = np.random.default_rng(20261021)
+        states = hs_states(171, 24) + [project_x_state(rho) for rho in hs_states(173, 24)]
+        states += [off_axis_x_state(), bell_diagonal(0.5, 0.3, -0.2)] + pure_states(rng, 4)
+        rng.shuffle(states)
+        canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
+        a, b, r = canonical.a, canonical.b, canonical.r
+        assert 0 < _circle_states(a, b, r).size < len(states)
+        n, value = _minimize_many(a, b, r)
+        for s in range(len(states)):
+            n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+            np.testing.assert_array_equal(n[s], n1[0])
+            assert value[s] == value1[0]
+
+    @pytest.mark.parametrize("entry", ["r", "a", "b"])
+    def test_detector_tolerance_pinned_at_its_boundary(self, entry, sphere_calls):
+        # an off-diagonal R entry or a transverse component of a or b at the
+        # bound takes the circle, the next double above it the hemisphere path
+        a, b, r = canonical_stack(project_x_state(hs_states(7, 1)[0]))
+        k = int(np.abs(a[0]).argmax())
+        results = []
+        for bound in (1e-13, np.nextafter(1e-13, 1.0)):
+            blocks = {"a": a.copy(), "b": b.copy(), "r": r.copy()}
+            if entry == "r":
+                blocks["r"][0, k, (k + 1) % 3] = bound
+            else:
+                blocks[entry][0, (k + 1) % 3] = bound
+            results.append(_minimize_many(blocks["a"], blocks["b"], blocks["r"]))
+        assert sphere_calls == [1]  # the entry above the bound only
+        (n_at, value_at), (n_above, value_above) = results
+        np.testing.assert_array_equal(n_at, n_above)
+        assert value_at == value_above
+
+    @given(family=st.sampled_from(X_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80)
+    def test_circle_minimum_equals_sphere_minimum(self, family, seed):
+        a, b, r = canonical_stack(x_state(family, seed))
+        assert _circle_states(a, b, r).tolist() == [0]
+        assert abs(_circle_minimum(a, b, r)[0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    def test_near_pure_circle_minimum_within_tie_tolerance(self, seed):
+        # near a pure state CE is so flat that both refinements stop up to
+        # ~3e-11 apart (seen on 1,500 draws), within the tie tolerance: both
+        # minima tie the same axes
+        a, b, r = canonical_stack(x_state("near_pure", seed))
+        assert _circle_states(a, b, r).tolist() == [0]
+        circle, sphere = _circle_minimum(a, b, r), _sphere_minimum(a, b, r)[1]
+        assert abs(circle[0] - sphere[0]) <= VALUE_TIE_TOL
+        axis_values = _ce_many(a, b, r, _TIE_AXES)
+        np.testing.assert_array_equal(_axis_ties(axis_values, circle),
+                                      _axis_ties(axis_values, sphere))
+
+    def test_pole_start_refined_off_the_pole(self):
+        # this near-pure X-state's minimum lies 0.01 rad from the pole z, at
+        # azimuth pi; a stencil at the pole spans azimuths near -pi/2 only
+        a, b, r = canonical_stack(x_state("near_pure", 122))
+        assert _grid_start(a, b, r)[0] < PHI_BINS
+        axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
+        n, value = _sphere_minimum(a, b, r)
+        assert value[0] < axis_values.min() - 1e-7
+        assert abs(value[0] - _circle_minimum(a, b, r)[0]) <= 1e-15
+        assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
 
 
 class TestZeroDiscord:

@@ -11,6 +11,8 @@ any commit that has ``measures._grid_start`` and the chunk functions of
   fastest of 7:
   - the grid scan, the stencil loop with the axis tie-break, and the whole
     minimizer, on chunks of 64 states and on batches of one;
+  - the whole minimizer on the X projections of the same states, which the
+    ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
   - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
     pipelines on chunks of 64 indices, from the draw to their rows;
   - ``quantum_discord`` of each state, a batch of one;
@@ -38,7 +40,8 @@ import time
 
 import numpy as np
 
-from qdiscord import SeededGenerator, quantum_discord, random_hs_state, state_blocks
+from qdiscord import (SeededGenerator, project_x_state, quantum_discord, random_hs_state,
+                      state_blocks)
 from qdiscord import experiments, measures
 from qdiscord.canonical import canonical_blocks
 
@@ -50,16 +53,37 @@ SAMPLES = 10000
 COMMANDS = ("table1", "histogram", "scatter")
 
 
+def canonical_stack(x_project: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical blocks (a, b, R) of STATES seed-SEED Hilbert-Schmidt states,
+    or of their X projections."""
+    gen = SeededGenerator(SEED)
+    canon = [canonical_blocks(state_blocks(project_x_state(rho) if x_project else rho))[1]
+             for rho in (random_hs_state(gen) for _ in range(STATES))]
+    return tuple(np.stack([getattr(c, field) for c in canon]) for field in "abr")
+
+
+def chunked_and_single(run) -> tuple[list, list]:
+    """The fastest of REPEATS of ``run(first, stop)``, a tuple of seconds, on each
+    chunk of CHUNK states and on each state alone.  The two batch sizes take
+    turns chunk by chunk, so that a slow spell of the machine neither counts
+    nor falls on one side."""
+    inf = (float("inf"), float("inf"))
+    firsts = range(0, STATES, CHUNK)
+    chunked, single = [inf] * len(firsts), [inf] * STATES
+    for _ in range(REPEATS):
+        for c, first in enumerate(firsts):
+            chunked[c] = min(chunked[c], run(first, first + CHUNK))
+            for k in range(first, first + CHUNK):
+                single[k] = min(single[k], run(k, k + 1))
+    return chunked, single
+
+
 def stage_times() -> dict:
     """Microseconds per state of the grid, of the rest of the solve (stencil
     loop and axis tie-break) and of the whole solve, for chunks of CHUNK states
     and for batches of one.  The grid is timed inside the solve, through a
-    wrapper around the function that evaluates it.  Each call's fastest of
-    REPEATS is kept, and the two batch sizes take turns chunk by chunk, so
-    that a slow spell of the machine neither counts nor falls on one side."""
-    gen = SeededGenerator(SEED)
-    canon = [canonical_blocks(state_blocks(random_hs_state(gen)))[1] for _ in range(STATES)]
-    a, b, r = (np.stack([getattr(c, field) for c in canon]) for field in "abr")
+    wrapper around the function that evaluates it."""
+    a, b, r = canonical_stack(x_project=False)
     grid_s = [0.0]
     evaluate = measures._grid_start
 
@@ -76,16 +100,9 @@ def stage_times() -> dict:
         measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
         return time.perf_counter() - start, grid_s[0]
 
-    inf = (float("inf"), float("inf"))
-    firsts = range(0, STATES, CHUNK)
-    chunked, single = [inf] * len(firsts), [inf] * STATES
     measures._grid_start = timed
     try:
-        for _ in range(REPEATS):
-            for c, first in enumerate(firsts):
-                chunked[c] = min(chunked[c], run(first, first + CHUNK))
-                for k in range(first, first + CHUNK):
-                    single[k] = min(single[k], run(k, k + 1))
+        chunked, single = chunked_and_single(run)
     finally:
         measures._grid_start = evaluate
 
@@ -95,6 +112,23 @@ def stage_times() -> dict:
                 "solve_us": solve_us}
 
     return {f"chunks_of_{CHUNK}": stages(chunked), "batches_of_one": stages(single),
+            "states": STATES, "repeats": REPEATS}
+
+
+def xstate_times() -> dict:
+    """Microseconds per state of the whole minimizer on the X projections of
+    the states of stage_times, for chunks of CHUNK states and for batches of
+    one."""
+    a, b, r = canonical_stack(x_project=True)
+
+    def run(first: int, stop: int) -> tuple[float]:
+        start = time.perf_counter()
+        measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
+        return (time.perf_counter() - start,)
+
+    chunked, single = chunked_and_single(run)
+    return {f"chunks_of_{CHUNK}_solve_us": 1e6 * sum(t[0] for t in chunked) / STATES,
+            "batches_of_one_solve_us": 1e6 * sum(t[0] for t in single) / STATES,
             "states": STATES, "repeats": REPEATS}
 
 
@@ -156,6 +190,7 @@ def main(argv=None) -> int:
         "machine": {"cores": usable_cores(), "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
         "per_state": stage_times(),
+        "per_x_projected_state": xstate_times(),
         "pipelines_per_state": pipeline_times(),
         "cli_wall": {"samples": SAMPLES, "seed": SEED, **cli_times()},
     }
