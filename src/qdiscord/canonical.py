@@ -20,7 +20,8 @@ from .linalg import su2_from_so3, validate_density_matrix
 # below this, det(Lambda) carries no usable sign information
 DEGENERATE_DET_TOL = 1e-12
 _DIAGONAL_FAST_PATH_TOL = 1e-13
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+# the off-diagonal entries of a 3 x 3 matrix
+OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def canonical_rotations(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sign is impossible inside SO(3) x SO(3), so s[2] carries sign(det lam).
     """
     lam = np.asarray(lam, dtype=float)
-    fast = np.abs(lam[..., _OFF_DIAGONAL]).max(axis=-1) <= _DIAGONAL_FAST_PATH_TOL
+    fast = np.abs(lam[..., OFF_DIAGONAL]).max(axis=-1) <= _DIAGONAL_FAST_PATH_TOL
     u, s, vt = np.linalg.svd(lam)
     # the determinant of an orthogonal factor is +-1
     sign_u, sign_v = np.sign(np.linalg.det(u)), np.sign(np.linalg.det(vt))

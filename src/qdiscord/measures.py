@@ -7,12 +7,14 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a pruned hemisphere grid plus a stencil refinement minimizes to obtain
-the classical correlation and the quantum discord, always on the blocks of
-the state's canonical form, where the x axis is the maximal-correlation
+which a pruned hemisphere grid plus a trust-region Newton refinement on the
+sphere, with the exact gradient and Hessian of CE, minimizes to obtain the
+classical correlation and the quantum discord, always on the blocks of the
+state's canonical form, where the x axis is the maximal-correlation
 direction (MCDM).  X-shaped blocks (R diagonal, a and b along one axis) have
-their minimum on one great circle, which is scanned and refined first; when
-that minimum ties a coordinate axis the hemisphere grid is skipped.
+their minimum on one great circle, which is scanned and refined first by the
+same iteration; when that minimum ties a coordinate axis the hemisphere grid
+is skipped.
 Evaluating the same expression at the MCDM instead of the optimum gives a
 cheap upper bound on the discord.
 """
@@ -21,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .canonical import canonical_blocks, hemisphere_representative
+from .canonical import OFF_DIAGONAL, canonical_blocks, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
 from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
@@ -55,11 +57,17 @@ CELL = 8
 # rounding allowance of a cell's vertex bound, and how far beyond the unit
 # sphere the outer face of a cell's frustum lies
 BOUND_SLACK = 1e-12
-# refinement: an 11 x 11 stencil, shrunk tenfold until its half-width is 1e-8
-STENCIL_POINTS = 11
-STENCIL_SHRINK = 0.1
-STENCIL_STOP = 1e-8
-MAX_STENCILS = 100
+# refinement: trust-region Newton steps on the sphere, at first within one grid
+# step (see _newton).  A state leaves once the model promises a decrease of at
+# most DECREASE_STOP, or once its value is at most CE_FLOOR: CE >= 0, so at most
+# that much is left to gain, and the CE of a pure state, 0 in exact arithmetic,
+# is rounding noise of up to 3.2e-14 (seen on 5,120 pure states)
+DECREASE_STOP = 1e-17
+CE_FLOOR = 1e-13
+MAX_ITERATIONS = 60
+# the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
+# h''(x) = -1/(ln 2 (1 - x^2)) are finite
+X_CAP = 1.0 - 1e-12
 # grid points evaluated per call, at most 24 x 192: no temporary of a call
 # then exceeds 3 x 4608 doubles (110 KB), under glibc's default 128 KB mmap
 # threshold
@@ -218,10 +226,6 @@ _GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
 _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
 _GRID_DIRS = _angle_dirs(_tt, _pp)
-# (theta, phi) offsets of the refinement stencil, in units of its half-width
-_STENCIL_T, _STENCIL_P = (m.ravel() for m in np.meshgrid(
-    np.linspace(-1.0, 1.0, STENCIL_POINTS), np.linspace(-1.0, 1.0, STENCIL_POINTS),
-    indexing="ij"))
 
 # The grid splits into cells of CELL x CELL points, numbered row-major in
 # (theta, phi).  A cell's points lie in a frustum with 8 vertices: the cone over
@@ -308,88 +312,174 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float
     return int(points[k]), float(values[closest[k]])
 
 
-def _refine(a: np.ndarray, b: np.ndarray, r: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-            n: np.ndarray, value: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Move-or-shrink refinement of S states from (theta, phi), direction n and
-    value, on the (theta, phi) offsets of ``stencil`` in units of its
-    half-width, first one grid step: move to the stencil's minimum if it is
-    lower, otherwise shrink the stencil; a state leaves once its stencil is no
-    wider than STENCIL_STOP.  Returns the directions (S, 3) and values (S,)."""
-    count = len(a)
+_LN2 = math.log(2.0)
+_EYE = np.eye(3)
+# the + and the - branch
+_SIGNS = np.array([1.0, -1.0])
+# g is read as at least this, so that u/g and artanh(g/w)/g stay finite at g = 0
+_TINY = np.finfo(float).tiny
+
+
+def _sphere_frame(n: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (S, 2, 3) at unit vectors n (S, 3): the first two
+    rows of the Householder reflection I - v v^T / (1 + m_z), v = m + z, that
+    takes z to -m, for whichever m of +-n has m_z >= 0."""
+    m = n * np.copysign(1.0, n[:, 2:])
+    v = m + _EYE[2]
+    return _EYE[:2] - v[:, :2, None] * (v / (1.0 + m[:, 2:]))[:, None]
+
+
+def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray,
+                         frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (S, k) and Hessian (S, k, k) of CE on the unit sphere at n (S, 3),
+    in the orthonormal tangent rows ``frame`` (S, k, 3).
+
+    Each branch term is T = (w/2) h(x) with x = g/w, so T_g = h'/2,
+    T_w = (h - x h')/2 = (1 - log2(1 - x^2)/2)/2 and T's Hessian in (w, g) is
+    h''/(2w) [[x^2, -x], [-x, 1]], where h'(x) = -artanh(x)/ln 2 and
+    h''(x) = -1/(ln 2 (1 - x^2)).  With grad w = +-a, grad g = +-R u for
+    u = (b +- R^T n)/g, and Hess g = R (I - u u^T) R^T / g, the Hessian of CE
+    in space is the sum over the branches of h''/(2w) v v^T
+    + h'/(2g) R (I - u u^T) R^T, v = x a - R u; on the sphere it loses
+    (n . grad CE) I.  Dead branches contribute 0, and x is read as at most
+    X_CAP.
+    """
+    f = (a * n).sum(axis=1)
+    rn = (r * n[:, :, None]).sum(axis=1)  # R^T n
+    u = b[:, None] + _SIGNS[:, None] * rn[:, None]  # (S, 2, 3)
+    w = 1.0 + _SIGNS * f[:, None]  # (S, 2)
+    g = np.maximum(np.sqrt((u * u).sum(axis=2)), _TINY)
+    live = w > ZERO_PROBABILITY
+    w = np.where(live, w, 1.0)
+    # half the weight of a live branch, 0 for a dead one
+    half = np.where(live, 0.5, 0.0)
+    x = np.minimum(g / w, X_CAP)
+    artanh = np.arctanh(x)
+    gap = (1.0 - x) * (1.0 + x)
+    t_w = half * _SIGNS * (1.0 - 0.5 * np.log2(gap))
+    t_g = half * _SIGNS * artanh / -_LN2
+    c_vv = half / (-_LN2 * gap * w)  # h''/(2w)
+    c_rr = half * artanh / (-_LN2 * g)  # h'/(2g)
+    unit = u / g[:, :, None]
+    ru = (r[:, None] * unit[:, :, None]).sum(axis=3)  # R u: (S, 2, 3)
+    grad = (t_w[:, :, None] * a[:, None] + t_g[:, :, None] * ru).sum(axis=1)
+    er = (frame[:, :, :, None] * r[:, None]).sum(axis=2)  # rows of frame R: (S, k, 3)
+    eru = (er[:, None] * unit[:, :, None]).sum(axis=3)  # (S, 2, k)
+    ev = x[:, :, None] * (frame * a[:, None]).sum(axis=2)[:, None] - eru
+    hess = ((c_vv[:, :, None, None] * ev[:, :, :, None] * ev[:, :, None]
+             - c_rr[:, :, None, None] * eru[:, :, :, None] * eru[:, :, None]).sum(axis=1)
+            + c_rr.sum(axis=1)[:, None, None] * (er[:, :, None] * er[:, None]).sum(axis=3))
+    hess -= (grad * n).sum(axis=1)[:, None, None] * _EYE[:frame.shape[1], :frame.shape[1]]
+    return (frame * grad[:, None]).sum(axis=2), hess
+
+
+def _trust_step(grad: np.ndarray, hess: np.ndarray,
+                radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A step (S, k) no longer than ``radius`` (S,) that lowers the quadratic
+    model grad.s + s.hess.s/2, and the decrease (S,) the model predicts for it.
+
+    In the eigenbasis of the Hessian three steps compete: the Newton step,
+    shortened to the radius, when the Hessian is positive definite; the
+    minimum of the model along the gradient within the radius (the Cauchy
+    point); and the step to the radius along the lowest eigenvector, which
+    leaves a saddle point, where the gradient vanishes."""
+    lam, vec = np.linalg.eigh(hess)
+    gt = (vec * grad[:, :, None]).sum(axis=1)
+    definite = lam[:, :1] > 0.0
+    newton = gt / np.where(definite, -lam, -1.0)
+    newton *= radius[:, None] / np.maximum(np.sqrt((newton * newton).sum(axis=1)), radius)[:, None]
+    slope = (gt * gt).sum(axis=1)
+    curvature = (lam * gt * gt).sum(axis=1)
+    # -along * gt is the lowest point of the model on the gradient line within
+    # the radius: along = min(radius/|gt|, |gt|^2/curvature) when that is positive
+    along = slope / np.maximum(np.maximum(slope * np.sqrt(slope) / radius, curvature), _TINY)
+    lowest = np.zeros_like(gt)
+    lowest[:, 0] = np.where(gt[:, 0] > 0.0, -radius, radius)
+    steps = np.stack([newton, along[:, None] * -gt, lowest], axis=1)  # (S, 3, k)
+    model = (steps * (gt[:, None] + 0.5 * lam[:, None] * steps)).sum(axis=2)
+    model[:, 0] = np.where(definite[:, 0], model[:, 0], np.inf)
+    best = model.argmin(axis=1)
+    rows = np.arange(len(best))
+    return (vec * steps[rows, best][:, None]).sum(axis=2), -model[rows, best]
+
+
+def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: np.ndarray,
+            frame: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Trust-region Newton refinement of S states from unit vectors n (S, 3) with
+    values (S,), over the tangent rows ``frame(n)`` (S, k, 3) at each point: the
+    whole sphere, or a great circle.
+
+    Each iteration takes the :func:`_trust_step` of the exact derivatives
+    and moves along the great circle of that step when CE, evaluated by the
+    closed form, is lower there.  The trust radius, first one grid step,
+    shrinks to a quarter of the step when the decrease falls short of a
+    quarter of the predicted one, and doubles when the step reached it and
+    the decrease exceeded three quarters.  A state leaves once the model
+    promises at most DECREASE_STOP or its value is at most CE_FLOOR.
+    Returns the directions (S, 3) and values (S,)."""
+    best_n, best_value = n.copy(), value.copy()
     # the arrays below hold the active states only and shrink as states leave
-    active, rows = np.arange(count), np.arange(count)
-    step = np.full(count, math.pi / THETA_BINS)
-    best_n, best_value = np.empty((count, 3)), np.empty(count)
-    for _ in range(MAX_STENCILS):
-        thetas = theta[:, None] + step[:, None] * stencil[0]
-        phis = phi[:, None] + step[:, None] * stencil[1]
-        dirs = _angle_dirs(thetas, phis)
-        values = _ce_many(a, b, r, dirs)
-        k = values.argmin(axis=1)
-        lowest = values[rows, k]
-        moved = lowest < value
-        if moved.any():
-            theta = np.where(moved, thetas[rows, k], theta)
-            phi = np.where(moved, phis[rows, k], phi)
-            n = np.where(moved[:, None], dirs[rows, :, k], n)
-            value = np.where(moved, lowest, value)
-        step = np.where(moved, step, step * STENCIL_SHRINK)
-        done = step <= STENCIL_STOP
-        if done.any():
-            best_n[active[done]], best_value[active[done]] = n[done], value[done]
-            keep = ~done
-            active, theta, phi, n, value, step, a, b, r = (
-                x[keep] for x in (active, theta, phi, n, value, step, a, b, r))
-            rows = np.arange(active.size)
+    active = np.flatnonzero(value > CE_FLOOR)
+    a, b, r, n, value = (x[active] for x in (a, b, r, n, value))
+    radius = np.full(active.size, math.pi / THETA_BINS)
+    for _ in range(MAX_ITERATIONS):
+        if not active.size:
+            break
+        tangent = frame(n)
+        step, decrease = _trust_step(*_tangent_derivatives(a, b, r, n, tangent), radius)
+        keep = decrease > DECREASE_STOP
+        if not keep.all():
+            active, a, b, r, n, value, radius, step, decrease, tangent = (
+                x[keep] for x in (active, a, b, r, n, value, radius, step, decrease, tangent))
             if not active.size:
                 break
-    best_n[active], best_value[active] = n, value
+        trial = n + (step[:, :, None] * tangent).sum(axis=1)
+        trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
+        trial_value = _ce_many(a, b, r, trial[:, :, None])[:, 0]
+        ratio = (value - trial_value) / decrease
+        length = np.sqrt((step * step).sum(axis=1))
+        radius = np.where(ratio < 0.25, 0.25 * length,
+                          np.where((ratio > 0.75) & (length >= radius), 2.0 * radius, radius))
+        lower = trial_value < value
+        n = np.where(lower[:, None], trial, n)
+        value = np.where(lower, trial_value, value)
+        best_n[active], best_value[active] = n, value
+        keep = value > CE_FLOOR
+        if not keep.all():
+            active, a, b, r, n, value, radius = (
+                x[keep] for x in (active, a, b, r, n, value, radius))
     return best_n, best_value
-
-
-# a refinement from the pole z runs in the frame whose x, y, z are z, x, y
-_POLE_AXES, _POLE_AXES_BACK = np.array([2, 0, 1]), np.array([1, 2, 0])
-_EQUATOR_X = THETA_BINS // 2 * PHI_BINS + PHI_BINS // 2
 
 
 def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Directions (S, 3) and values (S,) of the pruned 96 x 192 grid scan and the
-    11 x 11 stencil refinement, before the axis tie-break.  A stencil on the
-    pole z spans the azimuths near its own phi only, so a state whose scan ends
-    there is refined from the equator of a permuted frame."""
+    Newton refinement from its start, before the axis tie-break."""
     count = len(a)
     start = np.empty(count, dtype=int)
     value = np.empty(count)
     for s in range(count):
         start[s], value[s] = _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1])
-    pole = np.flatnonzero(start < PHI_BINS)
-    if pole.size:
-        a, r = a.copy(), r.copy()
-        a[pole], r[pole] = a[pole][:, _POLE_AXES], r[pole][:, _POLE_AXES]
-        start[pole] = _EQUATOR_X
-    n, value = _refine(a, b, r, _GRID_THETAS[start // PHI_BINS], _GRID_PHIS[start % PHI_BINS],
-                       _GRID_DIRS[:, start].T, value, (_STENCIL_T, _STENCIL_P))
-    if pole.size:
-        n[pole] = n[pole][:, _POLE_AXES_BACK]
-    return n, value
+    return _newton(a, b, r, _GRID_DIRS.T[start], value, _sphere_frame)
 
 
 # X-shaped blocks have R's off-diagonal entries and the components of a and b
 # off one axis at most this; the canonical rotation leaves up to 3.3e-14 of
 # rounding noise there (seen on pure states)
 X_SHAPE_TOL = 1e-13
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 # per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
 # in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
 _CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
-# the phi = 0 column of the grid and of the stencil; CE on the circle is even
-# in cos(theta) and in sin(theta), so theta runs from 0 to pi/2
+# the phi = 0 column of the grid; CE on the circle is even in cos(theta) and in
+# sin(theta), so theta runs from 0 to pi/2
 _CIRCLE_DIRS = np.ascontiguousarray(
     _GRID_DIRS[:, PHI_BINS // 2::PHI_BINS][:, :THETA_BINS // 2 + 1])
-_CIRCLE_STENCIL = _STENCIL_T[_STENCIL_P == 0.0], _STENCIL_P[_STENCIL_P == 0.0]
 # states per circle grid call, as many points as a block of grid rows
 _CIRCLE_BLOCK = GRID_BLOCK_ROWS * PHI_BINS // _CIRCLE_DIRS.shape[1]
+
+
+def _circle_frame(n: np.ndarray) -> np.ndarray:
+    """Unit tangents (S, 1, 3) of the circle phi = 0 at its points n (S, 3)."""
+    return np.stack([n[:, 2], np.zeros(len(n)), -n[:, 0]], axis=1)[:, None]
 
 
 def _circle_states(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -397,7 +487,7 @@ def _circle_states(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
     along one axis, or vanishing, within X_SHAPE_TOL."""
     along = np.partition(np.maximum(np.abs(a), np.abs(b)), 1, axis=1)
     return np.flatnonzero((along[:, 1] <= X_SHAPE_TOL)
-                          & (np.abs(r[:, _OFF_DIAGONAL]).max(axis=1) <= X_SHAPE_TOL))
+                          & (np.abs(r[:, OFF_DIAGONAL]).max(axis=1) <= X_SHAPE_TOL))
 
 
 def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -408,9 +498,10 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
     + sin^2(theta) (R_jj^2 cos^2(phi) + R_ii^2 sin^2(phi)) is largest at e_j's
     azimuth if |R_jj| >= |R_ii|.  Each branch term is nonincreasing in g, so
     the minimum lies on the great circle through e_k and e_j, which an exact
-    permutation of the axes (k to z, j to x) makes the circle phi = 0.
-    Blocks within X_SHAPE_TOL of that shape move CE by far less than
-    VALUE_TIE_TOL."""
+    permutation of the axes (k to z, j to x) makes the circle phi = 0.  Its
+    49 grid points are scanned and the lowest refined by :func:`_newton` along
+    the circle.  Blocks within X_SHAPE_TOL of that shape move CE by far less
+    than VALUE_TIE_TOL."""
     k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
     axes = _CIRCLE_AXES[k]
     a = np.take_along_axis(a, axes, axis=1)
@@ -419,8 +510,8 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         _ce_many(a[s:s + _CIRCLE_BLOCK], b[s:s + _CIRCLE_BLOCK], r[s:s + _CIRCLE_BLOCK],
                  _CIRCLE_DIRS) for s in range(0, len(a), _CIRCLE_BLOCK)])
     start = values.argmin(axis=1)
-    return _refine(a, b, r, _GRID_THETAS[start], np.zeros(len(a)), _CIRCLE_DIRS[:, start].T,
-                   values[np.arange(len(a)), start], _CIRCLE_STENCIL)[1]
+    return _newton(a, b, r, _CIRCLE_DIRS.T[start], values[np.arange(len(a)), start],
+                   _circle_frame)[1]
 
 
 def _axis_ties(axis_values: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -473,23 +564,25 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
 
     Two deterministic stages on the canonical form's blocks: a scan of the
     96 x 192 (theta, phi) grid, which skips the 8 x 8 cells that a certified
-    lower bound shows cannot hold its lowest point, then a move-or-shrink
-    refinement started in the best grid cell: an 11 x 11 stencil around the
-    incumbent moves to its minimum when that is lower and otherwise shrinks
-    tenfold, from one grid cell down to 1e-8 (from the pole z, in a frame that
-    puts z on the equator).  Ties resolve to the MCDM axis, then the second,
-    then the third correlation axis.  Returns the direction in the frame of
-    ``rho`` (hemisphere representative) and the value in bits.
+    lower bound shows cannot hold its lowest point, then a trust-region
+    Newton refinement from the best grid point, with the exact gradient and
+    Hessian of CE in an orthonormal tangent frame, until its quadratic model
+    promises a decrease of at most 1e-17.  Ties resolve to the MCDM axis,
+    then the second, then the third correlation axis.  Returns the direction
+    in the frame of ``rho`` (hemisphere representative) and the value in
+    bits.
 
     An X-shaped canonical form (R diagonal, a and b along one axis k) has its
     minimum on the great circle through e_k and the transverse axis of the
     larger correlation.  The two stages run first on that circle (49 points,
-    an 11-point stencil); a minimum there that ties an axis is settled by the
-    same tie-break, to the same bits, and any other goes on to the sphere.
+    then the same iteration along the circle); a minimum there that ties an
+    axis is settled by the same tie-break, to the same bits, and any other
+    goes on to the sphere.
 
     The value is reproducible to its last bits; the direction only to about
-    1e-7, because CE is flat to second order at its minimum: a one-ulp change
-    of the input can move the direction by ~1e-7 and the value by ~1e-16.
+    2e-8, because CE is flat to second order at its minimum: a one-ulp change
+    of the input moved the direction by up to 1.7e-8 (median 1e-16) and the
+    value by up to 4.4e-16 on 300 seed-137 Hilbert-Schmidt states.
     """
     report = quantum_discord(rho)
     return report.optimal_direction, report.min_conditional_entropy

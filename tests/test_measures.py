@@ -16,7 +16,7 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
                       conditional_entropy_direct, construct_zero_discord,
                       direction_from_angles, hemisphere_representative,
                       mcdm_direction, mcdm_discord, minimize_conditional_entropy,
-                      mutual_information, off_axis_x_state, partial_trace,
+                      mixture_family, mutual_information, off_axis_x_state, partial_trace,
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
@@ -24,12 +24,13 @@ from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.linalg import validated_spectrum
 from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
-                               _GRID_THETAS, _TIE_AXES, _VERTEX_DIRS, BOUND_SLACK,
-                               GRID_BLOCK_ROWS, GRID_TIE_TOL, PHI_BINS, THETA_BINS,
-                               VALUE_TIE_TOL, _angle_dirs, _axis_ties, _branch_entropy,
-                               _branches, _ce_many, _circle_minimum, _circle_states,
-                               _discord_reports, _grid_start, _minimize_many,
-                               _sphere_minimum, _tie_break)
+                               _GRID_THETAS, _TIE_AXES, _VERTEX_DIRS, BOUND_SLACK, CE_FLOOR,
+                               DECREASE_STOP, GRID_BLOCK_ROWS, GRID_TIE_TOL, MAX_ITERATIONS,
+                               PHI_BINS, THETA_BINS, VALUE_TIE_TOL, X_CAP, _angle_dirs,
+                               _axis_ties, _branch_entropy, _branches, _ce_many,
+                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
+                               _minimize_many, _newton, _sphere_frame, _sphere_minimum,
+                               _tangent_derivatives, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -769,9 +770,11 @@ class TestXStateCircle:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
     def test_near_pure_circle_minimum_within_tie_tolerance(self, seed):
-        # near a pure state CE is so flat that both refinements stop up to
-        # ~3e-11 apart (seen on 1,500 draws), within the tie tolerance: both
-        # minima tie the same axes
+        # near a pure state CE can be flat to rounding noise over the whole
+        # sphere but for a narrow dip; where the three axes tie, the grid start
+        # rule picks the x axis, from which the sphere path ends up to 2.6e-11
+        # above the circle (seen on 1,500 draws), within the tie tolerance:
+        # both minima tie the same axes
         a, b, r = canonical_stack(x_state("near_pure", seed))
         assert _circle_states(a, b, r).tolist() == [0]
         circle, sphere = _circle_minimum(a, b, r), _sphere_minimum(a, b, r)[1]
@@ -782,7 +785,8 @@ class TestXStateCircle:
 
     def test_pole_start_refined_off_the_pole(self):
         # this near-pure X-state's minimum lies 0.01 rad from the pole z, at
-        # azimuth pi; a stencil at the pole spans azimuths near -pi/2 only
+        # azimuth pi; at the pole the gradient vanishes and the Hessian is
+        # negative definite, so only a step along its lowest eigenvector leaves
         a, b, r = canonical_stack(x_state("near_pure", 122))
         assert _grid_start(a, b, r)[0] < PHI_BINS
         axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
@@ -790,6 +794,118 @@ class TestXStateCircle:
         assert value[0] < axis_values.min() - 1e-7
         assert abs(value[0] - _circle_minimum(a, b, r)[0]) <= 1e-15
         assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
+
+
+class TestNewtonRefinement:
+    """The refinement ends at once on flat and pure inputs and within its
+    iteration cap everywhere, and its tolerances are pinned at their bounds."""
+
+    @pytest.fixture
+    def derivative_calls(self, monkeypatch):
+        """The number of states of each evaluation of the derivatives."""
+        calls = []
+
+        def recorded(a, b, r, n, frame):
+            calls.append(len(a))
+            return _tangent_derivatives(a, b, r, n, frame)
+
+        monkeypatch.setattr(measures, "_tangent_derivatives", recorded)
+        return calls
+
+    def test_flat_and_pure_states_leave_after_one_evaluation(self, derivative_calls):
+        # CE is constant for Werner states, I/4 and product states, and 0 for
+        # pure states
+        rng = np.random.default_rng(20261022)
+        states = [bell_diagonal(*np.full(3, -q)) for q in np.linspace(0.05, 0.95, 10)]
+        states += [np.eye(4, dtype=complex) / 4, mixture_family(0.0)] + pure_states(rng, 10)
+        for rho in states:
+            a, b, r = canonical_stack(rho)
+            paths = [_sphere_minimum]
+            if _circle_states(a, b, r).size:
+                paths.append(_circle_minimum)
+            for path in paths:
+                derivative_calls.clear()
+                path(a, b, r)
+                assert derivative_calls in ([], [1])
+        werner = canonical_stack(bell_diagonal(-0.5, -0.5, -0.5))
+        assert _axis_ties(_ce_many(*werner, _TIE_AXES), _sphere_minimum(*werner)[1]).all()
+
+    def test_no_state_reaches_the_iteration_cap(self, monkeypatch):
+        iterations = []
+
+        def newton(*args):
+            iterations.append(0)
+            return _newton(*args)
+
+        def derivatives(*args):
+            iterations[-1] += 1
+            return _tangent_derivatives(*args)
+
+        monkeypatch.setattr(measures, "_newton", newton)
+        monkeypatch.setattr(measures, "_tangent_derivatives", derivatives)
+        states = hs_states(181, 2000)
+        states += [project_x_state(rho) for rho in states]
+        canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
+        for k in range(0, len(states), 64):
+            _minimize_many(*(x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r)))
+        for family in ("near_pure", "mirror"):
+            a, b, r = (np.concatenate(blocks) for blocks in zip(
+                *(canonical_stack(x_state(family, seed)) for seed in range(128))))
+            for k in range(0, len(a), 64):
+                _circle_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
+                _sphere_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
+        assert len(iterations) > 64 and max(iterations) < MAX_ITERATIONS
+
+    @staticmethod
+    def grid_started(rho):
+        """Blocks of ``rho``'s canonical form, its grid start and that start's value."""
+        a, b, r = canonical_stack(rho)
+        start, value = _grid_start(a, b, r)
+        return a, b, r, _GRID_DIRS.T[[start]], np.array([value])
+
+    def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
+        # a first step that promises DECREASE_STOP ends the refinement, one
+        # that promises the next double above it is taken
+        a, b, r, n, value = self.grid_started(hs_states(7, 1)[0])
+        trust_step = measures._trust_step
+        counts = []
+        for promised in (DECREASE_STOP, np.nextafter(DECREASE_STOP, 1.0)):
+            promises = [promised]
+
+            def forced(grad, hess, radius):
+                step, decrease = trust_step(grad, hess, radius)
+                return step, np.full_like(decrease, promises.pop()) if promises else decrease
+
+            monkeypatch.setattr(measures, "_trust_step", forced)
+            derivative_calls.clear()
+            _newton(a, b, r, n, value, _sphere_frame)
+            counts.append(len(derivative_calls))
+        assert counts[0] == 1 and counts[1] > 1
+
+    def test_ce_floor_pinned_at_its_boundary(self, derivative_calls):
+        # CE >= 0, so a value at CE_FLOOR is final; the next double above it
+        # is refined
+        a, b, r, n, _ = self.grid_started(hs_states(7, 1)[0])
+        n1, value1 = _newton(a, b, r, n, np.array([CE_FLOOR]), _sphere_frame)
+        assert derivative_calls == [] and (n1 == n).all() and value1[0] == CE_FLOOR
+        _newton(a, b, r, n, np.array([np.nextafter(CE_FLOOR, 1.0)]), _sphere_frame)
+        assert derivative_calls[0] == 1
+
+    def test_x_cap_pinned_at_its_boundary(self):
+        # Bell-diagonal blocks R = diag(rho, 0, 0) have g/w = rho at n = x, where
+        # the gradient vanishes and the Hessian is rho artanh(g/w)/ln 2 times
+        # the identity; from X_CAP up to the pure state rho = 1 the derivatives
+        # read g/w as X_CAP
+        n = X[None]
+        zeros = np.zeros((1, 3))
+        for rho in (X_CAP, np.nextafter(X_CAP, 1.0), 1.0):
+            grad, hess = _tangent_derivatives(zeros, zeros, np.diag([rho, 0.0, 0.0])[None], n,
+                                              _sphere_frame(n))
+            assert (grad == 0.0).all()
+            assert_allclose(hess[0] / rho, np.arctanh(X_CAP) / np.log(2.0) * np.eye(2),
+                            rtol=1e-14, atol=0)
+        # uncapped, the double above X_CAP would read artanh higher by 5.5e-5
+        assert np.arctanh(np.nextafter(X_CAP, 1.0)) - np.arctanh(X_CAP) > 1e-5
 
 
 class TestZeroDiscord:

@@ -9,7 +9,7 @@ any commit that has ``measures._grid_start`` and the chunk functions of
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
   fastest of 7:
-  - the grid scan, the stencil loop with the axis tie-break, and the whole
+  - the grid scan, the refinement with the axis tie-break, and the whole
     minimizer, on chunks of 64 states and on batches of one;
   - the whole minimizer on the X projections of the same states, which the
     ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
@@ -79,8 +79,8 @@ def chunked_and_single(run) -> tuple[list, list]:
 
 
 def stage_times() -> dict:
-    """Microseconds per state of the grid, of the rest of the solve (stencil
-    loop and axis tie-break) and of the whole solve, for chunks of CHUNK states
+    """Microseconds per state of the grid, of the rest of the solve (refinement
+    and axis tie-break) and of the whole solve, for chunks of CHUNK states
     and for batches of one.  The grid is timed inside the solve, through a
     wrapper around the function that evaluates it."""
     a, b, r = canonical_stack(x_project=False)
@@ -108,7 +108,7 @@ def stage_times() -> dict:
 
     def stages(best) -> dict:
         solve_us, grid_us = (1e6 * sum(t[i] for t in best) / STATES for i in (0, 1))
-        return {"grid_us": grid_us, "stencil_and_tie_break_us": solve_us - grid_us,
+        return {"grid_us": grid_us, "refine_and_tie_break_us": solve_us - grid_us,
                 "solve_us": solve_us}
 
     return {f"chunks_of_{CHUNK}": stages(chunked), "batches_of_one": stages(single),
