@@ -47,6 +47,9 @@ POSITIVITY_SLACK = 1e-9
 # two conditional-entropy values within this window count as a tie
 VALUE_TIE_TOL = 1e-10
 GRID_TIE_TOL = 1e-11
+# among the grid points that tie the lowest, those within this of the largest
+# closeness |n_x| to the x axis count as closest (see _start_rule)
+START_CLOSENESS_TOL = 1e-9
 # correlation quantities in [-CLAMP_WINDOW, 0) are reported as 0
 CLAMP_WINDOW = 1e-9
 
@@ -68,9 +71,9 @@ MAX_ITERATIONS = 60
 # the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
 # h''(x) = -1/(ln 2 (1 - x^2)) are finite
 X_CAP = 1.0 - 1e-12
-# grid points evaluated per call, at most 24 x 192: no temporary of a call
-# then exceeds 3 x 4608 doubles (110 KB), under glibc's default 128 KB mmap
-# threshold
+# points evaluated per call of the grid and circle scans, over all states of
+# the call: at most 24 x 192 = 4,608.  The largest temporary of a call, both
+# branches' vectors b +- R^T n, then holds 6 x 4,608 doubles (221 KB)
 GRID_BLOCK_ROWS = 24
 
 
@@ -164,6 +167,11 @@ def conditional_entropy_direct(rho, n) -> float:
 # closed-form conditional entropy                                             #
 # --------------------------------------------------------------------------- #
 
+# the smallest normal double: the derivatives read g as at least this, so that
+# u/g and artanh(g/w)/g stay finite at g = 0, and q log2 q reads q as at least it
+_TINY = np.finfo(float).tiny
+
+
 def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
               dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w = 1 +- a.n and g = |b +- R^T n| of S states at the K columns of
@@ -171,29 +179,55 @@ def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
     first.
 
     Each state's contractions are the same matrix products as for that state
-    alone, so a value does not depend on the states stacked beside it.
+    alone, so a value does not depend on the states stacked beside it.  Both
+    branches' vectors u = b +- R^T n share one (S, 3, 2K) array, and g is
+    sqrt((u_x^2 + u_y^2) + u_z^2), the order in which np.linalg.norm sums.
     """
     f = (a[:, None, :] @ dirs)[:, 0, :]
     rn = r.swapaxes(1, 2) @ dirs
-    w = np.concatenate([1.0 + f, 1.0 - f], axis=1)
-    g = np.concatenate([np.linalg.norm(b[:, :, None] + rn, axis=1),
-                        np.linalg.norm(b[:, :, None] - rn, axis=1)], axis=1)
-    return w, g
+    k = rn.shape[2]
+    w = np.empty((len(a), 2 * k))
+    np.add(1.0, f, out=w[:, :k])
+    np.subtract(1.0, f, out=w[:, k:])
+    u = np.empty(rn.shape[:2] + (2 * k,))
+    np.add(b[:, :, None], rn, out=u[:, :, :k])
+    np.subtract(b[:, :, None], rn, out=u[:, :, k:])
+    u *= u
+    g = np.add(u[:, 0], u[:, 1])
+    g += u[:, 2]
+    return w, np.sqrt(g, out=g)
 
 
 def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sum of the two branch terms (w/2) h(g/w) of :func:`_branches`: (S, K).
-    Any n is accepted; where g > w the term is clamped to 0."""
-    # a branch with w -> 0 is a deterministic-zero outcome and contributes 0
+
+    Any n is accepted: where g > w a term is clamped to its value at g = w,
+    and a branch with w <= ZERO_PROBABILITY, a deterministic-zero outcome,
+    contributes 0.  A zero term is +0.0.
+    """
     live = w > ZERO_PROBABILITY
-    x = np.minimum(g / np.where(live, w, 1.0), 1.0)
-    p = 0.5 * (1.0 + x)
-    q = 0.5 * (1.0 - x)
-    # 0.0 - s, not -s: a zero entropy is +0.0
-    h = 0.0 - (p * np.log2(p) + q * np.log2(q, out=np.zeros_like(q), where=q > 0.0))
-    terms = np.where(live, 0.5 * w * h, 0.0)
-    k = terms.shape[1] // 2
-    return terms[:, :k] + terms[:, k:]
+    x = np.where(live, w, 1.0)
+    np.divide(g, x, out=x)
+    np.minimum(x, 1.0, out=x)
+    q = np.subtract(1.0, x)
+    q *= 0.5
+    p = np.add(1.0, x, out=x)
+    p *= 0.5
+    # x = g/w lies in [0, 1], so q is 0 or at least 2^-54: log2(max(q, tiny))
+    # is log2(q), and q = 0 gives q log2(tiny) = -0.0, which adds as 0
+    t = np.maximum(q, _TINY)
+    np.log2(t, out=t)
+    t *= q
+    h = np.log2(p)
+    h *= p
+    h += t
+    # 0.0 - h, not -h: a zero entropy is +0.0
+    np.subtract(0.0, h, out=h)
+    weight = np.where(live, w, 0.0)
+    weight *= 0.5
+    h *= weight
+    k = h.shape[1] // 2
+    return h[:, :k] + h[:, k:]
 
 
 def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -269,12 +303,41 @@ _CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS])
 _CELL_CLOSENESS = np.abs(_CELL_DIRS[0])
 # one anchor point per cell, then the vertices
 _BOUND_DIRS = np.concatenate([_CELL_DIRS[:, :, _CELL_SIZE // 2 + CELL // 2], _VERTEX_DIRS], axis=1)
+_BOUND_SIZE = _BOUND_DIRS.shape[1]
+# each cell's 8 vertex columns in _BOUND_DIRS, vertex by vertex: (8, cells)
+_BOUND_VERTICES = np.ascontiguousarray(_CELLS + _CELL_VERTICES.T)
 _BLOCK_CELLS = GRID_BLOCK_ROWS * PHI_BINS // _CELL_SIZE
+# states per sub-stack of the grid scan: its bound call takes as many points
+# as one block of grid rows
+_GRID_STACK = GRID_BLOCK_ROWS * PHI_BINS // _BOUND_SIZE
+# with cells (S, m), _CELL_DIRS[_COMPONENTS, cells[:, None]] gathers each
+# state's cells as (S, 3, m, CELL**2)
+_COMPONENTS = np.arange(3)[:, None]
 
 
-def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float]:
-    """Flat index and value of the lowest 96 x 192 grid point of one state (stacks
-    of one).  Among points within GRID_TIE_TOL of the lowest it takes the one
+def _start_rule(values: np.ndarray, cells: np.ndarray, closeness: np.ndarray,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid index (S,) and value (S,) of the start of S states, each with
+    ``values`` (S, L) at the points of its ``cells`` (S, L / c), whose closeness
+    |n_x| to x and flat indices are rows of the tables ``closeness`` and
+    ``points`` (cells, c).  Among the points within GRID_TIE_TOL of a state's
+    lowest value, those within START_CLOSENESS_TOL of the largest closeness
+    count as closest, and of them the one with the smallest flat index is
+    taken.  A cell may occur more than once in a row of ``cells``."""
+    close = closeness[cells].reshape(values.shape)
+    np.copyto(close, -1.0, where=values > values.min(axis=1, keepdims=True) + GRID_TIE_TOL)
+    farther = close < close.max(axis=1, keepdims=True) - START_CLOSENESS_TOL
+    del close  # before the next gather: rows may span the whole grid
+    flat = points[cells].reshape(values.shape)
+    np.copyto(flat, _GRID_DIRS.shape[1], where=farther)
+    k = flat.argmin(axis=1)
+    rows = np.arange(len(values))
+    return flat[rows, k], values[rows, k]
+
+
+def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (S,) and values (S,) of the lowest 96 x 192 grid point of S
+    states.  Among points within GRID_TIE_TOL of the lowest it takes the one
     closest to the x axis; mirror-image optima (theta vs pi - theta) tie in that
     metric too, so then the smallest flat index, i.e. the smaller polar angle.
 
@@ -285,39 +348,49 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[int, float
     CE is therefore at least its lowest vertex value, and no point can fail the
     positivity guard.  Such a cell is skipped when that bound exceeds the lowest
     anchor by more than GRID_TIE_TOL; every other cell is evaluated in full.
+
+    The states go in sub-stacks of _GRID_STACK (3): one call bounds the cells
+    of all of them, then each state's kept cells, in order and padded to the
+    sub-stack's largest count with its first, are evaluated in calls with
+    per-state directions of at most _BLOCK_CELLS cells in all, and
+    :func:`_start_rule` picks every start of the sub-stack at once.  A stack of
+    one takes the same path.  A state's start and value do not depend on the
+    states beside it.
     """
-    w, g = _branches(a, b, r, _BOUND_DIRS)
-    values = _branch_entropy(w, g)[0]
-    outside = (g > w)[0].reshape(2, -1).any(axis=0)[_CELLS:]
-    bound = values[_CELLS:][_CELL_VERTICES].min(axis=1) - BOUND_SLACK
-    kept = np.flatnonzero((bound <= values[:_CELLS].min() + GRID_TIE_TOL)
-                          | outside[_CELL_VERTICES].any(axis=1))
-    # a matmul over a subset of the grid's columns reproduces the bits of the
-    # whole grid's product when the column count is a multiple of 4, as here,
-    # and the directions are stored row by row, as in _CELL_DIRS
-    blocks = []
-    for k in range(0, kept.size, _BLOCK_CELLS):
-        cells = kept[k:k + _BLOCK_CELLS]
-        if cells[-1] - cells[0] == cells.size - 1:  # a run of cells: no copy
-            dirs = _CELL_DIRS[:, cells[0]:cells[-1] + 1]
-        else:
-            dirs = np.take(_CELL_DIRS, cells, axis=1)
-        blocks.append(_ce_many(a, b, r, dirs.reshape(3, -1))[0])
-    values = np.concatenate(blocks)
-    closeness = np.where(values <= values.min() + GRID_TIE_TOL,
-                         _CELL_CLOSENESS[kept].ravel(), -1.0)
-    closest = np.flatnonzero(closeness >= closeness.max() - 1e-9)
-    points = _CELL_POINTS[kept[closest // _CELL_SIZE], closest % _CELL_SIZE]
-    k = points.argmin()
-    return int(points[k]), float(values[closest[k]])
+    count = len(a)
+    start, value = np.empty(count, dtype=int), np.empty(count)
+    for s in range(0, count, _GRID_STACK):
+        sub = slice(s, s + _GRID_STACK)
+        a_s, b_s, r_s = a[sub], b[sub], r[sub]
+        w, g = _branches(a_s, b_s, r_s, _BOUND_DIRS)
+        values = _branch_entropy(w, g)
+        # a vertex outside the concave set leaves its cells unbounded
+        outside = g > w
+        np.copyto(values[:, _CELLS:], -np.inf,
+                  where=outside[:, _CELLS:_BOUND_SIZE] | outside[:, _BOUND_SIZE + _CELLS:])
+        bound = np.take(values, _BOUND_VERTICES, axis=1).min(axis=1)
+        bound -= BOUND_SLACK
+        pruned = bound > values[:, :_CELLS].min(axis=1, keepdims=True) + GRID_TIE_TOL
+        counts = _CELLS - pruned.sum(axis=1)
+        cells = np.argsort(pruned, axis=1, kind="stable")[:, :counts.max()]
+        cells = np.where(np.arange(cells.shape[1]) < counts[:, None], cells, cells[:, :1])
+        # a matmul over a subset of the grid's columns reproduces the bits of
+        # the whole grid's product when the column count is a multiple of 4,
+        # as here, and the directions are stored row by row, as in _CELL_DIRS
+        width = _BLOCK_CELLS // len(a_s)
+        values = np.empty((len(a_s), cells.shape[1] * _CELL_SIZE))
+        for k in range(0, cells.shape[1], width):
+            dirs = _CELL_DIRS[_COMPONENTS, cells[:, None, k:k + width]]
+            values[:, k * _CELL_SIZE:(k + width) * _CELL_SIZE] = _ce_many(
+                a_s, b_s, r_s, dirs.reshape(len(a_s), 3, -1))
+        start[sub], value[sub] = _start_rule(values, cells, _CELL_CLOSENESS, _CELL_POINTS)
+    return start, value
 
 
 _LN2 = math.log(2.0)
 _EYE = np.eye(3)
 # the + and the - branch
 _SIGNS = np.array([1.0, -1.0])
-# g is read as at least this, so that u/g and artanh(g/w)/g stay finite at g = 0
-_TINY = np.finfo(float).tiny
 
 
 def _sphere_frame(n: np.ndarray) -> np.ndarray:
@@ -452,13 +525,10 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
 
 
 def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (S, 3) and values (S,) of the pruned 96 x 192 grid scan and the
-    Newton refinement from its start, before the axis tie-break."""
-    count = len(a)
-    start = np.empty(count, dtype=int)
-    value = np.empty(count)
-    for s in range(count):
-        start[s], value[s] = _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+    """Directions (S, 3) and values (S,) of S states: one pruned 96 x 192 grid
+    scan of the whole stack, then the Newton refinement from each start,
+    before the axis tie-break."""
+    start, value = _grid_start(a, b, r)
     return _newton(a, b, r, _GRID_DIRS.T[start], value, _sphere_frame)
 
 

@@ -26,11 +26,12 @@ from qdiscord.linalg import validated_spectrum
 from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
                                _GRID_THETAS, _TIE_AXES, _VERTEX_DIRS, BOUND_SLACK, CE_FLOOR,
                                DECREASE_STOP, GRID_BLOCK_ROWS, GRID_TIE_TOL, MAX_ITERATIONS,
-                               PHI_BINS, THETA_BINS, VALUE_TIE_TOL, X_CAP, _angle_dirs,
+                               PHI_BINS, START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL,
+                               X_CAP, ZERO_PROBABILITY, _GRID_STACK, _angle_dirs,
                                _axis_ties, _branch_entropy, _branches, _ce_many,
                                _circle_minimum, _circle_states, _discord_reports, _grid_start,
                                _minimize_many, _newton, _sphere_frame, _sphere_minimum,
-                               _tangent_derivatives, _tie_break)
+                               _start_rule, _tangent_derivatives, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -188,6 +189,26 @@ class TestConditionalEntropyClosed:
         with pytest.raises(ConsistencyError):
             conditional_entropy_closed(NON_PHYSICAL, X)
 
+    def test_branch_entropy_edge_semantics(self):
+        def entropy(w, g):
+            """The sum of the two branch terms at one direction."""
+            return _branch_entropy(np.array([w]), np.array([g]))[0, 0]
+
+        # g = w: both terms vanish, as +0.0
+        at_edge = entropy([1.3, 0.7], [1.3, 0.7])
+        assert at_edge == 0.0 and not np.signbit(at_edge)
+        # g > w reads as g = w
+        clamped = entropy([1.3, 0.7], [1.4, 0.9])
+        assert clamped == 0.0 and not np.signbit(clamped)
+        minus = entropy([1.3, 0.7], [1.3, 0.35])  # the - branch term alone
+        assert minus > 0.0 and entropy([1.3, 0.7], [1.4, 0.35]) == minus
+        # a branch with w <= ZERO_PROBABILITY contributes 0, one with the
+        # next double above it its term (w/2) h(0) = w/2
+        for w in (ZERO_PROBABILITY, 0.0, -1e-17):
+            assert entropy([w, 0.7], [0.0, 0.35]) == minus
+            assert entropy([w, 0.7], [0.5, 0.35]) == minus
+        assert entropy([np.nextafter(ZERO_PROBABILITY, 1.0), 0.7], [0.0, 0.35]) > minus
+
 
 def branch_displacement_sq(rho, n):
     """(1/2) Tr[D^2] for D = p+ (rho_B|+ - rho_B), from explicit post-measurement
@@ -292,8 +313,9 @@ class TestMinimizeConditionalEntropy:
             _minimize_many(NON_PHYSICAL.a[None], NON_PHYSICAL.b[None], NON_PHYSICAL.r[None])
 
     def test_no_large_temporaries(self):
-        # the grid is evaluated in column blocks with temporaries of at most
-        # 110 KB; evaluating the whole 96 x 192 grid in one call peaked at 3.1 MiB
+        # the grid is evaluated in calls of at most 4,608 points, whose largest
+        # temporary is 221 KB; evaluating the whole 96 x 192 grid in one call
+        # peaked at 3.1 MiB
         rho = hs_states(151, 1)[0]
         minimize_conditional_entropy(rho)
         tracemalloc.start()
@@ -433,6 +455,26 @@ def bell_diagonal_triples(rng, count):
     return rng.dirichlet(np.ones(4), size=count) @ corners
 
 
+CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected",
+                      "bell_diagonal")
+
+
+def family_state(family, seed):
+    """A seeded state of one of CERTIFIED_FAMILIES, or a Werner state."""
+    rng = np.random.default_rng(seed)
+    if family == "bell_diagonal":
+        return turned(bell_diagonal(*bell_diagonal_triples(rng, 1)[0]), rng)
+    if family == "werner":
+        return bell_diagonal(*np.full(3, -rng.uniform()))
+    if family == "near_pure":
+        eps = 10.0 ** rng.uniform(-10.0, -2.0)
+        return (1.0 - eps) * pure_states(rng, 1)[0] + eps * family_state("hs", seed)
+    rank = int(family[-1]) if family.startswith("rank") else 4
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return project_x_state(rho) if family == "x_projected" else rho
+
+
 class TestSingleSolvePath:
     """Every public function reports the solve of ``quantum_discord`` exactly."""
 
@@ -480,6 +522,16 @@ class TestBatchInvariance:
                 np.testing.assert_array_equal(n[s], n1[0])
                 assert value[s] == value1[0]
 
+    @given(draws=st.lists(st.tuples(st.sampled_from(CERTIFIED_FAMILIES + ("werner",)),
+                                    st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=8))
+    @settings(max_examples=30)
+    def test_batch_of_one_equals_batch_of_many(self, draws):
+        a, b, r = stacked_canonical([family_state(family, seed) for family, seed in draws])
+        n, value = _minimize_many(a, b, r)
+        for s in range(len(a)):
+            n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+            np.testing.assert_array_equal(n[s], n1[0])
+            assert value[s] == value1[0]
 
     @staticmethod
     def mixed_stack():
@@ -528,28 +580,13 @@ class TestBatchInvariance:
                 assert np.shape(stacked) == np.shape(alone) and np.all(stacked == alone)
 
 
-CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected",
-                      "bell_diagonal")
-
-
-def family_state(family, seed):
-    """A seeded state of one of CERTIFIED_FAMILIES, or a Werner state."""
-    rng = np.random.default_rng(seed)
-    if family == "bell_diagonal":
-        return turned(bell_diagonal(*bell_diagonal_triples(rng, 1)[0]), rng)
-    if family == "werner":
-        return bell_diagonal(*np.full(3, -rng.uniform()))
-    if family == "near_pure":
-        eps = 10.0 ** rng.uniform(-10.0, -2.0)
-        return (1.0 - eps) * pure_states(rng, 1)[0] + eps * family_state("hs", seed)
-    rank = int(family[-1]) if family.startswith("rank") else 4
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    rho = g @ g.conj().T / np.linalg.norm(g) ** 2
-    return project_x_state(rho) if family == "x_projected" else rho
-
-
 def canonical_stack(rho):
-    canonical = canonical_blocks(state_blocks(np.asarray(rho)[None]))[1]
+    return stacked_canonical([rho])
+
+
+def stacked_canonical(states):
+    """Canonical blocks a, b, R of a list of states, stacked."""
+    canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
     return canonical.a, canonical.b, canonical.r
 
 
@@ -561,7 +598,7 @@ def dense_start(a, b, r):
                              for block in blocks])
     tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
     closeness = np.abs(_GRID_DIRS[0, tied])
-    start = tied[closeness >= closeness.max() - 1e-9][0]
+    start = tied[closeness >= closeness.max() - START_CLOSENESS_TOL][0]
     return int(start), float(values[start])
 
 
@@ -617,22 +654,71 @@ class TestGridCertificate:
     def test_pruned_start_equals_dense_scan(self, family):
         for seed in range(20):
             a, b, r = canonical_stack(family_state(family, seed))
-            assert _grid_start(a, b, r) == dense_start(a, b, r)
+            start, value = _grid_start(a, b, r)
+            assert (start[0], value[0]) == dense_start(a, b, r)
 
-    def test_pure_state_keeps_every_cell_without_large_temporaries(self):
+    def test_stacked_start_equals_dense_scan_and_state_alone(self):
+        # 58 states, the last chunk of a scatter run, end in a sub-stack of one
+        states = [family_state(family, seed) for family in CERTIFIED_FAMILIES + ("werner",)
+                  for seed in range(12)]
+        states += [mixture_family(0.0)] * 4  # a product state
+        np.random.default_rng(20261023).shuffle(states)
+        a, b, r = stacked_canonical(states)
+        dense = [dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
+        for size in (1, 2, 3, 4, 58, 64):
+            starts = []
+            for k in range(0, len(a), size):
+                start, value = _grid_start(a[k:k + size], b[k:k + size], r[k:k + size])
+                assert start.shape == value.shape == (len(a[k:k + size]),)
+                starts += zip(start.tolist(), value.tolist())
+            assert starts == dense
+        assert _GRID_STACK == 3
+
+    def test_start_closeness_tolerance_pinned_at_its_boundary(self):
+        # of two tied points, one 1e-9 farther from x than the other still
+        # counts as closest, and its smaller flat index wins; one double
+        # farther, the closer point wins.  The third point, closest to x, is
+        # not tied.
+        cells, points = np.array([[0]]), np.array([[9, 4, 2]])
+        values = np.array([[0.5, 0.5 + GRID_TIE_TOL / 2, 0.7]])
+        edge = 0.75 - 1e-9
+        for farther, k in ((edge, 1), (np.nextafter(edge, 0.0), 0)):
+            closeness = np.array([[0.75, farther, 1.0]])
+            start, value = _start_rule(values, cells, closeness, points)
+            assert start.tolist() == [points[0, k]] and value.tolist() == [values[0, k]]
+
+    def test_pure_state_keeps_every_cell_without_large_temporaries(self, monkeypatch):
         # off the unit sphere a pure state's g exceeds w, so every cell has an
-        # outer vertex outside the concave domain and the whole grid is scanned
+        # outer vertex outside the concave domain and the whole grid is
+        # scanned; a Werner state's CE is flat, so every cell's bound ties
         a, b, r = canonical_stack(family_state("rank1", 3))
         w, g = _branches(a, b, r, _VERTEX_DIRS)
         assert (g > w)[0].reshape(2, -1).any(axis=0)[_CELL_VERTICES].any(axis=1).all()
-        _minimize_many(a, b, r)
-        tracemalloc.start()
-        try:
-            _minimize_many(a, b, r)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        for states in ([family_state("rank1", 3)], [family_state("rank1", s) for s in range(64)],
+                       [family_state("werner", s) for s in range(64)]):
+            a, b, r = stacked_canonical(states)
+            columns = []
+
+            def counted(a, b, r, dirs):
+                if dirs.ndim == 3:  # the kept cells, per state
+                    columns.append(dirs.shape[0] * dirs.shape[2])
+                return _ce_many(a, b, r, dirs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_ce_many", counted)
+                _grid_start(a, b, r)
+            assert sum(columns) == len(states) * THETA_BINS * PHI_BINS
+            # pure and Werner states are X-shaped, so _minimize_many settles
+            # them on their circle; _sphere_minimum scans the grid
+            for solve in (_minimize_many, _sphere_minimum):
+                solve(a, b, r)
+                tracemalloc.start()
+                try:
+                    solve(a, b, r)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.5 * 2 ** 20
 
     def test_value_reproducible_to_last_bits_direction_to_1e7(self):
         # CE is flat to second order at its minimum, so a one-ulp change of the
@@ -788,7 +874,7 @@ class TestXStateCircle:
         # azimuth pi; at the pole the gradient vanishes and the Hessian is
         # negative definite, so only a step along its lowest eigenvector leaves
         a, b, r = canonical_stack(x_state("near_pure", 122))
-        assert _grid_start(a, b, r)[0] < PHI_BINS
+        assert _grid_start(a, b, r)[0][0] < PHI_BINS
         axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
         n, value = _sphere_minimum(a, b, r)
         assert value[0] < axis_values.min() - 1e-7
@@ -861,7 +947,7 @@ class TestNewtonRefinement:
         """Blocks of ``rho``'s canonical form, its grid start and that start's value."""
         a, b, r = canonical_stack(rho)
         start, value = _grid_start(a, b, r)
-        return a, b, r, _GRID_DIRS.T[[start]], np.array([value])
+        return a, b, r, _GRID_DIRS.T[start], value
 
     def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
         # a first step that promises DECREASE_STOP ends the refinement, one

@@ -82,7 +82,9 @@ def stage_times() -> dict:
     """Microseconds per state of the grid, of the rest of the solve (refinement
     and axis tie-break) and of the whole solve, for chunks of CHUNK states
     and for batches of one.  The grid is timed inside the solve, through a
-    wrapper around the function that evaluates it."""
+    wrapper around ``measures._grid_start``, which the solve calls once per
+    stack of states, or once per state in versions that scan state by state;
+    the wrapper sums the calls of one solve either way."""
     a, b, r = canonical_stack(x_project=False)
     grid_s = [0.0]
     evaluate = measures._grid_start
