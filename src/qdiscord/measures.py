@@ -21,6 +21,7 @@ cheap upper bound on the discord.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,11 +53,18 @@ GRID_TIE_TOL = 1e-11
 START_CLOSENESS_TOL = 1e-9
 # correlation quantities in [-CLAMP_WINDOW, 0) are reported as 0
 CLAMP_WINDOW = 1e-9
+# zero_discord_witness: R or a with a norm at most WITNESS_VANISHING_TOL
+# vanishes, and an axis n is a witness when no entry of n n^T a - a or
+# n n^T R - R exceeds WITNESS_TOL in size
+WITNESS_VANISHING_TOL = 1e-10
+WITNESS_TOL = 1e-9
 
 THETA_BINS = 96
 PHI_BINS = 192
-# the grid scan bounds CE on cells of CELL x CELL points (see _grid_start)
+# the grid scan bounds CE on coarse cells of COARSE_CELL x COARSE_CELL points,
+# then on the cells of CELL x CELL points inside those it keeps (see _grid_start)
 CELL = 8
+COARSE_CELL = 2 * CELL
 # rounding allowance of a cell's vertex bound, and how far beyond the unit
 # sphere the outer face of a cell's frustum lies
 BOUND_SLACK = 1e-12
@@ -261,21 +269,25 @@ _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
 _GRID_DIRS = _angle_dirs(_tt, _pp)
 
-# The grid splits into cells of CELL x CELL points, numbered row-major in
-# (theta, phi).  A cell's points lie in a frustum with 8 vertices: the cone over
-# the cell's 4 corners, half a grid step outside its outermost points on the
-# unit sphere, cut by the plane of those corners and by a parallel plane just
-# beyond the sphere.  The corners are coplanar, as the cell is an isosceles
-# trapezoid.  Adjacent cells share vertices.
+# The grid splits into cells of CELL x CELL points, and into coarse cells of
+# COARSE_CELL x COARSE_CELL points, each numbered row-major in (theta, phi).  A
+# cell's points lie in a frustum with 8 vertices: the cone over the cell's 4
+# corners, half a grid step outside its outermost points on the unit sphere,
+# cut by the plane of those corners and by a parallel plane just beyond the
+# sphere.  The corners are coplanar, as the cell is an isosceles trapezoid.
+# Adjacent cells share vertices.
 
-def _cell_geometry() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell, the flat grid indices of its points (cells, CELL**2) and the
-    columns of its 8 vertices (cells, 8) in the vertex directions (3, 925): the
-    13 x 25 corners on the sphere, then 2 x 25 outer vertices per cell row."""
-    rows, cols = THETA_BINS // CELL, PHI_BINS // CELL
+def _cell_geometry(cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell of ``cell`` x ``cell`` grid points, the flat grid indices of its
+    points (cells, cell**2); the directions at which its bound evaluates CE
+    (3, cells + V): one anchor grid point per cell, then the (rows + 1) x
+    (cols + 1) corners on the sphere and 2 x (cols + 1) outer vertices per cell
+    row; and the columns there of each cell's 8 vertices, vertex by vertex
+    (8, cells)."""
+    rows, cols = THETA_BINS // cell, PHI_BINS // cell
     corners = _angle_dirs(*(m.ravel() for m in np.meshgrid(
-        (np.arange(rows + 1) * CELL - 0.5) * (math.pi / THETA_BINS),
-        -math.pi / 2 + (np.arange(cols + 1) * CELL - 0.5) * (math.pi / PHI_BINS),
+        (np.arange(rows + 1) * cell - 0.5) * (math.pi / THETA_BINS),
+        -math.pi / 2 + (np.arange(cols + 1) * cell - 0.5) * (math.pi / PHI_BINS),
         indexing="ij"))).reshape(3, rows + 1, cols + 1)
     # the corner plane's distance from the origin depends only on the cell row
     c00, c01, c10 = corners[:, :-1, 0], corners[:, :-1, 1], corners[:, 1:, 0]
@@ -286,53 +298,121 @@ def _cell_geometry() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i, j = (m.ravel()[:, None] for m in np.meshgrid(np.arange(rows), np.arange(cols),
                                                     indexing="ij"))
     points = np.ravel_multi_index(
-        (CELL * i + np.arange(CELL * CELL) // CELL, CELL * j + np.arange(CELL * CELL) % CELL),
+        (cell * i + np.arange(cell * cell) // cell, cell * j + np.arange(cell * cell) % cell),
         (THETA_BINS, PHI_BINS))
     di, dj = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     vertices = np.concatenate([
         np.ravel_multi_index((i + di, j + dj), corners.shape[1:]),
         corners[0].size + np.ravel_multi_index((i, di, j + dj), outer.shape[1:])], axis=1)
-    return points, vertices, np.concatenate([corners.reshape(3, -1), outer.reshape(3, -1)], axis=1)
+    dirs = np.concatenate([_GRID_DIRS[:, points[:, cell * cell // 2 + cell // 2]],
+                           corners.reshape(3, -1), outer.reshape(3, -1)], axis=1)
+    return points, dirs, np.ascontiguousarray(len(points) + vertices.T)
 
 
-_CELL_POINTS, _CELL_VERTICES, _VERTEX_DIRS = _cell_geometry()
+_CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES = _cell_geometry(CELL)
 _CELLS, _CELL_SIZE = _CELL_POINTS.shape
-# the grid cell by cell, (3, cells, CELL**2), and each point's closeness to x;
+_COARSE_POINTS, _COARSE_DIRS, _COARSE_VERTICES = _cell_geometry(COARSE_CELL)
+_COARSE_CELLS = len(_COARSE_POINTS)
+# the grid cell by cell, (cells, 3, CELL**2), and each point's closeness to x;
 # C order, as the gather alone would store the components innermost
-_CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS])
-_CELL_CLOSENESS = np.abs(_CELL_DIRS[0])
-# one anchor point per cell, then the vertices
-_BOUND_DIRS = np.concatenate([_CELL_DIRS[:, :, _CELL_SIZE // 2 + CELL // 2], _VERTEX_DIRS], axis=1)
-_BOUND_SIZE = _BOUND_DIRS.shape[1]
-# each cell's 8 vertex columns in _BOUND_DIRS, vertex by vertex: (8, cells)
-_BOUND_VERTICES = np.ascontiguousarray(_CELLS + _CELL_VERTICES.T)
-_BLOCK_CELLS = GRID_BLOCK_ROWS * PHI_BINS // _CELL_SIZE
-# states per sub-stack of the grid scan: its bound call takes as many points
-# as one block of grid rows
-_GRID_STACK = GRID_BLOCK_ROWS * PHI_BINS // _BOUND_SIZE
-# with cells (S, m), _CELL_DIRS[_COMPONENTS, cells[:, None]] gathers each
-# state's cells as (S, 3, m, CELL**2)
-_COMPONENTS = np.arange(3)[:, None]
+_CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS].transpose(1, 0, 2))
+_CELL_CLOSENESS = np.abs(_CELL_DIRS[:, 0])
+# the cells of each coarse cell, in order (coarse cells, 4), and the directions
+# of their bound (coarse cells, 3, 25): their 4 anchors, then their 21 vertices;
+# adjacent cells share vertices in the same pattern in every coarse cell
+_cell_of = np.empty(THETA_BINS * PHI_BINS, dtype=int)
+_cell_of[_CELL_POINTS] = np.arange(_CELLS)[:, None]
+_FINE_CELLS = np.sort(_cell_of[_COARSE_POINTS], axis=1)[:, ::_CELL_SIZE]
+_columns = np.sort(np.concatenate(
+    [_FINE_CELLS, _CELL_VERTICES[:, _FINE_CELLS].transpose(1, 0, 2).reshape(_COARSE_CELLS, -1)],
+    axis=1), axis=1)
+_columns = _columns[:, np.concatenate([[True], _columns[0, 1:] != _columns[0, :-1]])]
+_FINE_DIRS = np.ascontiguousarray(_BOUND_DIRS[:, _columns].transpose(1, 0, 2))
+_FINE_VERTICES = np.searchsorted(_columns[0], _CELL_VERTICES[:, _FINE_CELLS[0]])
+del _cell_of, _columns
+# each call of a level takes at most as many points as one block of grid rows:
+# states per coarse bound call, coarse cells per fine bound call, and cells
+# per call of the kept cells
+_POINTS_PER_CALL = GRID_BLOCK_ROWS * PHI_BINS
+_COARSE_STACK = _POINTS_PER_CALL // _COARSE_DIRS.shape[1]
+_FINE_BLOCK = _POINTS_PER_CALL // _FINE_DIRS.shape[2]
+_BLOCK_CELLS = _POINTS_PER_CALL // _CELL_SIZE
 
 
-def _start_rule(values: np.ndarray, cells: np.ndarray, closeness: np.ndarray,
-                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat grid index (S,) and value (S,) of the start of S states, each with
-    ``values`` (S, L) at the points of its ``cells`` (S, L / c), whose closeness
+def _cell_bounds(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray,
+                 vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest anchor value (S,) and lowest vertex value (S, cells) on the cells
+    of S states, from CE at ``dirs``, shared (3, cells + V) or per state
+    (S, 3, cells + V), the anchors first, and the vertex columns (8, cells)
+    of each cell.  A vertex outside the concave set reads -inf, so its cells
+    are never skipped."""
+    cells = vertices.shape[1]
+    w, g = _branches(a, b, r, dirs)
+    values = _branch_entropy(w, g)
+    k = values.shape[1]
+    outside = g > w
+    np.copyto(values[:, cells:], -np.inf, where=outside[:, cells:k] | outside[:, k + cells:])
+    return values[:, :cells].min(axis=1), values.take(vertices, axis=1).min(axis=1)
+
+
+# a cell is skipped when its lowest vertex value, less the rounding allowance
+# BOUND_SLACK, exceeds the lowest anchor value known by more than GRID_TIE_TOL
+_SKIP_MARGIN = GRID_TIE_TOL + BOUND_SLACK
+
+
+def _coarse_cells(a: np.ndarray, b: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse cells of S states that can hold a grid point within
+    GRID_TIE_TOL of the lowest, as pairs of a state (P,) and a coarse cell
+    (P,) in order of state, and each state's lowest coarse anchor value (S,)."""
+    keep = np.empty((len(a), _COARSE_CELLS), dtype=bool)
+    lowest = np.empty(len(a))
+    for s in range(0, len(a), _COARSE_STACK):
+        sub = slice(s, s + _COARSE_STACK)
+        lowest[sub], bound = _cell_bounds(a[sub], b[sub], r[sub], _COARSE_DIRS, _COARSE_VERTICES)
+        keep[sub] = bound <= lowest[sub, None] + _SKIP_MARGIN
+    return (*keep.nonzero(), lowest)
+
+
+def _fine_cells(a: np.ndarray, b: np.ndarray, r: np.ndarray, state: np.ndarray,
+                coarse: np.ndarray, lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the coarse cells kept by :func:`_coarse_cells` that can hold
+    a grid point within GRID_TIE_TOL of the lowest, as pairs of a state (P,)
+    and a cell (P,) in order of state.  Lowers ``lowest`` to the lowest
+    anchor value of each state's cells."""
+    anchor = np.empty(len(state))
+    bound = np.empty((len(state), _FINE_CELLS.shape[1]))
+    for k in range(0, len(state), _FINE_BLOCK):
+        block = slice(k, k + _FINE_BLOCK)
+        s = state[block]
+        anchor[block], bound[block] = _cell_bounds(a[s], b[s], r[s], _FINE_DIRS[coarse[block]],
+                                                   _FINE_VERTICES)
+    np.minimum.at(lowest, state, anchor)
+    pair, fine = (bound <= lowest[state, None] + _SKIP_MARGIN).nonzero()
+    return state[pair], _FINE_CELLS[coarse[pair], fine]
+
+
+def _start_rule(values: np.ndarray, cells: np.ndarray, counts: np.ndarray,
+                closeness: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid index (S,) and value (S,) of the start of S states, from
+    ``values`` (P, c) at the points of ``cells`` (P,): the distinct cells of
+    each state in turn, ``counts`` (S,) of them per state.  Their closeness
     |n_x| to x and flat indices are rows of the tables ``closeness`` and
     ``points`` (cells, c).  Among the points within GRID_TIE_TOL of a state's
     lowest value, those within START_CLOSENESS_TOL of the largest closeness
     count as closest, and of them the one with the smallest flat index is
-    taken.  A cell may occur more than once in a row of ``cells``."""
-    close = closeness[cells].reshape(values.shape)
-    np.copyto(close, -1.0, where=values > values.min(axis=1, keepdims=True) + GRID_TIE_TOL)
-    farther = close < close.max(axis=1, keepdims=True) - START_CLOSENESS_TOL
-    del close  # before the next gather: rows may span the whole grid
-    flat = points[cells].reshape(values.shape)
-    np.copyto(flat, _GRID_DIRS.shape[1], where=farther)
-    k = flat.argmin(axis=1)
-    rows = np.arange(len(values))
-    return flat[rows, k], values[rows, k]
+    taken."""
+    first = counts.cumsum() - counts
+    lowest = np.minimum.reduceat(values.min(axis=1), first)
+    close = closeness[cells]
+    np.copyto(close, -1.0, where=values > (lowest + GRID_TIE_TOL).repeat(counts)[:, None])
+    closest = np.maximum.reduceat(close.max(axis=1), first)
+    flat = points[cells]
+    np.copyto(flat, _GRID_DIRS.shape[1],
+              where=close < (closest - START_CLOSENESS_TOL).repeat(counts)[:, None])
+    start = np.minimum.reduceat(flat.min(axis=1), first)
+    # a state's points have distinct flat indices, so one of them is its start
+    return start, values[flat == start.repeat(counts)[:, None]]
 
 
 def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,44 +426,40 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray
     g = |b +- R^T n| convex, so CE is concave on the convex set g <= w, which
     holds the unit ball.  On a cell whose frustum vertices all lie in that set
     CE is therefore at least its lowest vertex value, and no point can fail the
-    positivity guard.  Such a cell is skipped when that bound exceeds the lowest
-    anchor by more than GRID_TIE_TOL; every other cell is evaluated in full.
+    positivity guard.  A cell is skipped when that bound exceeds the lowest
+    anchor value known by more than GRID_TIE_TOL.
 
-    The states go in sub-stacks of _GRID_STACK (3): one call bounds the cells
-    of all of them, then each state's kept cells, in order and padded to the
-    sub-stack's largest count with its first, are evaluated in calls with
-    per-state directions of at most _BLOCK_CELLS cells in all, and
-    :func:`_start_rule` picks every start of the sub-stack at once.  A stack of
-    one takes the same path.  A state's start and value do not depend on the
-    states beside it.
+    The bound runs on two levels: :func:`_coarse_cells` bounds the 72 coarse
+    cells of 16 x 16 points of every state, and :func:`_fine_cells` the four
+    8 x 8 cells of each coarse cell it keeps.  The kept 8 x 8 cells of all
+    states are then evaluated in full as one list of (state, cell) pairs, in
+    calls of at most _BLOCK_CELLS cells, and :func:`_start_rule` picks the
+    start of each state once its last cell is evaluated.  A stack of one takes
+    the same path, and a state's start and value do not depend on the states
+    beside it.
     """
-    count = len(a)
-    start, value = np.empty(count, dtype=int), np.empty(count)
-    for s in range(0, count, _GRID_STACK):
-        sub = slice(s, s + _GRID_STACK)
-        a_s, b_s, r_s = a[sub], b[sub], r[sub]
-        w, g = _branches(a_s, b_s, r_s, _BOUND_DIRS)
-        values = _branch_entropy(w, g)
-        # a vertex outside the concave set leaves its cells unbounded
-        outside = g > w
-        np.copyto(values[:, _CELLS:], -np.inf,
-                  where=outside[:, _CELLS:_BOUND_SIZE] | outside[:, _BOUND_SIZE + _CELLS:])
-        bound = np.take(values, _BOUND_VERTICES, axis=1).min(axis=1)
-        bound -= BOUND_SLACK
-        pruned = bound > values[:, :_CELLS].min(axis=1, keepdims=True) + GRID_TIE_TOL
-        counts = _CELLS - pruned.sum(axis=1)
-        cells = np.argsort(pruned, axis=1, kind="stable")[:, :counts.max()]
-        cells = np.where(np.arange(cells.shape[1]) < counts[:, None], cells, cells[:, :1])
+    state, cells = _fine_cells(a, b, r, *_coarse_cells(a, b, r))
+    counts = np.bincount(state, minlength=len(a))
+    ends = counts.cumsum().tolist()
+    start, value = np.empty(len(a), dtype=int), np.empty(len(a))
+    # the values of the pairs from ``held`` on, evaluated while the states
+    # from ``done`` on wait for their last cell; only a state with more than
+    # _BLOCK_CELLS cells spans calls
+    pending, held, done = [], 0, 0
+    for k in range(0, len(cells), _BLOCK_CELLS):
+        s = state[k:k + _BLOCK_CELLS]
         # a matmul over a subset of the grid's columns reproduces the bits of
         # the whole grid's product when the column count is a multiple of 4,
         # as here, and the directions are stored row by row, as in _CELL_DIRS
-        width = _BLOCK_CELLS // len(a_s)
-        values = np.empty((len(a_s), cells.shape[1] * _CELL_SIZE))
-        for k in range(0, cells.shape[1], width):
-            dirs = _CELL_DIRS[_COMPONENTS, cells[:, None, k:k + width]]
-            values[:, k * _CELL_SIZE:(k + width) * _CELL_SIZE] = _ce_many(
-                a_s, b_s, r_s, dirs.reshape(len(a_s), 3, -1))
-        start[sub], value[sub] = _start_rule(values, cells, _CELL_CLOSENESS, _CELL_POINTS)
+        pending.append(_ce_many(a[s], b[s], r[s], _CELL_DIRS[cells[k:k + _BLOCK_CELLS]]))
+        last = bisect.bisect_right(ends, k + _BLOCK_CELLS)
+        if last > done:
+            stop = ends[last - 1]
+            values = np.concatenate(pending)
+            start[done:last], value[done:last] = _start_rule(
+                values[:stop - held], cells[held:stop], counts[done:last],
+                _CELL_CLOSENESS, _CELL_POINTS)
+            pending, held, done = [values[stop - held:]], stop, last
     return start, value
 
 
@@ -770,26 +846,26 @@ def bell_diagonal_classical_correlation(c) -> float:
 # --------------------------------------------------------------------------- #
 
 def zero_discord_witness(blocks: BlockDecomposition) -> Optional[np.ndarray]:
-    """Measurement axis n with n n^T a = a and n n^T R = R (within 1e-9), if one exists.
+    """Measurement axis n with n n^T a = a and n n^T R = R (within WITNESS_TOL), if one exists.
 
     The existence of such an axis is equivalent to zero discord.  The only
     candidate is the dominant left-singular vector of R (all columns of R and
-    the vector a must be parallel to n); with vanishing R the candidate is a
-    itself, and with both vanishing every axis qualifies and the
-    maximal-correlation axis x is returned.
+    the vector a must be parallel to n); with vanishing R (norm at most
+    WITNESS_VANISHING_TOL) the candidate is a itself, and with both vanishing
+    every axis qualifies and the maximal-correlation axis x is returned.
     """
     a = blocks.a
     r = blocks.r
-    if np.linalg.norm(r) > 1e-10:
+    if np.linalg.norm(r) > WITNESS_VANISHING_TOL:
         u, _, _ = np.linalg.svd(r)
         n = u[:, 0]
-    elif np.linalg.norm(a) > 1e-10:
+    elif np.linalg.norm(a) > WITNESS_VANISHING_TOL:
         n = a / np.linalg.norm(a)
     else:
         return X_AXIS.copy()
     n = n / np.linalg.norm(n)
     pn = np.outer(n, n)
-    if np.max(np.abs(pn @ a - a)) <= 1e-9 and np.max(np.abs(pn @ r - r)) <= 1e-9:
+    if np.max(np.abs(pn @ a - a)) <= WITNESS_TOL and np.max(np.abs(pn @ r - r)) <= WITNESS_TOL:
         return hemisphere_representative(n)
     return None
 

@@ -23,13 +23,16 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
 from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.linalg import validated_spectrum
-from qdiscord.measures import (_CELL_POINTS, _CELL_VERTICES, _GRID_DIRS, _GRID_PHIS,
-                               _GRID_THETAS, _TIE_AXES, _VERTEX_DIRS, BOUND_SLACK, CE_FLOOR,
-                               DECREASE_STOP, GRID_BLOCK_ROWS, GRID_TIE_TOL, MAX_ITERATIONS,
-                               PHI_BINS, START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL,
-                               X_CAP, ZERO_PROBABILITY, _GRID_STACK, _angle_dirs,
-                               _axis_ties, _branch_entropy, _branches, _ce_many,
-                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
+from qdiscord.measures import (_BLOCK_CELLS, _BOUND_DIRS, _CELL_POINTS, _CELL_VERTICES,
+                               _COARSE_DIRS, _COARSE_POINTS, _COARSE_STACK, _COARSE_VERTICES,
+                               _FINE_BLOCK, _FINE_CELLS, _FINE_DIRS, _FINE_VERTICES, _GRID_DIRS,
+                               _GRID_PHIS, _GRID_THETAS, _TIE_AXES, BOUND_SLACK, CE_FLOOR,
+                               CLAMP_WINDOW, DECREASE_STOP, GRID_BLOCK_ROWS, GRID_TIE_TOL,
+                               MAX_ITERATIONS, PHI_BINS, START_CLOSENESS_TOL, THETA_BINS,
+                               VALUE_TIE_TOL, WITNESS_TOL, WITNESS_VANISHING_TOL, X_CAP,
+                               ZERO_PROBABILITY, _angle_dirs, _axis_ties, _branch_entropy,
+                               _branches, _ce_many, _circle_minimum, _circle_states,
+                               _coarse_cells, _discord_reports, _fine_cells, _grid_start,
                                _minimize_many, _newton, _sphere_frame, _sphere_minimum,
                                _start_rule, _tangent_derivatives, _tie_break)
 
@@ -460,8 +463,13 @@ CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected
 
 
 def family_state(family, seed):
-    """A seeded state of one of CERTIFIED_FAMILIES, or a Werner state."""
+    """A seeded state of one of CERTIFIED_FAMILIES, a Werner state, a pure
+    state, or the product state mixture_family(0), which takes no seed."""
     rng = np.random.default_rng(seed)
+    if family == "product":
+        return mixture_family(0.0)
+    if family == "pure":
+        return pure_states(rng, 1)[0]
     if family == "bell_diagonal":
         return turned(bell_diagonal(*bell_diagonal_triples(rng, 1)[0]), rng)
     if family == "werner":
@@ -604,16 +612,18 @@ def dense_start(a, b, r):
 
 class TestGridCertificate:
     """The pruned grid scan: each cell's frustum holds its points, its vertex
-    bound lies below CE, and the scan starts where the full scan does."""
+    bound lies below CE, on both levels, and the scan starts where the full
+    scan does."""
 
     DRAWS = 32  # points drawn per cell
 
-    def test_grid_points_inside_their_frustum(self):
-        inner = _VERTEX_DIRS[:, _CELL_VERTICES[:, :4]]  # corners 00, 01, 10, 11
-        outer = _VERTEX_DIRS[:, _CELL_VERTICES[:, 4:]]
-        points = _GRID_DIRS[:, _CELL_POINTS]
-        c00, c01, c10, c11 = inner.transpose(2, 0, 1)
-        centre = inner.sum(axis=2)
+    @staticmethod
+    def assert_points_inside_frustums(points, dirs, vertices):
+        inner = dirs[:, vertices[:4]]  # corners 00, 01, 10, 11: (3, 4, cells)
+        outer = dirs[:, vertices[4:]]
+        points = _GRID_DIRS[:, points]
+        c00, c01, c10, c11 = inner.transpose(1, 0, 2)
+        centre = inner.sum(axis=1)
         for p, q in ((c00, c01), (c01, c11), (c11, c10), (c10, c00)):
             face = np.cross(p, q, axis=0)
             face /= np.linalg.norm(face, axis=0)
@@ -626,29 +636,59 @@ class TestGridCertificate:
         assert_allclose((normal * c11).sum(axis=0), depth, rtol=0, atol=1e-15)
         assert (np.einsum("ic,icp->cp", normal, points) >= depth[:, None] - 1e-15).all()
         # the outer face lies beyond the unit sphere, parallel to the corners' plane
-        outer_depth = np.einsum("ic,icv->cv", normal, outer)
+        outer_depth = np.einsum("ic,ivc->cv", normal, outer)
         assert_allclose(outer_depth, 1.0 + BOUND_SLACK, rtol=0, atol=1e-15)
         assert (outer_depth > 1.0).all()
 
-    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=70)
-    def test_vertex_bound_below_ce_in_cell(self, family, seed):
+    def test_grid_points_inside_their_frustum(self):
+        self.assert_points_inside_frustums(_CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES)
+
+    def test_coarse_points_inside_their_frustum(self):
+        # a theta edge of a cell bulges off the great circle through its
+        # corners by ~0.004 rad at 16 columns, within the half theta step
+        # (0.016 rad) between a corner row and the nearest points
+        self.assert_points_inside_frustums(_COARSE_POINTS, _COARSE_DIRS, _COARSE_VERTICES)
+
+    def test_fine_bound_reads_the_anchors_and_vertices_of_its_cells(self):
+        # the cells of the coarse cells partition the grid as the coarse cells do
+        assert (np.sort(_FINE_CELLS, axis=None) == np.arange(len(_CELL_POINTS))).all()
+        assert (np.sort(_CELL_POINTS[_FINE_CELLS].reshape(len(_FINE_CELLS), -1), axis=1)
+                == np.sort(_COARSE_POINTS, axis=1)).all()
+        cells = _FINE_CELLS.shape[1]
+        assert (_FINE_DIRS[:, :, :cells] == _BOUND_DIRS[:, _FINE_CELLS].transpose(1, 0, 2)).all()
+        assert (_FINE_DIRS[:, :, _FINE_VERTICES]
+                == _BOUND_DIRS[:, _CELL_VERTICES[:, _FINE_CELLS]].transpose(2, 0, 1, 3)).all()
+        # 4 anchors and the 21 distinct vertices of 2 x 2 cells
+        assert _FINE_DIRS.shape[2] == 25 == len(np.unique(_FINE_VERTICES)) + cells
+
+    def assert_vertex_bound_below_ce(self, family, seed, points, dirs, vertices):
         a, b, r = canonical_stack(family_state(family, seed))
-        w, g = _branches(a, b, r, _VERTEX_DIRS)
-        bound = _branch_entropy(w, g)[0][_CELL_VERTICES].min(axis=1)
+        w, g = _branches(a, b, r, dirs)
+        bound = _branch_entropy(w, g)[0][vertices].min(axis=0)
         outside = (g > w)[0].reshape(2, -1).any(axis=0)
-        certified = np.flatnonzero(~outside[_CELL_VERTICES].any(axis=1))
+        certified = np.flatnonzero(~outside[vertices].any(axis=0))
         # the cell's grid points, and points drawn in the (theta, phi) rectangle
         # they span
-        grid = _ce_many(a, b, r, _GRID_DIRS)[0][_CELL_POINTS[certified]]
-        thetas = _GRID_THETAS[_CELL_POINTS[certified] // PHI_BINS]
-        phis = _GRID_PHIS[_CELL_POINTS[certified] % PHI_BINS]
+        grid = _ce_many(a, b, r, _GRID_DIRS)[0][points[certified]]
+        thetas = _GRID_THETAS[points[certified] // PHI_BINS]
+        phis = _GRID_PHIS[points[certified] % PHI_BINS]
         u, v = np.random.default_rng(seed).uniform(size=(2, certified.size, self.DRAWS))
         drawn = _angle_dirs(thetas.min(axis=1)[:, None] + u * np.ptp(thetas, axis=1)[:, None],
                             phis.min(axis=1)[:, None] + v * np.ptp(phis, axis=1)[:, None])
         sampled = _ce_many(a, b, r, drawn.swapaxes(0, 1).reshape(3, -1))[0]
         sampled = sampled.reshape(certified.size, self.DRAWS)
         assert (bound[certified, None] <= np.concatenate([grid, sampled], axis=1)).all()
+
+    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=70)
+    def test_vertex_bound_below_ce_in_cell(self, family, seed):
+        self.assert_vertex_bound_below_ce(family, seed, _CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES)
+
+    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=70)
+    def test_vertex_bound_below_ce_in_coarse_cell(self, family, seed):
+        self.assert_vertex_bound_below_ce(family, seed, _COARSE_POINTS, _COARSE_DIRS,
+                                          _COARSE_VERTICES)
 
     @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner",))
     def test_pruned_start_equals_dense_scan(self, family):
@@ -658,7 +698,9 @@ class TestGridCertificate:
             assert (start[0], value[0]) == dense_start(a, b, r)
 
     def test_stacked_start_equals_dense_scan_and_state_alone(self):
-        # 58 states, the last chunk of a scatter run, end in a sub-stack of one
+        # 100 states: a stack of 64 takes five coarse bound calls, the last of
+        # 8 states, and the Werner and product states span several calls of
+        # kept cells
         states = [family_state(family, seed) for family in CERTIFIED_FAMILIES + ("werner",)
                   for seed in range(12)]
         states += [mixture_family(0.0)] * 4  # a product state
@@ -672,42 +714,85 @@ class TestGridCertificate:
                 assert start.shape == value.shape == (len(a[k:k + size]),)
                 starts += zip(start.tolist(), value.tolist())
             assert starts == dense
-        assert _GRID_STACK == 3
+        # states per coarse bound call, coarse cells per fine bound call and
+        # cells per call of the kept cells: each call at most 4,608 points
+        assert (_COARSE_STACK, _FINE_BLOCK, _BLOCK_CELLS) == (14, 184, 72)
+
+    @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=12)
+    def test_stack_start_and_report_identities(self, size, seed):
+        # a shuffled stack of any size a pipeline chunk can have
+        families = CERTIFIED_FAMILIES + ("werner", "product", "pure")
+        rng = np.random.default_rng(seed)
+        states = [family_state(families[k], s) for k, s in
+                  zip(rng.integers(len(families), size=size), rng.integers(2 ** 32, size=size))]
+        a, b, r = stacked_canonical(states)
+        start, value = _grid_start(a, b, r)
+        assert list(zip(start.tolist(), value.tolist())) == [
+            dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
+        for report in _discord_reports(np.stack(states)):
+            # the two are sums of the same entropies in different orders, so
+            # where CE is lowest at the MCDM they differ by rounding alone
+            # (rank1 seed 66: the bound reads 5.6e-17 below the discord)
+            assert report.mcdm_discord >= report.discord - 1e-15
+            assert abs(report.discord + report.classical_correlation
+                       - report.mutual_information) <= CLAMP_WINDOW
 
     def test_start_closeness_tolerance_pinned_at_its_boundary(self):
         # of two tied points, one 1e-9 farther from x than the other still
         # counts as closest, and its smaller flat index wins; one double
         # farther, the closer point wins.  The third point, closest to x, is
         # not tied.
-        cells, points = np.array([[0]]), np.array([[9, 4, 2]])
+        cells, points = np.array([0]), np.array([[9, 4, 2]])
         values = np.array([[0.5, 0.5 + GRID_TIE_TOL / 2, 0.7]])
         edge = 0.75 - 1e-9
         for farther, k in ((edge, 1), (np.nextafter(edge, 0.0), 0)):
             closeness = np.array([[0.75, farther, 1.0]])
-            start, value = _start_rule(values, cells, closeness, points)
+            start, value = _start_rule(values, cells, np.array([1]), closeness, points)
             assert start.tolist() == [points[0, k]] and value.tolist() == [values[0, k]]
 
+    @staticmethod
+    def kept_columns(monkeypatch, a, b, r):
+        """Grid points evaluated per state by _grid_start over the stack a, b, r,
+        counted at the calls of the kept cells."""
+        columns = np.zeros(len(a), dtype=int)
+        blocks = np.concatenate([a, b, r.reshape(-1, 9)], axis=1)
+        assert len(np.unique(blocks, axis=0)) == len(a)
+
+        def counted(a_k, b_k, r_k, dirs):
+            if dirs.ndim == 3:  # the kept cells, a state's blocks per cell
+                for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
+                    columns[(blocks == row).all(axis=1)] += dirs.shape[2]
+            return _ce_many(a_k, b_k, r_k, dirs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_ce_many", counted)
+            _grid_start(a, b, r)
+        return columns
+
+    def test_each_state_evaluates_only_its_own_kept_cells(self, monkeypatch):
+        # a pure state keeps every cell; its neighbours evaluate only theirs
+        a, b, r = stacked_canonical([family_state("hs", 5), family_state("pure", 6),
+                                     family_state("hs", 7)])
+        kept = [len(_fine_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1],
+                                *_coarse_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1]))[1])
+                for s in range(3)]
+        assert kept[1] == len(_CELL_POINTS) and max(kept[0], kept[2]) < 30
+        assert (self.kept_columns(monkeypatch, a, b, r) == np.multiply(kept, 64)).all()
+
     def test_pure_state_keeps_every_cell_without_large_temporaries(self, monkeypatch):
-        # off the unit sphere a pure state's g exceeds w, so every cell has an
-        # outer vertex outside the concave domain and the whole grid is
-        # scanned; a Werner state's CE is flat, so every cell's bound ties
+        # off the unit sphere a pure state's g exceeds w, so every cell and
+        # every coarse cell has an outer vertex outside the concave domain and
+        # the whole grid is scanned; a Werner state's CE is flat, so every
+        # cell's bound ties
         a, b, r = canonical_stack(family_state("rank1", 3))
-        w, g = _branches(a, b, r, _VERTEX_DIRS)
-        assert (g > w)[0].reshape(2, -1).any(axis=0)[_CELL_VERTICES].any(axis=1).all()
+        for dirs, vertices in ((_BOUND_DIRS, _CELL_VERTICES), (_COARSE_DIRS, _COARSE_VERTICES)):
+            w, g = _branches(a, b, r, dirs)
+            assert (g > w)[0].reshape(2, -1).any(axis=0)[vertices].any(axis=0).all()
         for states in ([family_state("rank1", 3)], [family_state("rank1", s) for s in range(64)],
                        [family_state("werner", s) for s in range(64)]):
             a, b, r = stacked_canonical(states)
-            columns = []
-
-            def counted(a, b, r, dirs):
-                if dirs.ndim == 3:  # the kept cells, per state
-                    columns.append(dirs.shape[0] * dirs.shape[2])
-                return _ce_many(a, b, r, dirs)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(measures, "_ce_many", counted)
-                _grid_start(a, b, r)
-            assert sum(columns) == len(states) * THETA_BINS * PHI_BINS
+            assert (self.kept_columns(monkeypatch, a, b, r) == THETA_BINS * PHI_BINS).all()
             # pure and Werner states are X-shaped, so _minimize_many settles
             # them on their circle; _sphere_minimum scans the grid
             for solve in (_minimize_many, _sphere_minimum):
@@ -1049,6 +1134,27 @@ class TestZeroDiscord:
             lam1 = decomp.lambda_diag[0]
             if lam1 > 1e-8:  # with vanishing correlations any axis qualifies
                 assert abs(abs(witness @ X) - 1.0) < 1e-8
+
+    def test_vanishing_tolerance_pinned_at_its_boundary(self):
+        # R or a of norm WITNESS_VANISHING_TOL along z vanishes, and the witness
+        # is x; one double more and z is the witness
+        for on_r in (True, False):
+            for norm, witness in ((WITNESS_VANISHING_TOL, X),
+                                  (np.nextafter(WITNESS_VANISHING_TOL, 1.0), Z)):
+                a, r = (np.zeros(3), norm * np.outer(Z, Z)) if on_r else (norm * Z, np.zeros((3, 3)))
+                blocks = BlockDecomposition(a=a, b=np.zeros(3), r=r)
+                np.testing.assert_array_equal(zero_discord_witness(blocks), witness)
+
+    def test_witness_tolerance_pinned_at_its_boundary(self):
+        # for the candidate x, R = diag(1, e, 0) leaves n n^T R - R, and
+        # a = (0, e, 0) leaves n n^T a - a, with one entry of size e
+        for e, found in ((WITNESS_TOL, True), (np.nextafter(WITNESS_TOL, 1.0), False)):
+            for a, r in ((np.zeros(3), np.diag([1.0, e, 0.0])), (e * Y, np.diag([1.0, 0.0, 0.0]))):
+                witness = zero_discord_witness(BlockDecomposition(a=a, b=np.zeros(3), r=r))
+                if found:
+                    np.testing.assert_array_equal(witness, X)
+                else:
+                    assert witness is None
 
     def test_construct_validates(self, rng):
         good = (random_qubit_state(rng), random_qubit_state(rng))

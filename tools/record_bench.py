@@ -10,7 +10,9 @@ any commit that has ``measures._grid_start`` and the chunk functions of
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
   fastest of 7:
   - the grid scan, the refinement with the axis tie-break, and the whole
-    minimizer, on chunks of 64 states and on batches of one;
+    minimizer, on chunks of 64 states and on batches of one; the grid scan
+    also by stage where it has them: the coarse bound, the fine bound, and
+    the kept cells with the start rule;
   - the whole minimizer on the X projections of the same states, which the
     ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
   - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
@@ -63,11 +65,11 @@ def canonical_stack(x_project: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def chunked_and_single(run) -> tuple[list, list]:
-    """The fastest of REPEATS of ``run(first, stop)``, a tuple of seconds, on each
-    chunk of CHUNK states and on each state alone.  The two batch sizes take
-    turns chunk by chunk, so that a slow spell of the machine neither counts
-    nor falls on one side."""
-    inf = (float("inf"), float("inf"))
+    """The fastest of REPEATS of ``run(first, stop)``, a tuple of seconds whose
+    first entry ranks the runs, on each chunk of CHUNK states and on each
+    state alone.  The two batch sizes take turns chunk by chunk, so that a
+    slow spell of the machine neither counts nor falls on one side."""
+    inf = (float("inf"),)
     firsts = range(0, STATES, CHUNK)
     chunked, single = [inf] * len(firsts), [inf] * STATES
     for _ in range(REPEATS):
@@ -78,42 +80,60 @@ def chunked_and_single(run) -> tuple[list, list]:
     return chunked, single
 
 
+# the grid scan and the stages of its bound, as functions of ``measures``
+GRID_STAGES = {"_grid_start": "grid_us", "_coarse_cells": "coarse_bound_us",
+               "_fine_cells": "fine_bound_us"}
+
+
 def stage_times() -> dict:
     """Microseconds per state of the grid, of the rest of the solve (refinement
     and axis tie-break) and of the whole solve, for chunks of CHUNK states
     and for batches of one.  The grid is timed inside the solve, through a
     wrapper around ``measures._grid_start``, which the solve calls once per
     stack of states, or once per state in versions that scan state by state;
-    the wrapper sums the calls of one solve either way."""
+    the wrapper sums the calls of one solve either way.  In versions that
+    bound the grid on two levels, wrappers around ``measures._coarse_cells``
+    and ``measures._fine_cells`` time the coarse and the fine bound, and the
+    rest of the grid is the evaluation of the kept cells and the start rule."""
     a, b, r = canonical_stack(x_project=False)
-    grid_s = [0.0]
-    evaluate = measures._grid_start
+    stages = {name: getattr(measures, name) for name in GRID_STAGES if hasattr(measures, name)}
+    spent = dict.fromkeys(stages, 0.0)
 
-    def timed(*args):
-        start = time.perf_counter()
-        try:
-            return evaluate(*args)
-        finally:
-            grid_s[0] += time.perf_counter() - start
+    def timed(name, function):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return wrapper
 
-    def run(first: int, stop: int) -> tuple[float, float]:
-        grid_s[0] = 0.0
+    def run(first: int, stop: int) -> tuple[float, ...]:
+        for name in spent:
+            spent[name] = 0.0
         start = time.perf_counter()
         measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
-        return time.perf_counter() - start, grid_s[0]
+        return (time.perf_counter() - start, *spent.values())
 
-    measures._grid_start = timed
+    for name, function in stages.items():
+        setattr(measures, name, timed(name, function))
     try:
         chunked, single = chunked_and_single(run)
     finally:
-        measures._grid_start = evaluate
+        for name, function in stages.items():
+            setattr(measures, name, function)
 
-    def stages(best) -> dict:
-        solve_us, grid_us = (1e6 * sum(t[i] for t in best) / STATES for i in (0, 1))
-        return {"grid_us": grid_us, "refine_and_tie_break_us": solve_us - grid_us,
-                "solve_us": solve_us}
+    def per_state(best) -> dict:
+        solve_us, *parts = (1e6 * sum(t[i] for t in best) / STATES for i in range(len(best[0])))
+        record = {GRID_STAGES[name]: us for name, us in zip(stages, parts)}
+        if "coarse_bound_us" in record:
+            record["kept_cells_and_start_us"] = (record["grid_us"] - record["coarse_bound_us"]
+                                                 - record["fine_bound_us"])
+        record["refine_and_tie_break_us"] = solve_us - record["grid_us"]
+        record["solve_us"] = solve_us
+        return record
 
-    return {f"chunks_of_{CHUNK}": stages(chunked), "batches_of_one": stages(single),
+    return {f"chunks_of_{CHUNK}": per_state(chunked), "batches_of_one": per_state(single),
             "states": STATES, "repeats": REPEATS}
 
 
