@@ -313,8 +313,8 @@ _CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES = _cell_geometry(CELL)
 _CELLS, _CELL_SIZE = _CELL_POINTS.shape
 _COARSE_POINTS, _COARSE_DIRS, _COARSE_VERTICES = _cell_geometry(COARSE_CELL)
 _COARSE_CELLS = len(_COARSE_POINTS)
-# the grid cell by cell, (cells, 3, CELL**2), and each point's closeness to x;
-# C order, as the gather alone would store the components innermost
+# the grid cell by cell, (cells, 3, CELL**2), in C order so that each cell's
+# directions are stored row by row, and each point's closeness to x
 _CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS].transpose(1, 0, 2))
 _CELL_CLOSENESS = np.abs(_CELL_DIRS[:, 0])
 # the cells of each coarse cell, in order (coarse cells, 4), and the directions
@@ -378,8 +378,9 @@ def _fine_cells(a: np.ndarray, b: np.ndarray, r: np.ndarray, state: np.ndarray,
                 coarse: np.ndarray, lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells of the coarse cells kept by :func:`_coarse_cells` that can hold
     a grid point within GRID_TIE_TOL of the lowest, as pairs of a state (P,)
-    and a cell (P,) in order of state.  Lowers ``lowest`` to the lowest
-    anchor value of each state's cells."""
+    and a cell (P,) in order of state; every state keeps the cell of its
+    lowest anchor.  Lowers ``lowest`` to the lowest anchor value of each
+    state's cells."""
     anchor = np.empty(len(state))
     bound = np.empty((len(state), _FINE_CELLS.shape[1]))
     for k in range(0, len(state), _FINE_BLOCK):
@@ -442,9 +443,8 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray
     counts = np.bincount(state, minlength=len(a))
     ends = counts.cumsum().tolist()
     start, value = np.empty(len(a), dtype=int), np.empty(len(a))
-    # the values of the pairs from ``held`` on, evaluated while the states
-    # from ``done`` on wait for their last cell; only a state with more than
-    # _BLOCK_CELLS cells spans calls
+    # the values of the pairs from ``held`` on: the cells of the states from
+    # ``done`` on evaluated so far, as a state's cells may straddle calls
     pending, held, done = [], 0, 0
     for k in range(0, len(cells), _BLOCK_CELLS):
         s = state[k:k + _BLOCK_CELLS]
