@@ -269,7 +269,7 @@ _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
 _tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
 _GRID_DIRS = _angle_dirs(_tt, _pp)
 
-# The grid splits into cells of CELL x CELL points, and into coarse cells of
+# The grid splits into cells of any size that divides it, here CELL x CELL and
 # COARSE_CELL x COARSE_CELL points, each numbered row-major in (theta, phi).  A
 # cell's points lie in a frustum with 8 vertices: the cone over the cell's 4
 # corners, half a grid step outside its outermost points on the unit sphere,
@@ -309,50 +309,39 @@ def _cell_geometry(cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, dirs, np.ascontiguousarray(len(points) + vertices.T)
 
 
-_CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES = _cell_geometry(CELL)
-_CELLS, _CELL_SIZE = _CELL_POINTS.shape
-_COARSE_POINTS, _COARSE_DIRS, _COARSE_VERTICES = _cell_geometry(COARSE_CELL)
-_COARSE_CELLS = len(_COARSE_POINTS)
+def _level(parents: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of the grid scan's bound, on the cells of ``cell`` x ``cell``
+    points inside ``parents`` (P, m), blocks of grid points that those cells
+    tile in the same pattern: each parent's cells in order (P, c); the
+    directions of each parent's bound (P, 3, c + V), the c anchors, then the
+    V distinct vertices of its cells; and the columns there of each cell's 8
+    vertices (8, c), the same for every parent."""
+    points, dirs, vertices = _cell_geometry(cell)
+    cell_of = np.empty(_GRID_DIRS.shape[1], dtype=int)
+    cell_of[points] = np.arange(len(points))[:, None]
+    children = np.sort(cell_of[parents], axis=1)[:, ::points.shape[1]]
+    columns = np.sort(np.concatenate(
+        [children, vertices[:, children].transpose(1, 0, 2).reshape(len(parents), -1)],
+        axis=1), axis=1)
+    columns = columns[:, np.concatenate([[True], columns[0, 1:] != columns[0, :-1]])]
+    return (children, np.ascontiguousarray(dirs[:, columns].transpose(1, 0, 2)),
+            np.searchsorted(columns[0], vertices[:, children[0]]))
+
+
+# the bound's levels: the whole grid as one parent of 72 cells of COARSE_CELL x
+# COARSE_CELL points, then each of those as the parent of 4 cells of CELL x CELL
+_LEVELS = (_level(np.arange(_GRID_DIRS.shape[1])[None], COARSE_CELL),
+           _level(_cell_geometry(COARSE_CELL)[0], CELL))
+_CELL_POINTS = _cell_geometry(CELL)[0]
 # the grid cell by cell, (cells, 3, CELL**2), in C order so that each cell's
 # directions are stored row by row, and each point's closeness to x
 _CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS].transpose(1, 0, 2))
 _CELL_CLOSENESS = np.abs(_CELL_DIRS[:, 0])
-# the cells of each coarse cell, in order (coarse cells, 4), and the directions
-# of their bound (coarse cells, 3, 25): their 4 anchors, then their 21 vertices;
-# adjacent cells share vertices in the same pattern in every coarse cell
-_cell_of = np.empty(THETA_BINS * PHI_BINS, dtype=int)
-_cell_of[_CELL_POINTS] = np.arange(_CELLS)[:, None]
-_FINE_CELLS = np.sort(_cell_of[_COARSE_POINTS], axis=1)[:, ::_CELL_SIZE]
-_columns = np.sort(np.concatenate(
-    [_FINE_CELLS, _CELL_VERTICES[:, _FINE_CELLS].transpose(1, 0, 2).reshape(_COARSE_CELLS, -1)],
-    axis=1), axis=1)
-_columns = _columns[:, np.concatenate([[True], _columns[0, 1:] != _columns[0, :-1]])]
-_FINE_DIRS = np.ascontiguousarray(_BOUND_DIRS[:, _columns].transpose(1, 0, 2))
-_FINE_VERTICES = np.searchsorted(_columns[0], _CELL_VERTICES[:, _FINE_CELLS[0]])
-del _cell_of, _columns
-# each call of a level takes at most as many points as one block of grid rows:
-# states per coarse bound call, coarse cells per fine bound call, and cells
-# per call of the kept cells
+# each call takes at most as many points as one block of grid rows: a level
+# takes as many (state, parent) pairs as that allows, and the evaluation of the
+# kept cells as many (state, cell) pairs
 _POINTS_PER_CALL = GRID_BLOCK_ROWS * PHI_BINS
-_COARSE_STACK = _POINTS_PER_CALL // _COARSE_DIRS.shape[1]
-_FINE_BLOCK = _POINTS_PER_CALL // _FINE_DIRS.shape[2]
-_BLOCK_CELLS = _POINTS_PER_CALL // _CELL_SIZE
-
-
-def _cell_bounds(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray,
-                 vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest anchor value (S,) and lowest vertex value (S, cells) on the cells
-    of S states, from CE at ``dirs``, shared (3, cells + V) or per state
-    (S, 3, cells + V), the anchors first, and the vertex columns (8, cells)
-    of each cell.  A vertex outside the concave set reads -inf, so its cells
-    are never skipped."""
-    cells = vertices.shape[1]
-    w, g = _branches(a, b, r, dirs)
-    values = _branch_entropy(w, g)
-    k = values.shape[1]
-    outside = g > w
-    np.copyto(values[:, cells:], -np.inf, where=outside[:, cells:k] | outside[:, k + cells:])
-    return values[:, :cells].min(axis=1), values.take(vertices, axis=1).min(axis=1)
+_BLOCK_CELLS = _POINTS_PER_CALL // _CELL_POINTS.shape[1]
 
 
 # a cell is skipped when its lowest vertex value, less the rounding allowance
@@ -360,37 +349,31 @@ def _cell_bounds(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray,
 _SKIP_MARGIN = GRID_TIE_TOL + BOUND_SLACK
 
 
-def _coarse_cells(a: np.ndarray, b: np.ndarray,
-                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coarse cells of S states that can hold a grid point within
-    GRID_TIE_TOL of the lowest, as pairs of a state (P,) and a coarse cell
-    (P,) in order of state, and each state's lowest coarse anchor value (S,)."""
-    keep = np.empty((len(a), _COARSE_CELLS), dtype=bool)
-    lowest = np.empty(len(a))
-    for s in range(0, len(a), _COARSE_STACK):
-        sub = slice(s, s + _COARSE_STACK)
-        lowest[sub], bound = _cell_bounds(a[sub], b[sub], r[sub], _COARSE_DIRS, _COARSE_VERTICES)
-        keep[sub] = bound <= lowest[sub, None] + _SKIP_MARGIN
-    return (*keep.nonzero(), lowest)
-
-
-def _fine_cells(a: np.ndarray, b: np.ndarray, r: np.ndarray, state: np.ndarray,
-                coarse: np.ndarray, lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the coarse cells kept by :func:`_coarse_cells` that can hold
-    a grid point within GRID_TIE_TOL of the lowest, as pairs of a state (P,)
-    and a cell (P,) in order of state; every state keeps the cell of its
-    lowest anchor.  Lowers ``lowest`` to the lowest anchor value of each
-    state's cells."""
-    anchor = np.empty(len(state))
-    bound = np.empty((len(state), _FINE_CELLS.shape[1]))
-    for k in range(0, len(state), _FINE_BLOCK):
-        block = slice(k, k + _FINE_BLOCK)
+def _kept_cells(a: np.ndarray, b: np.ndarray, r: np.ndarray, state: np.ndarray,
+               parent: np.ndarray, lowest: np.ndarray,
+               level: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``level`` (see :func:`_level`) in the (state, parent) pairs
+    (P,) that can hold a grid point within GRID_TIE_TOL of the lowest, as
+    (state, cell) pairs in order of state.  Lowers ``lowest`` (S,) to the
+    lowest anchor value of each state's cells, so a state keeps the cell of
+    its lowest anchor.  A vertex outside the concave set reads -inf, so its
+    cells are never skipped."""
+    children, dirs, vertices = level
+    cells, k = children.shape[1], dirs.shape[2]
+    size = _POINTS_PER_CALL // k  # pairs per call
+    anchor, bound = np.empty(len(state)), np.empty((len(state), cells))
+    for first in range(0, len(state), size):
+        block = slice(first, first + size)
         s = state[block]
-        anchor[block], bound[block] = _cell_bounds(a[s], b[s], r[s], _FINE_DIRS[coarse[block]],
-                                                   _FINE_VERTICES)
+        w, g = _branches(a[s], b[s], r[s], dirs[parent[block]])
+        values = _branch_entropy(w, g)
+        outside = g > w
+        np.copyto(values[:, cells:], -np.inf, where=outside[:, cells:k] | outside[:, k + cells:])
+        anchor[block] = values[:, :cells].min(axis=1)
+        bound[block] = values.take(vertices, axis=1).min(axis=1)
     np.minimum.at(lowest, state, anchor)
-    pair, fine = (bound <= lowest[state, None] + _SKIP_MARGIN).nonzero()
-    return state[pair], _FINE_CELLS[coarse[pair], fine]
+    pair, child = (bound <= lowest[state, None] + _SKIP_MARGIN).nonzero()
+    return state[pair], children[parent[pair], child]
 
 
 def _start_rule(values: np.ndarray, cells: np.ndarray, counts: np.ndarray,
@@ -430,16 +413,20 @@ def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray
     positivity guard.  A cell is skipped when that bound exceeds the lowest
     anchor value known by more than GRID_TIE_TOL.
 
-    The bound runs on two levels: :func:`_coarse_cells` bounds the 72 coarse
-    cells of 16 x 16 points of every state, and :func:`_fine_cells` the four
-    8 x 8 cells of each coarse cell it keeps.  The kept 8 x 8 cells of all
-    states are then evaluated in full as one list of (state, cell) pairs, in
-    calls of at most _BLOCK_CELLS cells, and :func:`_start_rule` picks the
-    start of each state once its last cell is evaluated.  A stack of one takes
-    the same path, and a state's start and value do not depend on the states
-    beside it.
+    The bound is one rule, :func:`_kept_cells`, applied per level of _LEVELS:
+    every state starts with the whole grid as its one parent, and each level
+    bounds the cells of the parents that the level above kept, the 72 cells
+    of 16 x 16 points, then the four 8 x 8 cells of each kept 16 x 16 cell.
+    The kept 8 x 8 cells of all states are then evaluated in full as one list
+    of (state, cell) pairs, in calls of at most _BLOCK_CELLS cells, and
+    :func:`_start_rule` picks the start of each state once its last cell is
+    evaluated.  A stack of one takes the same path, and a state's start and
+    value do not depend on the states beside it.
     """
-    state, cells = _fine_cells(a, b, r, *_coarse_cells(a, b, r))
+    state, cells = np.arange(len(a)), np.zeros(len(a), dtype=int)
+    lowest = np.full(len(a), np.inf)
+    for level in _LEVELS:
+        state, cells = _kept_cells(a, b, r, state, cells, lowest, level)
     counts = np.bincount(state, minlength=len(a))
     ends = counts.cumsum().tolist()
     start, value = np.empty(len(a), dtype=int), np.empty(len(a))
@@ -743,6 +730,15 @@ def _clamp(value: np.ndarray) -> np.ndarray:
     return np.where((-CLAMP_WINDOW <= value) & (value <= 0.0), 0.0, value)
 
 
+def _discord(mutual: np.ndarray, s_b: np.ndarray, ce: np.ndarray) -> np.ndarray:
+    """The discord formula I - (S_B - CE), each difference clamped, at the
+    conditional entropy CE of a measurement, elementwise.  At the minimum CE
+    it is the discord, and at the MCDM's CE its upper bound: both round
+    alike, and the tie-break gives CE_min <= CE_mcdm, so the bound is never
+    below the discord."""
+    return _clamp(mutual - _clamp(s_b - ce))
+
+
 def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarray, np.ndarray]:
     """Validate ``rho``, one state or a stack (..., 4, 4), once; return its blocks
     and S(rho_A), S(rho_B), S(rho), each of shape (...).
@@ -794,10 +790,9 @@ def _discord_reports(rhos) -> list[DiscordReport]:
     # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
     ce_mcdm = _ce_many(canonical.a, canonical.b, canonical.r, X_AXIS[:, None])[:, 0]
     mutual = _clamp(s_a + s_b - s_ab)
-    classical = _clamp(s_b - ce_min)
     return [DiscordReport(*fields) for fields in zip(
-        mutual.tolist(), classical.tolist(), _clamp(mutual - classical).tolist(),
-        _clamp(s_a - s_ab + ce_mcdm).tolist(),
+        mutual.tolist(), _clamp(s_b - ce_min).tolist(), _discord(mutual, s_b, ce_min).tolist(),
+        _discord(mutual, s_b, ce_mcdm).tolist(),
         hemisphere_representative((o1.swapaxes(-1, -2) @ n_opt[..., None])[..., 0]),
         ce_min.tolist(), ce_mcdm.tolist(), hemisphere_representative(o1[..., 0, :]))]
 
@@ -814,9 +809,9 @@ def mcdm_discord(rho) -> float:
     An upper bound on the quantum discord: the direction is a member of the
     set the true discord minimizes over.
     """
-    blocks, s_a, _, s_ab = _blocks_and_entropies(rho)
-    return float(_clamp(s_a - s_ab + conditional_entropy_closed(canonical_blocks(blocks)[1],
-                                                               X_AXIS)))
+    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rho)
+    return float(_discord(_clamp(s_a + s_b - s_ab), s_b,
+                          conditional_entropy_closed(canonical_blocks(blocks)[1], X_AXIS)))
 
 
 def bell_diagonal_classical_correlation(c) -> float:

@@ -10,6 +10,7 @@ from qdiscord import (SeededGenerator, conditional_entropy_closed,
                       quantum_discord, random_hs_state, reconstruct,
                       state_blocks, su2_from_so3, to_canonical)
 from qdiscord.experiments import ExperimentConfig, _angles_chunk
+from qdiscord.canonical import _DIAGONAL_FAST_PATH_TOL, OFF_DIAGONAL, canonical_rotations
 from qdiscord.measures import X_AXIS
 
 
@@ -47,6 +48,20 @@ class TestToCanonical:
             # the stored unitaries actually produce the canonical state
             rebuilt = conjugate(rho, d.u1, d.u2)
             assert np.max(np.abs(rebuilt - d.canonical_state)) < 1e-12
+
+    @pytest.mark.parametrize("entry", list(zip(*OFF_DIAGONAL.nonzero())))
+    def test_diagonal_fast_path_tolerance_pinned_at_its_boundary(self, entry):
+        # an ordered diagonal with one off-diagonal entry of exactly the
+        # tolerance keeps the identity; one double more goes through the SVD,
+        # whose rotations are not exactly the identity
+        diagonal = [0.5, 0.3, 0.1]
+        for off, fast in ((_DIAGONAL_FAST_PATH_TOL, True),
+                          (np.nextafter(_DIAGONAL_FAST_PATH_TOL, 1.0), False)):
+            lam = np.diag(diagonal)
+            lam[entry] = off
+            o1, o2, s = canonical_rotations(lam)
+            assert s.tolist() == diagonal
+            assert (o1 == np.eye(3)).all() == (o2 == np.eye(3)).all() == fast
 
     def test_rotated_state_same_triple(self, rng):
         for rho in hs_states(43, 20):

@@ -161,7 +161,7 @@ class TestExperimentCommands:
         assert last[2] == pytest.approx(1.0, abs=1e-9)
         for line in lines[1:]:
             q, d, dt = (float(x) for x in line.split(","))
-            assert dt >= d - 1e-12
+            assert dt >= d
 
     def test_scatter_summary(self, tmp_path):
         out = tmp_path / "s.csv"

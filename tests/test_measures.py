@@ -23,16 +23,14 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
 from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.linalg import validated_spectrum
-from qdiscord.measures import (_BLOCK_CELLS, _BOUND_DIRS, _CELL_POINTS, _CELL_VERTICES,
-                               _COARSE_DIRS, _COARSE_POINTS, _COARSE_STACK, _COARSE_VERTICES,
-                               _FINE_BLOCK, _FINE_CELLS, _FINE_DIRS, _FINE_VERTICES, _GRID_DIRS,
-                               _GRID_PHIS, _GRID_THETAS, _TIE_AXES, BOUND_SLACK, CE_FLOOR,
-                               CLAMP_WINDOW, DECREASE_STOP, GRID_BLOCK_ROWS, GRID_TIE_TOL,
-                               MAX_ITERATIONS, PHI_BINS, START_CLOSENESS_TOL, THETA_BINS,
-                               VALUE_TIE_TOL, WITNESS_TOL, WITNESS_VANISHING_TOL, X_CAP,
-                               ZERO_PROBABILITY, _angle_dirs, _axis_ties, _branch_entropy,
-                               _branches, _ce_many, _circle_minimum, _circle_states,
-                               _coarse_cells, _discord_reports, _fine_cells, _grid_start,
+from qdiscord.measures import (_BLOCK_CELLS, _CELL_POINTS, _GRID_DIRS, _GRID_PHIS, _GRID_THETAS,
+                               _LEVELS, _POINTS_PER_CALL, _TIE_AXES, BOUND_SLACK, CE_FLOOR, CELL,
+                               CLAMP_WINDOW, COARSE_CELL, DECREASE_STOP, GRID_BLOCK_ROWS,
+                               GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS, START_CLOSENESS_TOL,
+                               THETA_BINS, VALUE_TIE_TOL, WITNESS_TOL, WITNESS_VANISHING_TOL,
+                               X_CAP, ZERO_PROBABILITY, _angle_dirs, _axis_ties, _branch_entropy,
+                               _branches, _ce_many, _cell_geometry, _circle_minimum,
+                               _circle_states, _discord_reports, _grid_start, _kept_cells,
                                _minimize_many, _newton, _sphere_frame, _sphere_minimum,
                                _start_rule, _tangent_derivatives, _tie_break)
 
@@ -379,7 +377,7 @@ class TestCorrelationMeasures:
             assert r.discord >= 0.0
             assert r.classical_correlation >= 0.0
             assert r.mutual_information >= 0.0
-            assert r.mcdm_discord >= r.discord - 1e-9
+            assert r.mcdm_discord >= r.discord
             bd = state_blocks(rho)
             assert conditional_entropy_closed(bd, r.optimal_direction) == pytest.approx(
                 r.min_conditional_entropy, abs=1e-12)
@@ -438,7 +436,7 @@ class TestMcdmDiscord:
     def test_upper_bound_on_random_states(self):
         for rho in hs_states(89, 100):
             r = quantum_discord(rho)
-            assert r.mcdm_discord >= r.discord - 1e-9
+            assert r.mcdm_discord >= r.discord
 
 
 def turned(rho, rng):
@@ -598,6 +596,20 @@ def stacked_canonical(states):
     return canonical.a, canonical.b, canonical.r
 
 
+# the cell size of each level of _LEVELS
+LEVEL_CELLS = (COARSE_CELL, CELL)
+LEVEL_IDS = [f"{cell}x{cell}" for cell in LEVEL_CELLS]
+
+
+def kept_cells(a, b, r):
+    """The cells that _grid_start evaluates for one state: the level loop of
+    _kept_cells, the whole grid as the state's one parent first."""
+    state, cells, lowest = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.full(1, np.inf)
+    for level in _LEVELS:
+        state, cells = _kept_cells(a, b, r, state, cells, lowest, level)
+    return cells
+
+
 def dense_start(a, b, r):
     """Reference for measures._grid_start: CE at every point of the 96 x 192
     grid, in blocks of GRID_BLOCK_ROWS theta rows, and the same start rule."""
@@ -640,26 +652,33 @@ class TestGridCertificate:
         assert_allclose(outer_depth, 1.0 + BOUND_SLACK, rtol=0, atol=1e-15)
         assert (outer_depth > 1.0).all()
 
-    def test_grid_points_inside_their_frustum(self):
-        self.assert_points_inside_frustums(_CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES)
+    @pytest.mark.parametrize("cell", LEVEL_CELLS, ids=LEVEL_IDS)
+    def test_grid_points_inside_their_frustum(self, cell):
+        # a theta edge of a 16 x 16 cell bulges off the great circle through
+        # its corners by ~0.004 rad, within the half theta step (0.016 rad)
+        # between a corner row and the nearest points
+        self.assert_points_inside_frustums(*_cell_geometry(cell))
 
-    def test_coarse_points_inside_their_frustum(self):
-        # a theta edge of a cell bulges off the great circle through its
-        # corners by ~0.004 rad at 16 columns, within the half theta step
-        # (0.016 rad) between a corner row and the nearest points
-        self.assert_points_inside_frustums(_COARSE_POINTS, _COARSE_DIRS, _COARSE_VERTICES)
-
-    def test_fine_bound_reads_the_anchors_and_vertices_of_its_cells(self):
-        # the cells of the coarse cells partition the grid as the coarse cells do
-        assert (np.sort(_FINE_CELLS, axis=None) == np.arange(len(_CELL_POINTS))).all()
-        assert (np.sort(_CELL_POINTS[_FINE_CELLS].reshape(len(_FINE_CELLS), -1), axis=1)
-                == np.sort(_COARSE_POINTS, axis=1)).all()
-        cells = _FINE_CELLS.shape[1]
-        assert (_FINE_DIRS[:, :, :cells] == _BOUND_DIRS[:, _FINE_CELLS].transpose(1, 0, 2)).all()
-        assert (_FINE_DIRS[:, :, _FINE_VERTICES]
-                == _BOUND_DIRS[:, _CELL_VERTICES[:, _FINE_CELLS]].transpose(2, 0, 1, 3)).all()
-        # 4 anchors and the 21 distinct vertices of 2 x 2 cells
-        assert _FINE_DIRS.shape[2] == 25 == len(np.unique(_FINE_VERTICES)) + cells
+    @pytest.mark.parametrize("depth", range(len(_LEVELS)), ids=LEVEL_IDS)
+    def test_level_bound_reads_the_anchors_and_vertices_of_its_cells(self, depth):
+        children, dirs, vertices = _LEVELS[depth]
+        points, cell_dirs, cell_vertices = _cell_geometry(LEVEL_CELLS[depth])
+        # the parents are the whole grid, then the cells of the level above
+        parents = (_cell_geometry(LEVEL_CELLS[depth - 1])[0] if depth
+                   else np.arange(THETA_BINS * PHI_BINS)[None])
+        # each parent's cells partition its points, and the parents partition
+        # the cells
+        assert (np.sort(children, axis=None) == np.arange(len(points))).all()
+        assert (np.sort(points[children].reshape(len(parents), -1), axis=1)
+                == np.sort(parents, axis=1)).all()
+        cells = children.shape[1]
+        assert (dirs[:, :, :cells] == cell_dirs[:, children].transpose(1, 0, 2)).all()
+        assert (dirs[:, :, vertices]
+                == cell_dirs[:, cell_vertices[:, children]].transpose(2, 0, 1, 3)).all()
+        # the anchors, then each distinct vertex once: 72 anchors and 247
+        # vertices of the whole grid, 4 anchors and 21 vertices of 2 x 2 cells
+        assert dirs.shape[2] == (319, 25)[depth] == len(np.unique(vertices)) + cells
+        assert vertices.min() == cells
 
     def assert_vertex_bound_below_ce(self, family, seed, points, dirs, vertices):
         a, b, r = canonical_stack(family_state(family, seed))
@@ -679,16 +698,11 @@ class TestGridCertificate:
         sampled = sampled.reshape(certified.size, self.DRAWS)
         assert (bound[certified, None] <= np.concatenate([grid, sampled], axis=1)).all()
 
+    @pytest.mark.parametrize("cell", LEVEL_CELLS, ids=LEVEL_IDS)
     @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=70)
-    def test_vertex_bound_below_ce_in_cell(self, family, seed):
-        self.assert_vertex_bound_below_ce(family, seed, _CELL_POINTS, _BOUND_DIRS, _CELL_VERTICES)
-
-    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=70)
-    def test_vertex_bound_below_ce_in_coarse_cell(self, family, seed):
-        self.assert_vertex_bound_below_ce(family, seed, _COARSE_POINTS, _COARSE_DIRS,
-                                          _COARSE_VERTICES)
+    def test_vertex_bound_below_ce_in_cell(self, cell, family, seed):
+        self.assert_vertex_bound_below_ce(family, seed, *_cell_geometry(cell))
 
     @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner",))
     def test_pruned_start_equals_dense_scan(self, family):
@@ -698,9 +712,9 @@ class TestGridCertificate:
             assert (start[0], value[0]) == dense_start(a, b, r)
 
     def test_stacked_start_equals_dense_scan_and_state_alone(self):
-        # 100 states: a stack of 64 takes five coarse bound calls, the last of
-        # 8 states, and the Werner and product states span several calls of
-        # kept cells
+        # 100 states: a stack of 64 takes five calls of the first level, the
+        # last of 8 states, and the Werner and product states span several
+        # calls of kept cells
         states = [family_state(family, seed) for family in CERTIFIED_FAMILIES + ("werner",)
                   for seed in range(12)]
         states += [mixture_family(0.0)] * 4  # a product state
@@ -714,9 +728,10 @@ class TestGridCertificate:
                 assert start.shape == value.shape == (len(a[k:k + size]),)
                 starts += zip(start.tolist(), value.tolist())
             assert starts == dense
-        # states per coarse bound call, coarse cells per fine bound call and
-        # cells per call of the kept cells: each call at most 4,608 points
-        assert (_COARSE_STACK, _FINE_BLOCK, _BLOCK_CELLS) == (14, 184, 72)
+        # (state, parent) pairs per call of each level, the whole grid's first,
+        # and cells per call of the kept cells: each call at most 4,608 points
+        assert tuple(_POINTS_PER_CALL // dirs.shape[2] for _, dirs, _ in _LEVELS) + (
+            _BLOCK_CELLS,) == (14, 184, 72)
 
     @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12)
@@ -731,10 +746,9 @@ class TestGridCertificate:
         assert list(zip(start.tolist(), value.tolist())) == [
             dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
         for report in _discord_reports(np.stack(states)):
-            # the two are sums of the same entropies in different orders, so
-            # where CE is lowest at the MCDM they differ by rounding alone
-            # (rank1 seed 66: the bound reads 5.6e-17 below the discord)
-            assert report.mcdm_discord >= report.discord - 1e-15
+            # the bound is the discord formula at the MCDM, so where CE is
+            # lowest there it equals the discord to the bit (rank1 seed 66)
+            assert report.mcdm_discord >= report.discord
             assert abs(report.discord + report.classical_correlation
                        - report.mutual_information) <= CLAMP_WINDOW
 
@@ -774,19 +788,18 @@ class TestGridCertificate:
         # a pure state keeps every cell; its neighbours evaluate only theirs
         a, b, r = stacked_canonical([family_state("hs", 5), family_state("pure", 6),
                                      family_state("hs", 7)])
-        kept = [len(_fine_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1],
-                                *_coarse_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1]))[1])
-                for s in range(3)]
+        kept = [len(kept_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1])) for s in range(3)]
         assert kept[1] == len(_CELL_POINTS) and max(kept[0], kept[2]) < 30
         assert (self.kept_columns(monkeypatch, a, b, r) == np.multiply(kept, 64)).all()
 
     def test_pure_state_keeps_every_cell_without_large_temporaries(self, monkeypatch):
-        # off the unit sphere a pure state's g exceeds w, so every cell and
-        # every coarse cell has an outer vertex outside the concave domain and
+        # off the unit sphere a pure state's g exceeds w, so every cell of
+        # every level has an outer vertex outside the concave domain and
         # the whole grid is scanned; a Werner state's CE is flat, so every
         # cell's bound ties
         a, b, r = canonical_stack(family_state("rank1", 3))
-        for dirs, vertices in ((_BOUND_DIRS, _CELL_VERTICES), (_COARSE_DIRS, _COARSE_VERTICES)):
+        for cell in LEVEL_CELLS:
+            _, dirs, vertices = _cell_geometry(cell)
             w, g = _branches(a, b, r, dirs)
             assert (g > w)[0].reshape(2, -1).any(axis=0)[vertices].any(axis=0).all()
         for states in ([family_state("rank1", 3)], [family_state("rank1", s) for s in range(64)],

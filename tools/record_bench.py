@@ -11,8 +11,8 @@ any commit that has ``measures._grid_start`` and the chunk functions of
   fastest of 7:
   - the grid scan, the refinement with the axis tie-break, and the whole
     minimizer, on chunks of 64 states and on batches of one; the grid scan
-    also by stage where it has them: the coarse bound, the fine bound, and
-    the kept cells with the start rule;
+    also by stage where it has them: the bound on all its levels, and the
+    kept cells with the start rule;
   - the whole minimizer on the X projections of the same states, which the
     ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
   - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
@@ -80,9 +80,8 @@ def chunked_and_single(run) -> tuple[list, list]:
     return chunked, single
 
 
-# the grid scan and the stages of its bound, as functions of ``measures``
-GRID_STAGES = {"_grid_start": "grid_us", "_coarse_cells": "coarse_bound_us",
-               "_fine_cells": "fine_bound_us"}
+# the grid scan and its bound, as functions of ``measures``
+GRID_STAGES = {"_grid_start": "grid_us", "_kept_cells": "bound_us"}
 
 
 def stage_times() -> dict:
@@ -92,9 +91,9 @@ def stage_times() -> dict:
     wrapper around ``measures._grid_start``, which the solve calls once per
     stack of states, or once per state in versions that scan state by state;
     the wrapper sums the calls of one solve either way.  In versions that
-    bound the grid on two levels, wrappers around ``measures._coarse_cells``
-    and ``measures._fine_cells`` time the coarse and the fine bound, and the
-    rest of the grid is the evaluation of the kept cells and the start rule."""
+    bound the grid level by level, a wrapper around ``measures._kept_cells``
+    times the bound on all levels, and the rest of the grid is the
+    evaluation of the kept cells and the start rule."""
     a, b, r = canonical_stack(x_project=False)
     stages = {name: getattr(measures, name) for name in GRID_STAGES if hasattr(measures, name)}
     spent = dict.fromkeys(stages, 0.0)
@@ -126,9 +125,8 @@ def stage_times() -> dict:
     def per_state(best) -> dict:
         solve_us, *parts = (1e6 * sum(t[i] for t in best) / STATES for i in range(len(best[0])))
         record = {GRID_STAGES[name]: us for name, us in zip(stages, parts)}
-        if "coarse_bound_us" in record:
-            record["kept_cells_and_start_us"] = (record["grid_us"] - record["coarse_bound_us"]
-                                                 - record["fine_bound_us"])
+        if "bound_us" in record:
+            record["kept_cells_and_start_us"] = record["grid_us"] - record["bound_us"]
         record["refine_and_tie_break_us"] = solve_us - record["grid_us"]
         record["solve_us"] = solve_us
         return record
