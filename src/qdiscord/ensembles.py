@@ -38,34 +38,35 @@ class SeededGenerator:
         return rng
 
 
-def _ginibre_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # draw order (real block, then imaginary block) is part of the
-    # reproducibility contract
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    w = (w + w.conj().T) / 2.0
-    return w / np.trace(w).real
+def _ginibre_states(z: np.ndarray) -> np.ndarray:
+    """States G G^dag / Tr(G G^dag) for a stack (S, 2, d, d) of standard normals,
+    each the real parts of G, then its imaginary parts: a draw order that is
+    part of the reproducibility contract."""
+    g = z[:, 0] + 1j * z[:, 1]
+    w = g @ g.conj().swapaxes(-1, -2)
+    w = (w + w.conj().swapaxes(-1, -2)) / 2.0
+    return w / w.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_hs_state(gen: SeededGenerator) -> np.ndarray:
     """Next two-qubit state of the stream, Hilbert-Schmidt distributed."""
-    return _ginibre_state(gen.next_rng(), 4)
+    return _ginibre_states(gen.next_rng().standard_normal((1, 2, 4, 4)))[0]
 
 
-_X_KRAUS_1 = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-_X_KRAUS_2 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
+# the X-shaped entries of a two-qubit operator: the diagonal and the anti-diagonal
+X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+X_MASK.setflags(write=False)
 
 
 def project_x_state(rho) -> np.ndarray:
     """Project a state, or each state of a stack (..., 4, 4), onto the X-shaped
     subspace (diagonal plus anti-diagonal).
 
-    Implemented as the channel E_1 rho E_1 + E_2 rho E_2 with
-    E_1 = diag(1,0,0,1), E_2 = diag(0,1,1,0): trace preserving, positivity
-    preserving, and idempotent.
+    The channel E_1 rho E_1 + E_2 rho E_2 with E_1 = diag(1,0,0,1),
+    E_2 = diag(0,1,1,0), which keeps the X_MASK entries and zeroes the rest:
+    trace preserving, positivity preserving, and idempotent.
     """
-    rho = validate_density_matrix(rho)
-    return _X_KRAUS_1 @ rho @ _X_KRAUS_1 + _X_KRAUS_2 @ rho @ _X_KRAUS_2
+    return np.where(X_MASK, validate_density_matrix(rho), 0.0)
 
 
 _PSI_PRODUCT = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)   # (|00> + |10>)/sqrt2

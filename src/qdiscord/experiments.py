@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .canonical import canonical_blocks
-from .ensembles import SeededGenerator, mixture_family, project_x_state, random_hs_state
+from .ensembles import SeededGenerator, _ginibre_states, mixture_family, project_x_state
 from .fano_bloch import state_blocks
-from .measures import (_discord_reports, _minimize_many, angles_from_direction,
+from .measures import (_discord_reports, _minimize_many, angles_from_directions,
                        direction_from_angles)
 
 
@@ -57,8 +57,13 @@ CHUNK_SIZE = 64
 
 
 def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
-    """Random state k drawn from the substream (seed, k), for each index k, stacked."""
-    return np.stack([random_hs_state(SeededGenerator(config.seed, start=k)) for k in indices])
+    """Random state k drawn from the substream (seed, k), for each index k, stacked:
+    the normals of each index from its substream, then one kernel call for the
+    whole stack, so each state has the bits of its random_hs_state."""
+    z = np.empty((len(indices), 2, 4, 4))
+    for normals, k in zip(z, indices):
+        SeededGenerator(config.seed, start=k).next_rng().standard_normal(out=normals)
+    return _ginibre_states(z)
 
 
 def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> list[tuple]:
@@ -69,7 +74,7 @@ def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> 
         rhos = project_x_state(rhos)
     _, canonical = canonical_blocks(state_blocks(rhos))
     dirs, _ = _minimize_many(canonical.a, canonical.b, canonical.r)
-    return [angles_from_direction(n) for n in dirs]
+    return angles_from_directions(dirs)
 
 
 def _scatter_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:

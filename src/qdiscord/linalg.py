@@ -23,6 +23,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # eigenvalues in [-EIGENVALUE_FLOOR, 0) are treated as rounding noise and clamped to 0
 EIGENVALUE_FLOOR = 1e-10
+# binary_entropy takes |x| up to 1 + BLOCH_LENGTH_TOL as rounding noise of a
+# Bloch-vector length and reads it as 1; anything longer raises
+BLOCH_LENGTH_TOL = 1e-12
 _HALF_PLUS_MINUS = np.array([0.5, -0.5])
 
 
@@ -117,10 +120,10 @@ def binary_entropy(x):
     elementwise for an array.
 
     Even in ``x``; equals 1 at x=0 and 0 at x=+-1.  Inputs beyond
-    |x| = 1 + 1e-12 signal a broken upstream norm computation and raise.
+    |x| = 1 + BLOCH_LENGTH_TOL signal a broken upstream norm computation and raise.
     """
     x = np.asarray(x, dtype=float)
-    beyond = np.abs(x) > 1.0 + 1e-12
+    beyond = np.abs(x) > 1.0 + BLOCH_LENGTH_TOL
     if beyond.any():
         raise ValidationError(f"binary_entropy argument {float(x[beyond][0])!r} outside [-1, 1]")
     x = np.minimum(1.0, np.maximum(-1.0, x))

@@ -89,14 +89,25 @@ GRID_BLOCK_ROWS = 24
 # measurement directions                                                      #
 # --------------------------------------------------------------------------- #
 
+def validate_directions(n) -> np.ndarray:
+    """Return ``n``, a stack (S, 3) of vectors, as floats, checking that each has
+    unit norm.  A stack raises what its first non-unit row raises alone."""
+    v = np.asarray(n, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValidationError(f"expected a stack of 3-vectors, got shape {v.shape}")
+    norm = np.linalg.norm(v, axis=1)
+    off = np.abs(norm - 1.0) > DIRECTION_TOL
+    if off.any():
+        raise ValidationError(f"direction must be a unit vector, |n| = {float(norm[off][0])!r}")
+    return v
+
+
 def validate_direction(n) -> np.ndarray:
     """Return ``n`` as a float 3-vector, checking unit norm."""
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValidationError(f"expected a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > DIRECTION_TOL:
-        raise ValidationError(f"direction must be a unit vector, |n| = {np.linalg.norm(v)!r}")
-    return v
+    return validate_directions(v[None])[0]
 
 
 def direction_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -105,12 +116,18 @@ def direction_from_angles(theta: float, phi: float) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
+def angles_from_directions(n) -> list[tuple[float, float]]:
+    """(theta, phi) of the hemisphere representative of each row of ``n`` (S, 3).
+    The angles are taken row by row with ``math``, whose acos and atan2 can
+    differ from numpy's in the last bit."""
+    return [(math.acos(min(1.0, max(-1.0, z))),
+             math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0)
+            for x, y, z in hemisphere_representative(validate_directions(n)).tolist()]
+
+
 def angles_from_direction(n) -> tuple[float, float]:
     """(theta, phi) of the hemisphere representative of ``n``."""
-    v = hemisphere_representative(validate_direction(n))
-    theta = math.acos(min(1.0, max(-1.0, v[2])))
-    phi = math.atan2(v[1], v[0]) if (v[0] != 0.0 or v[1] != 0.0) else 0.0
-    return theta, phi
+    return angles_from_directions(validate_direction(n)[None])[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -309,14 +326,15 @@ def _cell_geometry(cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, dirs, np.ascontiguousarray(len(points) + vertices.T)
 
 
-def _level(parents: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level of the grid scan's bound, on the cells of ``cell`` x ``cell``
-    points inside ``parents`` (P, m), blocks of grid points that those cells
-    tile in the same pattern: each parent's cells in order (P, c); the
-    directions of each parent's bound (P, 3, c + V), the c anchors, then the
-    V distinct vertices of its cells; and the columns there of each cell's 8
-    vertices (8, c), the same for every parent."""
-    points, dirs, vertices = _cell_geometry(cell)
+def _level(parents: np.ndarray, geometry: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of the grid scan's bound, on the cells of one size, given by
+    their ``geometry`` (see :func:`_cell_geometry`), inside ``parents`` (P, m),
+    blocks of grid points that those cells tile in the same pattern: each
+    parent's cells in order (P, c); the directions of each parent's bound
+    (P, 3, c + V), the c anchors, then the V distinct vertices of its cells;
+    and the columns there of each cell's 8 vertices (8, c), the same for
+    every parent."""
+    points, dirs, vertices = geometry
     cell_of = np.empty(_GRID_DIRS.shape[1], dtype=int)
     cell_of[points] = np.arange(len(points))[:, None]
     children = np.sort(cell_of[parents], axis=1)[:, ::points.shape[1]]
@@ -329,10 +347,15 @@ def _level(parents: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 # the bound's levels: the whole grid as one parent of 72 cells of COARSE_CELL x
-# COARSE_CELL points, then each of those as the parent of 4 cells of CELL x CELL
-_LEVELS = (_level(np.arange(_GRID_DIRS.shape[1])[None], COARSE_CELL),
-           _level(_cell_geometry(COARSE_CELL)[0], CELL))
-_CELL_POINTS = _cell_geometry(CELL)[0]
+# COARSE_CELL points, then each of those as the parent of 4 cells of CELL x CELL.
+# Each cell size's geometry is built once, and only one at a time is held
+_LEVELS, _parents = (), np.arange(_GRID_DIRS.shape[1])[None]
+for _cell in (COARSE_CELL, CELL):
+    _geometry = _cell_geometry(_cell)
+    _LEVELS += (_level(_parents, _geometry),)
+    _parents = _geometry[0]
+_CELL_POINTS = _parents
+del _cell, _geometry, _parents
 # the grid cell by cell, (cells, 3, CELL**2), in C order so that each cell's
 # directions are stored row by row, and each point's closeness to x
 _CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS].transpose(1, 0, 2))

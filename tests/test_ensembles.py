@@ -6,6 +6,7 @@ from qdiscord import (SeededGenerator, ValidationError, correlation_matrix,
                       mixture_family, off_axis_x_state, project_x_state,
                       quantum_discord, random_hs_state,
                       validate_density_matrix)
+from qdiscord.experiments import ExperimentConfig, _hs_states
 
 # locked after a 100,000-sample run: mean 0.47071, standard error 2.1e-4;
 # agrees with the exact Hilbert-Schmidt value 8/17
@@ -60,6 +61,44 @@ class TestRandomHsState:
                 [np.linalg.eigvalsh(random_hs_state(gen)) for _ in range(200)]))
 
         assert_allclose(spectra(SeededGenerator(31)), spectra(SeededGenerator(31)), atol=0)
+
+
+def ginibre_by_blocks(seed, index):
+    """The state at ``index`` of stream ``seed`` as first specified: a (4, 4)
+    block of real parts, then one of imaginary parts, and G G^dag normalized."""
+    rng = np.random.default_rng([seed % 2 ** 64, index])
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w = g @ g.conj().T
+    w = (w + w.conj().T) / 2.0
+    return w / np.trace(w).real
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint8), y.view(np.uint8))
+
+
+class TestStackedDraw:
+    """The draw of a chunk, one stacked kernel call over the normals of each
+    index, reproduces the state of each index alone bit for bit."""
+
+    SEEDS = (0, 7, 2 ** 64 + 5)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("indices", [range(0, 64), range(60, 130), range(127, 129),
+                                         range(190, 330), range(2 ** 32 - 3, 2 ** 32 + 61)],
+                             ids=["chunk", "straddle", "pair", "three_chunks", "index_2_32"])
+    def test_chunk_equals_each_state_alone(self, seed, indices):
+        stacked = _hs_states(ExperimentConfig(seed=seed), indices)
+        alone = np.stack([random_hs_state(SeededGenerator(seed, start=k)) for k in indices])
+        assert same_bits(stacked, alone)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_equals_block_by_block_draw(self, seed):
+        # one draw of 32 normals reads the stream as the two (4, 4) draws do
+        gen = SeededGenerator(seed)
+        for k in [*range(70), 2 ** 32 + 1]:
+            gen.counter = k
+            assert same_bits(random_hs_state(gen), ginibre_by_blocks(seed, k))
 
 
 class TestProjectXState:

@@ -6,7 +6,7 @@ from conftest import bell_psi_plus, random_rotation
 from qdiscord import (PAULIS, NotAStateError, ValidationError, binary_entropy,
                       eigvals_hermitian, partial_trace, su2_from_so3,
                       validate_density_matrix, von_neumann_entropy)
-from qdiscord.linalg import validated_spectrum
+from qdiscord.linalg import BLOCH_LENGTH_TOL, validated_spectrum
 
 # independently computed with 40-digit arithmetic
 H_OF_0P6 = 0.7219280948873623
@@ -214,6 +214,14 @@ class TestBinaryEntropy:
 
     def test_clamps_within_tolerance(self):
         assert binary_entropy(1.0 + 5e-13) == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tolerance_boundary(self, sign):
+        edge = sign * (1.0 + BLOCH_LENGTH_TOL)
+        assert binary_entropy(edge) == 0.0
+        assert (binary_entropy(np.array([0.0, edge])) == [1.0, 0.0]).all()
+        with pytest.raises(ValidationError):
+            binary_entropy(np.nextafter(edge, sign * np.inf))
 
 
 class TestSu2Lift:

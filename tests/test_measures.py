@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,49 @@ class TestDirections:
     def test_rejects_non_unit(self):
         with pytest.raises(ValidationError):
             projectors(np.array([1.0, 1.0, 0.0]))
+
+    # the poles, x = 0 with y above and below 0, and components of -0.0
+    EDGE_DIRECTIONS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+                       (0.0, 0.6, 0.8), (0.0, 0.6, -0.8), (0.0, -0.6, 0.8), (0.0, -0.6, -0.8),
+                       (-0.0, -0.0, 1.0), (-0.0, -0.0, -1.0), (-0.0, 1.0, -0.0),
+                       (-0.0, -1.0, 0.0), (1.0, -0.0, -0.0), (-1.0, 0.0, 0.0),
+                       (-0.6, 0.0, -0.8), (-0.6, -0.0, 0.8), (0.6, -0.0, -0.8)]
+
+    @staticmethod
+    def math_angles(n):
+        """(theta, phi) of one vector, by its own flip rule and math's acos and atan2."""
+        x, y, z = (float(c) for c in n)
+        if x < 0.0 or (x == 0.0 and (y > 0.0 or (y == 0.0 and z < 0.0))):
+            x, y, z = -x, -y, -z
+        x, y, z = x + 0.0, y + 0.0, z + 0.0
+        return (math.acos(min(1.0, max(-1.0, z))),
+                math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0)
+
+    @staticmethod
+    def bits(angles):
+        return [tuple(float(a).hex() for a in pair) for pair in angles]
+
+    def test_stacked_angles_equal_math_per_vector(self, rng):
+        dirs = np.concatenate([self.EDGE_DIRECTIONS,
+                               [random_direction(rng) for _ in range(500)]])
+        expected = self.bits(self.math_angles(n) for n in dirs)
+        assert self.bits(measures.angles_from_directions(dirs)) == expected
+        assert self.bits(angles_from_direction(n) for n in dirs) == expected
+        assert angles_from_direction((0.0, 1.0, 0.0)) == (np.pi / 2, -np.pi / 2)
+        assert self.bits([angles_from_direction((-0.6, 0.0, -0.8))]) == self.bits(
+            [(math.acos(0.8), 0.0)])
+
+    @pytest.mark.parametrize("row", [(1.0, 1.0, 0.0), (0.0, 0.0, 1.0 + 1e-11), (np.inf, 0.0, 0.0)])
+    def test_non_unit_row_in_stack_raises_as_alone(self, rng, row):
+        dirs = np.array([random_direction(rng) for _ in range(8)])
+        dirs[5] = row
+        with pytest.raises(ValidationError) as alone:
+            angles_from_direction(dirs[5])
+        with pytest.raises(ValidationError) as stacked:
+            measures.angles_from_directions(dirs)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValidationError):
+            measures.angles_from_directions(dirs[5])  # a vector is not a stack
 
 
 class TestProjectors:
@@ -479,6 +523,20 @@ def family_state(family, seed):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T / np.linalg.norm(g) ** 2
     return project_x_state(rho) if family == "x_projected" else rho
+
+
+KRAUS_X = (np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex),
+           np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner", "pure", "product"))
+def test_x_projection_equals_kraus_form(family):
+    states = np.stack([family_state(family, seed) for seed in range(16)])
+    kraus = sum(e @ states @ e for e in KRAUS_X)
+    projected = project_x_state(states)
+    assert np.array_equal(projected.view(np.uint8), kraus.view(np.uint8))
+    for rho, expected in zip(states, projected):
+        assert np.array_equal(project_x_state(rho).view(np.uint8), expected.view(np.uint8))
 
 
 class TestSingleSolvePath:

@@ -4,8 +4,13 @@
     PYTHONPATH=src python3 tools/record_bench.py --out BENCH_NAME.json
 
 ``qdiscord`` is imported from ``PYTHONPATH``, so the same script measures
-any commit that has ``measures._grid_start`` and the chunk functions of
-``experiments``.  It reports two levels:
+other commits too: every commit from 96c4b6e ("Run one code path from a
+state to its report for one state or a stack") on, where ``_hs_states``
+returns a stack, ``project_x_state`` takes one, and ``measures`` has
+``_grid_start`` and ``_minimize_many``.  Stages that a commit lacks are left
+out of its record: the bound (``measures._kept_cells``) before d7ec1fd;
+before the stacked angles (``measures.angles_from_directions``) the angles
+are converted one direction at a time.  It reports two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
   fastest of 7:
@@ -16,7 +21,8 @@ any commit that has ``measures._grid_start`` and the chunk functions of
   - the whole minimizer on the X projections of the same states, which the
     ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
   - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
-    pipelines on chunks of 64 indices, from the draw to their rows;
+    pipelines on chunks of 64 indices, from the draw to their rows, and
+    three stages of those chunks: the draw, the X projection and the angles;
   - ``quantum_discord`` of each state, a batch of one;
 - per CLI run, in seconds of wall time: ``table1``, ``histogram`` and
   ``scatter`` at 10,000 samples, seed 7, with 1 worker and with as many
@@ -154,26 +160,39 @@ def xstate_times() -> dict:
 
 def pipeline_times() -> dict:
     """Microseconds per state of each pipeline's chunk function on chunks of
-    CHUNK indices, and of quantum_discord on each state alone; each call's
-    fastest of REPEATS, the calls taking turns as in stage_times."""
+    CHUNK indices, of three of their stages on the same chunks (the draw, the
+    X projection of the drawn stack, and the angles of the minimizer's
+    directions on the X projections), and of quantum_discord on each state
+    alone; each call's fastest of REPEATS, the calls taking turns as in
+    stage_times."""
     config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
+    stacks = [experiments._hs_states(config, chunk) for chunk in chunks]
+    a, b, r = canonical_stack(x_project=True)
+    dirs = [measures._minimize_many(a[c.start:c.stop], b[c.start:c.stop], r[c.start:c.stop])[0]
+            for c in chunks]
+    # versions before the stacked angles convert one direction at a time
+    angles = getattr(measures, "angles_from_directions", None) or (
+        lambda ns: [measures.angles_from_direction(n) for n in ns])
     tasks = {
-        "table1_chunk_us": lambda k: experiments._angles_chunk(config, range(k, k + CHUNK), True),
-        "histogram_chunk_us": lambda k: experiments._angles_chunk(config, range(k, k + CHUNK),
-                                                                  False),
-        "scatter_chunk_us": lambda k: experiments._scatter_chunk(config, range(k, k + CHUNK)),
+        "draw_us": lambda c: experiments._hs_states(config, chunks[c]),
+        "x_project_us": lambda c: project_x_state(stacks[c]),
+        "angles_us": lambda c: angles(dirs[c]),
+        "table1_chunk_us": lambda c: experiments._angles_chunk(config, chunks[c], True),
+        "histogram_chunk_us": lambda c: experiments._angles_chunk(config, chunks[c], False),
+        "scatter_chunk_us": lambda c: experiments._scatter_chunk(config, chunks[c]),
     }
     gen = SeededGenerator(SEED)
     states = [random_hs_state(gen) for _ in range(STATES)]
-    best = {name: [float("inf")] * (STATES // CHUNK) for name in tasks}
+    best = {name: [float("inf")] * len(chunks) for name in tasks}
     single = [float("inf")] * STATES
     for _ in range(REPEATS):
-        for c, first in enumerate(range(0, STATES, CHUNK)):
+        for c, chunk in enumerate(chunks):
             for name, task in tasks.items():
                 start = time.perf_counter()
-                task(first)
+                task(c)
                 best[name][c] = min(best[name][c], time.perf_counter() - start)
-            for k in range(first, first + CHUNK):
+            for k in chunk:
                 start = time.perf_counter()
                 quantum_discord(states[k])
                 single[k] = min(single[k], time.perf_counter() - start)
