@@ -15,6 +15,7 @@ state (including non-finite entries).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,7 +64,11 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, default_samples: int)
                         help="output CSV path (default: stdout); written atomically")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: building it costs more than solving one state.
+    ``parse_args`` leaves it unchanged, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="qdiscord",
         description="Classical correlation, quantum discord, and the "

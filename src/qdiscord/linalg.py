@@ -26,6 +26,8 @@ EIGENVALUE_FLOOR = 1e-10
 # binary_entropy takes |x| up to 1 + BLOCH_LENGTH_TOL as rounding noise of a
 # Bloch-vector length and reads it as 1; anything longer raises
 BLOCH_LENGTH_TOL = 1e-12
+# require_rotation accepts O when no entry of O^T O - I exceeds this in size
+ROTATION_TOL = 1e-12
 _HALF_PLUS_MINUS = np.array([0.5, -0.5])
 
 
@@ -136,7 +138,11 @@ def require_rotation(matrix) -> np.ndarray:
     o = np.asarray(matrix, dtype=float)
     if o.shape != (3, 3):
         raise ValidationError(f"expected a 3x3 matrix, got shape {o.shape}")
-    if np.max(np.abs(o.T @ o - np.eye(3))) > 1e-12:
+    # an inf entry leaves NaN in O^T O, and so does a NaN entry: both fail
+    # this test, written as not <=
+    with np.errstate(invalid="ignore"):
+        residual = np.max(np.abs(o.T @ o - np.eye(3)))
+    if not residual <= ROTATION_TOL:
         raise ValidationError("matrix is not orthogonal within tolerance")
     return o
 

@@ -41,6 +41,8 @@ _TIE_AXES.setflags(write=False)
 X_AXIS = _TIE_AXES[:, 0]
 
 DIRECTION_TOL = 1e-12
+# construct_zero_discord takes outcome probabilities whose sum is within this of 1
+PROBABILITY_SUM_TOL = 1e-12
 # outcomes rarer than this are deterministic-zero; their entropy term is 0
 ZERO_PROBABILITY = 1e-12
 # slack on g <= 1 +- f; a larger excess means the input was not a state
@@ -96,7 +98,8 @@ def validate_directions(n) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValidationError(f"expected a stack of 3-vectors, got shape {v.shape}")
     norm = np.linalg.norm(v, axis=1)
-    off = np.abs(norm - 1.0) > DIRECTION_TOL
+    # not <=, so that a NaN norm is off too
+    off = ~(np.abs(norm - 1.0) <= DIRECTION_TOL)
     if off.any():
         raise ValidationError(f"direction must be a unit vector, |n| = {float(norm[off][0])!r}")
     return v
@@ -197,16 +200,14 @@ def conditional_entropy_direct(rho, n) -> float:
 _TINY = np.finfo(float).tiny
 
 
-def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
-              dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w = 1 +- a.n and g = |b +- R^T n| of S states at the K columns of
-    ``dirs``, shared (3, K) or per state (S, 3, K): (S, 2K) each, the + branch
+def _branch_vectors(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+                    dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = 1 +- a.n (S, 2K) and u = b +- R^T n (S, 3, 2K) of S states at the K
+    columns of ``dirs``, shared (3, K) or per state (S, 3, K), the + branch
     first.
 
     Each state's contractions are the same matrix products as for that state
-    alone, so a value does not depend on the states stacked beside it.  Both
-    branches' vectors u = b +- R^T n share one (S, 3, 2K) array, and g is
-    sqrt((u_x^2 + u_y^2) + u_z^2), the order in which np.linalg.norm sums.
+    alone, so a value does not depend on the states stacked beside it.
     """
     f = (a[:, None, :] @ dirs)[:, 0, :]
     rn = r.swapaxes(1, 2) @ dirs
@@ -217,10 +218,22 @@ def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
     u = np.empty(rn.shape[:2] + (2 * k,))
     np.add(b[:, :, None], rn, out=u[:, :, :k])
     np.subtract(b[:, :, None], rn, out=u[:, :, k:])
-    u *= u
-    g = np.add(u[:, 0], u[:, 1])
-    g += u[:, 2]
-    return w, np.sqrt(g, out=g)
+    return w, u
+
+
+def _lengths(squares: np.ndarray) -> np.ndarray:
+    """|u| = sqrt((u_x^2 + u_y^2) + u_z^2), the order in which np.linalg.norm
+    sums, from the squared components (S, 3, K) of vectors u: (S, K)."""
+    g = np.add(squares[:, 0], squares[:, 1])
+    g += squares[:, 2]
+    return np.sqrt(g, out=g)
+
+
+def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+              dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w and g = |u| of :func:`_branch_vectors`: (S, 2K) each."""
+    w, u = _branch_vectors(a, b, r, dirs)
+    return w, _lengths(np.multiply(u, u, out=u))
 
 
 def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -255,12 +268,17 @@ def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h[:, :k] + h[:, k:]
 
 
+def _require_state(w: np.ndarray, g: np.ndarray) -> None:
+    """Raise ConsistencyError where a live branch has g - w > POSITIVITY_SLACK."""
+    if ((w > ZERO_PROBABILITY) & (g - w > POSITIVITY_SLACK)).any():
+        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
+
+
 def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Closed form for S states on unit vectors ``dirs``, shared (3, K) or per state
     (S, 3, K): both branches in one pass; returns (S, K)."""
     w, g = _branches(a, b, r, dirs)
-    if ((w > ZERO_PROBABILITY) & (g - w > POSITIVITY_SLACK)).any():
-        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
+    _require_state(w, g)
     return _branch_entropy(w, g)
 
 
@@ -283,8 +301,8 @@ def _angle_dirs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 _GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
 _GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
-_tt, _pp = (m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS, indexing="ij"))
-_GRID_DIRS = _angle_dirs(_tt, _pp)
+_GRID_DIRS = _angle_dirs(*(m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS,
+                                                           indexing="ij")))
 
 # The grid splits into cells of any size that divides it, here CELL x CELL and
 # COARSE_CELL x COARSE_CELL points, each numbered row-major in (theta, phi).  A
@@ -480,56 +498,75 @@ _SIGNS = np.array([1.0, -1.0])
 
 
 def _sphere_frame(n: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames (S, 2, 3) at unit vectors n (S, 3): the first two
-    rows of the Householder reflection I - v v^T / (1 + m_z), v = m + z, that
-    takes z to -m, for whichever m of +-n has m_z >= 0."""
+    """Orthonormal tangent rows at unit vectors n (S, 3), then n itself: (S, 3, 3).
+    The tangents are the first two rows of the Householder reflection
+    I - v v^T / (1 + m_z), v = m + z, that takes z to -m, for whichever m of
+    +-n has m_z >= 0."""
     m = n * np.copysign(1.0, n[:, 2:])
     v = m + _EYE[2]
-    return _EYE[:2] - v[:, :2, None] * (v / (1.0 + m[:, 2:]))[:, None]
+    rows = np.empty((len(n), 3, 3))
+    np.subtract(_EYE[:2], v[:, :2, None] * (v / (1.0 + m[:, 2:]))[:, None], out=rows[:, :2])
+    rows[:, 2] = n
+    return rows
 
 
 def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray,
-                         frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient (S, k) and Hessian (S, k, k) of CE on the unit sphere at n (S, 3),
-    in the orthonormal tangent rows ``frame`` (S, k, 3).
+                         frame: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One evaluation at unit vectors n (S, 3): w and g (S, 2) of both branches,
+    as :func:`_branches` gives them, from which :func:`_branch_entropy` gives
+    the closed form's value to the bit; the rows ``frame(n)`` (S, k + 1, 3), k
+    orthonormal tangents and then n; and the gradient (S, k) and Hessian
+    (S, k, k) of CE on the unit sphere in those tangents.
 
     Each branch term is T = (w/2) h(x) with x = g/w, so T_g = h'/2,
     T_w = (h - x h')/2 = (1 - log2(1 - x^2)/2)/2 and T's Hessian in (w, g) is
     h''/(2w) [[x^2, -x], [-x, 1]], where h'(x) = -artanh(x)/ln 2 and
-    h''(x) = -1/(ln 2 (1 - x^2)).  With grad w = +-a, grad g = +-R u for
-    u = (b +- R^T n)/g, and Hess g = R (I - u u^T) R^T / g, the Hessian of CE
+    h''(x) = -1/(ln 2 (1 - x^2)).  With grad w = +-a, grad g = +-R u/g for
+    u = b +- R^T n, and Hess g = R (I - u u^T/g^2) R^T / g, the Hessian of CE
     in space is the sum over the branches of h''/(2w) v v^T
-    + h'/(2g) R (I - u u^T) R^T, v = x a - R u; on the sphere it loses
-    (n . grad CE) I.  Dead branches contribute 0, and x is read as at most
-    X_CAP.
+    + h'/(2g) R (I - u u^T/g^2) R^T, v = x a - R u/g; on the sphere it loses
+    (n . grad CE) I.  The frame rows project a, R and R u/g, and the
+    rank-one terms of both branches are one product.  Dead branches
+    contribute 0, and x is read as at most X_CAP.
     """
-    f = (a * n).sum(axis=1)
-    rn = (r * n[:, :, None]).sum(axis=1)  # R^T n
-    u = b[:, None] + _SIGNS[:, None] * rn[:, None]  # (S, 2, 3)
-    w = 1.0 + _SIGNS * f[:, None]  # (S, 2)
-    g = np.maximum(np.sqrt((u * u).sum(axis=2)), _TINY)
+    rows = frame(n)
+    k = rows.shape[1] - 1
+    w, u = _branch_vectors(a, b, r, n[:, :, None])  # (S, 2), (S, 3, 2)
+    g = _lengths(u * u)
     live = w > ZERO_PROBABILITY
-    w = np.where(live, w, 1.0)
     # half the weight of a live branch, 0 for a dead one
-    half = np.where(live, 0.5, 0.0)
-    x = np.minimum(g / w, X_CAP)
+    half = 0.5 * live
+    w_live = np.where(live, w, 1.0)
+    g_floor = np.maximum(g, _TINY)
+    x = np.minimum(g_floor / w_live, X_CAP)
     artanh = np.arctanh(x)
     gap = (1.0 - x) * (1.0 + x)
+    # T_w and T_g, signed by the branch as grad w and grad g are
     t_w = half * _SIGNS * (1.0 - 0.5 * np.log2(gap))
     t_g = half * _SIGNS * artanh / -_LN2
-    c_vv = half / (-_LN2 * gap * w)  # h''/(2w)
-    c_rr = half * artanh / (-_LN2 * g)  # h'/(2g)
-    unit = u / g[:, :, None]
-    ru = (r[:, None] * unit[:, :, None]).sum(axis=3)  # R u: (S, 2, 3)
-    grad = (t_w[:, :, None] * a[:, None] + t_g[:, :, None] * ru).sum(axis=1)
-    er = (frame[:, :, :, None] * r[:, None]).sum(axis=2)  # rows of frame R: (S, k, 3)
-    eru = (er[:, None] * unit[:, :, None]).sum(axis=3)  # (S, 2, k)
-    ev = x[:, :, None] * (frame * a[:, None]).sum(axis=2)[:, None] - eru
-    hess = ((c_vv[:, :, None, None] * ev[:, :, :, None] * ev[:, :, None]
-             - c_rr[:, :, None, None] * eru[:, :, :, None] * eru[:, :, None]).sum(axis=1)
-            + c_rr.sum(axis=1)[:, None, None] * (er[:, :, None] * er[:, None]).sum(axis=3))
-    hess -= (grad * n).sum(axis=1)[:, None, None] * _EYE[:frame.shape[1], :frame.shape[1]]
-    return (frame * grad[:, None]).sum(axis=2), hess
+    c_rr = half * artanh / (-_LN2 * g_floor)  # h'/(2g)
+    fr = rows @ r  # (S, k + 1, 3)
+    fa = rows @ a[:, :, None]  # (S, k + 1, 1)
+    fru = fr @ (u / g_floor[:, None])  # R u/g along each row: (S, k + 1, 2)
+    grad = fa[:, :, 0] * t_w.sum(axis=1)[:, None] + (fru @ t_g[:, :, None])[:, :, 0]
+    # the columns v of both branches, then R u/g of both, and their weights
+    # h''/(2w) and -h'/(2g)
+    vecs = np.concatenate([x[:, None] * fa[:, :k] - fru[:, :k], fru[:, :k]], axis=2)
+    weights = np.concatenate([half / (-_LN2 * gap * w_live), -c_rr], axis=1)
+    hess = (vecs * weights[:, None]) @ vecs.swapaxes(1, 2)
+    hess += c_rr.sum(axis=1)[:, None, None] * (fr[:, :k] @ fr[:, :k].swapaxes(1, 2))
+    hess -= grad[:, k, None, None] * _EYE[:k, :k]
+    return w, g, rows, grad[:, :k], hess
+
+
+def _lowest_eigenpair(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower eigenvalue (S,) of symmetric 2 x 2 matrices (S, 2, 2) and a unit
+    eigenvector (S, 2) for it, in closed form: H = m I + rho [[cos 2t, sin 2t],
+    [sin 2t, -cos 2t]] has the eigenvalue m - rho along (-sin t, cos t)."""
+    p, q, s = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    half_diff = 0.5 * (p - s)
+    t = 0.5 * np.arctan2(q, half_diff)
+    return 0.5 * (p + s) - np.hypot(half_diff, q), np.stack([-np.sin(t), np.cos(t)], axis=1)
 
 
 def _trust_step(grad: np.ndarray, hess: np.ndarray,
@@ -537,64 +574,102 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     """A step (S, k) no longer than ``radius`` (S,) that lowers the quadratic
     model grad.s + s.hess.s/2, and the decrease (S,) the model predicts for it.
 
-    In the eigenbasis of the Hessian three steps compete: the Newton step,
-    shortened to the radius, when the Hessian is positive definite; the
-    minimum of the model along the gradient within the radius (the Cauchy
-    point); and the step to the radius along the lowest eigenvector, which
-    leaves a saddle point, where the gradient vanishes."""
-    lam, vec = np.linalg.eigh(hess)
-    gt = (vec * grad[:, :, None]).sum(axis=1)
-    definite = lam[:, :1] > 0.0
-    newton = gt / np.where(definite, -lam, -1.0)
-    newton *= radius[:, None] / np.maximum(np.sqrt((newton * newton).sum(axis=1)), radius)[:, None]
-    slope = (gt * gt).sum(axis=1)
-    curvature = (lam * gt * gt).sum(axis=1)
-    # -along * gt is the lowest point of the model on the gradient line within
-    # the radius: along = min(radius/|gt|, |gt|^2/curvature) when that is positive
+    Three steps compete, the first of the lowest model winning: the Newton
+    step, shortened to the radius, when the Hessian is positive definite;
+    the minimum of the model along the gradient within the radius (the
+    Cauchy point); and the step to the radius along the lowest eigenvector,
+    which leaves a saddle point, where the gradient vanishes.  The
+    subproblem is solved in closed form.  On a great circle (k = 1) the rule
+    reduces to the Newton step cut to the radius where the curvature is
+    positive, as that minimizes the model on the whole interval, and
+    elsewhere to the step to the radius downhill, or forward where the slope
+    vanishes, where the Cauchy and the lowest-eigenvector step coincide.  On
+    the sphere (k = 2) the Newton step comes from the adjugate of the
+    Hessian; one that needs no shortening minimizes the model on the whole
+    disc and is taken without the others, which are computed only when some
+    state of the stack needs them, the lowest eigenpair by
+    :func:`_lowest_eigenpair`."""
+    if grad.shape[1] == 1:
+        g, h = grad[:, 0], hess[:, 0, 0]
+        convex = h > 0.0
+        step = np.where(convex, -g / np.where(convex, h, 1.0), np.where(g > 0.0, -radius, radius))
+        np.clip(step, -radius, radius, out=step)
+        return step[:, None], -step * (g + 0.5 * h * step)
+    g0, g1 = grad[:, 0], grad[:, 1]
+    p, q, s = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    det = p * s - q * q
+    definite = (p > 0.0) & (det > 0.0)
+    # -H^-1 grad by the adjugate, then shortened to the radius
+    newton = np.empty_like(grad)
+    inverse = 1.0 / np.where(definite, det, 1.0)
+    np.multiply(q * g1 - s * g0, inverse, out=newton[:, 0])
+    np.multiply(q * g0 - p * g1, inverse, out=newton[:, 1])
+    scale = radius / np.maximum(np.hypot(newton[:, 0], newton[:, 1]), radius)
+    newton *= scale[:, None]
+    newton_model = (g0 * newton[:, 0] + g1 * newton[:, 1]) * (1.0 - 0.5 * scale)
+    whole = definite & (scale == 1.0)
+    if whole.all():
+        return newton, -newton_model
+    newton_model[~definite] = np.inf
+    # -along grad is the lowest point of the model on the gradient line within
+    # the radius: along = min(radius/|grad|, |grad|^2/curvature) when that is
+    # positive
+    slope = g0 * g0 + g1 * g1
+    curvature = p * g0 * g0 + (2.0 * q * g0 + s * g1) * g1
     along = slope / np.maximum(np.maximum(slope * np.sqrt(slope) / radius, curvature), _TINY)
-    lowest = np.zeros_like(gt)
-    lowest[:, 0] = np.where(gt[:, 0] > 0.0, -radius, radius)
-    steps = np.stack([newton, along[:, None] * -gt, lowest], axis=1)  # (S, 3, k)
-    model = (steps * (gt[:, None] + 0.5 * lam[:, None] * steps)).sum(axis=2)
-    model[:, 0] = np.where(definite[:, 0], model[:, 0], np.inf)
-    best = model.argmin(axis=1)
-    rows = np.arange(len(best))
-    return (vec * steps[rows, best][:, None]).sum(axis=2), -model[rows, best]
+    cauchy = along * (0.5 * along * curvature - slope)
+    low, vec = _lowest_eigenpair(hess)
+    g_low = g0 * vec[:, 0] + g1 * vec[:, 1]
+    lowest = np.where(g_low > 0.0, -radius, radius)
+    saddle = lowest * (g_low + 0.5 * low * lowest)
+    take_newton = whole | (newton_model <= np.minimum(cauchy, saddle))
+    take_cauchy = cauchy <= saddle
+    step = np.where(take_newton[:, None], newton,
+                    np.where(take_cauchy[:, None], -along[:, None] * grad, lowest[:, None] * vec))
+    return step, -np.where(take_newton, newton_model, np.where(take_cauchy, cauchy, saddle))
 
 
 def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: np.ndarray,
             frame: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Trust-region Newton refinement of S states from unit vectors n (S, 3) with
-    values (S,), over the tangent rows ``frame(n)`` (S, k, 3) at each point: the
-    whole sphere, or a great circle.
+    values (S,), over the tangent rows of ``frame(n)`` (S, k + 1, 3) at each
+    point: the whole sphere, or a great circle.
 
-    Each iteration takes the :func:`_trust_step` of the exact derivatives
-    and moves along the great circle of that step when CE, evaluated by the
-    closed form, is lower there.  The trust radius, first one grid step,
+    The derivatives are evaluated at the start, and each iteration takes the
+    :func:`_trust_step` of the latest and evaluates CE and its derivatives in
+    one pass (:func:`_tangent_derivatives`) at the end of that step along
+    the great circle.  The state moves there when CE is lower, and otherwise
+    keeps its point and derivatives.  The trust radius, first one grid step,
     shrinks to a quarter of the step when the decrease falls short of a
     quarter of the predicted one, and doubles when the step reached it and
     the decrease exceeded three quarters.  A state leaves once the model
     promises at most DECREASE_STOP or its value is at most CE_FLOOR.
     Returns the directions (S, 3) and values (S,)."""
     best_n, best_value = n.copy(), value.copy()
-    # the arrays below hold the active states only and shrink as states leave
+    # the arrays below hold the active states only and shrink as states leave;
+    # a state's point and value are written back when it leaves
     active = np.flatnonzero(value > CE_FLOOR)
+    if not active.size:
+        return best_n, best_value
     a, b, r, n, value = (x[active] for x in (a, b, r, n, value))
     radius = np.full(active.size, math.pi / THETA_BINS)
+    # the start keeps its given value, whose bits a lone evaluation need not share
+    rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)[2:]
     for _ in range(MAX_ITERATIONS):
-        if not active.size:
-            break
-        tangent = frame(n)
-        step, decrease = _trust_step(*_tangent_derivatives(a, b, r, n, tangent), radius)
-        keep = decrease > DECREASE_STOP
+        step, decrease = _trust_step(grad, hess, radius)
+        keep = (decrease > DECREASE_STOP) & (value > CE_FLOOR)
         if not keep.all():
-            active, a, b, r, n, value, radius, step, decrease, tangent = (
-                x[keep] for x in (active, a, b, r, n, value, radius, step, decrease, tangent))
-            if not active.size:
-                break
-        trial = n + (step[:, :, None] * tangent).sum(axis=1)
+            best_n[active], best_value[active] = n, value
+            if not keep.any():
+                return best_n, best_value
+            active, a, b, r, n, value, radius, rows, grad, hess, step, decrease = (
+                x[keep] for x in (active, a, b, r, n, value, radius, rows, grad, hess, step,
+                                  decrease))
+        trial = n + (step[:, None] @ rows[:, :-1])[:, 0]
         trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
-        trial_value = _ce_many(a, b, r, trial[:, :, None])[:, 0]
+        w, g, trial_rows, trial_grad, trial_hess = _tangent_derivatives(a, b, r, trial, frame)
+        _require_state(w, g)
+        trial_value = _branch_entropy(w, g)[:, 0]
         ratio = (value - trial_value) / decrease
         length = np.sqrt((step * step).sum(axis=1))
         radius = np.where(ratio < 0.25, 0.25 * length,
@@ -602,11 +677,10 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         lower = trial_value < value
         n = np.where(lower[:, None], trial, n)
         value = np.where(lower, trial_value, value)
-        best_n[active], best_value[active] = n, value
-        keep = value > CE_FLOOR
-        if not keep.all():
-            active, a, b, r, n, value, radius = (
-                x[keep] for x in (active, a, b, r, n, value, radius))
+        rows = np.where(lower[:, None, None], trial_rows, rows)
+        grad = np.where(lower[:, None], trial_grad, grad)
+        hess = np.where(lower[:, None, None], trial_hess, hess)
+    best_n[active], best_value[active] = n, value
     return best_n, best_value
 
 
@@ -634,8 +708,13 @@ _CIRCLE_BLOCK = GRID_BLOCK_ROWS * PHI_BINS // _CIRCLE_DIRS.shape[1]
 
 
 def _circle_frame(n: np.ndarray) -> np.ndarray:
-    """Unit tangents (S, 1, 3) of the circle phi = 0 at its points n (S, 3)."""
-    return np.stack([n[:, 2], np.zeros(len(n)), -n[:, 0]], axis=1)[:, None]
+    """The unit tangent of the circle phi = 0 at its points n (S, 3), then n:
+    (S, 2, 3)."""
+    rows = np.zeros((len(n), 2, 3))
+    rows[:, 0, 0] = n[:, 2]
+    np.negative(n[:, 0], out=rows[:, 0, 2])
+    rows[:, 1] = n
+    return rows
 
 
 def _circle_states(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -897,7 +976,7 @@ def construct_zero_discord(probabilities, n, states) -> np.ndarray:
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (2,):
         raise ValidationError(f"expected two probabilities, got shape {p.shape}")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-12:
+    if p.min() < 0.0 or not abs(p.sum() - 1.0) <= PROBABILITY_SUM_TOL:
         raise ValidationError(f"invalid probability pair {p!r}")
     proj_1, proj_2 = projectors(n)
     sigma_1 = validate_density_matrix(states[0])

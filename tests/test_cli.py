@@ -12,7 +12,7 @@ import qdiscord.cli
 import qdiscord.experiments
 from qdiscord import (SeededGenerator, angles_from_direction, format_state, mixture_family,
                       off_axis_x_state, quantum_discord, random_hs_state, reconstruct)
-from qdiscord.cli import main
+from qdiscord.cli import build_parser, main
 from qdiscord.experiments import (ExperimentConfig, bound_scatter,
                                   optimal_direction_clusters,
                                   optimal_direction_histogram, render_csv)
@@ -109,6 +109,37 @@ class TestDiscordCommand:
         with pytest.raises(SystemExit) as err:
             main(["discord", "--bogus"])
         assert err.value.code == 2
+
+
+class TestSharedParser:
+    """One parser serves every call in a process; a call that fails to parse
+    leaves nothing behind that changes a later call."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_failed_calls_do_not_change_later_output(self, tmp_path, capsys):
+        valid = [["discord", write_state(tmp_path, off_axis_x_state()), "--json"],
+                 ["table1", "--samples", "50"]]
+
+        def outputs():
+            result = []
+            for argv in valid:
+                assert main(argv) == 0
+                result.append(capsys.readouterr().out)
+            return result
+
+        build_parser.cache_clear()
+        first = outputs()
+        build_parser.cache_clear()
+        parser = build_parser()
+        for argv in (["discord", "--bogus"], ["table1", "--cluster-tol", "0.6"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+        capsys.readouterr()
+        assert outputs() == first
+        assert build_parser() is parser
 
 
 class TestExperimentCommands:

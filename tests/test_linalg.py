@@ -6,7 +6,7 @@ from conftest import bell_psi_plus, random_rotation
 from qdiscord import (PAULIS, NotAStateError, ValidationError, binary_entropy,
                       eigvals_hermitian, partial_trace, su2_from_so3,
                       validate_density_matrix, von_neumann_entropy)
-from qdiscord.linalg import BLOCH_LENGTH_TOL, validated_spectrum
+from qdiscord.linalg import BLOCH_LENGTH_TOL, ROTATION_TOL, require_rotation, validated_spectrum
 
 # independently computed with 40-digit arithmetic
 H_OF_0P6 = 0.7219280948873623
@@ -222,6 +222,32 @@ class TestBinaryEntropy:
         assert (binary_entropy(np.array([0.0, edge])) == [1.0, 0.0]).all()
         with pytest.raises(ValidationError):
             binary_entropy(np.nextafter(edge, sign * np.inf))
+
+
+class TestRequireRotation:
+    def test_tolerance_pinned_at_its_boundary(self):
+        # O = I + e E_01 leaves exactly e off the diagonal of O^T O - I and
+        # (1 + e^2) - 1 = 0 on it: e = ROTATION_TOL is accepted, the next
+        # double above it is not
+        for e, accepted in ((ROTATION_TOL, True), (np.nextafter(ROTATION_TOL, 1.0), False)):
+            o = np.eye(3)
+            o[0, 1] = e
+            assert np.max(np.abs(o.T @ o - np.eye(3))) == e
+            if accepted:
+                np.testing.assert_array_equal(require_rotation(o), o)
+            else:
+                with pytest.raises(ValidationError):
+                    require_rotation(o)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, entry):
+        # O^T O - I then holds NaN, which compares False with the tolerance
+        o = np.eye(3)
+        o[1, 2] = entry
+        with pytest.raises(ValidationError):
+            require_rotation(o)
+        with pytest.raises(ValidationError):
+            su2_from_so3(o)
 
 
 class TestSu2Lift:

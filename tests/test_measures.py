@@ -27,13 +27,13 @@ from qdiscord.linalg import validated_spectrum
 from qdiscord.measures import (_BLOCK_CELLS, _CELL_POINTS, _GRID_DIRS, _GRID_PHIS, _GRID_THETAS,
                                _LEVELS, _POINTS_PER_CALL, _TIE_AXES, BOUND_SLACK, CE_FLOOR, CELL,
                                CLAMP_WINDOW, COARSE_CELL, DECREASE_STOP, GRID_BLOCK_ROWS,
-                               GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS, START_CLOSENESS_TOL,
-                               THETA_BINS, VALUE_TIE_TOL, WITNESS_TOL, WITNESS_VANISHING_TOL,
-                               X_CAP, ZERO_PROBABILITY, _angle_dirs, _axis_ties, _branch_entropy,
-                               _branches, _ce_many, _cell_geometry, _circle_minimum,
-                               _circle_states, _discord_reports, _grid_start, _kept_cells,
-                               _minimize_many, _newton, _sphere_frame, _sphere_minimum,
-                               _start_rule, _tangent_derivatives, _tie_break)
+                               GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS, PROBABILITY_SUM_TOL,
+                               START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL, WITNESS_TOL,
+                               WITNESS_VANISHING_TOL, X_CAP, ZERO_PROBABILITY, _angle_dirs,
+                               _axis_ties, _branch_entropy, _branches, _ce_many, _cell_geometry,
+                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
+                               _kept_cells, _minimize_many, _newton, _sphere_frame,
+                               _sphere_minimum, _start_rule, _tangent_derivatives, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -107,6 +107,22 @@ class TestDirections:
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(ValidationError):
             measures.angles_from_directions(dirs[5])  # a vector is not a stack
+
+    @pytest.mark.parametrize("row", [(np.nan, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0),
+                                     (0.0, -np.inf, 0.0), (np.nan, np.inf, 0.0)])
+    def test_non_finite_direction_raises(self, rng, row):
+        # a NaN norm compares False with anything, so the unit test must fail
+        # on it rather than pass
+        dirs = np.array([random_direction(rng) for _ in range(4)])
+        dirs[2] = row
+        blocks = state_blocks(hs_states(7, 1)[0])
+        for call in (measures.validate_direction, projectors, angles_from_direction,
+                     lambda n: conditional_entropy_closed(blocks, n)):
+            with pytest.raises(ValidationError):
+                call(np.array(row))
+        for call in (measures.validate_directions, measures.angles_from_directions):
+            with pytest.raises(ValidationError):
+                call(dirs)
 
 
 class TestProjectors:
@@ -1054,6 +1070,112 @@ class TestNewtonRefinement:
         monkeypatch.setattr(measures, "_tangent_derivatives", recorded)
         return calls
 
+    @staticmethod
+    def eigh_trust_step(grad, hess, radius):
+        """Reference for measures._trust_step: the same three candidates in the
+        eigenbasis that np.linalg.eigh gives, stacked, and the first lowest
+        model taken."""
+        lam, vec = np.linalg.eigh(hess)
+        gt = (vec * grad[:, :, None]).sum(axis=1)
+        definite = lam[:, :1] > 0.0
+        newton = gt / np.where(definite, -lam, -1.0)
+        newton *= radius[:, None] / np.maximum(np.linalg.norm(newton, axis=1), radius)[:, None]
+        slope = (gt * gt).sum(axis=1)
+        curvature = (lam * gt * gt).sum(axis=1)
+        along = slope / np.maximum(np.maximum(slope * np.sqrt(slope) / radius, curvature),
+                                   np.finfo(float).tiny)
+        lowest = np.zeros_like(gt)
+        lowest[:, 0] = np.where(gt[:, 0] > 0.0, -radius, radius)
+        steps = np.stack([newton, along[:, None] * -gt, lowest], axis=1)
+        model = (steps * (gt[:, None] + 0.5 * lam[:, None] * steps)).sum(axis=2)
+        model[:, 0] = np.where(definite[:, 0], model[:, 0], np.inf)
+        best = model.argmin(axis=1)
+        rows = np.arange(len(best))
+        return (vec * steps[rows, best][:, None]).sum(axis=2), -model[rows, best]
+
+    @staticmethod
+    def symmetric(rng, count, k):
+        """Symmetric (count, k, k) matrices: random, diagonal, multiples of the
+        identity and singular, at scales from 1e-6 to 1e3."""
+        m = rng.standard_normal((count, k, k))
+        m = m + m.swapaxes(1, 2)
+        m[1::4] *= np.eye(k)
+        m[2::4] = rng.standard_normal((len(m[2::4]), 1, 1)) * np.eye(k)
+        v = rng.standard_normal((len(m[3::4]), k, 1))
+        m[3::4] = v * v.swapaxes(1, 2) * rng.choice([-1.0, 1.0], (len(v), 1, 1))
+        return m * 10.0 ** rng.uniform(-6.0, 3.0, (count, 1, 1))
+
+    def test_lowest_eigenpair_closed_form(self):
+        hess = self.symmetric(np.random.default_rng(20261019), 400, 2)
+        low, vec = measures._lowest_eigenpair(hess)
+        scale = np.abs(hess).max(axis=(1, 2))
+        assert_allclose(low / scale, np.linalg.eigvalsh(hess)[:, 0] / scale, rtol=0, atol=1e-15)
+        assert_allclose(np.linalg.norm(vec, axis=1), 1.0, rtol=1e-15)
+        assert_allclose((hess @ vec[:, :, None])[:, :, 0] / scale[:, None],
+                        vec * (low / scale)[:, None], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trust_step_equals_eigh_reference(self, k):
+        # the closed forms move steps and decreases by rounding only; a zero
+        # gradient is left out, as there the lowest eigenvector's sign, which
+        # eigh fixes by its own convention, picks the step
+        rng = np.random.default_rng(20261020 + k)
+        hess = self.symmetric(rng, 400, k)
+        grad = rng.standard_normal((400, k)) * 10.0 ** rng.uniform(-8.0, 1.0, (400, 1))
+        radius = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        step, decrease = measures._trust_step(grad, hess, radius)
+        ref_step, ref_decrease = self.eigh_trust_step(grad, hess, radius)
+        assert_allclose(step / radius[:, None], ref_step / radius[:, None], rtol=0, atol=1e-12)
+        # relative to the size of the model's terms, which cancel in it
+        terms = np.linalg.norm(grad, axis=1) * radius + np.abs(hess).max(axis=(1, 2)) * radius ** 2
+        assert (np.abs(decrease - ref_decrease) <= 1e-12 * terms).all()
+        assert (np.linalg.norm(step, axis=1) <= radius * (1.0 + 1e-15)).all()
+        # a state's step does not depend on the states beside it, although a
+        # stack whose Newton steps all need no shortening skips the other steps
+        for i in range(0, 400, 7):
+            alone = measures._trust_step(grad[i:i + 1], hess[i:i + 1], radius[i:i + 1])
+            np.testing.assert_array_equal(alone[0][0], step[i])
+            assert alone[1][0] == decrease[i]
+
+    def test_trust_step_leaves_a_saddle_along_the_lowest_eigenvector(self):
+        hess = np.array([[[1.0, 0.0], [0.0, -2.0]], [[-3.0, 1.0], [1.0, -3.0]]])
+        radius = np.array([0.1, 0.2])
+        step, decrease = measures._trust_step(np.zeros((2, 2)), hess, radius)
+        lam, vec = np.linalg.eigh(hess)
+        assert_allclose(np.abs((step[:, None] @ vec[:, :, :1])[:, 0, 0]), radius, rtol=1e-15)
+        assert_allclose(decrease, -0.5 * lam[:, 0] * radius ** 2, rtol=1e-15)
+
+    @pytest.mark.parametrize("family", ["hs", "rank2", "near_pure", "x_projected"])
+    def test_derivatives_equal_finite_differences(self, family):
+        # along the great circle cos(t) n + sin(t) e through n and a tangent e,
+        # CE has the slope e.grad and the curvature e.hess.e at t = 0
+        rng = np.random.default_rng(20261021)
+        for seed in range(6):
+            a, b, r = canonical_stack(family_state(family, seed))
+            n = random_direction(rng)[None]
+            for frame in (_sphere_frame, measures._circle_frame):
+                if frame is measures._circle_frame:
+                    n = np.array([[n[0, 0], 0.0, n[0, 2]]]) / np.hypot(n[0, 0], n[0, 2])
+                w, g, rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)
+                np.testing.assert_array_equal(rows[:, -1], n)
+                tangents = rows[0, :-1]
+                assert_allclose(rows[0] @ rows[0].T, np.eye(len(rows[0])), rtol=0, atol=1e-15)
+                # the value of the evaluation is the closed form's, bit for bit
+                assert _branch_entropy(w, g)[0, 0] == _ce_many(a, b, r, n[:, :, None])[0, 0]
+                h = 1e-4
+                for i, e in enumerate(tangents):
+                    for j, f in enumerate(tangents):
+                        d = (e + f) / np.linalg.norm(e + f)
+                        t = np.array([-h, 0.0, h])
+                        ce = _ce_many(a, b, r, (np.cos(t)[:, None] * n + np.sin(t)[:, None] * d).T)[0]
+                        curvature = (ce[0] - 2.0 * ce[1] + ce[2]) / h ** 2
+                        c = tangents @ d
+                        assert abs(curvature - c @ hess[0] @ c) <= 1e-5 * max(
+                            1.0, np.abs(hess).max())
+                        if i == j:
+                            slope = (ce[2] - ce[0]) / (2.0 * h)
+                            assert abs(slope - grad[0, i]) <= 1e-6 * max(1.0, np.abs(grad).max())
+
     def test_flat_and_pure_states_leave_after_one_evaluation(self, derivative_calls):
         # CE is constant for Werner states, I/4 and product states, and 0 for
         # pure states
@@ -1142,7 +1264,7 @@ class TestNewtonRefinement:
         zeros = np.zeros((1, 3))
         for rho in (X_CAP, np.nextafter(X_CAP, 1.0), 1.0):
             grad, hess = _tangent_derivatives(zeros, zeros, np.diag([rho, 0.0, 0.0])[None], n,
-                                              _sphere_frame(n))
+                                              _sphere_frame)[3:]
             assert (grad == 0.0).all()
             assert_allclose(hess[0] / rho, np.arctanh(X_CAP) / np.log(2.0) * np.eye(2),
                             rtol=1e-14, atol=0)
@@ -1233,6 +1355,27 @@ class TestZeroDiscord:
             construct_zero_discord([0.5, 0.6], Z, good)
         with pytest.raises(ValidationError):
             construct_zero_discord([-0.1, 1.1], Z, good)
+        with pytest.raises(ValidationError):
+            construct_zero_discord([np.nan, 1.0], Z, good)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_probability_sum_tolerance_pinned_at_its_boundary(self, rng, side):
+        # sums near 1 are doubles spaced 2^-52 above 1 and 2^-53 below, so a
+        # sum's deviation from 1 is exact: the sum farthest from 1 within
+        # PROBABILITY_SUM_TOL is accepted, the next double out is not
+        good = (random_qubit_state(rng), random_qubit_state(rng))
+        ulp = np.spacing(1.0) if side > 0 else np.spacing(1.0) / 2
+        inside = 1.0 + side * ulp * math.floor(PROBABILITY_SUM_TOL / ulp)
+        outside = np.nextafter(inside, side * np.inf)
+        assert abs(inside - 1.0) <= PROBABILITY_SUM_TOL < abs(outside - 1.0)
+        for total, accepted in ((inside, True), (outside, False)):
+            p = np.array([0.5, total - 0.5])
+            assert p.sum() == total
+            if accepted:
+                construct_zero_discord(p, Z, good)
+            else:
+                with pytest.raises(ValidationError):
+                    construct_zero_discord(p, Z, good)
 
     def test_construct_trivial_cases(self, rng):
         rho0, rho1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])

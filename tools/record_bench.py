@@ -8,9 +8,11 @@ other commits too: every commit from 96c4b6e ("Run one code path from a
 state to its report for one state or a stack") on, where ``_hs_states``
 returns a stack, ``project_x_state`` takes one, and ``measures`` has
 ``_grid_start`` and ``_minimize_many``.  Stages that a commit lacks are left
-out of its record: the bound (``measures._kept_cells``) before d7ec1fd;
-before the stacked angles (``measures.angles_from_directions``) the angles
-are converted one direction at a time.  It reports two levels:
+out of its record: the bound (``measures._kept_cells``) before d7ec1fd; the
+Newton derivative evaluations (``measures._tangent_derivatives``, one call
+per evaluation for the states it is given) before 034701f; before the
+stacked angles (``measures.angles_from_directions``) the angles are
+converted one direction at a time.  It reports two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
   fastest of 7:
@@ -24,6 +26,11 @@ are converted one direction at a time.  It reports two levels:
     pipelines on chunks of 64 indices, from the draw to their rows, and
     three stages of those chunks: the draw, the X projection and the angles;
   - ``quantum_discord`` of each state, a batch of one;
+  - the mean and the largest number of evaluations of the Newton derivatives
+    per state, on the same states and on their X projections;
+- per call, in microseconds: ``cli.main(["discord", FILE, "--json"])`` in
+  this process on CLI_STATES fixed state files, half of them seed-7
+  Hilbert-Schmidt states and half their X projections, fastest of 7;
 - per CLI run, in seconds of wall time: ``table1``, ``histogram`` and
   ``scatter`` at 10,000 samples, seed 7, with 1 worker and with as many
   workers as this process may use cores.
@@ -39,6 +46,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import subprocess
@@ -48,15 +57,16 @@ import time
 
 import numpy as np
 
-from qdiscord import (SeededGenerator, project_x_state, quantum_discord, random_hs_state,
-                      state_blocks)
-from qdiscord import experiments, measures
+from qdiscord import (SeededGenerator, format_state, project_x_state, quantum_discord,
+                      random_hs_state, state_blocks)
+from qdiscord import cli, experiments, measures
 from qdiscord.canonical import canonical_blocks
 
 CHUNK = 64
 SEED = 7
 STATES = 256
 REPEATS = 7
+CLI_STATES = 8
 SAMPLES = 10000
 COMMANDS = ("table1", "histogram", "scatter")
 
@@ -201,6 +211,63 @@ def pipeline_times() -> dict:
     return record
 
 
+def newton_evaluations() -> dict:
+    """Evaluations of the Newton derivatives per state, mean and largest, on
+    the states of stage_times and on their X projections, each solved alone,
+    counted through a wrapper around ``measures._tangent_derivatives``.  A
+    state's count does not depend on the states solved beside it."""
+    evaluate = getattr(measures, "_tangent_derivatives", None)
+    if evaluate is None:
+        return {}
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    record = {}
+    measures._tangent_derivatives = counted
+    try:
+        for name, x_project in (("hs", False), ("x_projected", True)):
+            a, b, r = canonical_stack(x_project)
+            counts = []
+            for k in range(STATES):
+                calls.clear()
+                measures._minimize_many(a[k:k + 1], b[k:k + 1], r[k:k + 1])
+                counts.append(len(calls))
+            record[f"{name}_mean"] = sum(counts) / STATES
+            record[f"{name}_max"] = max(counts)
+    finally:
+        measures._tangent_derivatives = evaluate
+    return record
+
+
+def cli_call_times() -> dict:
+    """Microseconds per in-process ``cli.main(["discord", FILE, "--json"])``
+    call on CLI_STATES state files, the first CLI_STATES // 2 states of
+    stage_times and their X projections: each file's fastest of REPEATS, the
+    files taking turns, with the output written to a buffer."""
+    gen = SeededGenerator(SEED)
+    states = [random_hs_state(gen) for _ in range(CLI_STATES // 2)]
+    states += [project_x_state(rho) for rho in states]
+    best = [float("inf")] * len(states)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, rho in enumerate(states):
+            paths.append(os.path.join(tmp, f"state{k}.txt"))
+            with open(paths[-1], "w") as fh:
+                fh.write(format_state(rho))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(REPEATS):
+                for k, path in enumerate(paths):
+                    start = time.perf_counter()
+                    cli.main(["discord", path, "--json"])
+                    best[k] = min(best[k], time.perf_counter() - start)
+    half = CLI_STATES // 2
+    return {"hs_us": 1e6 * sum(best[:half]) / half, "x_projected_us": 1e6 * sum(best[half:]) / half,
+            "states": CLI_STATES, "repeats": REPEATS}
+
+
 def usable_cores() -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     return len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -231,6 +298,8 @@ def main(argv=None) -> int:
         "per_state": stage_times(),
         "per_x_projected_state": xstate_times(),
         "pipelines_per_state": pipeline_times(),
+        "newton_evaluations_per_state": newton_evaluations(),
+        "discord_cli_call": cli_call_times(),
         "cli_wall": {"samples": SAMPLES, "seed": SEED, **cli_times()},
     }
     with open(args.out, "w") as fh:
