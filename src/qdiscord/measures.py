@@ -588,7 +588,9 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     Hessian; one that needs no shortening minimizes the model on the whole
     disc and is taken without the others, which are computed only when some
     state of the stack needs them, the lowest eigenpair by
-    :func:`_lowest_eigenpair`."""
+    :func:`_lowest_eigenpair`.  The general rule takes that step too, to the
+    bit; skipping the others matters for a lone state, whose Newton steps on
+    the sphere almost always lie inside the radius."""
     if grad.shape[1] == 1:
         g, h = grad[:, 0], hess[:, 0, 0]
         convex = h > 0.0

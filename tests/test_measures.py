@@ -1115,7 +1115,7 @@ class TestNewtonRefinement:
                         vec * (low / scale)[:, None], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_trust_step_equals_eigh_reference(self, k):
+    def test_trust_step_equals_eigh_reference(self, k, monkeypatch):
         # the closed forms move steps and decreases by rounding only; a zero
         # gradient is left out, as there the lowest eigenvector's sign, which
         # eigh fixes by its own convention, picks the step
@@ -1123,6 +1123,14 @@ class TestNewtonRefinement:
         hess = self.symmetric(rng, 400, k)
         grad = rng.standard_normal((400, k)) * 10.0 ** rng.uniform(-8.0, 1.0, (400, 1))
         radius = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        eigenpairs = []
+        lowest_eigenpair = measures._lowest_eigenpair
+
+        def counted(hess):
+            eigenpairs.append(len(hess))
+            return lowest_eigenpair(hess)
+
+        monkeypatch.setattr(measures, "_lowest_eigenpair", counted)
         step, decrease = measures._trust_step(grad, hess, radius)
         ref_step, ref_decrease = self.eigh_trust_step(grad, hess, radius)
         assert_allclose(step / radius[:, None], ref_step / radius[:, None], rtol=0, atol=1e-12)
@@ -1131,11 +1139,19 @@ class TestNewtonRefinement:
         assert (np.abs(decrease - ref_decrease) <= 1e-12 * terms).all()
         assert (np.linalg.norm(step, axis=1) <= radius * (1.0 + 1e-15)).all()
         # a state's step does not depend on the states beside it, although a
-        # stack whose Newton steps all need no shortening skips the other steps
+        # stack whose Newton steps all need no shortening skips the other
+        # steps: on the sphere the whole stack took the general rule, and
+        # states alone took both it and the whole-disc return
+        assert eigenpairs == ([400] if k == 2 else [])
+        skipped = 0
         for i in range(0, 400, 7):
+            del eigenpairs[:]
             alone = measures._trust_step(grad[i:i + 1], hess[i:i + 1], radius[i:i + 1])
             np.testing.assert_array_equal(alone[0][0], step[i])
             assert alone[1][0] == decrease[i]
+            skipped += not eigenpairs
+        if k == 2:
+            assert 0 < skipped < len(range(0, 400, 7))
 
     def test_trust_step_leaves_a_saddle_along_the_lowest_eigenvector(self):
         hess = np.array([[[1.0, 0.0], [0.0, -2.0]], [[-3.0, 1.0], [1.0, -3.0]]])
