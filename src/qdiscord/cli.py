@@ -33,32 +33,18 @@ EXIT_PARSE = 2
 EXIT_INVALID_STATE = 3
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
-def _cluster_tol(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 0.5:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 0.5]")
-    return value
-
-
 def _bins(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"{text!r} is not of the form TxP, e.g. 100x100")
-    return _positive_int(parts[0]), _positive_int(parts[1])
+    return int(parts[0]), int(parts[1])
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser, default_samples: int) -> None:
-    parser.add_argument("--samples", type=_positive_int, default=default_samples,
+    parser.add_argument("--samples", type=int, default=default_samples,
                         help=f"number of samples (default {default_samples})")
     parser.add_argument("--seed", type=int, default=42, help="stream seed (default 42)")
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; the output does not depend on this")
     parser.add_argument("--out", default=None,
                         help="output CSV path (default: stdout); written atomically")
@@ -81,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="optimal-measurement clusters for random X-states")
     _add_experiment_flags(p, default_samples=10000)
-    p.add_argument("--cluster-tol", type=_cluster_tol, default=0.01,
+    p.add_argument("--cluster-tol", type=float, default=0.01,
                    help="cluster tolerance between axes in units of pi, in (0, 0.5] (default 0.01)")
 
     p = sub.add_parser("histogram", help="optimal-measurement histogram for random states")
@@ -170,10 +156,14 @@ _PIPELINES = {
 
 
 def _cmd_experiment(args) -> int:
-    """Reserve the output file first, then run the pipeline and write its CSV."""
-    extra = {key: getattr(args, key) for key in ("cluster_tol", "bins") if hasattr(args, key)}
-    config = ExperimentConfig(samples=args.samples, seed=args.seed,
-                              workers=args.workers, **extra)
+    """Check the settings, reserve the output file, then run the pipeline and
+    write its CSV.  A setting out of range is a usage error (exit 2)."""
+    keys = ("samples", "seed", "workers", "cluster_tol", "bins")
+    config = ExperimentConfig(**{key: getattr(args, key) for key in keys if hasattr(args, key)})
+    try:
+        config.validate()
+    except ValueError as exc:
+        build_parser().error(str(exc))
     try:
         out = OutputFile(args.out)
     except OSError as exc:

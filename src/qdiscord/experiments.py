@@ -37,14 +37,15 @@ class ExperimentConfig:
     cluster_tol: float = 0.01  # angle between axes, in units of pi; axis angles are <= 1/2
 
     def validate(self) -> "ExperimentConfig":
+        """Return self, or raise ValueError naming the first setting out of range."""
         if self.samples < 1:
-            raise ValueError("samples must be positive")
+            raise ValueError(f"samples must be positive, got {self.samples!r}")
         if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise ValueError(f"workers must be positive, got {self.workers!r}")
         if self.bins[0] < 1 or self.bins[1] < 1:
-            raise ValueError("bins must be positive")
+            raise ValueError(f"bins must be positive, got {self.bins!r}")
         if not 0.0 < self.cluster_tol <= 0.5:
-            raise ValueError("cluster_tol must lie in (0, 0.5]")
+            raise ValueError(f"cluster_tol must lie in (0, 0.5], got {self.cluster_tol!r}")
         return self
 
 
@@ -73,7 +74,7 @@ def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> 
     if x_project:
         rhos = project_x_state(rhos)
     _, canonical = canonical_blocks(state_blocks(rhos))
-    dirs, _ = _minimize_many(canonical.a, canonical.b, canonical.r)
+    dirs = _minimize_many(canonical.a, canonical.b, canonical.r)[0]
     return angles_from_directions(dirs)
 
 
@@ -94,6 +95,7 @@ def _solve(chunk_fn, config: ExperimentConfig, **options) -> list[tuple]:
     concatenated in index order.  Each state's result depends only on its
     index, so neither the chunks nor the fork pool, of at most one worker per
     chunk and per usable core, change the output."""
+    config.validate()
     task = functools.partial(chunk_fn, config, **options)
     chunks = [range(start, min(start + CHUNK_SIZE, config.samples))
               for start in range(0, config.samples, CHUNK_SIZE)]
@@ -127,10 +129,9 @@ def optimal_direction_clusters(config: ExperimentConfig) -> list[tuple[float, fl
     axis angle (tolerance ``cluster_tol`` * pi); each cluster is labelled by
     its first member.
     """
-    config.validate()
     angles = _solve(_angles_chunk, config, x_project=True)
-    tol = config.cluster_tol * math.pi
-    cos_tol = math.cos(tol)
+    # cos(tol * pi), exactly 0 at tol = 1/2, which merges every pair of axes
+    cos_tol = math.sin((0.5 - config.cluster_tol) * math.pi)
     reps: list[np.ndarray] = []
     labels: list[tuple[float, float]] = []
     counts: list[int] = []
@@ -154,7 +155,6 @@ def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, f
     (theta bin lower edge / pi, phi bin lower edge / pi, count), non-empty
     bins only, in bin order.  Counts sum to ``samples``.
     """
-    config.validate()
     angles = _solve(_angles_chunk, config, x_project=False)
     t_bins, p_bins = config.bins
     counts: dict[tuple[int, int], int] = {}
@@ -169,13 +169,11 @@ def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, f
 
 def mixture_curve(config: ExperimentConfig) -> list[tuple[float, float, float]]:
     """(q, discord, upper bound) on a uniform q grid with ``samples`` points."""
-    config.validate()
     return _solve(_mixture_chunk, config)
 
 
 def bound_scatter(config: ExperimentConfig) -> tuple[list[tuple[int, float, float]], float]:
     """(index, discord, upper bound) for random states plus the mean squared gap."""
-    config.validate()
     pairs = _solve(_scatter_chunk, config)
     rows = [(i, d, dt) for i, (d, dt) in enumerate(pairs)]
     mean_sq = math.fsum((dt - d) ** 2 for d, dt in pairs) / len(pairs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAStateError, ValidationError
-from .linalg import PAULIS
+from .linalg import PAULIS, TRACE_TOL
 
 # TAU_BASIS[i, j] = sigma_i x sigma_j
 TAU_BASIS = np.array([[np.kron(p, q) for q in PAULIS] for p in PAULIS])
@@ -48,7 +48,7 @@ def reconstruct(tau) -> np.ndarray:
     t = np.asarray(tau, dtype=float)
     if t.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 tensor, got shape {t.shape}")
-    if abs(t[0, 0] - 1.0) > 1e-12:
+    if abs(t[0, 0] - 1.0) > TRACE_TOL:
         raise ValidationError(f"tau[0,0] is {float(t[0, 0])!r}, expected 1 (unit trace)")
     if np.max(np.abs(t)) > 1.0 + 1e-10:
         raise ValidationError("tau entries must lie in [-1, 1]")

@@ -158,35 +158,17 @@ def su2_from_so3(rotation) -> np.ndarray:
     o = require_rotation(rotation)
     if np.linalg.det(o) < 0.0:
         raise ValidationError("det = -1: reflections have no SU(2) lift")
-
-    t = o[0, 0] + o[1, 1] + o[2, 2]
-    pivots = (t, o[0, 0], o[1, 1], o[2, 2])
-    branch = int(np.argmax(pivots))
-    if branch == 0:
-        r = np.sqrt(1.0 + t)
-        w = 0.5 * r
-        x = (o[2, 1] - o[1, 2]) / (2.0 * r)
-        y = (o[0, 2] - o[2, 0]) / (2.0 * r)
-        z = (o[1, 0] - o[0, 1]) / (2.0 * r)
-    elif branch == 1:
-        r = np.sqrt(1.0 + o[0, 0] - o[1, 1] - o[2, 2])
-        x = 0.5 * r
-        w = (o[2, 1] - o[1, 2]) / (2.0 * r)
-        y = (o[0, 1] + o[1, 0]) / (2.0 * r)
-        z = (o[0, 2] + o[2, 0]) / (2.0 * r)
-    elif branch == 2:
-        r = np.sqrt(1.0 - o[0, 0] + o[1, 1] - o[2, 2])
-        y = 0.5 * r
-        w = (o[0, 2] - o[2, 0]) / (2.0 * r)
-        x = (o[0, 1] + o[1, 0]) / (2.0 * r)
-        z = (o[1, 2] + o[2, 1]) / (2.0 * r)
-    else:
-        r = np.sqrt(1.0 - o[0, 0] - o[1, 1] + o[2, 2])
-        z = 0.5 * r
-        w = (o[1, 0] - o[0, 1]) / (2.0 * r)
-        x = (o[0, 2] + o[2, 0]) / (2.0 * r)
-        y = (o[1, 2] + o[2, 1]) / (2.0 * r)
-
-    q = np.array([w, x, y, z])
+    o00, o11, o22 = o.diagonal()
+    t = o00 + o11 + o22
+    # p[i, j] = 4 q_i q_j of O's quaternion q = (w, x, y, z); pivot on the largest |q_i|
+    p = np.empty((4, 4))
+    p[1:, 1:] = o + o.T
+    p[0, 1:] = p[1:, 0] = o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]
+    np.fill_diagonal(p, (1.0 + t, 1.0 + o00 - o11 - o22,
+                         1.0 - o00 + o11 - o22, 1.0 - o00 - o11 + o22))
+    i = int(np.argmax((t, o00, o11, o22)))
+    r = np.sqrt(p[i, i])
+    q = p[i] / (2.0 * r)
+    q[i] = 0.5 * r
     q /= np.linalg.norm(q)
     return q[0] * SIGMA_0 - 1j * (q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)

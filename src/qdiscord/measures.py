@@ -31,7 +31,7 @@ import numpy as np
 from .canonical import OFF_DIAGONAL, canonical_blocks, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
+from .linalg import (EIGENVALUE_FLOOR, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
                      entropy_bits, partial_trace, validate_density_matrix,
                      validated_spectrum, von_neumann_entropy)
 
@@ -696,7 +696,9 @@ def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
 
 # X-shaped blocks have R's off-diagonal entries and the components of a and b
 # off one axis at most this; the canonical rotation leaves up to 3.3e-14 of
-# rounding noise there (seen on pure states)
+# rounding noise there (seen on pure states).  Not merged with
+# canonical._DIAGONAL_FAST_PATH_TOL: that bounds Lambda in the input frame and
+# decides the SVD, this the canonical blocks and decides the grid
 X_SHAPE_TOL = 1e-13
 # per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
 # in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
@@ -705,8 +707,8 @@ _CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 # sin(theta), so theta runs from 0 to pi/2
 _CIRCLE_DIRS = np.ascontiguousarray(
     _GRID_DIRS[:, PHI_BINS // 2::PHI_BINS][:, :THETA_BINS // 2 + 1])
-# states per circle grid call, as many points as a block of grid rows
-_CIRCLE_BLOCK = GRID_BLOCK_ROWS * PHI_BINS // _CIRCLE_DIRS.shape[1]
+# states per circle grid call, as many points as a grid call
+_CIRCLE_BLOCK = _POINTS_PER_CALL // _CIRCLE_DIRS.shape[1]
 
 
 def _circle_frame(n: np.ndarray) -> np.ndarray:
@@ -769,11 +771,12 @@ def _tie_break(n: np.ndarray, value: np.ndarray,
     return n, value
 
 
-def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _minimize_many(a: np.ndarray, b: np.ndarray,
+                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimizing directions (S, 3) and minima (S,) of CE for the stacked blocks
     a (S, 3), b (S, 3), R (S, 3, 3) of :func:`canonical_blocks`, whose x axis is
-    the MCDM; the directions are not hemisphere representatives.  Each state's
-    result is the same for any S.
+    the MCDM, and CE (S, 3) on the axes x, y, z; the directions are not
+    hemisphere representatives.  Each state's result is the same for any S.
 
     X-shaped states whose minimum on their great circle ties an axis are
     settled there; every other state takes :func:`_sphere_minimum`.  The
@@ -792,7 +795,7 @@ def _minimize_many(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndar
         n, value = _sphere_minimum(a, b, r)
     elif sphere.any():
         n[sphere], value[sphere] = _sphere_minimum(a[sphere], b[sphere], r[sphere])
-    return _tie_break(n, value, axis_values)
+    return (*_tie_break(n, value, axis_values), axis_values)
 
 
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
@@ -890,9 +893,9 @@ def _discord_reports(rhos) -> list[DiscordReport]:
     per stage for all of them."""
     blocks, s_a, s_b, s_ab = _blocks_and_entropies(rhos)
     o1, canonical = canonical_blocks(blocks)
-    n_opt, ce_min = _minimize_many(canonical.a, canonical.b, canonical.r)
-    # the MCDM is the first tie-break axis, so ce_min <= ce_mcdm
-    ce_mcdm = _ce_many(canonical.a, canonical.b, canonical.r, X_AXIS[:, None])[:, 0]
+    n_opt, ce_min, axis_values = _minimize_many(canonical.a, canonical.b, canonical.r)
+    # CE at the MCDM, the first tie-break axis, so ce_min <= ce_mcdm
+    ce_mcdm = axis_values[:, 0]
     mutual = _clamp(s_a + s_b - s_ab)
     return [DiscordReport(*fields) for fields in zip(
         mutual.tolist(), _clamp(s_b - ce_min).tolist(), _discord(mutual, s_b, ce_min).tolist(),
@@ -930,7 +933,7 @@ def bell_diagonal_classical_correlation(c) -> float:
     c1, c2, c3 = cv
     eigs = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3,
                      1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4.0
-    if eigs.min() < -1e-10:
+    if eigs.min() < -EIGENVALUE_FLOOR:
         raise ValidationError(f"coefficients {cv!r} do not give a positive state")
     x = float(np.max(np.abs(cv)))
     x = min(x, 1.0)

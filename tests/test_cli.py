@@ -334,14 +334,25 @@ class TestOutputPath:
         assert out.stat().st_mode & 0o777 == 0o644
 
 
-class TestClusterTolerance:
-    # axis angles lie in [0, pi/2], so tolerances above 1/2 are refused
-    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf", "0.51", "2"])
-    def test_bad_value_exits_2(self, value, capsys):
+class TestSettingRanges:
+    """ExperimentConfig.validate is the one range check of the run settings: a
+    setting out of range is a usage error that names it, raised before the
+    output file is reserved."""
+
+    # axis angles lie in [0, pi/2], so cluster tolerances above 1/2 are refused
+    @pytest.mark.parametrize("argv, setting", [
+        (["table1", "--samples", "0"], "samples"),
+        (["scatter", "--workers", "0"], "workers"),
+        (["histogram", "--bins", "0x5"], "bins"),
+    ] + [(["table1", f"--cluster-tol={value}"], "cluster_tol")
+         for value in ("0", "-0.01", "nan", "inf", "0.51", "0.6", "2")])
+    def test_out_of_range_exits_2_before_reserving_out(self, tmp_path, capsys, argv, setting):
         with pytest.raises(SystemExit) as err:
-            main(["table1", "--samples", "5", f"--cluster-tol={value}"])
+            main(argv + ["--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and setting in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPipelineHelpers:
@@ -350,6 +361,20 @@ class TestPipelineHelpers:
             ExperimentConfig(samples=30, seed=7, cluster_tol=0.5))
         assert len(rows) == 1
         assert rows[0][2] == 100.0
+
+    def test_half_tolerance_merges_perpendicular_off_axis_directions(self, monkeypatch):
+        # axis angles never exceed pi/2, so cluster_tol = 1/2 merges every
+        # pair, also one whose dot product rounds to either side of 0
+        rng = np.random.default_rng(20261019)
+        first = np.array([0.6, 0.48, 0.64])
+        u, v = np.linalg.svd(first[None])[2][1:]  # an orthonormal basis of first's plane
+        turns = rng.uniform(0.0, 2.0 * math.pi, 400)
+        angles = [angles_from_direction(first)] + [
+            angles_from_direction(math.cos(t) * u + math.sin(t) * v) for t in turns]
+        monkeypatch.setattr(qdiscord.experiments, "_solve",
+                            lambda chunk_fn, config, **options: angles)
+        rows = optimal_direction_clusters(ExperimentConfig(samples=len(angles), cluster_tol=0.5))
+        assert rows == [(angles[0][0] / math.pi, angles[0][1] / math.pi, 100.0)]
 
     def test_render_csv_format(self):
         text = render_csv(("a", "b"), [(0.5, 1), (1 / 3, 2)])
@@ -374,6 +399,8 @@ class TestPipelineHelpers:
             ExperimentConfig(samples=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0).validate()
+        with pytest.raises(ValueError):
+            ExperimentConfig(bins=(0, 5)).validate()
         for tol in (0.0, -0.01, float("nan"), float("inf"), 0.51, 2.0):
             with pytest.raises(ValueError):
                 ExperimentConfig(cluster_tol=tol).validate()

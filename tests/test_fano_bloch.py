@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from qdiscord import (NotAStateError, ValidationError, blocks,
                       correlation_matrix, decompose, off_axis_x_state,
                       reconstruct, state_blocks, su2_from_so3)
 from conftest import random_rotation
+from qdiscord.linalg import TRACE_TOL
 
 # direct decimal arithmetic on the printed entries
 A3_REFERENCE = -0.5934
@@ -67,6 +70,22 @@ class TestReconstruct:
     def test_rejects_bad_trace(self):
         tau = np.zeros((4, 4))
         tau[0, 0] = 0.5
+        with pytest.raises(ValidationError):
+            reconstruct(tau)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_trace_tolerance_pinned_at_its_boundary(self, side):
+        # tau[0, 0] near 1 lies on doubles spaced 2^-52 above 1 and 2^-53
+        # below, so its deviation from 1 is exact: the farthest from 1 within
+        # TRACE_TOL is accepted, the next double out is not
+        ulp = np.spacing(1.0) if side > 0 else np.spacing(1.0) / 2
+        inside = 1.0 + side * ulp * math.floor(TRACE_TOL / ulp)
+        outside = np.nextafter(inside, side * np.inf)
+        assert abs(inside - 1.0) <= TRACE_TOL < abs(outside - 1.0)
+        tau = np.zeros((4, 4))
+        tau[0, 0] = inside
+        assert_allclose(reconstruct(tau), np.eye(4) / 4, atol=1e-12)
+        tau[0, 0] = outside
         with pytest.raises(ValidationError):
             reconstruct(tau)
 

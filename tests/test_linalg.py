@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import bell_psi_plus, random_rotation
-from qdiscord import (PAULIS, NotAStateError, ValidationError, binary_entropy,
-                      eigvals_hermitian, partial_trace, su2_from_so3,
-                      validate_density_matrix, von_neumann_entropy)
+from qdiscord import (PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, NotAStateError,
+                      ValidationError, binary_entropy, eigvals_hermitian, partial_trace,
+                      su2_from_so3, validate_density_matrix, von_neumann_entropy)
 from qdiscord.linalg import BLOCH_LENGTH_TOL, ROTATION_TOL, require_rotation, validated_spectrum
 
 # independently computed with 40-digit arithmetic
@@ -295,3 +297,71 @@ class TestSu2Lift:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValidationError):
             su2_from_so3(np.eye(3) * 1.1)
+
+    def test_table_equals_four_branch_extraction(self):
+        rng = np.random.default_rng(20261019)
+        rotations = [random_rotation(rng) for _ in range(2000)]
+        # within 1e-7 of pi about each axis, each case on its own branch, and
+        # within 1e-7 of the identity
+        for axis in np.eye(3):
+            for _ in range(100):
+                tilted = axis + 1e-8 * rng.standard_normal(3)
+                rotations.append(axis_rotation(tilted, math.pi - rng.uniform(0.0, 1e-7)))
+        rotations += [axis_rotation(rng.standard_normal(3), rng.uniform(0.0, 1e-7))
+                      for _ in range(100)]
+        # exact ties between the pivots (t, O00, O11, O22): t = O00; O00 = O11;
+        # O00 = O11 = O22; all four
+        rotations += [axis_rotation(np.eye(3)[0], math.pi / 2),
+                      np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+                      axis_rotation(np.ones(3), math.pi),
+                      np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                      np.eye(3)]
+        branches = set()
+        for o in rotations:
+            branch, u = four_branch_lift(o)
+            branches.add(branch)
+            assert np.array_equal(su2_from_so3(o).view(np.uint8), u.view(np.uint8))
+        assert branches == {0, 1, 2, 3}
+
+
+def axis_rotation(axis, angle):
+    """Rotation by ``angle`` about ``axis`` (Rodrigues' formula)."""
+    x, y, z = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def four_branch_lift(rotation):
+    """The pivot branch and SU(2) lift of a rotation by the largest-pivot
+    quaternion extraction written out branch by branch: the reference for
+    su2_from_so3."""
+    o = require_rotation(rotation)
+    t = o[0, 0] + o[1, 1] + o[2, 2]
+    branch = int(np.argmax((t, o[0, 0], o[1, 1], o[2, 2])))
+    if branch == 0:
+        r = np.sqrt(1.0 + t)
+        w = 0.5 * r
+        x = (o[2, 1] - o[1, 2]) / (2.0 * r)
+        y = (o[0, 2] - o[2, 0]) / (2.0 * r)
+        z = (o[1, 0] - o[0, 1]) / (2.0 * r)
+    elif branch == 1:
+        r = np.sqrt(1.0 + o[0, 0] - o[1, 1] - o[2, 2])
+        x = 0.5 * r
+        w = (o[2, 1] - o[1, 2]) / (2.0 * r)
+        y = (o[0, 1] + o[1, 0]) / (2.0 * r)
+        z = (o[0, 2] + o[2, 0]) / (2.0 * r)
+    elif branch == 2:
+        r = np.sqrt(1.0 - o[0, 0] + o[1, 1] - o[2, 2])
+        y = 0.5 * r
+        w = (o[0, 2] - o[2, 0]) / (2.0 * r)
+        x = (o[0, 1] + o[1, 0]) / (2.0 * r)
+        z = (o[1, 2] + o[2, 1]) / (2.0 * r)
+    else:
+        r = np.sqrt(1.0 - o[0, 0] - o[1, 1] + o[2, 2])
+        z = 0.5 * r
+        w = (o[1, 0] - o[0, 1]) / (2.0 * r)
+        x = (o[0, 2] + o[2, 0]) / (2.0 * r)
+        y = (o[1, 2] + o[2, 1]) / (2.0 * r)
+    q = np.array([w, x, y, z])
+    q /= np.linalg.norm(q)
+    return branch, q[0] * SIGMA_0 - 1j * (q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)

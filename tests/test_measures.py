@@ -23,16 +23,16 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
                       von_neumann_entropy, zero_discord_witness)
 from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
-from qdiscord.linalg import validated_spectrum
-from qdiscord.measures import (_BLOCK_CELLS, _CELL_POINTS, _GRID_DIRS, _GRID_PHIS, _GRID_THETAS,
-                               _LEVELS, _POINTS_PER_CALL, _TIE_AXES, BOUND_SLACK, CE_FLOOR, CELL,
-                               CLAMP_WINDOW, COARSE_CELL, DECREASE_STOP, GRID_BLOCK_ROWS,
-                               GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS, PROBABILITY_SUM_TOL,
-                               START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL, WITNESS_TOL,
-                               WITNESS_VANISHING_TOL, X_CAP, ZERO_PROBABILITY, _angle_dirs,
-                               _axis_ties, _branch_entropy, _branches, _ce_many, _cell_geometry,
-                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
-                               _kept_cells, _minimize_many, _newton, _sphere_frame,
+from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
+from qdiscord.measures import (_BLOCK_CELLS, _CELL_POINTS, _CIRCLE_BLOCK, _GRID_DIRS, _GRID_PHIS,
+                               _GRID_THETAS, _LEVELS, _POINTS_PER_CALL, _TIE_AXES, BOUND_SLACK,
+                               CE_FLOOR, CELL, CLAMP_WINDOW, COARSE_CELL, DECREASE_STOP,
+                               GRID_BLOCK_ROWS, GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS,
+                               PROBABILITY_SUM_TOL, START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL,
+                               WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
+                               _angle_dirs, _axis_ties, _branch_entropy, _branches, _ce_many,
+                               _cell_geometry, _circle_minimum, _circle_states, _discord_reports,
+                               _grid_start, _kept_cells, _minimize_many, _newton, _sphere_frame,
                                _sphere_minimum, _start_rule, _tangent_derivatives, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
@@ -460,6 +460,13 @@ class TestBellDiagonalOracle:
         with pytest.raises(ValidationError):
             bell_diagonal_classical_correlation([0.6, 0.4, 0.2])
 
+    def test_eigenvalue_floor_pinned_at_its_boundary(self):
+        # c = (1, 0, c3) has the exact lowest eigenvalue -c3/4
+        edge = 4.0 * EIGENVALUE_FLOOR
+        assert bell_diagonal_classical_correlation([1.0, 0.0, edge]) == 1.0
+        with pytest.raises(ValidationError):
+            bell_diagonal_classical_correlation([1.0, 0.0, np.nextafter(edge, 1.0)])
+
     def test_matches_optimizer(self, rng):
         count = 0
         while count < 50:
@@ -595,10 +602,10 @@ class TestBatchInvariance:
         canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
         for k in range(0, len(states), 64):
             a, b, r = (x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r))
-            n, value = _minimize_many(a, b, r)
+            n, value, _ = _minimize_many(a, b, r)
             assert n.shape == (len(a), 3) and value.shape == (len(a),)
             for s in range(len(a)):
-                n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+                n1, value1, _ = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
                 np.testing.assert_array_equal(n[s], n1[0])
                 assert value[s] == value1[0]
 
@@ -607,9 +614,9 @@ class TestBatchInvariance:
     @settings(max_examples=30)
     def test_batch_of_one_equals_batch_of_many(self, draws):
         a, b, r = stacked_canonical([family_state(family, seed) for family, seed in draws])
-        n, value = _minimize_many(a, b, r)
+        n, value, _ = _minimize_many(a, b, r)
         for s in range(len(a)):
-            n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+            n1, value1, _ = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
             np.testing.assert_array_equal(n[s], n1[0])
             assert value[s] == value1[0]
 
@@ -658,6 +665,31 @@ class TestBatchInvariance:
             for field in dataclasses.fields(DiscordReport):
                 stacked, alone = getattr(report, field.name), getattr(single, field.name)
                 assert np.shape(stacked) == np.shape(alone) and np.all(stacked == alone)
+
+    @pytest.mark.parametrize("family", ("mixed",) + CERTIFIED_FAMILIES + ("werner", "pure",
+                                                                      "product"))
+    def test_mcdm_entropy_has_the_bits_of_the_closed_form_at_x(self, family):
+        # the report reads CE at the MCDM from the solve's axis values
+        states = (self.mixed_stack() if family == "mixed"
+                  else [family_state(family, seed) for seed in range(16)])
+        alone = _ce_many(*stacked_canonical(states), X_AXIS[:, None])[:, 0]
+        reports = _discord_reports(np.stack(states))
+        assert [report.mcdm_conditional_entropy for report in reports] == alone.tolist()
+
+    def test_reports_make_no_closed_form_call_beside_the_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _ce_many(*args)
+
+        states = self.mixed_stack()
+        monkeypatch.setattr(measures, "_ce_many", counted)
+        _discord_reports(np.stack(states))
+        in_reports = len(calls)
+        calls.clear()
+        _minimize_many(*stacked_canonical(states))
+        assert in_reports == len(calls)
 
 
 def canonical_stack(rho):
@@ -803,9 +835,10 @@ class TestGridCertificate:
                 starts += zip(start.tolist(), value.tolist())
             assert starts == dense
         # (state, parent) pairs per call of each level, the whole grid's first,
-        # and cells per call of the kept cells: each call at most 4,608 points
+        # cells per call of the kept cells and states per call of the circle
+        # scan: each call at most 4,608 points
         assert tuple(_POINTS_PER_CALL // dirs.shape[2] for _, dirs, _ in _LEVELS) + (
-            _BLOCK_CELLS,) == (14, 184, 72)
+            _BLOCK_CELLS, _CIRCLE_BLOCK) == (14, 184, 72, 94)
 
     @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12)
@@ -897,8 +930,8 @@ class TestGridCertificate:
         # blocks moves the minimizing direction far more than the minimum
         for rho in hs_states(137, 100):
             a, b, r = canonical_stack(rho)
-            n, value = _minimize_many(a, b, r)
-            n1, value1 = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
+            n, value, _ = _minimize_many(a, b, r)
+            n1, value1, _ = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
             assert abs(value1[0] - value[0]) < 1e-14
             assert np.abs(n1 - n).max() < 2e-7
 
@@ -959,7 +992,7 @@ class TestXStateCircle:
         assert _circle_states(canonical.a, canonical.b, canonical.r).size == len(states)
         for k in range(0, len(states), 64):
             a, b, r = (x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r))
-            n, value = _minimize_many(a, b, r)
+            n, value, _ = _minimize_many(a, b, r)
             n2, value2 = sphere_path(a, b, r)
             assert (n == n2).all() and (value == value2).all()
 
@@ -980,7 +1013,7 @@ class TestXStateCircle:
         assert _circle_states(a, b, r).tolist() == [0]
         circle = _circle_minimum(a, b, r)
         assert not _axis_ties(_ce_many(a, b, r, _TIE_AXES), circle).any()
-        n, value = _minimize_many(a, b, r)
+        n, value, _ = _minimize_many(a, b, r)
         assert sphere_calls == [1]
         assert abs(angles_from_direction(n[0])[0] / np.pi - 0.155) < 0.01
         assert abs(value[0] - circle[0]) <= 1e-15
@@ -993,9 +1026,9 @@ class TestXStateCircle:
         canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
         a, b, r = canonical.a, canonical.b, canonical.r
         assert 0 < _circle_states(a, b, r).size < len(states)
-        n, value = _minimize_many(a, b, r)
+        n, value, _ = _minimize_many(a, b, r)
         for s in range(len(states)):
-            n1, value1 = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+            n1, value1, _ = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
             np.testing.assert_array_equal(n[s], n1[0])
             assert value[s] == value1[0]
 
@@ -1014,7 +1047,7 @@ class TestXStateCircle:
                 blocks[entry][0, (k + 1) % 3] = bound
             results.append(_minimize_many(blocks["a"], blocks["b"], blocks["r"]))
         assert sphere_calls == [1]  # the entry above the bound only
-        (n_at, value_at), (n_above, value_above) = results
+        (n_at, value_at, _), (n_above, value_above, _) = results
         np.testing.assert_array_equal(n_at, n_above)
         assert value_at == value_above
 
