@@ -21,6 +21,7 @@ from .linalg import su2_from_so3, validate_density_matrix
 DEGENERATE_DET_TOL = 1e-12
 # an ordered lam this close to diagonal skips the SVD (see measures.X_SHAPE_TOL)
 _DIAGONAL_FAST_PATH_TOL = 1e-13
+CANONICAL_TOL = 1e-9  # is_canonical's default: Lambda's off-diagonal and order slack
 # the off-diagonal entries of a 3 x 3 matrix
 OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
@@ -94,7 +95,7 @@ def to_canonical(rho) -> CanonicalDecomposition:
                                   o1=o1, o2=o2, lambda_diag=s)
 
 
-def is_canonical(rho, tol: float = 1e-9) -> bool:
+def is_canonical(rho, tol: float = CANONICAL_TOL) -> bool:
     """Whether the connected-correlation matrix is diagonal and ordered within ``tol``."""
     lam = correlation_matrix(validate_density_matrix(rho))
     d = lam.diagonal()

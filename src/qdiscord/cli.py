@@ -34,17 +34,20 @@ EXIT_INVALID_STATE = 3
 
 
 def _bins(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{text!r} is not of the form TxP, e.g. 100x100")
-    return int(parts[0]), int(parts[1])
+    try:
+        theta_bins, phi_bins = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not of the form TxP, e.g. 100x100") from None
+    return theta_bins, phi_bins
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser, default_samples: int) -> None:
-    parser.add_argument("--samples", type=int, default=default_samples,
-                        help=f"number of samples (default {default_samples})")
-    parser.add_argument("--seed", type=int, default=42, help="stream seed (default 42)")
-    parser.add_argument("--workers", type=int, default=1,
+def _add_experiment_flags(parser, samples: int = ExperimentConfig.samples) -> None:
+    parser.set_defaults(parser=parser)  # validate's errors print this subcommand's usage
+    parser.add_argument("--samples", type=int, default=samples,
+                        help=f"number of samples (default {samples})")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                        help=f"stream seed (default {ExperimentConfig.seed})")
+    parser.add_argument("--workers", type=int, default=ExperimentConfig.workers,
                         help="worker processes; the output does not depend on this")
     parser.add_argument("--out", default=None,
                         help="output CSV path (default: stdout); written atomically")
@@ -66,20 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("table1", help="optimal-measurement clusters for random X-states")
-    _add_experiment_flags(p, default_samples=10000)
-    p.add_argument("--cluster-tol", type=float, default=0.01,
-                   help="cluster tolerance between axes in units of pi, in (0, 0.5] (default 0.01)")
+    _add_experiment_flags(p)
+    p.add_argument("--cluster-tol", type=float, default=ExperimentConfig.cluster_tol,
+                   help="cluster tolerance between axes in units of pi, in (0, 0.5] "
+                        f"(default {ExperimentConfig.cluster_tol})")
 
     p = sub.add_parser("histogram", help="optimal-measurement histogram for random states")
-    _add_experiment_flags(p, default_samples=10000)
-    p.add_argument("--bins", type=_bins, default=(100, 100),
-                   help="theta x phi bin counts, e.g. 100x100 (default)")
+    _add_experiment_flags(p)
+    p.add_argument("--bins", type=_bins, default=ExperimentConfig.bins,
+                   help="theta x phi bin counts, e.g. %dx%d (default)" % ExperimentConfig.bins)
 
     p = sub.add_parser("mixture", help="discord and upper bound along the mixture family")
-    _add_experiment_flags(p, default_samples=101)
+    _add_experiment_flags(p, samples=101)
 
     p = sub.add_parser("scatter", help="discord versus upper bound for random states")
-    _add_experiment_flags(p, default_samples=10000)
+    _add_experiment_flags(p)
 
     return parser
 
@@ -163,7 +167,7 @@ def _cmd_experiment(args) -> int:
     try:
         config.validate()
     except ValueError as exc:
-        build_parser().error(str(exc))
+        args.parser.error(str(exc))
     try:
         out = OutputFile(args.out)
     except OSError as exc:

@@ -19,11 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import canonical_blocks
+from .canonical import canonical_blocks, hemisphere_representative
 from .ensembles import SeededGenerator, _ginibre_states, mixture_family, project_x_state
 from .fano_bloch import state_blocks
-from .measures import (_discord_reports, _minimize_many, angles_from_directions,
-                       direction_from_angles)
+from .measures import _discord_reports, _minimize_many, angles_from_directions
 
 
 @dataclass(frozen=True)
@@ -67,32 +66,32 @@ def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
     return _ginibre_states(z)
 
 
-def _angles_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> list[tuple]:
-    """Optimal (theta, phi) of each random state's canonical form, after the X
-    projection if ``x_project``, without the SU(2) lift."""
+def _directions_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> np.ndarray:
+    """Hemisphere representative (S, 3) of each random state's optimal direction in
+    its canonical frame (no SU(2) lift), after the X projection if ``x_project``."""
     rhos = _hs_states(config, indices)
     if x_project:
         rhos = project_x_state(rhos)
     _, canonical = canonical_blocks(state_blocks(rhos))
-    dirs = _minimize_many(canonical.a, canonical.b, canonical.r)[0]
-    return angles_from_directions(dirs)
+    return hemisphere_representative(_minimize_many(canonical.a, canonical.b, canonical.r)[0])
 
 
-def _scatter_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
-    """(discord, mcdm_discord) of each random state."""
-    return [(r.discord, r.mcdm_discord) for r in _discord_reports(_hs_states(config, indices))]
+def _scatter_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
+    """(discord, mcdm_discord) of each random state, (S, 2)."""
+    report = _discord_reports(_hs_states(config, indices))
+    return np.stack([report.discord, report.mcdm_discord], axis=1)
 
 
-def _mixture_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
-    """(q, discord, mcdm_discord) at each point of the uniform q grid."""
+def _mixture_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
+    """(q, discord, mcdm_discord) at each point of the uniform q grid, (S, 3)."""
     qs = [k / (config.samples - 1) if config.samples > 1 else 0.0 for k in indices]
-    reports = _discord_reports(np.stack([mixture_family(q) for q in qs]))
-    return [(q, r.discord, r.mcdm_discord) for q, r in zip(qs, reports)]
+    report = _discord_reports(np.stack([mixture_family(q) for q in qs]))
+    return np.stack([qs, report.discord, report.mcdm_discord], axis=1)
 
 
-def _solve(chunk_fn, config: ExperimentConfig, **options) -> list[tuple]:
+def _solve(chunk_fn, config: ExperimentConfig, **options) -> np.ndarray:
     """``chunk_fn(config, indices, **options)`` over chunks of CHUNK_SIZE indices,
-    concatenated in index order.  Each state's result depends only on its
+    its arrays concatenated in index order.  Each state's result depends only on its
     index, so neither the chunks nor the fork pool, of at most one worker per
     chunk and per usable core, change the output."""
     config.validate()
@@ -107,7 +106,7 @@ def _solve(chunk_fn, config: ExperimentConfig, **options) -> list[tuple]:
     else:
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
             results = pool.map(task, chunks, chunksize=1)
-    return [row for chunk in results for row in chunk]
+    return np.concatenate(results)
 
 
 # --------------------------------------------------------------------------- #
@@ -126,28 +125,22 @@ def optimal_direction_clusters(config: ExperimentConfig) -> list[tuple[float, fl
 
     Pipeline per state: Hilbert-Schmidt draw, X projection, canonical form,
     conditional-entropy minimization.  Directions are clustered greedily by
-    axis angle (tolerance ``cluster_tol`` * pi); each cluster is labelled by
-    its first member.
+    axis angle (tolerance ``cluster_tol`` * pi): the first direction not yet
+    clustered labels a new cluster and takes, in one array pass, every later
+    direction within the tolerance of it.
     """
-    angles = _solve(_angles_chunk, config, x_project=True)
+    dirs = _solve(_directions_chunk, config, x_project=True)
     # cos(tol * pi), exactly 0 at tol = 1/2, which merges every pair of axes
     cos_tol = math.sin((0.5 - config.cluster_tol) * math.pi)
-    reps: list[np.ndarray] = []
-    labels: list[tuple[float, float]] = []
-    counts: list[int] = []
-    for theta, phi in angles:
-        n = direction_from_angles(theta, phi)
-        for k, rep in enumerate(reps):
-            if abs(float(rep @ n)) >= cos_tol:
-                counts[k] += 1
-                break
-        else:
-            reps.append(n)
-            labels.append((theta, phi))
-            counts.append(1)
-    order = sorted(range(len(reps)), key=lambda k: (-counts[k], k))
-    return [(labels[k][0] / math.pi, labels[k][1] / math.pi,
-             100.0 * counts[k] / config.samples) for k in order]
+    firsts, counts = [], []
+    while len(dirs):
+        joins = np.abs(dirs[1:] @ dirs[0]) >= cos_tol
+        firsts.append(dirs[0])
+        counts.append(1 + int(joins.sum()))
+        dirs = dirs[1:][~joins]
+    rows = [(theta / math.pi, phi / math.pi, 100.0 * count / config.samples)
+            for (theta, phi), count in zip(angles_from_directions(firsts), counts)]
+    return sorted(rows, key=lambda row: -row[2])  # stable: equal counts keep their order
 
 
 def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, float, int]]:
@@ -155,26 +148,24 @@ def optimal_direction_histogram(config: ExperimentConfig) -> list[tuple[float, f
     (theta bin lower edge / pi, phi bin lower edge / pi, count), non-empty
     bins only, in bin order.  Counts sum to ``samples``.
     """
-    angles = _solve(_angles_chunk, config, x_project=False)
+    theta, phi = np.array(angles_from_directions(
+        _solve(_directions_chunk, config, x_project=False))).T
     t_bins, p_bins = config.bins
-    counts: dict[tuple[int, int], int] = {}
-    for theta, phi in angles:
-        ti = min(int(theta / math.pi * t_bins), t_bins - 1)
-        pi_ = min(int((phi + math.pi / 2) / math.pi * p_bins), p_bins - 1)
-        key = (ti, pi_)
-        counts[key] = counts.get(key, 0) + 1
-    return [(ti / t_bins, -0.5 + pi_ / p_bins, counts[(ti, pi_)])
-            for ti, pi_ in sorted(counts)]
+    ti = np.minimum((theta / math.pi * t_bins).astype(int), t_bins - 1)
+    pj = np.minimum(((phi + math.pi / 2) / math.pi * p_bins).astype(int), p_bins - 1)
+    keys, counts = np.unique(ti * p_bins + pj, return_counts=True)
+    return [(key // p_bins / t_bins, -0.5 + key % p_bins / p_bins, count)
+            for key, count in zip(keys.tolist(), counts.tolist())]
 
 
-def mixture_curve(config: ExperimentConfig) -> list[tuple[float, float, float]]:
+def mixture_curve(config: ExperimentConfig) -> list[list[float]]:
     """(q, discord, upper bound) on a uniform q grid with ``samples`` points."""
-    return _solve(_mixture_chunk, config)
+    return _solve(_mixture_chunk, config).tolist()
 
 
 def bound_scatter(config: ExperimentConfig) -> tuple[list[tuple[int, float, float]], float]:
     """(index, discord, upper bound) for random states plus the mean squared gap."""
-    pairs = _solve(_scatter_chunk, config)
+    pairs = _solve(_scatter_chunk, config).tolist()
     rows = [(i, d, dt) for i, (d, dt) in enumerate(pairs)]
     mean_sq = math.fsum((dt - d) ** 2 for d, dt in pairs) / len(pairs)
     return rows, mean_sq

@@ -21,6 +21,7 @@ TAU_BASIS.setflags(write=False)
 
 IMAG_RESIDUE_TOL = 1e-8
 RECONSTRUCT_EIG_FLOOR = 1e-8
+TAU_ENTRY_TOL = 1e-10  # reconstruct takes tau entries up to 1 + TAU_ENTRY_TOL in size
 
 
 def decompose(rho) -> np.ndarray:
@@ -50,7 +51,7 @@ def reconstruct(tau) -> np.ndarray:
         raise ValidationError(f"expected a 4x4 tensor, got shape {t.shape}")
     if abs(t[0, 0] - 1.0) > TRACE_TOL:
         raise ValidationError(f"tau[0,0] is {float(t[0, 0])!r}, expected 1 (unit trace)")
-    if np.max(np.abs(t)) > 1.0 + 1e-10:
+    if np.max(np.abs(t)) > 1.0 + TAU_ENTRY_TOL:
         raise ValidationError("tau entries must lie in [-1, 1]")
     rho = 0.25 * np.einsum("ij,ijab->ab", t, TAU_BASIS)
     smallest = np.linalg.eigvalsh(rho)[0]

@@ -21,6 +21,7 @@ for _p in PAULIS:
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+ENTROPY_TRACE_TOL = 1e-9  # von_neumann_entropy's trace check, wider than TRACE_TOL
 # eigenvalues in [-EIGENVALUE_FLOOR, 0) are treated as rounding noise and clamped to 0
 EIGENVALUE_FLOOR = 1e-10
 # binary_entropy takes |x| up to 1 + BLOCH_LENGTH_TOL as rounding noise of a
@@ -91,7 +92,7 @@ def entropy_bits(eigenvalues) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    return float(entropy_bits(_checked_state(rho, 1e-9)[1]))
+    return float(entropy_bits(_checked_state(rho, ENTROPY_TRACE_TOL)[1]))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:

@@ -876,7 +876,8 @@ def classical_correlation(rho) -> float:
 
 @dataclass(frozen=True)
 class DiscordReport:
-    """All correlation quantities of one state, in bits."""
+    """All correlation quantities of one state, in bits, or of each state of a
+    stack: then each value is an array (S,) and each direction one (S, 3)."""
 
     mutual_information: float
     classical_correlation: float
@@ -888,26 +889,26 @@ class DiscordReport:
     mcdm_direction: np.ndarray
 
 
-def _discord_reports(rhos) -> list[DiscordReport]:
-    """:func:`quantum_discord` of each state of a stack (S, 4, 4), with one call
-    per stage for all of them."""
+def _discord_reports(rhos) -> DiscordReport:
+    """:func:`quantum_discord` of each state of a stack (S, 4, 4), as one report
+    of stacked fields, with one call per stage for all of them."""
     blocks, s_a, s_b, s_ab = _blocks_and_entropies(rhos)
     o1, canonical = canonical_blocks(blocks)
     n_opt, ce_min, axis_values = _minimize_many(canonical.a, canonical.b, canonical.r)
     # CE at the MCDM, the first tie-break axis, so ce_min <= ce_mcdm
     ce_mcdm = axis_values[:, 0]
     mutual = _clamp(s_a + s_b - s_ab)
-    return [DiscordReport(*fields) for fields in zip(
-        mutual.tolist(), _clamp(s_b - ce_min).tolist(), _discord(mutual, s_b, ce_min).tolist(),
-        _discord(mutual, s_b, ce_mcdm).tolist(),
+    return DiscordReport(
+        mutual, _clamp(s_b - ce_min), _discord(mutual, s_b, ce_min), _discord(mutual, s_b, ce_mcdm),
         hemisphere_representative((o1.swapaxes(-1, -2) @ n_opt[..., None])[..., 0]),
-        ce_min.tolist(), ce_mcdm.tolist(), hemisphere_representative(o1[..., 0, :]))]
+        ce_min, ce_mcdm, hemisphere_representative(o1[..., 0, :]))
 
 
 def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
-    return _discord_reports(np.asarray(rho, dtype=complex)[None])[0]
+    stacked = vars(_discord_reports(np.asarray(rho, dtype=complex)[None]))
+    return DiscordReport(*(v[0] if v.ndim > 1 else v.item() for v in stacked.values()))
 
 
 def mcdm_discord(rho) -> float:

@@ -4,13 +4,14 @@ from numpy.testing import assert_allclose
 
 from conftest import bell_psi_plus, hs_states, random_unitary
 from qdiscord import (SeededGenerator, conditional_entropy_closed,
-                      correlation_matrix, direction_from_angles, is_canonical,
+                      correlation_matrix, is_canonical,
                       mcdm_direction, minimize_conditional_entropy,
                       mutual_information, off_axis_x_state, project_x_state,
                       quantum_discord, random_hs_state, reconstruct,
                       state_blocks, su2_from_so3, to_canonical)
-from qdiscord.experiments import ExperimentConfig, _angles_chunk
-from qdiscord.canonical import _DIAGONAL_FAST_PATH_TOL, OFF_DIAGONAL, canonical_rotations
+from qdiscord.experiments import ExperimentConfig, _directions_chunk
+from qdiscord.canonical import (_DIAGONAL_FAST_PATH_TOL, CANONICAL_TOL, OFF_DIAGONAL,
+                                canonical_rotations)
 from qdiscord.measures import X_AXIS
 
 
@@ -87,6 +88,18 @@ class TestIsCanonical:
         u = np.kron(random_unitary(rng), np.eye(2))
         assert not is_canonical(u @ rho @ u.conj().T, tol=1e-6)
 
+    @pytest.mark.parametrize("entry", list(zip(*OFF_DIAGONAL.nonzero())))
+    def test_default_tolerance_pinned_at_its_boundary(self, entry):
+        # with a = b = 0, Lambda = R, and one off-diagonal entry of R survives
+        # reconstruct and decompose exactly: CANONICAL_TOL is accepted, the
+        # next double above it is not
+        for off, canonical in ((CANONICAL_TOL, True), (np.nextafter(CANONICAL_TOL, 1.0), False)):
+            tau = np.diag([1.0, 0.5, 0.3, 0.1])
+            tau[1 + entry[0], 1 + entry[1]] = off
+            rho = reconstruct(tau)
+            assert correlation_matrix(rho)[entry] == off
+            assert is_canonical(rho) == canonical
+
 
 class TestMcdmDirection:
     def test_canonical_input_gives_x(self):
@@ -126,7 +139,7 @@ class TestBlocksOnlyPaths:
     """The rotated-blocks and SVD-axis paths against the SU(2)-lifted canonical state."""
 
     @pytest.mark.parametrize("x_project", [False, True])
-    def test_optimal_angles_match_lifted_state(self, x_project):
+    def test_optimal_directions_match_lifted_state(self, x_project):
         # the values agree to rounding; near a minimum CE is flat to second
         # order, so the refined direction is only fixed to ~sqrt(value noise):
         # a one-ulp change of the lifted blocks alone moves it by ~1e-7
@@ -139,8 +152,7 @@ class TestBlocksOnlyPaths:
             n_ref, value_ref = minimize_conditional_entropy(canonical)
             # the chunk that holds index alone
             config = ExperimentConfig(seed=seed)
-            (angles,) = _angles_chunk(config, range(index, index + 1), x_project)
-            n = direction_from_angles(*angles)
+            (n,) = _directions_chunk(config, range(index, index + 1), x_project)
             value = conditional_entropy_closed(state_blocks(canonical), n)
             assert abs(value - value_ref) <= 1e-12
             # n and -n are the same measurement

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,10 +11,11 @@ import pytest
 
 import qdiscord.cli
 import qdiscord.experiments
-from qdiscord import (SeededGenerator, angles_from_direction, format_state, mixture_family,
-                      off_axis_x_state, quantum_discord, random_hs_state, reconstruct)
+from qdiscord import (SeededGenerator, angles_from_direction, format_state,
+                      hemisphere_representative, mixture_family, off_axis_x_state,
+                      quantum_discord, random_hs_state, reconstruct)
 from qdiscord.cli import build_parser, main
-from qdiscord.experiments import (ExperimentConfig, bound_scatter,
+from qdiscord.experiments import (ExperimentConfig, _directions_chunk, bound_scatter,
                                   optimal_direction_clusters,
                                   optimal_direction_histogram, render_csv)
 
@@ -352,10 +354,85 @@ class TestSettingRanges:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and setting in captured.err
+        # the subcommand's usage, as for a value argparse cannot convert
+        assert captured.err.startswith(f"usage: qdiscord {argv[0]} [-h]")
+        assert f"qdiscord {argv[0]}: error: " in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bins", ["axb", "3x", "x4", "3x4x5"])
+    def test_malformed_bins_exit_2_with_the_form(self, capsys, bins):
+        with pytest.raises(SystemExit) as err:
+            main(["histogram", "--samples", "2", "--bins", bins])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TxP" in captured.err and "_bins" not in captured.err
+
+    @pytest.mark.parametrize("command", ["table1", "histogram", "scatter"])
+    def test_flag_defaults_are_the_config_defaults(self, capsys, command):
+        args = vars(build_parser().parse_args([command]))
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name in args:
+                assert args[field.name] == field.default
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert f"number of samples (default {ExperimentConfig.samples})" in help_text
+        assert f"stream seed (default {ExperimentConfig.seed})" in help_text
+
+
+def greedy_clusters(dirs, config):
+    """The greedy per-direction loop, the reference of optimal_direction_clusters,
+    as its rows: each direction joins the first cluster, in the order they
+    formed, whose first member lies within the tolerance, or forms a new one."""
+    cos_tol = math.sin((0.5 - config.cluster_tol) * math.pi)
+    firsts, counts = [], []
+    for n in dirs:
+        for k, first in enumerate(firsts):
+            if abs(float(first @ n)) >= cos_tol:
+                counts[k] += 1
+                break
+        else:
+            firsts.append(n)
+            counts.append(1)
+    order = sorted(range(len(firsts)), key=lambda k: (-counts[k], k))
+    return [(*(angle / math.pi for angle in angles_from_direction(firsts[k])),
+             100.0 * counts[k] / config.samples) for k in order]
+
+
+def direction_sets(count):
+    """``count`` sets each of random directions, of directions scattered around
+    coordinate and diagonal axes, and of those axes exactly, as hemisphere
+    representatives."""
+    rng = np.random.default_rng(20261020)
+    diagonals = np.array([[1, 1, 0], [0, 1, -1], [1, 0, 1]]) / 2 ** 0.5
+    axes = np.vstack([np.eye(3), -np.eye(3), diagonals])
+    for _ in range(count):
+        size = int(rng.integers(1, 120))
+        picks = axes[rng.integers(len(axes), size=size)]
+        spread = rng.choice([1e-3, 1e-2, 0.1], size=(size, 1))
+        scattered = picks + spread * rng.normal(size=(size, 3))
+        for dirs in (rng.normal(size=(size, 3)), scattered):
+            yield hemisphere_representative(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+        yield hemisphere_representative(picks)
 
 
 class TestPipelineHelpers:
+    @pytest.mark.parametrize("tol", [0.001, 0.003, 0.01, 0.05, 0.1, 0.25, 0.5])
+    def test_clusters_equal_the_greedy_loop(self, monkeypatch, tol):
+        # one array pass per cluster gives the greedy loop's membership
+        for dirs in direction_sets(100):
+            monkeypatch.setattr(qdiscord.experiments, "_solve",
+                                lambda chunk_fn, config, **options: dirs)
+            config = ExperimentConfig(samples=len(dirs), cluster_tol=tol)
+            assert optimal_direction_clusters(config) == greedy_clusters(dirs, config)
+
+    @pytest.mark.parametrize("tol", [0.001, 0.01])
+    def test_pipeline_clusters_equal_the_greedy_loop(self, tol):
+        config = ExperimentConfig(samples=300, seed=7, cluster_tol=tol)
+        dirs = qdiscord.experiments._solve(_directions_chunk, config, x_project=True)
+        assert optimal_direction_clusters(config) == greedy_clusters(dirs, config)
+
     def test_cluster_tolerance_merges_nearby_directions(self):
         rows = optimal_direction_clusters(
             ExperimentConfig(samples=30, seed=7, cluster_tol=0.5))
@@ -369,12 +446,13 @@ class TestPipelineHelpers:
         first = np.array([0.6, 0.48, 0.64])
         u, v = np.linalg.svd(first[None])[2][1:]  # an orthonormal basis of first's plane
         turns = rng.uniform(0.0, 2.0 * math.pi, 400)
-        angles = [angles_from_direction(first)] + [
-            angles_from_direction(math.cos(t) * u + math.sin(t) * v) for t in turns]
+        dirs = hemisphere_representative(
+            [first] + [math.cos(t) * u + math.sin(t) * v for t in turns])
         monkeypatch.setattr(qdiscord.experiments, "_solve",
-                            lambda chunk_fn, config, **options: angles)
-        rows = optimal_direction_clusters(ExperimentConfig(samples=len(angles), cluster_tol=0.5))
-        assert rows == [(angles[0][0] / math.pi, angles[0][1] / math.pi, 100.0)]
+                            lambda chunk_fn, config, **options: dirs)
+        rows = optimal_direction_clusters(ExperimentConfig(samples=len(dirs), cluster_tol=0.5))
+        theta, phi = angles_from_direction(first)
+        assert rows == [(theta / math.pi, phi / math.pi, 100.0)]
 
     def test_render_csv_format(self):
         text = render_csv(("a", "b"), [(0.5, 1), (1 / 3, 2)])

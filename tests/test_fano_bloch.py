@@ -9,6 +9,7 @@ from qdiscord import (NotAStateError, ValidationError, blocks,
                       correlation_matrix, decompose, off_axis_x_state,
                       reconstruct, state_blocks, su2_from_so3)
 from conftest import random_rotation
+from qdiscord.fano_bloch import TAU_ENTRY_TOL
 from qdiscord.linalg import TRACE_TOL
 
 # direct decimal arithmetic on the printed entries
@@ -88,6 +89,20 @@ class TestReconstruct:
         tau[0, 0] = outside
         with pytest.raises(ValidationError):
             reconstruct(tau)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entry_bound_pinned_at_its_boundary(self, sign):
+        # an entry of size 1 + TAU_ENTRY_TOL is accepted (its state has an
+        # eigenvalue of -TAU_ENTRY_TOL / 4, above the floor); one double more is not
+        edge = 1.0 + TAU_ENTRY_TOL
+        for size, accepted in ((edge, True), (np.nextafter(edge, 2.0), False)):
+            tau = np.diag([1.0, 0.0, 0.0, sign * size])
+            if accepted:
+                expected = np.diag([1.0 + sign, 1.0 - sign, 1.0 - sign, 1.0 + sign]) / 4
+                assert_allclose(reconstruct(tau), expected, atol=1e-10)
+            else:
+                with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+                    reconstruct(tau)
 
 
 class TestBlocks:

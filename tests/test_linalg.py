@@ -8,7 +8,8 @@ from conftest import bell_psi_plus, random_rotation
 from qdiscord import (PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, NotAStateError,
                       ValidationError, binary_entropy, eigvals_hermitian, partial_trace,
                       su2_from_so3, validate_density_matrix, von_neumann_entropy)
-from qdiscord.linalg import BLOCH_LENGTH_TOL, ROTATION_TOL, require_rotation, validated_spectrum
+from qdiscord.linalg import (BLOCH_LENGTH_TOL, ENTROPY_TRACE_TOL, ROTATION_TOL, require_rotation,
+                             validated_spectrum)
 
 # independently computed with 40-digit arithmetic
 H_OF_0P6 = 0.7219280948873623
@@ -73,6 +74,19 @@ class TestVonNeumannEntropy:
     def test_rejects_large_negative(self):
         with pytest.raises(NotAStateError):
             von_neumann_entropy(np.diag([1.1, -0.1, 0, 0]))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_trace_tolerance_pinned_at_its_boundary(self, side):
+        # a trace near 1 lies on doubles spaced 2^-52 above 1 and 2^-53 below,
+        # so its deviation from 1 is exact: the farthest from 1 within
+        # ENTROPY_TRACE_TOL is accepted, the next double out is not
+        ulp = np.spacing(1.0) if side > 0 else np.spacing(1.0) / 2
+        inside = 1.0 + side * ulp * math.floor(ENTROPY_TRACE_TOL / ulp)
+        outside = np.nextafter(inside, side * np.inf)
+        assert abs(inside - 1.0) <= ENTROPY_TRACE_TOL < abs(outside - 1.0)
+        assert von_neumann_entropy(np.diag([inside, 0.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-8)
+        with pytest.raises(NotAStateError):
+            von_neumann_entropy(np.diag([outside, 0.0, 0.0, 0.0]))
 
 
 class TestValidateDensityMatrix:

@@ -657,14 +657,28 @@ class TestBatchInvariance:
             assert same(projected[k], project_x_state(rho))
 
     def test_discord_reports_equal_quantum_discord(self):
+        # row k of each stacked field has the bits of state k's report alone,
+        # whose values are Python floats and whose directions are 3-vectors
         states = self.mixed_stack()
-        reports = _discord_reports(np.stack(states))
-        assert len(reports) == len(states)
-        for report, rho in zip(reports, states):
+        report = _discord_reports(np.stack(states))
+        for k, rho in enumerate(states):
             single = quantum_discord(rho)
             for field in dataclasses.fields(DiscordReport):
                 stacked, alone = getattr(report, field.name), getattr(single, field.name)
-                assert np.shape(stacked) == np.shape(alone) and np.all(stacked == alone)
+                assert type(alone) is float or alone.shape == (3,)
+                assert np.shape(stacked) == (len(states),) + np.shape(alone)
+                assert np.all(stacked[k] == alone)
+
+    def test_discord_reports_build_one_report_per_stack(self, monkeypatch):
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return DiscordReport(*fields)
+
+        monkeypatch.setattr(measures, "DiscordReport", counted)
+        report = _discord_reports(np.stack(self.mixed_stack()))
+        assert len(built) == 1 and isinstance(report, DiscordReport)
 
     @pytest.mark.parametrize("family", ("mixed",) + CERTIFIED_FAMILIES + ("werner", "pure",
                                                                       "product"))
@@ -673,8 +687,8 @@ class TestBatchInvariance:
         states = (self.mixed_stack() if family == "mixed"
                   else [family_state(family, seed) for seed in range(16)])
         alone = _ce_many(*stacked_canonical(states), X_AXIS[:, None])[:, 0]
-        reports = _discord_reports(np.stack(states))
-        assert [report.mcdm_conditional_entropy for report in reports] == alone.tolist()
+        report = _discord_reports(np.stack(states))
+        assert report.mcdm_conditional_entropy.tolist() == alone.tolist()
 
     def test_reports_make_no_closed_form_call_beside_the_solve(self, monkeypatch):
         calls = []
@@ -852,12 +866,12 @@ class TestGridCertificate:
         start, value = _grid_start(a, b, r)
         assert list(zip(start.tolist(), value.tolist())) == [
             dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
-        for report in _discord_reports(np.stack(states)):
-            # the bound is the discord formula at the MCDM, so where CE is
-            # lowest there it equals the discord to the bit (rank1 seed 66)
-            assert report.mcdm_discord >= report.discord
-            assert abs(report.discord + report.classical_correlation
-                       - report.mutual_information) <= CLAMP_WINDOW
+        report = _discord_reports(np.stack(states))
+        # the bound is the discord formula at the MCDM, so where CE is
+        # lowest there it equals the discord to the bit (rank1 seed 66)
+        assert (report.mcdm_discord >= report.discord).all()
+        assert (np.abs(report.discord + report.classical_correlation
+                       - report.mutual_information) <= CLAMP_WINDOW).all()
 
     def test_start_closeness_tolerance_pinned_at_its_boundary(self):
         # of two tied points, one 1e-9 farther from x than the other still

@@ -4,15 +4,7 @@
     PYTHONPATH=src python3 tools/record_bench.py --out BENCH_NAME.json
 
 ``qdiscord`` is imported from ``PYTHONPATH``, so the same script measures
-other commits too: every commit from 96c4b6e ("Run one code path from a
-state to its report for one state or a stack") on, where ``_hs_states``
-returns a stack, ``project_x_state`` takes one, and ``measures`` has
-``_grid_start`` and ``_minimize_many``.  Stages that a commit lacks are left
-out of its record: the bound (``measures._kept_cells``) before d7ec1fd; the
-Newton derivative evaluations (``measures._tangent_derivatives``, one call
-per evaluation for the states it is given) before 034701f; before the
-stacked angles (``measures.angles_from_directions``) the angles are
-converted one direction at a time.  It reports two levels:
+any commit that has the functions it times.  It reports two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
   fastest of 7:
@@ -22,9 +14,10 @@ converted one direction at a time.  It reports two levels:
     kept cells with the start rule;
   - the whole minimizer on the X projections of the same states, which the
     ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
-  - the chunk functions of the ``table1``, ``histogram`` and ``scatter``
-    pipelines on chunks of 64 indices, from the draw to their rows, and
-    three stages of those chunks: the draw, the X projection and the angles;
+  - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
+    public functions at 256 samples, seed 7, from the draw to their rows, and
+    three stages of their chunks of 64 indices: the draw, the X projection
+    and the angles;
   - ``quantum_discord`` of each state, a batch of one;
   - the mean and the largest number of evaluations of the Newton derivatives
     per state, on the same states and on their X projections;
@@ -80,6 +73,13 @@ def canonical_stack(x_project: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tuple(np.stack([getattr(c, field) for c in canon]) for field in "abr")
 
 
+def seconds(call) -> float:
+    """Wall time of ``call()``."""
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
 def chunked_and_single(run) -> tuple[list, list]:
     """The fastest of REPEATS of ``run(first, stop)``, a tuple of seconds whose
     first entry ranks the runs, on each chunk of CHUNK states and on each
@@ -105,13 +105,11 @@ def stage_times() -> dict:
     and axis tie-break) and of the whole solve, for chunks of CHUNK states
     and for batches of one.  The grid is timed inside the solve, through a
     wrapper around ``measures._grid_start``, which the solve calls once per
-    stack of states, or once per state in versions that scan state by state;
-    the wrapper sums the calls of one solve either way.  In versions that
-    bound the grid level by level, a wrapper around ``measures._kept_cells``
-    times the bound on all levels, and the rest of the grid is the
-    evaluation of the kept cells and the start rule."""
+    stack of states.  A wrapper around
+    ``measures._kept_cells`` times the bound on all levels, and the rest of
+    the grid is the evaluation of the kept cells and the start rule."""
     a, b, r = canonical_stack(x_project=False)
-    stages = {name: getattr(measures, name) for name in GRID_STAGES if hasattr(measures, name)}
+    stages = {name: getattr(measures, name) for name in GRID_STAGES}
     spent = dict.fromkeys(stages, 0.0)
 
     def timed(name, function):
@@ -126,9 +124,9 @@ def stage_times() -> dict:
     def run(first: int, stop: int) -> tuple[float, ...]:
         for name in spent:
             spent[name] = 0.0
-        start = time.perf_counter()
-        measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
-        return (time.perf_counter() - start, *spent.values())
+        solve = seconds(lambda: measures._minimize_many(a[first:stop], b[first:stop],
+                                                        r[first:stop]))
+        return (solve, *spent.values())
 
     for name, function in stages.items():
         setattr(measures, name, timed(name, function))
@@ -141,8 +139,7 @@ def stage_times() -> dict:
     def per_state(best) -> dict:
         solve_us, *parts = (1e6 * sum(t[i] for t in best) / STATES for i in range(len(best[0])))
         record = {GRID_STAGES[name]: us for name, us in zip(stages, parts)}
-        if "bound_us" in record:
-            record["kept_cells_and_start_us"] = record["grid_us"] - record["bound_us"]
+        record["kept_cells_and_start_us"] = record["grid_us"] - record["bound_us"]
         record["refine_and_tie_break_us"] = solve_us - record["grid_us"]
         record["solve_us"] = solve_us
         return record
@@ -158,9 +155,8 @@ def xstate_times() -> dict:
     a, b, r = canonical_stack(x_project=True)
 
     def run(first: int, stop: int) -> tuple[float]:
-        start = time.perf_counter()
-        measures._minimize_many(a[first:stop], b[first:stop], r[first:stop])
-        return (time.perf_counter() - start,)
+        return (seconds(lambda: measures._minimize_many(a[first:stop], b[first:stop],
+                                                        r[first:stop])),)
 
     chunked, single = chunked_and_single(run)
     return {f"chunks_of_{CHUNK}_solve_us": 1e6 * sum(t[0] for t in chunked) / STATES,
@@ -169,44 +165,41 @@ def xstate_times() -> dict:
 
 
 def pipeline_times() -> dict:
-    """Microseconds per state of each pipeline's chunk function on chunks of
-    CHUNK indices, of three of their stages on the same chunks (the draw, the
-    X projection of the drawn stack, and the angles of the minimizer's
-    directions on the X projections), and of quantum_discord on each state
-    alone; each call's fastest of REPEATS, the calls taking turns as in
-    stage_times."""
+    """Microseconds per state of the table1, histogram and scatter pipelines
+    through their public functions at STATES samples, seed SEED, of three
+    stages of their chunks of CHUNK indices (the draw, the X projection of
+    the drawn stack, and the angles of the minimizer's directions on the X
+    projections), and of quantum_discord on each state alone; each call's
+    fastest of REPEATS, the calls taking turns."""
     config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    pipelines = {"table1_us": experiments.optimal_direction_clusters,
+                 "histogram_us": experiments.optimal_direction_histogram,
+                 "scatter_us": experiments.bound_scatter}
     chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
     stacks = [experiments._hs_states(config, chunk) for chunk in chunks]
     a, b, r = canonical_stack(x_project=True)
     dirs = [measures._minimize_many(a[c.start:c.stop], b[c.start:c.stop], r[c.start:c.stop])[0]
             for c in chunks]
-    # versions before the stacked angles convert one direction at a time
-    angles = getattr(measures, "angles_from_directions", None) or (
-        lambda ns: [measures.angles_from_direction(n) for n in ns])
-    tasks = {
+    stages = {
         "draw_us": lambda c: experiments._hs_states(config, chunks[c]),
         "x_project_us": lambda c: project_x_state(stacks[c]),
-        "angles_us": lambda c: angles(dirs[c]),
-        "table1_chunk_us": lambda c: experiments._angles_chunk(config, chunks[c], True),
-        "histogram_chunk_us": lambda c: experiments._angles_chunk(config, chunks[c], False),
-        "scatter_chunk_us": lambda c: experiments._scatter_chunk(config, chunks[c]),
+        "angles_us": lambda c: measures.angles_from_directions(dirs[c]),
     }
     gen = SeededGenerator(SEED)
     states = [random_hs_state(gen) for _ in range(STATES)]
-    best = {name: [float("inf")] * len(chunks) for name in tasks}
+    whole = dict.fromkeys(pipelines, float("inf"))
+    best = {name: [float("inf")] * len(chunks) for name in stages}
     single = [float("inf")] * STATES
     for _ in range(REPEATS):
+        for name, pipeline in pipelines.items():
+            whole[name] = min(whole[name], seconds(lambda: pipeline(config)))
         for c, chunk in enumerate(chunks):
-            for name, task in tasks.items():
-                start = time.perf_counter()
-                task(c)
-                best[name][c] = min(best[name][c], time.perf_counter() - start)
+            for name, stage in stages.items():
+                best[name][c] = min(best[name][c], seconds(lambda: stage(c)))
             for k in chunk:
-                start = time.perf_counter()
-                quantum_discord(states[k])
-                single[k] = min(single[k], time.perf_counter() - start)
-    record = {name: 1e6 * sum(times) / STATES for name, times in best.items()}
+                single[k] = min(single[k], seconds(lambda: quantum_discord(states[k])))
+    record = {name: 1e6 * seconds / STATES for name, seconds in whole.items()}
+    record.update({name: 1e6 * sum(times) / STATES for name, times in best.items()})
     record["quantum_discord_us"] = 1e6 * sum(single) / STATES
     return record
 
@@ -216,9 +209,7 @@ def newton_evaluations() -> dict:
     the states of stage_times and on their X projections, each solved alone,
     counted through a wrapper around ``measures._tangent_derivatives``.  A
     state's count does not depend on the states solved beside it."""
-    evaluate = getattr(measures, "_tangent_derivatives", None)
-    if evaluate is None:
-        return {}
+    evaluate = measures._tangent_derivatives
     calls = []
 
     def counted(*args):
@@ -260,9 +251,7 @@ def cli_call_times() -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             for _ in range(REPEATS):
                 for k, path in enumerate(paths):
-                    start = time.perf_counter()
-                    cli.main(["discord", path, "--json"])
-                    best[k] = min(best[k], time.perf_counter() - start)
+                    best[k] = min(best[k], seconds(lambda: cli.main(["discord", path, "--json"])))
     half = CLI_STATES // 2
     return {"hs_us": 1e6 * sum(best[:half]) / half, "x_projected_us": 1e6 * sum(best[half:]) / half,
             "states": CLI_STATES, "repeats": REPEATS}
@@ -280,11 +269,10 @@ def cli_times() -> dict:
         for command in COMMANDS:
             for workers in sorted({1, cores}):
                 path = os.path.join(tmp, f"{command}-w{workers}.csv")
-                start = time.perf_counter()
-                subprocess.run([sys.executable, "-m", "qdiscord.cli", command,
-                                "--samples", str(SAMPLES), "--seed", str(SEED),
-                                "--workers", str(workers), "--out", path], check=True)
-                results[f"{command}_workers{workers}_s"] = time.perf_counter() - start
+                argv = [sys.executable, "-m", "qdiscord.cli", command, "--samples", str(SAMPLES),
+                        "--seed", str(SEED), "--workers", str(workers), "--out", path]
+                results[f"{command}_workers{workers}_s"] = seconds(
+                    lambda: subprocess.run(argv, check=True))
     return results
 
 
