@@ -8,6 +8,8 @@ reproduces the same sequence bit for bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ValidationError
@@ -36,6 +38,82 @@ class SeededGenerator:
         rng = np.random.default_rng([self.seed, self.counter % _UINT64])
         self.counter += 1
         return rng
+
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding, both
+# fixed by numpy's stream-compatibility policy
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2 ** 128 - 1
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """(2, calls, 1) uint32: the constant that the c-th call of a SeedSequence
+    hash XORs in (row 0) and the one it multiplies by (row 1), the running
+    product ``init * mult ** c`` and the next one."""
+    powers = [init * pow(mult, c, 2 ** 32) & _MASK32 for c in range(calls + 1)]
+    return np.array([powers[:-1], powers[1:]], dtype=np.uint32)[..., None]
+
+
+_FILL = _hash_constants(_INIT_A, _MULT_A, 16)  # calls 0-3 fill the pool, 4-15 mix it
+_GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64): 8 words
+_GENERATE_SOURCE = [0, 1, 2, 3, 0, 1, 2, 3]  # the pool word of each generated word
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words: XOR, multiply, then fold the high half in."""
+    words = (words ^ constants[0]) * constants[1]
+    return words ^ (words >> 16)
+
+
+@functools.cache
+def _pcg64_generator() -> np.random.Generator:
+    """The one generator that _substream_normals reseeds before each draw, built at
+    first use (``import qdiscord`` leaves numpy.random unimported) from a fixed
+    seed.  Every draw sets its whole state, so a forked copy draws the same; two
+    threads must not draw with it at once (the pipelines run none)."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _substream_normals(seed: int, indices) -> np.ndarray:
+    """(S, 2, 4, 4) standard normals, for each index k those that
+    ``numpy.random.default_rng([seed mod 2**64, k mod 2**64])`` draws first, to
+    the bit, with the SeedSequence hash of all indices done at once.
+
+    The entropy of ``[seed, k]`` is the 32-bit words of the seed, low word first
+    (0 gives one word), then those of k: at most the 4 words of the pool, and a
+    missing word hashes as a word 0, so every k takes two words, the high one 0
+    below 2**32.  The pool is hashed and mixed on (4, S) arrays of uint32, which
+    wrap as the C code does, and generate_state gives PCG64's seed (s0, s1) and
+    increment (i0, i1).
+    """
+    seed %= _UINT64
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    k = np.array([index % _UINT64 for index in indices], dtype=np.uint64)
+    pool = np.zeros((4, len(k)), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = k & _MASK32
+    pool[len(seed_words) + 1] = k >> 32
+    pool = _hashmix(pool, _FILL[:, :4])
+    for src in range(4):  # each word into the other three, in numpy's order
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _FILL[:, 4 + 3 * src:7 + 3 * src])
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[_GENERATE_SOURCE], _GENERATE).astype(np.uint64)
+    generator = _pcg64_generator()
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    z = np.empty((len(k), 2, 4, 4))
+    # (s0, s1, i0, i1) per index, each uint64 its two words, low word first
+    for normals, s0, s1, i0, i1 in zip(z, *(words[0::2] | words[1::2] << 32).tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128,
+                          "inc": inc}
+        generator.bit_generator.state = state
+        generator.standard_normal(out=normals)
+    return z
 
 
 def _ginibre_states(z: np.ndarray) -> np.ndarray:
@@ -73,15 +151,18 @@ _PSI_PRODUCT = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)   # (|00> + |10>)/s
 _PSI_ENTANGLED = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)  # (|01> + |10>)/sqrt2
 
 
-def mixture_family(q: float) -> np.ndarray:
+def mixture_family(q: float | np.ndarray) -> np.ndarray:
     """Mixture (1-q) |psi0><psi0| + q |psi1><psi1| of a product state and a
-    maximally entangled state.
+    maximally entangled state, (4, 4) for a weight q, or (S, 4, 4) for an
+    array (S,) of weights, each state to the bits of its weight alone.
 
     q = 0 is a product state (zero discord), q = 1 a Bell state (discord 1).
     """
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"mixture weight {q!r} outside [0, 1]")
+    q = np.asarray(q, dtype=float)
+    outside = ~((0.0 <= q) & (q <= 1.0))
+    if outside.any():
+        raise ValidationError(f"mixture weight {float(q[outside][0])!r} outside [0, 1]")
+    q = q[..., None, None]
     rho = ((1.0 - q) * np.outer(_PSI_PRODUCT, _PSI_PRODUCT)
            + q * np.outer(_PSI_ENTANGLED, _PSI_ENTANGLED))
     return rho.astype(complex)

@@ -20,9 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .canonical import canonical_blocks, hemisphere_representative
-from .ensembles import SeededGenerator, _ginibre_states, mixture_family, project_x_state
+from .ensembles import _ginibre_states, _substream_normals, mixture_family, project_x_state
 from .fano_bloch import state_blocks
 from .measures import _discord_reports, _minimize_many, angles_from_directions
+
+
+# histogram bins in all: each bin key theta_bin * phi_bins + phi_bin is then exact
+# in int64 and in float64
+MAX_BINS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ class ExperimentConfig:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
         if self.bins[0] < 1 or self.bins[1] < 1:
             raise ValueError(f"bins must be positive, got {self.bins!r}")
+        if self.bins[0] * self.bins[1] > MAX_BINS:
+            raise ValueError(f"bins must number at most 2**53 in all, got {self.bins!r}")
         if not 0.0 < self.cluster_tol <= 0.5:
             raise ValueError(f"cluster_tol must lie in (0, 0.5], got {self.cluster_tol!r}")
         return self
@@ -58,12 +65,10 @@ CHUNK_SIZE = 64
 
 def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
     """Random state k drawn from the substream (seed, k), for each index k, stacked:
-    the normals of each index from its substream, then one kernel call for the
-    whole stack, so each state has the bits of its random_hs_state."""
-    z = np.empty((len(indices), 2, 4, 4))
-    for normals, k in zip(z, indices):
-        SeededGenerator(config.seed, start=k).next_rng().standard_normal(out=normals)
-    return _ginibre_states(z)
+    the normals of every index from one seeding pass over the chunk, then one
+    kernel call for the whole stack, so each state has the bits of its
+    random_hs_state."""
+    return _ginibre_states(_substream_normals(config.seed, indices))
 
 
 def _directions_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> np.ndarray:
@@ -84,8 +89,8 @@ def _scatter_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
 
 def _mixture_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     """(q, discord, mcdm_discord) at each point of the uniform q grid, (S, 3)."""
-    qs = [k / (config.samples - 1) if config.samples > 1 else 0.0 for k in indices]
-    report = _discord_reports(np.stack([mixture_family(q) for q in qs]))
+    qs = np.array(indices) / max(config.samples - 1, 1)
+    report = _discord_reports(mixture_family(qs))
     return np.stack([qs, report.discord, report.mcdm_discord], axis=1)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -346,6 +347,8 @@ class TestSettingRanges:
         (["table1", "--samples", "0"], "samples"),
         (["scatter", "--workers", "0"], "workers"),
         (["histogram", "--bins", "0x5"], "bins"),
+        (["histogram", "--bins", "99999999999999999999x2"], "bins"),  # no C long holds it
+        (["histogram", "--bins", "9223372036854775807x2"], "bins"),  # its keys wrap in int64
     ] + [(["table1", f"--cluster-tol={value}"], "cluster_tol")
          for value in ("0", "-0.01", "nan", "inf", "0.51", "0.6", "2")])
     def test_out_of_range_exits_2_before_reserving_out(self, tmp_path, capsys, argv, setting):
@@ -358,6 +361,14 @@ class TestSettingRanges:
         assert captured.err.startswith(f"usage: qdiscord {argv[0]} [-h]")
         assert f"qdiscord {argv[0]}: error: " in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_bins_bound_pinned_at_its_boundary(self):
+        # 2**53 bins in all, so that every bin key is exact in int64 and in float64
+        for bins in [(2 ** 53, 1), (1, 2 ** 53), (2 ** 26, 2 ** 27)]:
+            assert ExperimentConfig(bins=bins).validate() == ExperimentConfig(bins=bins)
+        for bins in [(2 ** 53 + 1, 1), (1, 2 ** 53 + 1), (3, (2 ** 53 + 1) // 3)]:
+            with pytest.raises(ValueError, match=rf"^bins .*{re.escape(repr(bins))}$"):
+                ExperimentConfig(bins=bins).validate()
 
     @pytest.mark.parametrize("bins", ["axb", "3x", "x4", "3x4x5"])
     def test_malformed_bins_exit_2_with_the_form(self, capsys, bins):
@@ -503,14 +514,27 @@ class TestGoldenOutputs:
             assert out.read_bytes() == fh.read()
 
 
+def run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this qdiscord."""
+    src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestDependencies:
     def test_cli_runs_without_scipy(self):
         code = ("import contextlib, io, sys, qdiscord.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    qdiscord.cli.main(['mixture', '--samples', '3'])\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout == "[]\n"
+        assert run_python(code) == "[]\n"
+
+    def test_discord_call_leaves_numpy_random_unimported(self, tmp_path):
+        # the discord path never draws; importing numpy.random would add to its setup
+        code = ("import contextlib, io, sys, qdiscord.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = qdiscord.cli.main(['discord', {write_state(tmp_path, bell_state())!r},"
+                " '--json'])\n"
+                "print(code, 'numpy.random' in sys.modules)\n")
+        assert run_python(code) == "0 False\n"

@@ -92,6 +92,17 @@ class TestStackedDraw:
         alone = np.stack([random_hs_state(SeededGenerator(seed, start=k)) for k in indices])
         assert same_bits(stacked, alone)
 
+    # the 32-bit word boundaries of the seed and of the index, which change the
+    # number of entropy words that numpy's SeedSequence hashes
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 5, -1])
+    @pytest.mark.parametrize("size", [1, 2, 44, 64])  # 44: the last chunk of 300 samples
+    @pytest.mark.parametrize("last", [None, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1],
+                             ids=["from_0", "to_2_32_minus_1", "to_2_32", "to_2_64_minus_1"])
+    def test_chunk_equals_numpy_default_rng(self, seed, size, last):
+        indices = range(size) if last is None else range(last - size + 1, last + 1)
+        stacked = _hs_states(ExperimentConfig(seed=seed), indices)
+        assert same_bits(stacked, np.stack([ginibre_by_blocks(seed, k) for k in indices]))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_state_equals_block_by_block_draw(self, seed):
         # one draw of 32 normals reads the stream as the two (4, 4) draws do
@@ -153,6 +164,17 @@ class TestMixtureFamily:
             mixture_family(-0.01)
         with pytest.raises(ValidationError):
             mixture_family(1.01)
+
+    def test_stack_equals_each_weight_alone(self):
+        qs = np.array([0.0, 1e-300, 0.1, 1 / 3, 0.37, 0.5, 1 - 2 ** -53, 1.0])
+        stacked = mixture_family(qs)
+        assert stacked.shape == (len(qs), 4, 4) and mixture_family(0.37).shape == (4, 4)
+        assert same_bits(stacked, np.stack([mixture_family(float(q)) for q in qs]))
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan, -np.inf])
+    def test_domain_error_covers_every_weight(self, bad):
+        with pytest.raises(ValidationError, match=f"mixture weight {bad!r} outside"):
+            mixture_family(np.array([0.0, 0.5, bad, 1.0]))
 
 
 class TestOffAxisXState:
