@@ -7,11 +7,11 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a pruned hemisphere grid plus a trust-region Newton refinement on the
-sphere, with the exact gradient and Hessian of CE, minimizes to obtain the
-classical correlation and the quantum discord, always on the blocks of the
-state's canonical form, where the x axis is the maximal-correlation
-direction (MCDM).  X-shaped blocks (R diagonal, a and b along one axis) have
+which a scan of a fixed hemisphere grid plus a trust-region Newton
+refinement on the sphere, with the exact gradient and Hessian of CE,
+minimizes to obtain the classical correlation and the quantum discord,
+always on the blocks of the state's canonical form, where the x axis is the
+maximal-correlation direction (MCDM).  X-shaped blocks (R diagonal, a and b along one axis) have
 their minimum on one great circle, which is scanned and refined first by the
 same iteration; when that minimum ties a coordinate axis the hemisphere grid
 is skipped.
@@ -21,7 +21,6 @@ cheap upper bound on the discord.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,7 +50,7 @@ POSITIVITY_SLACK = 1e-9
 VALUE_TIE_TOL = 1e-10
 GRID_TIE_TOL = 1e-11
 # among the grid points that tie the lowest, those within this of the largest
-# closeness |n_x| to the x axis count as closest (see _start_rule)
+# closeness |n_x| to the x axis count as closest (see _pick_start)
 START_CLOSENESS_TOL = 1e-9
 # correlation quantities in [-CLAMP_WINDOW, 0) are reported as 0
 CLAMP_WINDOW = 1e-9
@@ -61,30 +60,27 @@ CLAMP_WINDOW = 1e-9
 WITNESS_VANISHING_TOL = 1e-10
 WITNESS_TOL = 1e-9
 
-THETA_BINS = 96
-PHI_BINS = 192
-# the grid scan bounds CE on coarse cells of COARSE_CELL x COARSE_CELL points,
-# then on the cells of CELL x CELL points inside those it keeps (see _grid_start)
-CELL = 8
-COARSE_CELL = 2 * CELL
-# rounding allowance of a cell's vertex bound, and how far beyond the unit
-# sphere the outer face of a cell's frustum lies
-BOUND_SLACK = 1e-12
-# refinement: trust-region Newton steps on the sphere, at first within one grid
-# step (see _newton).  A state leaves once the model promises a decrease of at
-# most DECREASE_STOP, or once its value is at most CE_FLOOR: CE >= 0, so at most
-# that much is left to gain, and the CE of a pure state, 0 in exact arithmetic,
-# is rounding noise of up to 3.2e-14 (seen on 5,120 pure states)
+# the hemisphere grid of the start has RINGS rings of points (see _GRID_DIRS)
+RINGS = 32
+# refinement: trust-region Newton steps on the sphere, at first within
+# INITIAL_RADIUS (see _newton).  A state leaves once the model promises a
+# decrease of at most DECREASE_STOP, or once its value is at most CE_FLOOR:
+# CE >= 0, so at most that much is left to gain, and the CE of a pure state, 0
+# in exact arithmetic, is rounding noise of up to 3.2e-14 (seen on 5,120 pure
+# states)
 DECREASE_STOP = 1e-17
 CE_FLOOR = 1e-13
 MAX_ITERATIONS = 60
 # the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
 # h''(x) = -1/(ln 2 (1 - x^2)) are finite
 X_CAP = 1.0 - 1e-12
+# the first trust radius: a larger one, pi/32, makes a flat Werner state on the
+# sphere take a second evaluation of the derivatives
+INITIAL_RADIUS = math.pi / 96
 # points evaluated per call of the grid and circle scans, over all states of
-# the call: at most 24 x 192 = 4,608.  The largest temporary of a call, both
-# branches' vectors b +- R^T n, then holds 6 x 4,608 doubles (221 KB)
-GRID_BLOCK_ROWS = 24
+# the call: at most 4,608.  The largest temporary of a call, both branches'
+# vectors b +- R^T n, then holds 6 x 4,608 doubles (221 KB)
+_POINTS_PER_CALL = 4608
 
 
 # --------------------------------------------------------------------------- #
@@ -299,195 +295,47 @@ def _angle_dirs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=-2)
 
 
-_GRID_THETAS = np.arange(THETA_BINS) * (math.pi / THETA_BINS)
-_GRID_PHIS = -math.pi / 2 + np.arange(PHI_BINS) * (math.pi / PHI_BINS)
-_GRID_DIRS = _angle_dirs(*(m.ravel() for m in np.meshgrid(_GRID_THETAS, _GRID_PHIS,
-                                                           indexing="ij")))
-
-# The grid splits into cells of any size that divides it, here CELL x CELL and
-# COARSE_CELL x COARSE_CELL points, each numbered row-major in (theta, phi).  A
-# cell's points lie in a frustum with 8 vertices: the cone over the cell's 4
-# corners, half a grid step outside its outermost points on the unit sphere,
-# cut by the plane of those corners and by a parallel plane just beyond the
-# sphere.  The corners are coplanar, as the cell is an isosceles trapezoid.
-# Adjacent cells share vertices.
-
-def _cell_geometry(cell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell of ``cell`` x ``cell`` grid points, the flat grid indices of its
-    points (cells, cell**2); the directions at which its bound evaluates CE
-    (3, cells + V): one anchor grid point per cell, then the (rows + 1) x
-    (cols + 1) corners on the sphere and 2 x (cols + 1) outer vertices per cell
-    row; and the columns there of each cell's 8 vertices, vertex by vertex
-    (8, cells)."""
-    rows, cols = THETA_BINS // cell, PHI_BINS // cell
-    corners = _angle_dirs(*(m.ravel() for m in np.meshgrid(
-        (np.arange(rows + 1) * cell - 0.5) * (math.pi / THETA_BINS),
-        -math.pi / 2 + (np.arange(cols + 1) * cell - 0.5) * (math.pi / PHI_BINS),
-        indexing="ij"))).reshape(3, rows + 1, cols + 1)
-    # the corner plane's distance from the origin depends only on the cell row
-    c00, c01, c10 = corners[:, :-1, 0], corners[:, :-1, 1], corners[:, 1:, 0]
-    normal = np.cross(c01 - c00, c10 - c00, axis=0)
-    depth = np.abs((normal * c00).sum(axis=0)) / np.linalg.norm(normal, axis=0)
-    outer = (np.stack([corners[:, :-1], corners[:, 1:]], axis=2)
-             * ((1.0 + BOUND_SLACK) / depth)[:, None, None])
-    i, j = (m.ravel()[:, None] for m in np.meshgrid(np.arange(rows), np.arange(cols),
-                                                    indexing="ij"))
-    points = np.ravel_multi_index(
-        (cell * i + np.arange(cell * cell) // cell, cell * j + np.arange(cell * cell) % cell),
-        (THETA_BINS, PHI_BINS))
-    di, dj = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    vertices = np.concatenate([
-        np.ravel_multi_index((i + di, j + dj), corners.shape[1:]),
-        corners[0].size + np.ravel_multi_index((i, di, j + dj), outer.shape[1:])], axis=1)
-    dirs = np.concatenate([_GRID_DIRS[:, points[:, cell * cell // 2 + cell // 2]],
-                           corners.reshape(3, -1), outer.reshape(3, -1)], axis=1)
-    return points, dirs, np.ascontiguousarray(len(points) + vertices.T)
+# the hemisphere grid: RINGS rings of polar angle i pi / RINGS, ring 0 being the
+# pole z, ring i holding max(1, ceil(2 RINGS sin theta_i)) points of azimuth
+# -pi/2 + j pi / n_i, so that points are about pi / RINGS apart along each ring
+# as across rings.  The x axis (ring RINGS/2, j = n/2), the pole and -y are
+# grid points.  1,321 points in all, ring by ring
+_RING_THETAS = np.arange(RINGS) * (math.pi / RINGS)
+_RING_SIZES = np.maximum(1, np.ceil(2 * RINGS * np.sin(_RING_THETAS))).astype(int)
+_GRID_DIRS = _angle_dirs(np.repeat(_RING_THETAS, _RING_SIZES), np.concatenate(
+    [-math.pi / 2 + np.arange(n) * (math.pi / n) for n in _RING_SIZES]))
+_GRID_CLOSENESS = np.abs(_GRID_DIRS[0])
+# states per grid call: a call evaluates the whole grid for each of its states
+_GRID_BLOCK = _POINTS_PER_CALL // _GRID_DIRS.shape[1]
 
 
-def _level(parents: np.ndarray, geometry: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level of the grid scan's bound, on the cells of one size, given by
-    their ``geometry`` (see :func:`_cell_geometry`), inside ``parents`` (P, m),
-    blocks of grid points that those cells tile in the same pattern: each
-    parent's cells in order (P, c); the directions of each parent's bound
-    (P, 3, c + V), the c anchors, then the V distinct vertices of its cells;
-    and the columns there of each cell's 8 vertices (8, c), the same for
-    every parent."""
-    points, dirs, vertices = geometry
-    cell_of = np.empty(_GRID_DIRS.shape[1], dtype=int)
-    cell_of[points] = np.arange(len(points))[:, None]
-    children = np.sort(cell_of[parents], axis=1)[:, ::points.shape[1]]
-    columns = np.sort(np.concatenate(
-        [children, vertices[:, children].transpose(1, 0, 2).reshape(len(parents), -1)],
-        axis=1), axis=1)
-    columns = columns[:, np.concatenate([[True], columns[0, 1:] != columns[0, :-1]])]
-    return (children, np.ascontiguousarray(dirs[:, columns].transpose(1, 0, 2)),
-            np.searchsorted(columns[0], vertices[:, children[0]]))
-
-
-# the bound's levels: the whole grid as one parent of 72 cells of COARSE_CELL x
-# COARSE_CELL points, then each of those as the parent of 4 cells of CELL x CELL.
-# Each cell size's geometry is built once, and only one at a time is held
-_LEVELS, _parents = (), np.arange(_GRID_DIRS.shape[1])[None]
-for _cell in (COARSE_CELL, CELL):
-    _geometry = _cell_geometry(_cell)
-    _LEVELS += (_level(_parents, _geometry),)
-    _parents = _geometry[0]
-_CELL_POINTS = _parents
-del _cell, _geometry, _parents
-# the grid cell by cell, (cells, 3, CELL**2), in C order so that each cell's
-# directions are stored row by row, and each point's closeness to x
-_CELL_DIRS = np.ascontiguousarray(_GRID_DIRS[:, _CELL_POINTS].transpose(1, 0, 2))
-_CELL_CLOSENESS = np.abs(_CELL_DIRS[:, 0])
-# each call takes at most as many points as one block of grid rows: a level
-# takes as many (state, parent) pairs as that allows, and the evaluation of the
-# kept cells as many (state, cell) pairs
-_POINTS_PER_CALL = GRID_BLOCK_ROWS * PHI_BINS
-_BLOCK_CELLS = _POINTS_PER_CALL // _CELL_POINTS.shape[1]
-
-
-# a cell is skipped when its lowest vertex value, less the rounding allowance
-# BOUND_SLACK, exceeds the lowest anchor value known by more than GRID_TIE_TOL
-_SKIP_MARGIN = GRID_TIE_TOL + BOUND_SLACK
-
-
-def _kept_cells(a: np.ndarray, b: np.ndarray, r: np.ndarray, state: np.ndarray,
-               parent: np.ndarray, lowest: np.ndarray,
-               level: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of ``level`` (see :func:`_level`) in the (state, parent) pairs
-    (P,) that can hold a grid point within GRID_TIE_TOL of the lowest, as
-    (state, cell) pairs in order of state.  Lowers ``lowest`` (S,) to the
-    lowest anchor value of each state's cells, so a state keeps the cell of
-    its lowest anchor.  A vertex outside the concave set reads -inf, so its
-    cells are never skipped."""
-    children, dirs, vertices = level
-    cells, k = children.shape[1], dirs.shape[2]
-    size = _POINTS_PER_CALL // k  # pairs per call
-    anchor, bound = np.empty(len(state)), np.empty((len(state), cells))
-    for first in range(0, len(state), size):
-        block = slice(first, first + size)
-        s = state[block]
-        w, g = _branches(a[s], b[s], r[s], dirs[parent[block]])
-        values = _branch_entropy(w, g)
-        outside = g > w
-        np.copyto(values[:, cells:], -np.inf, where=outside[:, cells:k] | outside[:, k + cells:])
-        anchor[block] = values[:, :cells].min(axis=1)
-        bound[block] = values.take(vertices, axis=1).min(axis=1)
-    np.minimum.at(lowest, state, anchor)
-    pair, child = (bound <= lowest[state, None] + _SKIP_MARGIN).nonzero()
-    return state[pair], children[parent[pair], child]
-
-
-def _start_rule(values: np.ndarray, cells: np.ndarray, counts: np.ndarray,
-                closeness: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat grid index (S,) and value (S,) of the start of S states, from
-    ``values`` (P, c) at the points of ``cells`` (P,): the distinct cells of
-    each state in turn, ``counts`` (S,) of them per state.  Their closeness
-    |n_x| to x and flat indices are rows of the tables ``closeness`` and
-    ``points`` (cells, c).  Among the points within GRID_TIE_TOL of a state's
-    lowest value, those within START_CLOSENESS_TOL of the largest closeness
-    count as closest, and of them the one with the smallest flat index is
-    taken."""
-    first = counts.cumsum() - counts
-    lowest = np.minimum.reduceat(values.min(axis=1), first)
-    close = closeness[cells]
-    np.copyto(close, -1.0, where=values > (lowest + GRID_TIE_TOL).repeat(counts)[:, None])
-    closest = np.maximum.reduceat(close.max(axis=1), first)
-    flat = points[cells]
-    np.copyto(flat, _GRID_DIRS.shape[1],
-              where=close < (closest - START_CLOSENESS_TOL).repeat(counts)[:, None])
-    start = np.minimum.reduceat(flat.min(axis=1), first)
-    # a state's points have distinct flat indices, so one of them is its start
-    return start, values[flat == start.repeat(counts)[:, None]]
+def _pick_start(values: np.ndarray, closeness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index (S,) and value (S,) of the start of S states from their ``values``
+    (S, K) at K points whose closeness |n_x| to the x axis is ``closeness``
+    (K,).  Among the points within GRID_TIE_TOL of a state's lowest value,
+    those within START_CLOSENESS_TOL of the largest closeness count as
+    closest, and of them the one with the smallest index is taken."""
+    tied = values <= values.min(axis=1, keepdims=True) + GRID_TIE_TOL
+    close = np.where(tied, closeness, -1.0)
+    start = (close >= close.max(axis=1, keepdims=True) - START_CLOSENESS_TOL).argmax(axis=1)
+    return start, values[np.arange(len(values)), start]
 
 
 def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices (S,) and values (S,) of the lowest 96 x 192 grid point of S
-    states.  Among points within GRID_TIE_TOL of the lowest it takes the one
+    """Indices (S,) into _GRID_DIRS and values (S,) of the lowest grid point of
+    S states.  Among points within GRID_TIE_TOL of the lowest it takes the one
     closest to the x axis; mirror-image optima (theta vs pi - theta) tie in that
-    metric too, so then the smallest flat index, i.e. the smaller polar angle.
+    metric too, so then the smallest index, i.e. the smaller polar angle.
 
-    Only cells that can hold such a point are evaluated.  Each branch term
-    (w/2) h(g/w) is concave and nonincreasing in g, w = 1 +- a.n is affine and
-    g = |b +- R^T n| convex, so CE is concave on the convex set g <= w, which
-    holds the unit ball.  On a cell whose frustum vertices all lie in that set
-    CE is therefore at least its lowest vertex value, and no point can fail the
-    positivity guard.  A cell is skipped when that bound exceeds the lowest
-    anchor value known by more than GRID_TIE_TOL.
-
-    The bound is one rule, :func:`_kept_cells`, applied per level of _LEVELS:
-    every state starts with the whole grid as its one parent, and each level
-    bounds the cells of the parents that the level above kept, the 72 cells
-    of 16 x 16 points, then the four 8 x 8 cells of each kept 16 x 16 cell.
-    The kept 8 x 8 cells of all states are then evaluated in full as one list
-    of (state, cell) pairs, in calls of at most _BLOCK_CELLS cells, and
-    :func:`_start_rule` picks the start of each state once its last cell is
-    evaluated.  A stack of one takes the same path, and a state's start and
-    value do not depend on the states beside it.
-    """
-    state, cells = np.arange(len(a)), np.zeros(len(a), dtype=int)
-    lowest = np.full(len(a), np.inf)
-    for level in _LEVELS:
-        state, cells = _kept_cells(a, b, r, state, cells, lowest, level)
-    counts = np.bincount(state, minlength=len(a))
-    ends = counts.cumsum().tolist()
+    Every state evaluates the whole grid, in calls of _GRID_BLOCK states, and
+    :func:`_pick_start` picks the starts of each call's states from that
+    call's values, so a state's start and value do not depend on the states
+    beside it, and no more than one call's values are held at a time."""
     start, value = np.empty(len(a), dtype=int), np.empty(len(a))
-    # the values of the pairs from ``held`` on: the cells of the states from
-    # ``done`` on evaluated so far, as a state's cells may straddle calls
-    pending, held, done = [], 0, 0
-    for k in range(0, len(cells), _BLOCK_CELLS):
-        s = state[k:k + _BLOCK_CELLS]
-        # a matmul over a subset of the grid's columns reproduces the bits of
-        # the whole grid's product when the column count is a multiple of 4,
-        # as here, and the directions are stored row by row, as in _CELL_DIRS
-        pending.append(_ce_many(a[s], b[s], r[s], _CELL_DIRS[cells[k:k + _BLOCK_CELLS]]))
-        last = bisect.bisect_right(ends, k + _BLOCK_CELLS)
-        if last > done:
-            stop = ends[last - 1]
-            values = np.concatenate(pending)
-            start[done:last], value[done:last] = _start_rule(
-                values[:stop - held], cells[held:stop], counts[done:last],
-                _CELL_CLOSENESS, _CELL_POINTS)
-            pending, held, done = [values[stop - held:]], stop, last
+    for first in range(0, len(a), _GRID_BLOCK):
+        s = slice(first, first + _GRID_BLOCK)
+        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], _GRID_DIRS),
+                                         _GRID_CLOSENESS)
     return start, value
 
 
@@ -641,7 +489,7 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
     :func:`_trust_step` of the latest and evaluates CE and its derivatives in
     one pass (:func:`_tangent_derivatives`) at the end of that step along
     the great circle.  The state moves there when CE is lower, and otherwise
-    keeps its point and derivatives.  The trust radius, first one grid step,
+    keeps its point and derivatives.  The trust radius, first INITIAL_RADIUS,
     shrinks to a quarter of the step when the decrease falls short of a
     quarter of the predicted one, and doubles when the step reached it and
     the decrease exceeded three quarters.  A state leaves once the model
@@ -654,7 +502,7 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
     if not active.size:
         return best_n, best_value
     a, b, r, n, value = (x[active] for x in (a, b, r, n, value))
-    radius = np.full(active.size, math.pi / THETA_BINS)
+    radius = np.full(active.size, INITIAL_RADIUS)
     # the start keeps its given value, whose bits a lone evaluation need not share
     rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)[2:]
     for _ in range(MAX_ITERATIONS):
@@ -687,9 +535,9 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
 
 
 def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (S, 3) and values (S,) of S states: one pruned 96 x 192 grid
-    scan of the whole stack, then the Newton refinement from each start,
-    before the axis tie-break."""
+    """Directions (S, 3) and values (S,) of S states: the grid scan of the whole
+    stack, then the Newton refinement from each start, before the axis
+    tie-break."""
     start, value = _grid_start(a, b, r)
     return _newton(a, b, r, _GRID_DIRS.T[start], value, _sphere_frame)
 
@@ -703,10 +551,9 @@ X_SHAPE_TOL = 1e-13
 # per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
 # in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
 _CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
-# the phi = 0 column of the grid; CE on the circle is even in cos(theta) and in
-# sin(theta), so theta runs from 0 to pi/2
-_CIRCLE_DIRS = np.ascontiguousarray(
-    _GRID_DIRS[:, PHI_BINS // 2::PHI_BINS][:, :THETA_BINS // 2 + 1])
+# the circle phi = 0 at the grid's polar angles; CE on the circle is even in
+# cos(theta) and in sin(theta), so theta runs from 0 to pi/2: 17 points
+_CIRCLE_DIRS = _angle_dirs(_RING_THETAS[:RINGS // 2 + 1], np.zeros(RINGS // 2 + 1))
 # states per circle grid call, as many points as a grid call
 _CIRCLE_BLOCK = _POINTS_PER_CALL // _CIRCLE_DIRS.shape[1]
 
@@ -738,7 +585,7 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
     azimuth if |R_jj| >= |R_ii|.  Each branch term is nonincreasing in g, so
     the minimum lies on the great circle through e_k and e_j, which an exact
     permutation of the axes (k to z, j to x) makes the circle phi = 0.  Its
-    49 grid points are scanned and the lowest refined by :func:`_newton` along
+    17 points are scanned and the lowest refined by :func:`_newton` along
     the circle.  Blocks within X_SHAPE_TOL of that shape move CE by far less
     than VALUE_TIE_TOL."""
     k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
@@ -802,9 +649,9 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere,
     as :func:`quantum_discord` reports it.
 
-    Two deterministic stages on the canonical form's blocks: a scan of the
-    96 x 192 (theta, phi) grid, which skips the 8 x 8 cells that a certified
-    lower bound shows cannot hold its lowest point, then a trust-region
+    Two deterministic stages on the canonical form's blocks: a scan of a
+    fixed hemisphere grid of 1,321 points on 32 rings of polar angle, about
+    pi/32 apart, then a trust-region
     Newton refinement from the best grid point, with the exact gradient and
     Hessian of CE in an orthonormal tangent frame, until its quadratic model
     promises a decrease of at most 1e-17.  Ties resolve to the MCDM axis,
@@ -814,15 +661,16 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
 
     An X-shaped canonical form (R diagonal, a and b along one axis k) has its
     minimum on the great circle through e_k and the transverse axis of the
-    larger correlation.  The two stages run first on that circle (49 points,
+    larger correlation.  The two stages run first on that circle (17 points,
     then the same iteration along the circle); a minimum there that ties an
     axis is settled by the same tie-break, to the same bits, and any other
     goes on to the sphere.
 
     The value is reproducible to its last bits; the direction only to about
-    2e-8, because CE is flat to second order at its minimum: a one-ulp change
-    of the input moved the direction by up to 1.7e-8 (median 1e-16) and the
-    value by up to 4.4e-16 on 300 seed-137 Hilbert-Schmidt states.
+    2e-8, because CE is flat to second order at its minimum: scaling the
+    canonical block a by 1 + 2^-52 moved the direction by up to 1.7e-8
+    (median 1.2e-16) and the value by up to 5.0e-16 on 300 seed-137
+    Hilbert-Schmidt states.
     """
     report = quantum_discord(rho)
     return report.optimal_direction, report.min_conditional_entropy

@@ -23,17 +23,16 @@ from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordRepor
                       von_neumann_entropy, zero_discord_witness)
 from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
+from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
-from qdiscord.measures import (_BLOCK_CELLS, _CELL_POINTS, _CIRCLE_BLOCK, _GRID_DIRS, _GRID_PHIS,
-                               _GRID_THETAS, _LEVELS, _POINTS_PER_CALL, _TIE_AXES, BOUND_SLACK,
-                               CE_FLOOR, CELL, CLAMP_WINDOW, COARSE_CELL, DECREASE_STOP,
-                               GRID_BLOCK_ROWS, GRID_TIE_TOL, MAX_ITERATIONS, PHI_BINS,
-                               PROBABILITY_SUM_TOL, START_CLOSENESS_TOL, THETA_BINS, VALUE_TIE_TOL,
+from qdiscord.measures import (_CIRCLE_BLOCK, _GRID_BLOCK, _GRID_DIRS, _TIE_AXES, CE_FLOOR,
+                               CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, MAX_ITERATIONS,
+                               PROBABILITY_SUM_TOL, START_CLOSENESS_TOL, VALUE_TIE_TOL,
                                WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
-                               _angle_dirs, _axis_ties, _branch_entropy, _branches, _ce_many,
-                               _cell_geometry, _circle_minimum, _circle_states, _discord_reports,
-                               _grid_start, _kept_cells, _minimize_many, _newton, _sphere_frame,
-                               _sphere_minimum, _start_rule, _tangent_derivatives, _tie_break)
+                               _angle_dirs, _axis_ties, _branch_entropy, _ce_many,
+                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
+                               _minimize_many, _newton, _pick_start, _sphere_frame,
+                               _sphere_minimum, _tangent_derivatives, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -374,9 +373,8 @@ class TestMinimizeConditionalEntropy:
             _minimize_many(NON_PHYSICAL.a[None], NON_PHYSICAL.b[None], NON_PHYSICAL.r[None])
 
     def test_no_large_temporaries(self):
-        # the grid is evaluated in calls of at most 4,608 points, whose largest
-        # temporary is 221 KB; evaluating the whole 96 x 192 grid in one call
-        # peaked at 3.1 MiB
+        # the grid and the circle are evaluated in calls of at most 4,608
+        # points, whose largest temporary is 221 KB
         rho = hs_states(151, 1)[0]
         minimize_conditional_entropy(rho)
         tracemalloc.start()
@@ -716,143 +714,78 @@ def stacked_canonical(states):
     return canonical.a, canonical.b, canonical.r
 
 
-# the cell size of each level of _LEVELS
-LEVEL_CELLS = (COARSE_CELL, CELL)
-LEVEL_IDS = [f"{cell}x{cell}" for cell in LEVEL_CELLS]
-
-
-def kept_cells(a, b, r):
-    """The cells that _grid_start evaluates for one state: the level loop of
-    _kept_cells, the whole grid as the state's one parent first."""
-    state, cells, lowest = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.full(1, np.inf)
-    for level in _LEVELS:
-        state, cells = _kept_cells(a, b, r, state, cells, lowest, level)
-    return cells
+# the 96 x 192 (theta, phi) grid, a reference for the start on the ring grid:
+# rows of polar angle k pi/96, each of 192 azimuths from -pi/2, row by row
+DENSE_DIRS = _angle_dirs(*(m.ravel() for m in np.meshgrid(
+    np.arange(96) * (math.pi / 96), -math.pi / 2 + np.arange(192) * (math.pi / 192),
+    indexing="ij")))
 
 
 def dense_start(a, b, r):
-    """Reference for measures._grid_start: CE at every point of the 96 x 192
-    grid, in blocks of GRID_BLOCK_ROWS theta rows, and the same start rule."""
-    blocks = np.hsplit(_GRID_DIRS, THETA_BINS // GRID_BLOCK_ROWS)
+    """CE at every point of the 96 x 192 grid for one state, in blocks of 24
+    rows, and the start rule of measures._grid_start: the flat index and value
+    of the point closest to x among those tied with the lowest, the first of
+    them on a tie."""
     values = np.concatenate([_ce_many(a, b, r, np.ascontiguousarray(block))[0]
-                             for block in blocks])
+                             for block in np.hsplit(DENSE_DIRS, 4)])
     tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
-    closeness = np.abs(_GRID_DIRS[0, tied])
+    closeness = np.abs(DENSE_DIRS[0, tied])
     start = tied[closeness >= closeness.max() - START_CLOSENESS_TOL][0]
     return int(start), float(values[start])
 
 
-class TestGridCertificate:
-    """The pruned grid scan: each cell's frustum holds its points, its vertex
-    bound lies below CE, on both levels, and the scan starts where the full
-    scan does."""
-
-    DRAWS = 32  # points drawn per cell
+class TestGridStart:
+    """The scan of the ring grid: the solve reaches the minimum that the
+    refinement reaches from the dense 96 x 192 scan, each state evaluates the
+    whole grid once, and a state's start does not depend on its stack."""
 
     @staticmethod
-    def assert_points_inside_frustums(points, dirs, vertices):
-        inner = dirs[:, vertices[:4]]  # corners 00, 01, 10, 11: (3, 4, cells)
-        outer = dirs[:, vertices[4:]]
-        points = _GRID_DIRS[:, points]
-        c00, c01, c10, c11 = inner.transpose(1, 0, 2)
-        centre = inner.sum(axis=1)
-        for p, q in ((c00, c01), (c01, c11), (c11, c10), (c10, c00)):
-            face = np.cross(p, q, axis=0)
-            face /= np.linalg.norm(face, axis=0)
-            face *= np.sign((face * centre).sum(axis=0))
-            assert (np.einsum("ic,icp->cp", face, points) >= -1e-15).all()
-        normal = np.cross(c01 - c00, c10 - c00, axis=0)
-        normal /= np.linalg.norm(normal, axis=0)
-        normal *= np.sign((normal * c00).sum(axis=0))
-        depth = (normal * c00).sum(axis=0)
-        assert_allclose((normal * c11).sum(axis=0), depth, rtol=0, atol=1e-15)
-        assert (np.einsum("ic,icp->cp", normal, points) >= depth[:, None] - 1e-15).all()
-        # the outer face lies beyond the unit sphere, parallel to the corners' plane
-        outer_depth = np.einsum("ic,ivc->cv", normal, outer)
-        assert_allclose(outer_depth, 1.0 + BOUND_SLACK, rtol=0, atol=1e-15)
-        assert (outer_depth > 1.0).all()
+    def assert_minimum_equals_refined_dense_scan(rho):
+        a, b, r = canonical_stack(rho)
+        start, value = dense_start(a, b, r)
+        n, dense = _newton(a, b, r, DENSE_DIRS.T[[start]], np.array([value]), _sphere_frame)
+        dense = _tie_break(n, dense, _ce_many(a, b, r, _TIE_AXES))[1]
+        assert abs(_minimize_many(a, b, r)[1][0] - dense[0]) <= 1e-14
 
-    @pytest.mark.parametrize("cell", LEVEL_CELLS, ids=LEVEL_IDS)
-    def test_grid_points_inside_their_frustum(self, cell):
-        # a theta edge of a 16 x 16 cell bulges off the great circle through
-        # its corners by ~0.004 rad, within the half theta step (0.016 rad)
-        # between a corner row and the nearest points
-        self.assert_points_inside_frustums(*_cell_geometry(cell))
-
-    @pytest.mark.parametrize("depth", range(len(_LEVELS)), ids=LEVEL_IDS)
-    def test_level_bound_reads_the_anchors_and_vertices_of_its_cells(self, depth):
-        children, dirs, vertices = _LEVELS[depth]
-        points, cell_dirs, cell_vertices = _cell_geometry(LEVEL_CELLS[depth])
-        # the parents are the whole grid, then the cells of the level above
-        parents = (_cell_geometry(LEVEL_CELLS[depth - 1])[0] if depth
-                   else np.arange(THETA_BINS * PHI_BINS)[None])
-        # each parent's cells partition its points, and the parents partition
-        # the cells
-        assert (np.sort(children, axis=None) == np.arange(len(points))).all()
-        assert (np.sort(points[children].reshape(len(parents), -1), axis=1)
-                == np.sort(parents, axis=1)).all()
-        cells = children.shape[1]
-        assert (dirs[:, :, :cells] == cell_dirs[:, children].transpose(1, 0, 2)).all()
-        assert (dirs[:, :, vertices]
-                == cell_dirs[:, cell_vertices[:, children]].transpose(2, 0, 1, 3)).all()
-        # the anchors, then each distinct vertex once: 72 anchors and 247
-        # vertices of the whole grid, 4 anchors and 21 vertices of 2 x 2 cells
-        assert dirs.shape[2] == (319, 25)[depth] == len(np.unique(vertices)) + cells
-        assert vertices.min() == cells
-
-    def assert_vertex_bound_below_ce(self, family, seed, points, dirs, vertices):
-        a, b, r = canonical_stack(family_state(family, seed))
-        w, g = _branches(a, b, r, dirs)
-        bound = _branch_entropy(w, g)[0][vertices].min(axis=0)
-        outside = (g > w)[0].reshape(2, -1).any(axis=0)
-        certified = np.flatnonzero(~outside[vertices].any(axis=0))
-        # the cell's grid points, and points drawn in the (theta, phi) rectangle
-        # they span
-        grid = _ce_many(a, b, r, _GRID_DIRS)[0][points[certified]]
-        thetas = _GRID_THETAS[points[certified] // PHI_BINS]
-        phis = _GRID_PHIS[points[certified] % PHI_BINS]
-        u, v = np.random.default_rng(seed).uniform(size=(2, certified.size, self.DRAWS))
-        drawn = _angle_dirs(thetas.min(axis=1)[:, None] + u * np.ptp(thetas, axis=1)[:, None],
-                            phis.min(axis=1)[:, None] + v * np.ptp(phis, axis=1)[:, None])
-        sampled = _ce_many(a, b, r, drawn.swapaxes(0, 1).reshape(3, -1))[0]
-        sampled = sampled.reshape(certified.size, self.DRAWS)
-        assert (bound[certified, None] <= np.concatenate([grid, sampled], axis=1)).all()
-
-    @pytest.mark.parametrize("cell", LEVEL_CELLS, ids=LEVEL_IDS)
-    @given(family=st.sampled_from(CERTIFIED_FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=70)
-    def test_vertex_bound_below_ce_in_cell(self, cell, family, seed):
-        self.assert_vertex_bound_below_ce(family, seed, *_cell_geometry(cell))
-
-    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner",))
-    def test_pruned_start_equals_dense_scan(self, family):
+    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner", "pure", "product"))
+    def test_minimum_equals_refined_dense_scan(self, family):
         for seed in range(20):
-            a, b, r = canonical_stack(family_state(family, seed))
-            start, value = _grid_start(a, b, r)
-            assert (start[0], value[0]) == dense_start(a, b, r)
+            self.assert_minimum_equals_refined_dense_scan(family_state(family, seed))
 
-    def test_stacked_start_equals_dense_scan_and_state_alone(self):
-        # 100 states: a stack of 64 takes five calls of the first level, the
-        # last of 8 states, and the Werner and product states span several
-        # calls of kept cells
+    def test_narrow_basin_reached(self):
+        # the optimum of this state lies in a narrow basin: from the start of a
+        # rectangular 24 x 48 grid, or of a ring grid of 24 rings, the
+        # refinement ends near theta = 0.498 pi, phi = 0.054 pi, 1.67e-4 above
+        # the optimum at theta = 0.474 pi, phi = 0.463 pi
+        rho = _hs_states(ExperimentConfig(seed=7), range(9716, 9717))[0]
+        self.assert_minimum_equals_refined_dense_scan(rho)
+
+    def test_grid_holds_the_pole_x_and_minus_y(self):
+        # ring i of 32 holds max(1, ceil(64 sin(i pi/32))) points
+        assert _GRID_DIRS.shape == (3, 1321)
+        for axis in (Z, X, -Y):
+            assert np.abs(_GRID_DIRS.T - axis).max(axis=1).min() < 1e-16
+        assert _GRID_DIRS.T[0].tolist() == [0.0, 0.0, 1.0]
+
+    def test_stacked_start_equals_state_alone(self):
+        # 100 states: a stack of 64 takes 22 grid calls, the last of one state
         states = [family_state(family, seed) for family in CERTIFIED_FAMILIES + ("werner",)
                   for seed in range(12)]
         states += [mixture_family(0.0)] * 4  # a product state
         np.random.default_rng(20261023).shuffle(states)
         a, b, r = stacked_canonical(states)
-        dense = [dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
+        alone = [tuple(x.item() for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]))
+                 for s in range(len(a))]
         for size in (1, 2, 3, 4, 58, 64):
             starts = []
             for k in range(0, len(a), size):
                 start, value = _grid_start(a[k:k + size], b[k:k + size], r[k:k + size])
                 assert start.shape == value.shape == (len(a[k:k + size]),)
                 starts += zip(start.tolist(), value.tolist())
-            assert starts == dense
-        # (state, parent) pairs per call of each level, the whole grid's first,
-        # cells per call of the kept cells and states per call of the circle
-        # scan: each call at most 4,608 points
-        assert tuple(_POINTS_PER_CALL // dirs.shape[2] for _, dirs, _ in _LEVELS) + (
-            _BLOCK_CELLS, _CIRCLE_BLOCK) == (14, 184, 72, 94)
+            assert starts == alone
+        # states per call of the grid and of the circle scan: each call at
+        # most 4,608 points
+        assert (_GRID_BLOCK, _CIRCLE_BLOCK) == (3, 271)
 
     @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12)
@@ -864,8 +797,9 @@ class TestGridCertificate:
                   zip(rng.integers(len(families), size=size), rng.integers(2 ** 32, size=size))]
         a, b, r = stacked_canonical(states)
         start, value = _grid_start(a, b, r)
-        assert list(zip(start.tolist(), value.tolist())) == [
-            dense_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]) for s in range(len(a))]
+        for s in range(len(a)):
+            assert (start[s], value[s]) == tuple(
+                x[0] for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]))
         report = _discord_reports(np.stack(states))
         # the bound is the discord formula at the MCDM, so where CE is
         # lowest there it equals the discord to the bit (rank1 seed 66)
@@ -875,69 +809,61 @@ class TestGridCertificate:
 
     def test_start_closeness_tolerance_pinned_at_its_boundary(self):
         # of two tied points, one 1e-9 farther from x than the other still
-        # counts as closest, and its smaller flat index wins; one double
-        # farther, the closer point wins.  The third point, closest to x, is
-        # not tied.
-        cells, points = np.array([0]), np.array([[9, 4, 2]])
-        values = np.array([[0.5, 0.5 + GRID_TIE_TOL / 2, 0.7]])
+        # counts as closest, and its smaller index wins; one double farther,
+        # the closer point wins.  The third point, closest to x, is not tied.
+        values = np.array([[0.5 + GRID_TIE_TOL / 2, 0.5, 0.7]])
         edge = 0.75 - 1e-9
-        for farther, k in ((edge, 1), (np.nextafter(edge, 0.0), 0)):
-            closeness = np.array([[0.75, farther, 1.0]])
-            start, value = _start_rule(values, cells, np.array([1]), closeness, points)
-            assert start.tolist() == [points[0, k]] and value.tolist() == [values[0, k]]
+        for farther, k in ((edge, 0), (np.nextafter(edge, 0.0), 1)):
+            start, value = _pick_start(values, np.array([farther, 0.75, 1.0]))
+            assert start.tolist() == [k] and value.tolist() == [values[0, k]]
 
-    @staticmethod
-    def kept_columns(monkeypatch, a, b, r):
-        """Grid points evaluated per state by _grid_start over the stack a, b, r,
-        counted at the calls of the kept cells."""
-        columns = np.zeros(len(a), dtype=int)
+    def test_grid_tie_tolerance_pinned_at_its_boundary(self):
+        # a point GRID_TIE_TOL above the lowest ties it, and being closer to x
+        # it wins; one double higher, the lowest point wins
+        for above, k in ((0.5 + GRID_TIE_TOL, 0), (np.nextafter(0.5 + GRID_TIE_TOL, 1.0), 1)):
+            start, _ = _pick_start(np.array([[above, 0.5]]), np.array([1.0, 0.5]))
+            assert start.tolist() == [k]
+
+    def test_flat_and_pure_states_evaluate_the_grid_once(self, monkeypatch):
+        # CE is flat for Werner and product states and 0 for pure ones, and a
+        # near-pure state's CE is flat to rounding noise but for a narrow dip:
+        # each state, whatever its landscape, evaluates the 1,321 grid points
+        # and no others
+        rng = np.random.default_rng(20261024)
+        states = [family_state(family, seed) for family in ("pure", "near_pure", "werner", "hs")
+                  for seed in range(3)]
+        states += [mixture_family(0.0)] + [np.kron(random_qubit_state(rng), random_qubit_state(rng))
+                                           for _ in range(2)]
+        a, b, r = stacked_canonical(states)
         blocks = np.concatenate([a, b, r.reshape(-1, 9)], axis=1)
         assert len(np.unique(blocks, axis=0)) == len(a)
+        columns = np.zeros(len(a), dtype=int)
 
         def counted(a_k, b_k, r_k, dirs):
-            if dirs.ndim == 3:  # the kept cells, a state's blocks per cell
-                for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
-                    columns[(blocks == row).all(axis=1)] += dirs.shape[2]
+            for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
+                columns[(blocks == row).all(axis=1)] += dirs.shape[-1]
             return _ce_many(a_k, b_k, r_k, dirs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(measures, "_ce_many", counted)
-            _grid_start(a, b, r)
-        return columns
+        monkeypatch.setattr(measures, "_ce_many", counted)
+        _grid_start(a, b, r)
+        assert columns.tolist() == [1321] * len(a)
 
-    def test_each_state_evaluates_only_its_own_kept_cells(self, monkeypatch):
-        # a pure state keeps every cell; its neighbours evaluate only theirs
-        a, b, r = stacked_canonical([family_state("hs", 5), family_state("pure", 6),
-                                     family_state("hs", 7)])
-        kept = [len(kept_cells(a[s:s + 1], b[s:s + 1], r[s:s + 1])) for s in range(3)]
-        assert kept[1] == len(_CELL_POINTS) and max(kept[0], kept[2]) < 30
-        assert (self.kept_columns(monkeypatch, a, b, r) == np.multiply(kept, 64)).all()
-
-    def test_pure_state_keeps_every_cell_without_large_temporaries(self, monkeypatch):
-        # off the unit sphere a pure state's g exceeds w, so every cell of
-        # every level has an outer vertex outside the concave domain and
-        # the whole grid is scanned; a Werner state's CE is flat, so every
-        # cell's bound ties
-        a, b, r = canonical_stack(family_state("rank1", 3))
-        for cell in LEVEL_CELLS:
-            _, dirs, vertices = _cell_geometry(cell)
-            w, g = _branches(a, b, r, dirs)
-            assert (g > w)[0].reshape(2, -1).any(axis=0)[vertices].any(axis=0).all()
-        for states in ([family_state("rank1", 3)], [family_state("rank1", s) for s in range(64)],
-                       [family_state("werner", s) for s in range(64)]):
-            a, b, r = stacked_canonical(states)
-            assert (self.kept_columns(monkeypatch, a, b, r) == THETA_BINS * PHI_BINS).all()
-            # pure and Werner states are X-shaped, so _minimize_many settles
-            # them on their circle; _sphere_minimum scans the grid
-            for solve in (_minimize_many, _sphere_minimum):
+    @pytest.mark.parametrize("family", ["rank1", "werner", "hs", "near_pure"])
+    def test_chunk_solve_without_large_temporaries(self, family):
+        # a call holds the values of _GRID_BLOCK states only; holding the
+        # values of all 64 states at once peaked at 1.43 MiB.  Rank-1 and
+        # Werner states are X-shaped, so _minimize_many settles them on their
+        # circle, and _sphere_minimum scans the grid
+        a, b, r = stacked_canonical([family_state(family, s) for s in range(64)])
+        for solve in (_minimize_many, _sphere_minimum):
+            solve(a, b, r)
+            tracemalloc.start()
+            try:
                 solve(a, b, r)
-                tracemalloc.start()
-                try:
-                    solve(a, b, r)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < 1.5 * 2 ** 20
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 2 ** 20
 
     def test_value_reproducible_to_last_bits_direction_to_1e7(self):
         # CE is flat to second order at its minimum, so a one-ulp change of the
@@ -1093,7 +1019,7 @@ class TestXStateCircle:
         # azimuth pi; at the pole the gradient vanishes and the Hessian is
         # negative definite, so only a step along its lowest eigenvector leaves
         a, b, r = canonical_stack(x_state("near_pure", 122))
-        assert _grid_start(a, b, r)[0][0] < PHI_BINS
+        assert _grid_start(a, b, r)[0].tolist() == [0]  # the pole, ring 0's one point
         axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
         n, value = _sphere_minimum(a, b, r)
         assert value[0] < axis_values.min() - 1e-7

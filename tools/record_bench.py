@@ -2,31 +2,43 @@
 """Record per-stage solve times and CLI wall times in one BENCH_*.json file.
 
     PYTHONPATH=src python3 tools/record_bench.py --out BENCH_NAME.json
+    PYTHONPATH=src python3 tools/record_bench.py --parent OTHER/src --out BENCH_NAME.json
 
 ``qdiscord`` is imported from ``PYTHONPATH``, so the same script measures
-any commit that has the functions it times.  It reports two levels:
+any commit that has the functions it times; its results go under
+``change``.  With ``--parent SRC`` the ``qdiscord`` package of a second
+source tree is imported into the same process under another name, and its
+results go under ``parent``.  The two trees then take turns: each repeat
+runs the stages one by one, each stage on one tree and then on the other,
+and the tree that runs first alternates from repeat to repeat.  Separate
+runs of one tree on a small shared machine drift by up to ±10 % per stage,
+more than many changes move a stage; turns within one process expose both
+trees to the same spells.  Both trees are timed on the same inputs, drawn
+by the tree on ``PYTHONPATH``.
 
-- per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states,
-  fastest of 7:
+Each time is the median of REPEATS repeats, given with its quartiles as
+``{"median": ..., "q1": ..., "q3": ...}``.  The record has two levels:
+
+- per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states:
   - the grid scan, the refinement with the axis tie-break, and the whole
-    minimizer, on chunks of 64 states and on batches of one; the grid scan
-    also by stage where it has them: the bound on all its levels, and the
-    kept cells with the start rule;
-  - the whole minimizer on the X projections of the same states, which the
-    ``table1`` pipeline solves, on chunks of 64 states and on batches of one;
+    minimizer, on chunks of 64 states and on batches of one, each chunk
+    followed by its states alone;
+  - the same on the X projections of the same states, which the ``table1``
+    pipeline solves and which reach the grid only for an interior optimum;
   - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
     public functions at 256 samples, seed 7, from the draw to their rows, and
     three stages of their chunks of 64 indices: the draw, the X projection
     and the angles;
   - ``quantum_discord`` of each state, a batch of one;
   - the mean and the largest number of evaluations of the Newton derivatives
-    per state, on the same states and on their X projections;
+    per state, on the same states and on their X projections, counted once;
 - per call, in microseconds: ``cli.main(["discord", FILE, "--json"])`` in
   this process on CLI_STATES fixed state files, half of them seed-7
-  Hilbert-Schmidt states and half their X projections, fastest of 7;
-- per CLI run, in seconds of wall time: ``table1``, ``histogram`` and
-  ``scatter`` at 10,000 samples, seed 7, with 1 worker and with as many
-  workers as this process may use cores.
+  Hilbert-Schmidt states and half their X projections;
+- per CLI run, in seconds of wall time, the median of CLI_REPEATS runs:
+  ``table1``, ``histogram`` and ``scatter`` at 10,000 samples, seed 7, with
+  1 worker and with as many workers as this process may use cores, each
+  run in a fresh interpreter, the trees taking turns run by run.
 
 The sizes are fixed, so that records of different commits compare.
 """
@@ -40,6 +52,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import platform
@@ -50,27 +64,47 @@ import time
 
 import numpy as np
 
-from qdiscord import (SeededGenerator, format_state, project_x_state, quantum_discord,
-                      random_hs_state, state_blocks)
-from qdiscord import cli, experiments, measures
-from qdiscord.canonical import canonical_blocks
+import qdiscord
 
 CHUNK = 64
 SEED = 7
 STATES = 256
-REPEATS = 7
+REPEATS = 11
 CLI_STATES = 8
+CLI_REPEATS = 3
 SAMPLES = 10000
 COMMANDS = ("table1", "histogram", "scatter")
+# the modules of a tree that the stages call, besides the package itself
+MODULES = ("canonical", "cli", "experiments", "measures")
 
 
-def canonical_stack(x_project: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical blocks (a, b, R) of STATES seed-SEED Hilbert-Schmidt states,
-    or of their X projections."""
-    gen = SeededGenerator(SEED)
-    canon = [canonical_blocks(state_blocks(project_x_state(rho) if x_project else rho))[1]
-             for rho in (random_hs_state(gen) for _ in range(STATES))]
-    return tuple(np.stack([getattr(c, field) for c in canon]) for field in "abr")
+def with_modules(package):
+    """``package`` once MODULES are imported, so that each is its attribute."""
+    for module in MODULES:
+        importlib.import_module(f"{package.__name__}.{module}")
+    return package
+
+
+def load_tree(src: str, name: str):
+    """The ``qdiscord`` package of the source tree ``src``, imported as ``name``."""
+    init = os.path.join(src, "qdiscord", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return with_modules(package)
+
+
+def tree_source(package) -> str:
+    """The directory to put on PYTHONPATH to import ``package`` as qdiscord."""
+    return os.path.dirname(os.path.dirname(os.path.abspath(package.__file__)))
+
+
+def canonical_stack(tree, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical blocks (a, b, R) of a stack of states."""
+    canonical = tree.canonical.canonical_blocks(tree.state_blocks(rhos))[1]
+    return canonical.a, canonical.b, canonical.r
 
 
 def seconds(call) -> float:
@@ -80,135 +114,97 @@ def seconds(call) -> float:
     return time.perf_counter() - start
 
 
-def chunked_and_single(run) -> tuple[list, list]:
-    """The fastest of REPEATS of ``run(first, stop)``, a tuple of seconds whose
-    first entry ranks the runs, on each chunk of CHUNK states and on each
-    state alone.  The two batch sizes take turns chunk by chunk, so that a
-    slow spell of the machine neither counts nor falls on one side."""
-    inf = (float("inf"),)
-    firsts = range(0, STATES, CHUNK)
-    chunked, single = [inf] * len(firsts), [inf] * STATES
-    for _ in range(REPEATS):
-        for c, first in enumerate(firsts):
-            chunked[c] = min(chunked[c], run(first, first + CHUNK))
-            for k in range(first, first + CHUNK):
-                single[k] = min(single[k], run(k, k + 1))
-    return chunked, single
+def spread(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-# the grid scan and its bound, as functions of ``measures``
-GRID_STAGES = {"_grid_start": "grid_us", "_kept_cells": "bound_us"}
+def solve_times(tree, blocks) -> dict:
+    """Microseconds per state of one repeat of the grid scan, of the rest of
+    the solve (refinement and axis tie-break) and of the whole solve on
+    ``blocks``, on chunks of CHUNK states and on batches of one, each chunk
+    followed by its states alone.  The grid is timed inside the solve,
+    through a wrapper around ``measures._grid_start``, which the solve calls
+    once per stack of states that reach the sphere."""
+    measures = tree.measures
+    a, b, r = blocks
+    grid = measures._grid_start
+    spent = [0.0]
 
+    def wrapper(*args):
+        start = time.perf_counter()
+        try:
+            return grid(*args)
+        finally:
+            spent[0] += time.perf_counter() - start
 
-def stage_times() -> dict:
-    """Microseconds per state of the grid, of the rest of the solve (refinement
-    and axis tie-break) and of the whole solve, for chunks of CHUNK states
-    and for batches of one.  The grid is timed inside the solve, through a
-    wrapper around ``measures._grid_start``, which the solve calls once per
-    stack of states.  A wrapper around
-    ``measures._kept_cells`` times the bound on all levels, and the rest of
-    the grid is the evaluation of the kept cells and the start rule."""
-    a, b, r = canonical_stack(x_project=False)
-    stages = {name: getattr(measures, name) for name in GRID_STAGES}
-    spent = dict.fromkeys(stages, 0.0)
-
-    def timed(name, function):
-        def wrapper(*args):
-            start = time.perf_counter()
-            try:
-                return function(*args)
-            finally:
-                spent[name] += time.perf_counter() - start
-        return wrapper
-
-    def run(first: int, stop: int) -> tuple[float, ...]:
-        for name in spent:
-            spent[name] = 0.0
-        solve = seconds(lambda: measures._minimize_many(a[first:stop], b[first:stop],
-                                                        r[first:stop]))
-        return (solve, *spent.values())
-
-    for name, function in stages.items():
-        setattr(measures, name, timed(name, function))
+    totals = {f"chunks_of_{CHUNK}": [0.0, 0.0], "batches_of_one": [0.0, 0.0]}
+    measures._grid_start = wrapper
     try:
-        chunked, single = chunked_and_single(run)
+        for first in range(0, STATES, CHUNK):
+            runs = [(f"chunks_of_{CHUNK}", first, first + CHUNK)]
+            runs += [("batches_of_one", k, k + 1) for k in range(first, first + CHUNK)]
+            for label, lo, hi in runs:
+                spent[0] = 0.0
+                totals[label][0] += seconds(lambda: measures._minimize_many(a[lo:hi], b[lo:hi],
+                                                                            r[lo:hi]))
+                totals[label][1] += spent[0]
     finally:
-        for name, function in stages.items():
-            setattr(measures, name, function)
-
-    def per_state(best) -> dict:
-        solve_us, *parts = (1e6 * sum(t[i] for t in best) / STATES for i in range(len(best[0])))
-        record = {GRID_STAGES[name]: us for name, us in zip(stages, parts)}
-        record["kept_cells_and_start_us"] = record["grid_us"] - record["bound_us"]
-        record["refine_and_tie_break_us"] = solve_us - record["grid_us"]
-        record["solve_us"] = solve_us
-        return record
-
-    return {f"chunks_of_{CHUNK}": per_state(chunked), "batches_of_one": per_state(single),
-            "states": STATES, "repeats": REPEATS}
-
-
-def xstate_times() -> dict:
-    """Microseconds per state of the whole minimizer on the X projections of
-    the states of stage_times, for chunks of CHUNK states and for batches of
-    one."""
-    a, b, r = canonical_stack(x_project=True)
-
-    def run(first: int, stop: int) -> tuple[float]:
-        return (seconds(lambda: measures._minimize_many(a[first:stop], b[first:stop],
-                                                        r[first:stop])),)
-
-    chunked, single = chunked_and_single(run)
-    return {f"chunks_of_{CHUNK}_solve_us": 1e6 * sum(t[0] for t in chunked) / STATES,
-            "batches_of_one_solve_us": 1e6 * sum(t[0] for t in single) / STATES,
-            "states": STATES, "repeats": REPEATS}
-
-
-def pipeline_times() -> dict:
-    """Microseconds per state of the table1, histogram and scatter pipelines
-    through their public functions at STATES samples, seed SEED, of three
-    stages of their chunks of CHUNK indices (the draw, the X projection of
-    the drawn stack, and the angles of the minimizer's directions on the X
-    projections), and of quantum_discord on each state alone; each call's
-    fastest of REPEATS, the calls taking turns."""
-    config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
-    pipelines = {"table1_us": experiments.optimal_direction_clusters,
-                 "histogram_us": experiments.optimal_direction_histogram,
-                 "scatter_us": experiments.bound_scatter}
-    chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
-    stacks = [experiments._hs_states(config, chunk) for chunk in chunks]
-    a, b, r = canonical_stack(x_project=True)
-    dirs = [measures._minimize_many(a[c.start:c.stop], b[c.start:c.stop], r[c.start:c.stop])[0]
-            for c in chunks]
-    stages = {
-        "draw_us": lambda c: experiments._hs_states(config, chunks[c]),
-        "x_project_us": lambda c: project_x_state(stacks[c]),
-        "angles_us": lambda c: measures.angles_from_directions(dirs[c]),
-    }
-    gen = SeededGenerator(SEED)
-    states = [random_hs_state(gen) for _ in range(STATES)]
-    whole = dict.fromkeys(pipelines, float("inf"))
-    best = {name: [float("inf")] * len(chunks) for name in stages}
-    single = [float("inf")] * STATES
-    for _ in range(REPEATS):
-        for name, pipeline in pipelines.items():
-            whole[name] = min(whole[name], seconds(lambda: pipeline(config)))
-        for c, chunk in enumerate(chunks):
-            for name, stage in stages.items():
-                best[name][c] = min(best[name][c], seconds(lambda: stage(c)))
-            for k in chunk:
-                single[k] = min(single[k], seconds(lambda: quantum_discord(states[k])))
-    record = {name: 1e6 * seconds / STATES for name, seconds in whole.items()}
-    record.update({name: 1e6 * sum(times) / STATES for name, times in best.items()})
-    record["quantum_discord_us"] = 1e6 * sum(single) / STATES
+        measures._grid_start = grid
+    record = {}
+    for label, (solve, grid_s) in totals.items():
+        record[f"{label}_grid_us"] = 1e6 * grid_s / STATES
+        record[f"{label}_refine_and_tie_break_us"] = 1e6 * (solve - grid_s) / STATES
+        record[f"{label}_solve_us"] = 1e6 * solve / STATES
     return record
 
 
-def newton_evaluations() -> dict:
+def pipeline_times(tree, inputs: dict) -> dict:
+    """Microseconds per state of one repeat of the table1, histogram and
+    scatter pipelines through their public functions at STATES samples, seed
+    SEED, of three stages of their chunks of CHUNK indices (the draw, the X
+    projection of the drawn stack, and the angles of the minimizer's
+    directions on the X projections), and of quantum_discord on each state
+    alone."""
+    experiments = tree.experiments
+    config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    record = {name: 1e6 * seconds(lambda: pipeline(config)) / STATES for name, pipeline in (
+        ("table1_us", experiments.optimal_direction_clusters),
+        ("histogram_us", experiments.optimal_direction_histogram),
+        ("scatter_us", experiments.bound_scatter))}
+    stages = {
+        "draw_us": lambda c: experiments._hs_states(config, inputs["chunks"][c]),
+        "x_project_us": lambda c: tree.project_x_state(inputs["stacks"][c]),
+        "angles_us": lambda c: tree.measures.angles_from_directions(inputs["dirs"][c]),
+    }
+    for name, stage in stages.items():
+        record[name] = 1e6 * sum(seconds(lambda: stage(c))
+                                 for c in range(len(inputs["chunks"]))) / STATES
+    record["quantum_discord_us"] = 1e6 * sum(
+        seconds(lambda: tree.quantum_discord(rho)) for rho in inputs["states"]) / STATES
+    return record
+
+
+def cli_call_times(tree, paths: list) -> dict:
+    """Microseconds per in-process ``cli.main(["discord", FILE, "--json"])``
+    call in one repeat, on the state files ``paths``: the first half
+    Hilbert-Schmidt states, the second half their X projections, with the
+    output written to a buffer."""
+    times = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for path in paths:
+            times.append(seconds(lambda: tree.cli.main(["discord", path, "--json"])))
+    half = len(paths) // 2
+    return {"hs_us": 1e6 * sum(times[:half]) / half,
+            "x_projected_us": 1e6 * sum(times[half:]) / half}
+
+
+def newton_evaluations(tree, hs_blocks, x_blocks) -> dict:
     """Evaluations of the Newton derivatives per state, mean and largest, on
-    the states of stage_times and on their X projections, each solved alone,
-    counted through a wrapper around ``measures._tangent_derivatives``.  A
-    state's count does not depend on the states solved beside it."""
+    the states of the solve stages and on their X projections, each solved
+    alone, counted through a wrapper around ``measures._tangent_derivatives``.
+    A state's count does not depend on the states solved beside it."""
+    measures = tree.measures
     evaluate = measures._tangent_derivatives
     calls = []
 
@@ -219,8 +215,7 @@ def newton_evaluations() -> dict:
     record = {}
     measures._tangent_derivatives = counted
     try:
-        for name, x_project in (("hs", False), ("x_projected", True)):
-            a, b, r = canonical_stack(x_project)
+        for name, (a, b, r) in (("hs", hs_blocks), ("x_projected", x_blocks)):
             counts = []
             for k in range(STATES):
                 calls.clear()
@@ -233,28 +228,20 @@ def newton_evaluations() -> dict:
     return record
 
 
-def cli_call_times() -> dict:
-    """Microseconds per in-process ``cli.main(["discord", FILE, "--json"])``
-    call on CLI_STATES state files, the first CLI_STATES // 2 states of
-    stage_times and their X projections: each file's fastest of REPEATS, the
-    files taking turns, with the output written to a buffer."""
-    gen = SeededGenerator(SEED)
-    states = [random_hs_state(gen) for _ in range(CLI_STATES // 2)]
-    states += [project_x_state(rho) for rho in states]
-    best = [float("inf")] * len(states)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, rho in enumerate(states):
-            paths.append(os.path.join(tmp, f"state{k}.txt"))
-            with open(paths[-1], "w") as fh:
-                fh.write(format_state(rho))
-        with contextlib.redirect_stdout(io.StringIO()):
-            for _ in range(REPEATS):
-                for k, path in enumerate(paths):
-                    best[k] = min(best[k], seconds(lambda: cli.main(["discord", path, "--json"])))
-    half = CLI_STATES // 2
-    return {"hs_us": 1e6 * sum(best[:half]) / half, "x_projected_us": 1e6 * sum(best[half:]) / half,
-            "states": CLI_STATES, "repeats": REPEATS}
+def alternate(stages: dict, trees: dict, repeats: int) -> dict:
+    """Per tree, per stage and per figure, the spread over ``repeats`` repeats
+    of ``stages[name](tree)``, a dict of figures: each repeat runs the stages
+    in turn, each on every tree, the first tree alternating between repeats."""
+    samples = {label: {name: {} for name in stages} for label in trees}
+    for repeat in range(repeats):
+        order = list(trees.items())[::-1 if repeat % 2 else 1]
+        for name, stage in stages.items():
+            for label, tree in order:
+                for figure, value in stage(tree).items():
+                    samples[label][name].setdefault(figure, []).append(value)
+    return {label: {name: {figure: spread(values) for figure, values in figures.items()}
+                    for name, figures in by_stage.items()}
+            for label, by_stage in samples.items()}
 
 
 def usable_cores() -> int:
@@ -262,34 +249,74 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def cli_times() -> dict:
-    cores = usable_cores()
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            for workers in sorted({1, cores}):
-                path = os.path.join(tmp, f"{command}-w{workers}.csv")
-                argv = [sys.executable, "-m", "qdiscord.cli", command, "--samples", str(SAMPLES),
-                        "--seed", str(SEED), "--workers", str(workers), "--out", path]
-                results[f"{command}_workers{workers}_s"] = seconds(
-                    lambda: subprocess.run(argv, check=True))
-    return results
+def cli_run(tree, command: str, workers: int, tmp: str) -> dict:
+    """Seconds of wall time of one CLI run of ``command`` in a fresh interpreter
+    that imports ``tree`` as qdiscord."""
+    path = os.path.join(tmp, f"{command}-w{workers}.csv")
+    argv = [sys.executable, "-m", "qdiscord.cli", command, "--samples", str(SAMPLES),
+            "--seed", str(SEED), "--workers", str(workers), "--out", path]
+    env = dict(os.environ, PYTHONPATH=tree_source(tree))
+    return {f"{command}_workers{workers}_s": seconds(
+        lambda: subprocess.run(argv, check=True, env=env))}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--parent", metavar="SRC",
+                        help="source directory of a second qdiscord to time in turns with this one")
     args = parser.parse_args(argv)
-    record = {
-        "machine": {"cores": usable_cores(), "python": platform.python_version(),
-                    "numpy": np.__version__, "processor": platform.machine()},
-        "per_state": stage_times(),
-        "per_x_projected_state": xstate_times(),
-        "pipelines_per_state": pipeline_times(),
-        "newton_evaluations_per_state": newton_evaluations(),
-        "discord_cli_call": cli_call_times(),
-        "cli_wall": {"samples": SAMPLES, "seed": SEED, **cli_times()},
+    change = with_modules(qdiscord)
+    trees = {"change": change}
+    if args.parent:
+        trees = {"parent": load_tree(args.parent, "qdiscord_parent"), "change": change}
+
+    gen = change.SeededGenerator(SEED)
+    states = np.stack([change.random_hs_state(gen) for _ in range(STATES)])
+    hs_blocks = canonical_stack(change, states)
+    x_blocks = canonical_stack(change, change.project_x_state(states))
+    chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
+    config = change.experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    inputs = {
+        "chunks": chunks,
+        "stacks": [change.experiments._hs_states(config, chunk) for chunk in chunks],
+        "dirs": [change.measures._minimize_many(*(x[c.start:c.stop] for x in x_blocks))[0]
+                 for c in chunks],
+        "states": list(states),
     }
+    cli_states = inputs["states"][:CLI_STATES // 2]
+    cli_states += [change.project_x_state(rho) for rho in cli_states]
+    cores = usable_cores()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, rho in enumerate(cli_states):
+            paths.append(os.path.join(tmp, f"state{k}.txt"))
+            with open(paths[-1], "w") as fh:
+                fh.write(change.format_state(rho))
+        timed = alternate({
+            "per_state": lambda tree: solve_times(tree, hs_blocks),
+            "per_x_projected_state": lambda tree: solve_times(tree, x_blocks),
+            "pipelines_per_state": lambda tree: pipeline_times(tree, inputs),
+            "discord_cli_call": lambda tree: cli_call_times(tree, paths),
+        }, trees, REPEATS)
+        wall = alternate({
+            f"{command}_workers{workers}": (
+                lambda tree, command=command, workers=workers: cli_run(tree, command, workers, tmp))
+            for command in COMMANDS for workers in sorted({1, cores})}, trees, CLI_REPEATS)
+    record = {
+        "machine": {"cores": cores, "python": platform.python_version(),
+                    "numpy": np.__version__, "processor": platform.machine()},
+        "settings": {"states": STATES, "chunk": CHUNK, "seed": SEED, "repeats": REPEATS,
+                     "cli_states": CLI_STATES, "cli_samples": SAMPLES,
+                     "cli_repeats": CLI_REPEATS},
+    }
+    for label, tree in trees.items():
+        record[label] = {
+            **timed[label],
+            "newton_evaluations_per_state": newton_evaluations(tree, hs_blocks, x_blocks),
+            "cli_wall": {figure: stats for by_command in wall[label].values()
+                         for figure, stats in by_command.items()},
+        }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
