@@ -34,11 +34,6 @@ class SeededGenerator:
     def fork(self, index: int) -> "SeededGenerator":
         return SeededGenerator(self.seed, start=index)
 
-    def next_rng(self) -> np.random.Generator:
-        rng = np.random.default_rng([self.seed, self.counter % _UINT64])
-        self.counter += 1
-        return rng
-
 
 # numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding, both
 # fixed by numpy's stream-compatibility policy
@@ -127,8 +122,11 @@ def _ginibre_states(z: np.ndarray) -> np.ndarray:
 
 
 def random_hs_state(gen: SeededGenerator) -> np.ndarray:
-    """Next two-qubit state of the stream, Hilbert-Schmidt distributed."""
-    return _ginibre_states(gen.next_rng().standard_normal((1, 2, 4, 4)))[0]
+    """Next two-qubit state of the stream, Hilbert-Schmidt distributed: the
+    state that the pipelines draw at the stream's index."""
+    z = _substream_normals(gen.seed, [gen.counter])
+    gen.counter += 1
+    return _ginibre_states(z)[0]
 
 
 # the X-shaped entries of a two-qubit operator: the diagonal and the anti-diagonal

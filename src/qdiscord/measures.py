@@ -7,14 +7,14 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a scan of a fixed hemisphere grid plus a trust-region Newton
-refinement on the sphere, with the exact gradient and Hessian of CE,
-minimizes to obtain the classical correlation and the quantum discord,
-always on the blocks of the state's canonical form, where the x axis is the
-maximal-correlation direction (MCDM).  X-shaped blocks (R diagonal, a and b along one axis) have
-their minimum on one great circle, which is scanned and refined first by the
-same iteration; when that minimum ties a coordinate axis the hemisphere grid
-is skipped.
+which a scan of fixed points plus a trust-region Newton refinement, with
+the exact gradient and Hessian of CE, minimizes to obtain the classical
+correlation and the quantum discord, always on the blocks of the state's
+canonical form, where the x axis is the maximal-correlation direction
+(MCDM).  Each state is solved once, on one of two geometries: X-shaped
+blocks (R diagonal, a and b along one axis) have their minimum on one great
+circle, which is scanned and refined along the circle; every other state is
+scanned on a hemisphere grid and refined on the sphere.
 Evaluating the same expression at the MCDM instead of the optimum gives a
 cheap upper bound on the discord.
 """
@@ -48,10 +48,8 @@ ZERO_PROBABILITY = 1e-12
 POSITIVITY_SLACK = 1e-9
 # two conditional-entropy values within this window count as a tie
 VALUE_TIE_TOL = 1e-10
+# scanned points within this of the lowest tie it (see _pick_start)
 GRID_TIE_TOL = 1e-11
-# among the grid points that tie the lowest, those within this of the largest
-# closeness |n_x| to the x axis count as closest (see _pick_start)
-START_CLOSENESS_TOL = 1e-9
 # correlation quantities in [-CLAMP_WINDOW, 0) are reported as 0
 CLAMP_WINDOW = 1e-9
 # zero_discord_witness: R or a with a norm at most WITNESS_VANISHING_TOL
@@ -77,9 +75,9 @@ X_CAP = 1.0 - 1e-12
 # the first trust radius: a larger one, pi/32, makes a flat Werner state on the
 # sphere take a second evaluation of the derivatives
 INITIAL_RADIUS = math.pi / 96
-# points evaluated per call of the grid and circle scans, over all states of
-# the call: at most 4,608.  The largest temporary of a call, both branches'
-# vectors b +- R^T n, then holds 6 x 4,608 doubles (221 KB)
+# points evaluated per call of a scan, over all states of the call: at most
+# 4,608.  The largest temporary of a call, both branches' vectors b +- R^T n,
+# then holds 6 x 4,608 doubles (221 KB)
 _POINTS_PER_CALL = 4608
 
 
@@ -304,38 +302,33 @@ _RING_THETAS = np.arange(RINGS) * (math.pi / RINGS)
 _RING_SIZES = np.maximum(1, np.ceil(2 * RINGS * np.sin(_RING_THETAS))).astype(int)
 _GRID_DIRS = _angle_dirs(np.repeat(_RING_THETAS, _RING_SIZES), np.concatenate(
     [-math.pi / 2 + np.arange(n) * (math.pi / n) for n in _RING_SIZES]))
-_GRID_CLOSENESS = np.abs(_GRID_DIRS[0])
-# states per grid call: a call evaluates the whole grid for each of its states
-_GRID_BLOCK = _POINTS_PER_CALL // _GRID_DIRS.shape[1]
 
 
-def _pick_start(values: np.ndarray, closeness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pick_start(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index (S,) and value (S,) of the start of S states from their ``values``
-    (S, K) at K points whose closeness |n_x| to the x axis is ``closeness``
-    (K,).  Among the points within GRID_TIE_TOL of a state's lowest value,
-    those within START_CLOSENESS_TOL of the largest closeness count as
-    closest, and of them the one with the smallest index is taken."""
-    tied = values <= values.min(axis=1, keepdims=True) + GRID_TIE_TOL
-    close = np.where(tied, closeness, -1.0)
-    start = (close >= close.max(axis=1, keepdims=True) - START_CLOSENESS_TOL).argmax(axis=1)
+    (S, K): the smallest index within GRID_TIE_TOL of the state's lowest
+    value."""
+    start = (values <= values.min(axis=1, keepdims=True) + GRID_TIE_TOL).argmax(axis=1)
     return start, values[np.arange(len(values)), start]
 
 
-def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (S,) into _GRID_DIRS and values (S,) of the lowest grid point of
-    S states.  Among points within GRID_TIE_TOL of the lowest it takes the one
-    closest to the x axis; mirror-image optima (theta vs pi - theta) tie in that
-    metric too, so then the smallest index, i.e. the smaller polar angle.
+def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+                dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (S,) into the K columns of ``dirs`` (3, K) and values (S,) of the
+    starts of S states: the scan of _GRID_DIRS or of _CIRCLE_DIRS.
 
-    Every state evaluates the whole grid, in calls of _GRID_BLOCK states, and
-    :func:`_pick_start` picks the starts of each call's states from that
-    call's values, so a state's start and value do not depend on the states
-    beside it, and no more than one call's values are held at a time."""
+    Every state evaluates every point, in calls of at most _POINTS_PER_CALL
+    points, and :func:`_pick_start` picks the starts of each call's states
+    from that call's values, so a state's start and value do not depend on
+    the states beside it, and no more than one call's values are held at a
+    time.  Of points that tie the lowest, the first in scan order is taken:
+    on the grid, ring by ring, the smaller polar angle, so of mirror-image
+    optima (theta vs pi - theta) the one nearer the pole."""
+    step = _POINTS_PER_CALL // dirs.shape[1]
     start, value = np.empty(len(a), dtype=int), np.empty(len(a))
-    for first in range(0, len(a), _GRID_BLOCK):
-        s = slice(first, first + _GRID_BLOCK)
-        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], _GRID_DIRS),
-                                         _GRID_CLOSENESS)
+    for first in range(0, len(a), step):
+        s = slice(first, first + step)
+        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], dirs))
     return start, value
 
 
@@ -538,7 +531,7 @@ def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
     """Directions (S, 3) and values (S,) of S states: the grid scan of the whole
     stack, then the Newton refinement from each start, before the axis
     tie-break."""
-    start, value = _grid_start(a, b, r)
+    start, value = _grid_start(a, b, r, _GRID_DIRS)
     return _newton(a, b, r, _GRID_DIRS.T[start], value, _sphere_frame)
 
 
@@ -546,7 +539,7 @@ def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
 # off one axis at most this; the canonical rotation leaves up to 3.3e-14 of
 # rounding noise there (seen on pure states).  Not merged with
 # canonical._DIAGONAL_FAST_PATH_TOL: that bounds Lambda in the input frame and
-# decides the SVD, this the canonical blocks and decides the grid
+# decides the SVD, this the canonical blocks and decides the geometry
 X_SHAPE_TOL = 1e-13
 # per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
 # in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
@@ -554,8 +547,6 @@ _CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 # the circle phi = 0 at the grid's polar angles; CE on the circle is even in
 # cos(theta) and in sin(theta), so theta runs from 0 to pi/2: 17 points
 _CIRCLE_DIRS = _angle_dirs(_RING_THETAS[:RINGS // 2 + 1], np.zeros(RINGS // 2 + 1))
-# states per circle grid call, as many points as a grid call
-_CIRCLE_BLOCK = _POINTS_PER_CALL // _CIRCLE_DIRS.shape[1]
 
 
 def _circle_frame(n: np.ndarray) -> np.ndarray:
@@ -569,15 +560,15 @@ def _circle_frame(n: np.ndarray) -> np.ndarray:
 
 
 def _circle_states(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Indices of the X-shaped states of canonical blocks: R diagonal and a, b
+    """Which states (S,) of canonical blocks are X-shaped: R diagonal and a, b
     along one axis, or vanishing, within X_SHAPE_TOL."""
     along = np.partition(np.maximum(np.abs(a), np.abs(b)), 1, axis=1)
-    return np.flatnonzero((along[:, 1] <= X_SHAPE_TOL)
-                          & (np.abs(r[:, OFF_DIAGONAL]).max(axis=1) <= X_SHAPE_TOL))
+    return (along[:, 1] <= X_SHAPE_TOL) & (np.abs(r[:, OFF_DIAGONAL]).max(axis=1) <= X_SHAPE_TOL)
 
 
-def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minima (S,) of CE over the sphere for X-shaped canonical blocks.
+def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizing directions (S, 3) and minima (S,) of CE over the sphere for
+    X-shaped canonical blocks, before the axis tie-break.
 
     With a and b along e_k and R diagonal, fix the polar angle theta from e_k:
     w+- = 1 +- a_k cos(theta) is fixed, and g+-^2 = (b_k +- R_kk cos(theta))^2
@@ -585,24 +576,19 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
     azimuth if |R_jj| >= |R_ii|.  Each branch term is nonincreasing in g, so
     the minimum lies on the great circle through e_k and e_j, which an exact
     permutation of the axes (k to z, j to x) makes the circle phi = 0.  Its
-    17 points are scanned and the lowest refined by :func:`_newton` along
-    the circle.  Blocks within X_SHAPE_TOL of that shape move CE by far less
-    than VALUE_TIE_TOL."""
+    17 points are scanned by :func:`_grid_start` and the start refined by
+    :func:`_newton` along the circle; the inverse permutation takes the
+    direction back, with exactly 0 along e_i.  Blocks within X_SHAPE_TOL of
+    that shape move CE by far less than VALUE_TIE_TOL."""
     k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
     axes = _CIRCLE_AXES[k]
     a = np.take_along_axis(a, axes, axis=1)
     r = np.take_along_axis(r, axes[:, :, None], axis=1)
-    values = np.concatenate([
-        _ce_many(a[s:s + _CIRCLE_BLOCK], b[s:s + _CIRCLE_BLOCK], r[s:s + _CIRCLE_BLOCK],
-                 _CIRCLE_DIRS) for s in range(0, len(a), _CIRCLE_BLOCK)])
-    start = values.argmin(axis=1)
-    return _newton(a, b, r, _CIRCLE_DIRS.T[start], values[np.arange(len(a)), start],
-                   _circle_frame)[1]
-
-
-def _axis_ties(axis_values: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Which of the axes x, y, z, with values (S, 3), tie each value (S,)."""
-    return axis_values <= value[:, None] + VALUE_TIE_TOL
+    start, value = _grid_start(a, b, r, _CIRCLE_DIRS)
+    m, value = _newton(a, b, r, _CIRCLE_DIRS.T[start], value, _circle_frame)
+    n = np.empty_like(m)
+    np.put_along_axis(n, axes, m, axis=1)
+    return n, value
 
 
 def _tie_break(n: np.ndarray, value: np.ndarray,
@@ -610,7 +596,7 @@ def _tie_break(n: np.ndarray, value: np.ndarray,
     """Equal minima resolve toward the MCDM x, then y, then z; this also pins
     the reported direction exactly onto on-axis optima.  Updates n (S, 3) and
     value (S,) in place and returns them."""
-    tied = _axis_ties(axis_values, value)
+    tied = axis_values <= value[:, None] + VALUE_TIE_TOL
     first = tied.argmax(axis=1)
     on_axis = tied.any(axis=1)
     n[on_axis] = _TIE_AXES.T[first[on_axis]]
@@ -625,23 +611,19 @@ def _minimize_many(a: np.ndarray, b: np.ndarray,
     the MCDM, and CE (S, 3) on the axes x, y, z; the directions are not
     hemisphere representatives.  Each state's result is the same for any S.
 
-    X-shaped states whose minimum on their great circle ties an axis are
-    settled there; every other state takes :func:`_sphere_minimum`.  The
-    tie-break reads the same axis values either way, so an on-axis result has
-    the bits of the hemisphere path.
+    Each state takes one geometry: X-shaped states (:func:`_circle_states`)
+    are settled on their great circle by :func:`_circle_minimum`, and every
+    other state takes :func:`_sphere_minimum`.  The tie-break then reads the
+    same axis values either way, so an on-axis result has the bits that the
+    hemisphere path would give it.
     """
     count = len(a)
     axis_values = _ce_many(a, b, r, _TIE_AXES)
     n, value = np.empty((count, 3)), np.empty(count)
-    sphere = np.ones(count, dtype=bool)
-    circle = _circle_states(a, b, r)
-    if circle.size:
-        value[circle] = _circle_minimum(a[circle], b[circle], r[circle])
-        sphere[circle] = ~_axis_ties(axis_values[circle], value[circle]).any(axis=1)
-    if sphere.all():  # no copy of the blocks
-        n, value = _sphere_minimum(a, b, r)
-    elif sphere.any():
-        n[sphere], value[sphere] = _sphere_minimum(a[sphere], b[sphere], r[sphere])
+    x_shaped = _circle_states(a, b, r)
+    for states, solve in ((x_shaped, _circle_minimum), (~x_shaped, _sphere_minimum)):
+        if states.any():
+            n[states], value[states] = solve(a[states], b[states], r[states])
     return (*_tie_break(n, value, axis_values), axis_values)
 
 
@@ -651,20 +633,18 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
 
     Two deterministic stages on the canonical form's blocks: a scan of a
     fixed hemisphere grid of 1,321 points on 32 rings of polar angle, about
-    pi/32 apart, then a trust-region
-    Newton refinement from the best grid point, with the exact gradient and
-    Hessian of CE in an orthonormal tangent frame, until its quadratic model
-    promises a decrease of at most 1e-17.  Ties resolve to the MCDM axis,
-    then the second, then the third correlation axis.  Returns the direction
-    in the frame of ``rho`` (hemisphere representative) and the value in
-    bits.
+    pi/32 apart, then a trust-region Newton refinement from the first of the
+    lowest grid points, with the exact gradient and Hessian of CE in an
+    orthonormal tangent frame, until its quadratic model promises a decrease
+    of at most 1e-17.  Ties resolve to the MCDM axis, then the second, then
+    the third correlation axis.  Returns the direction in the frame of
+    ``rho`` (hemisphere representative) and the value in bits.
 
     An X-shaped canonical form (R diagonal, a and b along one axis k) has its
     minimum on the great circle through e_k and the transverse axis of the
-    larger correlation.  The two stages run first on that circle (17 points,
-    then the same iteration along the circle); a minimum there that ties an
-    axis is settled by the same tie-break, to the same bits, and any other
-    goes on to the sphere.
+    larger correlation.  The two stages run on that circle instead (17
+    points, then the same iteration along the circle), and the state is
+    settled there: its direction has no component along the third axis.
 
     The value is reproducible to its last bits; the direction only to about
     2e-8, because CE is flat to second order at its minimum: scaling the

@@ -27,7 +27,7 @@ from qdiscord.canonical import canonical_blocks
 from qdiscord.cli import main
 from qdiscord.experiments import (ExperimentConfig, _hs_states, bound_scatter,
                                   optimal_direction_clusters)
-from qdiscord.measures import (_TIE_AXES, _axis_ties, _ce_many, _circle_minimum,
+from qdiscord.measures import (_TIE_AXES, VALUE_TIE_TOL, _ce_many, _circle_minimum,
                                _circle_states)
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -151,8 +151,8 @@ def test_criterion_5_x_state_cluster_table():
         canonical = canonical_blocks(state_blocks(project_x_state(
             _hs_states(config, range(config.samples)))))[1]
         a, b, r = canonical.a, canonical.b, canonical.r
-        assert _circle_states(a, b, r).size == config.samples
-        ties = _axis_ties(_ce_many(a, b, r, _TIE_AXES), _circle_minimum(a, b, r))
+        assert _circle_states(a, b, r).all()
+        ties = _ce_many(a, b, r, _TIE_AXES) <= _circle_minimum(a, b, r)[1][:, None] + VALUE_TIE_TOL
         assert int((~ties.any(axis=1)).sum()) == 0, "interior circle optima"
         assert [(theta, phi) for theta, phi, _ in rows] == [(0.5, 0.0), (0.5, -0.5), (0.0, 0.0)]
 

@@ -61,6 +61,14 @@ class TestDiscordCommand:
         assert payload["mcdm_discord"] >= payload["discord"] - 1e-9
         assert payload["mcdm_direction"] == [1.0, 0.0, 0.0]
 
+    def test_off_axis_state_optimum_on_its_great_circle(self, tmp_path, capsys):
+        # the X-state's optimum lies on the circle through z and x, phi = 0
+        assert main(["discord", write_state(tmp_path, off_axis_x_state())]) == 0
+        values = {key.strip(): value.strip() for key, value in (
+            line.split(":") for line in capsys.readouterr().out.splitlines())}
+        assert values["optimal phi/pi"] == "0"
+        assert values["optimal theta/pi"] == "0.155432779729"
+
     @pytest.mark.parametrize("rho", [
         reconstruct(np.diag([1.0, 0.1, 0.5, 0.2])),  # Bell-diagonal, MCDM along y
         np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),  # |00><00|

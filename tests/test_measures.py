@@ -25,11 +25,11 @@ from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
-from qdiscord.measures import (_CIRCLE_BLOCK, _GRID_BLOCK, _GRID_DIRS, _TIE_AXES, CE_FLOOR,
+from qdiscord.measures import (_CIRCLE_DIRS, _GRID_DIRS, _POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
                                CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, MAX_ITERATIONS,
-                               PROBABILITY_SUM_TOL, START_CLOSENESS_TOL, VALUE_TIE_TOL,
+                               PROBABILITY_SUM_TOL, VALUE_TIE_TOL,
                                WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
-                               _angle_dirs, _axis_ties, _branch_entropy, _ce_many,
+                               _angle_dirs, _branch_entropy, _ce_many,
                                _circle_minimum, _circle_states, _discord_reports, _grid_start,
                                _minimize_many, _newton, _pick_start, _sphere_frame,
                                _sphere_minimum, _tangent_derivatives, _tie_break)
@@ -724,14 +724,17 @@ DENSE_DIRS = _angle_dirs(*(m.ravel() for m in np.meshgrid(
 def dense_start(a, b, r):
     """CE at every point of the 96 x 192 grid for one state, in blocks of 24
     rows, and the start rule of measures._grid_start: the flat index and value
-    of the point closest to x among those tied with the lowest, the first of
-    them on a tie."""
+    of the first point within GRID_TIE_TOL of the lowest."""
     values = np.concatenate([_ce_many(a, b, r, np.ascontiguousarray(block))[0]
                              for block in np.hsplit(DENSE_DIRS, 4)])
-    tied = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)
-    closeness = np.abs(DENSE_DIRS[0, tied])
-    start = tied[closeness >= closeness.max() - START_CLOSENESS_TOL][0]
+    start = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)[0]
     return int(start), float(values[start])
+
+
+def axis_ties(axis_values, value):
+    """Which of the axes x, y, z, with values (S, 3), tie each value (S,), as
+    measures._tie_break reads them."""
+    return axis_values <= value[:, None] + VALUE_TIE_TOL
 
 
 class TestGridStart:
@@ -774,18 +777,32 @@ class TestGridStart:
         states += [mixture_family(0.0)] * 4  # a product state
         np.random.default_rng(20261023).shuffle(states)
         a, b, r = stacked_canonical(states)
-        alone = [tuple(x.item() for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]))
+        alone = [tuple(x.item() for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1],
+                                                      _GRID_DIRS))
                  for s in range(len(a))]
         for size in (1, 2, 3, 4, 58, 64):
             starts = []
             for k in range(0, len(a), size):
-                start, value = _grid_start(a[k:k + size], b[k:k + size], r[k:k + size])
+                start, value = _grid_start(a[k:k + size], b[k:k + size], r[k:k + size],
+                                           _GRID_DIRS)
                 assert start.shape == value.shape == (len(a[k:k + size]),)
                 starts += zip(start.tolist(), value.tolist())
             assert starts == alone
-        # states per call of the grid and of the circle scan: each call at
-        # most 4,608 points
-        assert (_GRID_BLOCK, _CIRCLE_BLOCK) == (3, 271)
+
+    @pytest.mark.parametrize("dirs", [_GRID_DIRS, _CIRCLE_DIRS], ids=["grid", "circle"])
+    def test_scan_call_holds_at_most_4608_points(self, dirs, monkeypatch):
+        # 3 states of 1,321 grid points a call, 271 of the circle's 17
+        a, b, r = stacked_canonical(hs_states(7, 1) * 600)
+        calls = []
+
+        def counted(a_k, b_k, r_k, dirs_k):
+            calls.append(len(a_k) * dirs_k.shape[-1])
+            return _ce_many(a_k, b_k, r_k, dirs_k)
+
+        monkeypatch.setattr(measures, "_ce_many", counted)
+        _grid_start(a, b, r, dirs)
+        assert max(calls) == _POINTS_PER_CALL // dirs.shape[1] * dirs.shape[1] <= 4608
+        assert sum(calls) == 600 * dirs.shape[1]
 
     @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12)
@@ -796,10 +813,10 @@ class TestGridStart:
         states = [family_state(families[k], s) for k, s in
                   zip(rng.integers(len(families), size=size), rng.integers(2 ** 32, size=size))]
         a, b, r = stacked_canonical(states)
-        start, value = _grid_start(a, b, r)
+        start, value = _grid_start(a, b, r, _GRID_DIRS)
         for s in range(len(a)):
             assert (start[s], value[s]) == tuple(
-                x[0] for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1]))
+                x[0] for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1], _GRID_DIRS))
         report = _discord_reports(np.stack(states))
         # the bound is the discord formula at the MCDM, so where CE is
         # lowest there it equals the discord to the bit (rank1 seed 66)
@@ -807,22 +824,13 @@ class TestGridStart:
         assert (np.abs(report.discord + report.classical_correlation
                        - report.mutual_information) <= CLAMP_WINDOW).all()
 
-    def test_start_closeness_tolerance_pinned_at_its_boundary(self):
-        # of two tied points, one 1e-9 farther from x than the other still
-        # counts as closest, and its smaller index wins; one double farther,
-        # the closer point wins.  The third point, closest to x, is not tied.
-        values = np.array([[0.5 + GRID_TIE_TOL / 2, 0.5, 0.7]])
-        edge = 0.75 - 1e-9
-        for farther, k in ((edge, 0), (np.nextafter(edge, 0.0), 1)):
-            start, value = _pick_start(values, np.array([farther, 0.75, 1.0]))
-            assert start.tolist() == [k] and value.tolist() == [values[0, k]]
-
     def test_grid_tie_tolerance_pinned_at_its_boundary(self):
-        # a point GRID_TIE_TOL above the lowest ties it, and being closer to x
-        # it wins; one double higher, the lowest point wins
+        # a point GRID_TIE_TOL above the lowest ties it, and being first it
+        # wins; one double higher, the lowest point wins
         for above, k in ((0.5 + GRID_TIE_TOL, 0), (np.nextafter(0.5 + GRID_TIE_TOL, 1.0), 1)):
-            start, _ = _pick_start(np.array([[above, 0.5]]), np.array([1.0, 0.5]))
-            assert start.tolist() == [k]
+            values = np.array([[above, 0.5]])
+            start, value = _pick_start(values)
+            assert start.tolist() == [k] and value.tolist() == [values[0, k]]
 
     def test_flat_and_pure_states_evaluate_the_grid_once(self, monkeypatch):
         # CE is flat for Werner and product states and 0 for pure ones, and a
@@ -845,13 +853,13 @@ class TestGridStart:
             return _ce_many(a_k, b_k, r_k, dirs)
 
         monkeypatch.setattr(measures, "_ce_many", counted)
-        _grid_start(a, b, r)
+        _grid_start(a, b, r, _GRID_DIRS)
         assert columns.tolist() == [1321] * len(a)
 
     @pytest.mark.parametrize("family", ["rank1", "werner", "hs", "near_pure"])
     def test_chunk_solve_without_large_temporaries(self, family):
-        # a call holds the values of _GRID_BLOCK states only; holding the
-        # values of all 64 states at once peaked at 1.43 MiB.  Rank-1 and
+        # a call holds the values of at most _POINTS_PER_CALL points; holding
+        # the values of all 64 states at once peaked at 1.43 MiB.  Rank-1 and
         # Werner states are X-shaped, so _minimize_many settles them on their
         # circle, and _sphere_minimum scans the grid
         a, b, r = stacked_canonical([family_state(family, s) for s in range(64)])
@@ -913,9 +921,18 @@ def x_state(family, seed):
     return rho + np.triu(rho, 1).conj().T
 
 
+def third_axis(a, b):
+    """The transverse axis i of X-shaped canonical blocks that their great
+    circle leaves out: of the two axes besides the axis k of a and b, the
+    later, whose |R_ii| is the smaller in the canonical order."""
+    k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
+    return np.where(k == 2, 1, 2)
+
+
 class TestXStateCircle:
-    """X-shaped states are solved on one great circle, and the result is that
-    of the hemisphere path, bit for bit."""
+    """X-shaped states are settled on one great circle: their direction has no
+    component along the third axis, and their result is that of the
+    hemisphere path, bit for bit where the minimum ties an axis."""
 
     @staticmethod
     def x_shaped_states():
@@ -927,14 +944,31 @@ class TestXStateCircle:
         return states + [np.eye(4, dtype=complex) / 4, off_axis_x_state()]
 
     def test_equals_sphere_path(self):
+        # each direction lies on its circle; where the circle's minimum ties an
+        # axis, the tie-break settles both paths to the same bits, and an
+        # interior minimum, refined along the circle instead of on the
+        # sphere, moves its value by rounding
         states = self.x_shaped_states()
         canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
-        assert _circle_states(canonical.a, canonical.b, canonical.r).size == len(states)
+        assert _circle_states(canonical.a, canonical.b, canonical.r).all()
+        interior = 0
         for k in range(0, len(states), 64):
             a, b, r = (x[k:k + 64] for x in (canonical.a, canonical.b, canonical.r))
-            n, value, _ = _minimize_many(a, b, r)
+            n, value, axis_values = _minimize_many(a, b, r)
+            assert (n[np.arange(len(a)), third_axis(a, b)] == 0.0).all()
             n2, value2 = sphere_path(a, b, r)
-            assert (n == n2).all() and (value == value2).all()
+            tied = axis_ties(axis_values, _circle_minimum(a, b, r)[1]).any(axis=1)
+            assert (n[tied] == n2[tied]).all() and (value[tied] == value2[tied]).all()
+            assert (np.abs(value - value2) <= 2e-15).all()
+            interior += (~tied).sum()
+        assert interior >= 1  # off_axis_x_state
+
+    @given(family=st.sampled_from(X_FAMILIES + ("near_pure",)), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80)
+    def test_direction_on_the_circle(self, family, seed):
+        a, b, r = canonical_stack(x_state(family, seed))
+        assert _circle_states(a, b, r).tolist() == [True]
+        assert _minimize_many(a, b, r)[0][0, third_axis(a, b)[0]] == 0.0
 
     @pytest.fixture
     def sphere_calls(self, monkeypatch):
@@ -948,15 +982,41 @@ class TestXStateCircle:
         monkeypatch.setattr(measures, "_sphere_minimum", recorded)
         return calls
 
-    def test_interior_optimum_goes_on_to_the_sphere(self, sphere_calls):
+    def test_interior_optimum_settled_on_the_circle(self, sphere_calls):
         a, b, r = canonical_stack(off_axis_x_state())
-        assert _circle_states(a, b, r).tolist() == [0]
-        circle = _circle_minimum(a, b, r)
-        assert not _axis_ties(_ce_many(a, b, r, _TIE_AXES), circle).any()
+        assert _circle_states(a, b, r).tolist() == [True]
+        circle_n, circle = _circle_minimum(a, b, r)
+        assert not axis_ties(_ce_many(a, b, r, _TIE_AXES), circle).any()
         n, value, _ = _minimize_many(a, b, r)
-        assert sphere_calls == [1]
+        assert sphere_calls == []
+        np.testing.assert_array_equal(n, circle_n)
+        assert value.tolist() == circle.tolist()
         assert abs(angles_from_direction(n[0])[0] / np.pi - 0.155) < 0.01
-        assert abs(value[0] - circle[0]) <= 1e-15
+        assert abs(value[0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
+
+    def test_each_state_takes_one_geometry(self, monkeypatch):
+        # every state of a mixed stack reaches exactly one of the circle and
+        # the sphere, the circle if and only if it is X-shaped
+        states = TestBatchInvariance.mixed_stack()
+        a, b, r = stacked_canonical(states)
+        blocks = np.concatenate([a, b, r.reshape(-1, 9)], axis=1)
+        assert len(np.unique(blocks, axis=0)) == len(a)
+        reached = {"circle": np.zeros(len(a), dtype=int), "sphere": np.zeros(len(a), dtype=int)}
+
+        def counted(name, solve):
+            def recorded(a_k, b_k, r_k):
+                for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
+                    reached[name][(blocks == row).all(axis=1)] += 1
+                return solve(a_k, b_k, r_k)
+            return recorded
+
+        monkeypatch.setattr(measures, "_circle_minimum", counted("circle", _circle_minimum))
+        monkeypatch.setattr(measures, "_sphere_minimum", counted("sphere", _sphere_minimum))
+        _minimize_many(a, b, r)
+        x_shaped = _circle_states(a, b, r)
+        assert 0 < x_shaped.sum() < len(a)
+        assert reached["circle"].tolist() == x_shaped.astype(int).tolist()
+        assert reached["sphere"].tolist() == (~x_shaped).astype(int).tolist()
 
     def test_mixed_stack_equals_each_state_alone(self):
         rng = np.random.default_rng(20261021)
@@ -965,7 +1025,7 @@ class TestXStateCircle:
         rng.shuffle(states)
         canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
         a, b, r = canonical.a, canonical.b, canonical.r
-        assert 0 < _circle_states(a, b, r).size < len(states)
+        assert 0 < _circle_states(a, b, r).sum() < len(states)
         n, value, _ = _minimize_many(a, b, r)
         for s in range(len(states)):
             n1, value1, _ = _minimize_many(a[s:s + 1], b[s:s + 1], r[s:s + 1])
@@ -995,35 +1055,31 @@ class TestXStateCircle:
     @settings(max_examples=80)
     def test_circle_minimum_equals_sphere_minimum(self, family, seed):
         a, b, r = canonical_stack(x_state(family, seed))
-        assert _circle_states(a, b, r).tolist() == [0]
-        assert abs(_circle_minimum(a, b, r)[0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
+        assert _circle_states(a, b, r).tolist() == [True]
+        assert abs(_circle_minimum(a, b, r)[1][0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
-    def test_near_pure_circle_minimum_within_tie_tolerance(self, seed):
+    def test_near_pure_circle_minimum_equals_sphere_minimum(self, seed):
         # near a pure state CE can be flat to rounding noise over the whole
-        # sphere but for a narrow dip; where the three axes tie, the grid start
-        # rule picks the x axis, from which the sphere path ends up to 2.6e-11
-        # above the circle (seen on 1,500 draws), within the tie tolerance:
-        # both minima tie the same axes
+        # sphere but for a narrow dip; the grid start, the first of the tied
+        # points, lies nearest the pole, and from it the sphere path reaches
+        # the circle's minimum within 2.3e-15 (1,500 draws).  A start at the
+        # x axis, a critical point where CE is flat, ended up to 8.6e-11 above
         a, b, r = canonical_stack(x_state("near_pure", seed))
-        assert _circle_states(a, b, r).tolist() == [0]
-        circle, sphere = _circle_minimum(a, b, r), _sphere_minimum(a, b, r)[1]
-        assert abs(circle[0] - sphere[0]) <= VALUE_TIE_TOL
-        axis_values = _ce_many(a, b, r, _TIE_AXES)
-        np.testing.assert_array_equal(_axis_ties(axis_values, circle),
-                                      _axis_ties(axis_values, sphere))
+        assert _circle_states(a, b, r).tolist() == [True]
+        assert abs(_circle_minimum(a, b, r)[1][0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-14
 
     def test_pole_start_refined_off_the_pole(self):
         # this near-pure X-state's minimum lies 0.01 rad from the pole z, at
         # azimuth pi; at the pole the gradient vanishes and the Hessian is
         # negative definite, so only a step along its lowest eigenvector leaves
         a, b, r = canonical_stack(x_state("near_pure", 122))
-        assert _grid_start(a, b, r)[0].tolist() == [0]  # the pole, ring 0's one point
+        assert _grid_start(a, b, r, _GRID_DIRS)[0].tolist() == [0]  # the pole, ring 0's one point
         axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
         n, value = _sphere_minimum(a, b, r)
         assert value[0] < axis_values.min() - 1e-7
-        assert abs(value[0] - _circle_minimum(a, b, r)[0]) <= 1e-15
+        assert abs(value[0] - _circle_minimum(a, b, r)[1][0]) <= 1e-15
         assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
 
 
@@ -1174,14 +1230,14 @@ class TestNewtonRefinement:
         for rho in states:
             a, b, r = canonical_stack(rho)
             paths = [_sphere_minimum]
-            if _circle_states(a, b, r).size:
+            if _circle_states(a, b, r).any():
                 paths.append(_circle_minimum)
             for path in paths:
                 derivative_calls.clear()
                 path(a, b, r)
                 assert derivative_calls in ([], [1])
         werner = canonical_stack(bell_diagonal(-0.5, -0.5, -0.5))
-        assert _axis_ties(_ce_many(*werner, _TIE_AXES), _sphere_minimum(*werner)[1]).all()
+        assert axis_ties(_ce_many(*werner, _TIE_AXES), _sphere_minimum(*werner)[1]).all()
 
     def test_no_state_reaches_the_iteration_cap(self, monkeypatch):
         iterations = []
@@ -1213,7 +1269,7 @@ class TestNewtonRefinement:
     def grid_started(rho):
         """Blocks of ``rho``'s canonical form, its grid start and that start's value."""
         a, b, r = canonical_stack(rho)
-        start, value = _grid_start(a, b, r)
+        start, value = _grid_start(a, b, r, _GRID_DIRS)
         return a, b, r, _GRID_DIRS.T[start], value
 
     def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
