@@ -7,14 +7,14 @@ of B has a closed form in the block decomposition (a, b, R):
     CE(n) = (1+f)/2 h(g+/(1+f)) + (1-f)/2 h(g-/(1-f)),
     f = a.n,  g+- = |b +- R^T n|,
 
-which a scan of fixed points plus a trust-region Newton refinement, with
-the exact gradient and Hessian of CE, minimizes to obtain the classical
-correlation and the quantum discord, always on the blocks of the state's
-canonical form, where the x axis is the maximal-correlation direction
-(MCDM).  Each state is solved once, on one of two geometries: X-shaped
-blocks (R diagonal, a and b along one axis) have their minimum on one great
-circle, which is scanned and refined along the circle; every other state is
-scanned on a hemisphere grid and refined on the sphere.
+which a trust-region Newton refinement, with the exact gradient and Hessian
+of CE, minimizes to obtain the classical correlation and the quantum
+discord, always on the blocks of the state's canonical form, where the x
+axis is the maximal-correlation direction (MCDM).  Each state is solved
+once, on one of two geometries: X-shaped blocks (R diagonal, a and b along
+one axis) have their minimum on one great circle, whose 17 scanned points
+give the start of a refinement along the circle; every other state is
+refined on the sphere from its three canonical axes x (the MCDM), y and z.
 Evaluating the same expression at the MCDM instead of the optimum gives a
 cheap upper bound on the discord.
 """
@@ -58,11 +58,9 @@ CLAMP_WINDOW = 1e-9
 WITNESS_VANISHING_TOL = 1e-10
 WITNESS_TOL = 1e-9
 
-# the hemisphere grid of the start has RINGS rings of points (see _GRID_DIRS)
-RINGS = 32
-# refinement: trust-region Newton steps on the sphere, at first within
-# INITIAL_RADIUS (see _newton).  A state leaves once the model promises a
-# decrease of at most DECREASE_STOP, or once its value is at most CE_FLOOR:
+# refinement: trust-region Newton steps on the sphere or a great circle (see
+# _newton).  A start leaves once the model promises a decrease of at most
+# DECREASE_STOP, or once its value is at most CE_FLOOR:
 # CE >= 0, so at most that much is left to gain, and the CE of a pure state, 0
 # in exact arithmetic, is rounding noise of up to 3.2e-14 (seen on 5,120 pure
 # states)
@@ -72,9 +70,11 @@ MAX_ITERATIONS = 60
 # the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
 # h''(x) = -1/(ln 2 (1 - x^2)) are finite
 X_CAP = 1.0 - 1e-12
-# the first trust radius: a larger one, pi/32, makes a flat Werner state on the
-# sphere take a second evaluation of the derivatives
+# the first trust radius on the circle, whose scan puts the start within
+# pi/64 of its minimum, and on the sphere, whose axis starts lie farther off:
+# there pi/96 takes 5.0 evaluations per Hilbert-Schmidt state, pi/4 4.0
 INITIAL_RADIUS = math.pi / 96
+SPHERE_RADIUS = math.pi / 4
 # points evaluated per call of a scan, over all states of the call: at most
 # 4,608.  The largest temporary of a call, both branches' vectors b +- R^T n,
 # then holds 6 x 4,608 doubles (221 KB)
@@ -218,8 +218,7 @@ def _branch_vectors(a: np.ndarray, b: np.ndarray, r: np.ndarray,
 def _lengths(squares: np.ndarray) -> np.ndarray:
     """|u| = sqrt((u_x^2 + u_y^2) + u_z^2), the order in which np.linalg.norm
     sums, from the squared components (S, 3, K) of vectors u: (S, K)."""
-    g = np.add(squares[:, 0], squares[:, 1])
-    g += squares[:, 2]
+    g = np.add.reduce(squares, axis=1)
     return np.sqrt(g, out=g)
 
 
@@ -283,54 +282,8 @@ def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# hemisphere optimizer                                                        #
+# minimizer on the sphere and on great circles                                #
 # --------------------------------------------------------------------------- #
-
-def _angle_dirs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Unit vectors at polar angles ``thetas``, azimuths ``phis``: (3, K) for
-    (K,) angles, (S, 3, K) for (S, K) angles."""
-    st = np.sin(thetas)
-    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=-2)
-
-
-# the hemisphere grid: RINGS rings of polar angle i pi / RINGS, ring 0 being the
-# pole z, ring i holding max(1, ceil(2 RINGS sin theta_i)) points of azimuth
-# -pi/2 + j pi / n_i, so that points are about pi / RINGS apart along each ring
-# as across rings.  The x axis (ring RINGS/2, j = n/2), the pole and -y are
-# grid points.  1,321 points in all, ring by ring
-_RING_THETAS = np.arange(RINGS) * (math.pi / RINGS)
-_RING_SIZES = np.maximum(1, np.ceil(2 * RINGS * np.sin(_RING_THETAS))).astype(int)
-_GRID_DIRS = _angle_dirs(np.repeat(_RING_THETAS, _RING_SIZES), np.concatenate(
-    [-math.pi / 2 + np.arange(n) * (math.pi / n) for n in _RING_SIZES]))
-
-
-def _pick_start(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index (S,) and value (S,) of the start of S states from their ``values``
-    (S, K): the smallest index within GRID_TIE_TOL of the state's lowest
-    value."""
-    start = (values <= values.min(axis=1, keepdims=True) + GRID_TIE_TOL).argmax(axis=1)
-    return start, values[np.arange(len(values)), start]
-
-
-def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray,
-                dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (S,) into the K columns of ``dirs`` (3, K) and values (S,) of the
-    starts of S states: the scan of _GRID_DIRS or of _CIRCLE_DIRS.
-
-    Every state evaluates every point, in calls of at most _POINTS_PER_CALL
-    points, and :func:`_pick_start` picks the starts of each call's states
-    from that call's values, so a state's start and value do not depend on
-    the states beside it, and no more than one call's values are held at a
-    time.  Of points that tie the lowest, the first in scan order is taken:
-    on the grid, ring by ring, the smaller polar angle, so of mirror-image
-    optima (theta vs pi - theta) the one nearer the pole."""
-    step = _POINTS_PER_CALL // dirs.shape[1]
-    start, value = np.empty(len(a), dtype=int), np.empty(len(a))
-    for first in range(0, len(a), step):
-        s = slice(first, first + step)
-        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], dirs))
-    return start, value
-
 
 _LN2 = math.log(2.0)
 _EYE = np.eye(3)
@@ -383,8 +336,9 @@ def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndar
     artanh = np.arctanh(x)
     gap = (1.0 - x) * (1.0 + x)
     # T_w and T_g, signed by the branch as grad w and grad g are
-    t_w = half * _SIGNS * (1.0 - 0.5 * np.log2(gap))
-    t_g = half * _SIGNS * artanh / -_LN2
+    signed = half * _SIGNS
+    t_w = signed * (1.0 - 0.5 * np.log2(gap))
+    t_g = signed * artanh / -_LN2
     c_rr = half * artanh / (-_LN2 * g_floor)  # h'/(2g)
     fr = rows @ r  # (S, k + 1, 3)
     fa = rows @ a[:, :, None]  # (S, k + 1, 1)
@@ -407,7 +361,10 @@ def _lowest_eigenpair(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p, q, s = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
     half_diff = 0.5 * (p - s)
     t = 0.5 * np.arctan2(q, half_diff)
-    return 0.5 * (p + s) - np.hypot(half_diff, q), np.stack([-np.sin(t), np.cos(t)], axis=1)
+    vec = np.empty((len(hess), 2))
+    np.negative(np.sin(t), out=vec[:, 0])
+    np.cos(t, out=vec[:, 1])
+    return 0.5 * (p + s) - np.hypot(half_diff, q), vec
 
 
 def _trust_step(grad: np.ndarray, hess: np.ndarray,
@@ -430,8 +387,7 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     disc and is taken without the others, which are computed only when some
     state of the stack needs them, the lowest eigenpair by
     :func:`_lowest_eigenpair`.  The general rule takes that step too, to the
-    bit; skipping the others matters for a lone state, whose Newton steps on
-    the sphere almost always lie inside the radius."""
+    bit."""
     if grad.shape[1] == 1:
         g, h = grad[:, 0], hess[:, 0, 0]
         convex = h > 0.0
@@ -453,7 +409,6 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     whole = definite & (scale == 1.0)
     if whole.all():
         return newton, -newton_model
-    newton_model[~definite] = np.inf
     # -along grad is the lowest point of the model on the gradient line within
     # the radius: along = min(radius/|grad|, |grad|^2/curvature) when that is
     # positive
@@ -465,37 +420,43 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     g_low = g0 * vec[:, 0] + g1 * vec[:, 1]
     lowest = np.where(g_low > 0.0, -radius, radius)
     saddle = lowest * (g_low + 0.5 * low * lowest)
-    take_newton = whole | (newton_model <= np.minimum(cauchy, saddle))
+    take_newton = whole | (definite & (newton_model <= np.minimum(cauchy, saddle)))
     take_cauchy = cauchy <= saddle
-    step = np.where(take_newton[:, None], newton,
-                    np.where(take_cauchy[:, None], -along[:, None] * grad, lowest[:, None] * vec))
-    return step, -np.where(take_newton, newton_model, np.where(take_cauchy, cauchy, saddle))
+    # the Cauchy step runs along -grad, the other along the lowest eigenvector
+    step = np.where(take_cauchy[:, None], grad, vec)
+    step *= np.where(take_cauchy, -along, lowest)[:, None]
+    return (np.where(take_newton[:, None], newton, step),
+            -np.where(take_newton, newton_model, np.where(take_cauchy, cauchy, saddle)))
 
 
 def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: np.ndarray,
-            frame: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Trust-region Newton refinement of S states from unit vectors n (S, 3) with
-    values (S,), over the tangent rows of ``frame(n)`` (S, k + 1, 3) at each
-    point: the whole sphere, or a great circle.
+            frame: Callable[[np.ndarray], np.ndarray],
+            radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trust-region Newton refinement of S states from P starts each, unit
+    vectors n (S, P, 3) with values (S, P), in the tangent rows of
+    ``frame(n)``: the whole sphere, or a great circle.
 
-    The derivatives are evaluated at the start, and each iteration takes the
-    :func:`_trust_step` of the latest and evaluates CE and its derivatives in
-    one pass (:func:`_tangent_derivatives`) at the end of that step along
-    the great circle.  The state moves there when CE is lower, and otherwise
-    keeps its point and derivatives.  The trust radius, first INITIAL_RADIUS,
-    shrinks to a quarter of the step when the decrease falls short of a
-    quarter of the predicted one, and doubles when the step reached it and
-    the decrease exceeded three quarters.  A state leaves once the model
-    promises at most DECREASE_STOP or its value is at most CE_FLOOR.
-    Returns the directions (S, 3) and values (S,)."""
-    best_n, best_value = n.copy(), value.copy()
-    # the arrays below hold the active states only and shrink as states leave;
-    # a state's point and value are written back when it leaves
-    active = np.flatnonzero(value > CE_FLOOR)
+    Each iteration takes the :func:`_trust_step` of the latest derivatives
+    and evaluates CE and its derivatives in one pass
+    (:func:`_tangent_derivatives`) at the end of that step along the great
+    circle, where a start moves if CE is lower.  The trust radius, first
+    ``radius``, shrinks to a quarter of the step when the decrease falls
+    short of a quarter of the predicted one, and doubles when the step
+    reached it and the decrease exceeded three quarters.  A start leaves once
+    the model promises at most DECREASE_STOP, once its value is at most
+    CE_FLOOR, or once a start of its state has left at or below its value.
+    Returns the ends: directions (S, P, 3) and values (S, P)."""
+    starts = value.shape[1]
+    best_n, best_value = n.reshape(-1, 3).copy(), value.reshape(-1).copy()
+    # per state, the lowest value of its starts that have left, at first those
+    # at most CE_FLOOR.  The arrays below hold the active starts only
+    settled = np.where(value <= CE_FLOOR, value, np.inf).min(axis=1)
+    active = np.flatnonzero(best_value < settled.repeat(starts))
     if not active.size:
-        return best_n, best_value
-    a, b, r, n, value = (x[active] for x in (a, b, r, n, value))
-    radius = np.full(active.size, INITIAL_RADIUS)
+        return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
+    a, b, r = (x[active // starts] for x in (a, b, r))
+    n, value = best_n[active], best_value[active]
+    radius = np.full(active.size, radius)
     # the start keeps its given value, whose bits a lone evaluation need not share
     rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)[2:]
     for _ in range(MAX_ITERATIONS):
@@ -503,8 +464,11 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         keep = (decrease > DECREASE_STOP) & (value > CE_FLOOR)
         if not keep.all():
             best_n[active], best_value[active] = n, value
+            if starts > 1:  # a lone start per state has no other to settle
+                np.minimum.at(settled, active[~keep] // starts, value[~keep])
+                keep &= value < settled[active // starts]
             if not keep.any():
-                return best_n, best_value
+                break
             active, a, b, r, n, value, radius, rows, grad, hess, step, decrease = (
                 x[keep] for x in (active, a, b, r, n, value, radius, rows, grad, hess, step,
                                   decrease))
@@ -518,21 +482,28 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         radius = np.where(ratio < 0.25, 0.25 * length,
                           np.where((ratio > 0.75) & (length >= radius), 2.0 * radius, radius))
         lower = trial_value < value
-        n = np.where(lower[:, None], trial, n)
-        value = np.where(lower, trial_value, value)
-        rows = np.where(lower[:, None, None], trial_rows, rows)
-        grad = np.where(lower[:, None], trial_grad, grad)
-        hess = np.where(lower[:, None, None], trial_hess, hess)
-    best_n[active], best_value[active] = n, value
-    return best_n, best_value
+        if lower.all():  # the selections below, without a lone state's numpy calls
+            n, value, rows, grad, hess = trial, trial_value, trial_rows, trial_grad, trial_hess
+        else:
+            n = np.where(lower[:, None], trial, n)
+            value = np.where(lower, trial_value, value)
+            rows = np.where(lower[:, None, None], trial_rows, rows)
+            grad = np.where(lower[:, None], trial_grad, grad)
+            hess = np.where(lower[:, None, None], trial_hess, hess)
+    else:
+        best_n[active], best_value[active] = n, value
+    return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
 
 
-def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (S, 3) and values (S,) of S states: the grid scan of the whole
-    stack, then the Newton refinement from each start, before the axis
-    tie-break."""
-    start, value = _grid_start(a, b, r, _GRID_DIRS)
-    return _newton(a, b, r, _GRID_DIRS.T[start], value, _sphere_frame)
+def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+                    axis_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (S, 3) and values (S,) of S states before the axis tie-break:
+    the lowest end, the earlier axis's on ties, of the Newton refinement from
+    the axes x (the MCDM), y and z, whose values are ``axis_values`` (S, 3)."""
+    ends, values = _newton(a, b, r, _TIE_AXES.T[None].repeat(len(a), axis=0), axis_values,
+                           _sphere_frame, SPHERE_RADIUS)
+    pick = (np.arange(len(a)), values.argmin(axis=1))
+    return ends[pick], values[pick]
 
 
 # X-shaped blocks have R's off-diagonal entries and the components of a and b
@@ -544,9 +515,30 @@ X_SHAPE_TOL = 1e-13
 # per axis k of a and b, the axes (j, i, k) that become x, y, z on the circle;
 # in the canonical order j, the lower other index, has |R_jj| >= |R_ii|
 _CIRCLE_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
-# the circle phi = 0 at the grid's polar angles; CE on the circle is even in
+# the circle phi = 0 at polar angles k pi/32; CE on the circle is even in
 # cos(theta) and in sin(theta), so theta runs from 0 to pi/2: 17 points
-_CIRCLE_DIRS = _angle_dirs(_RING_THETAS[:RINGS // 2 + 1], np.zeros(RINGS // 2 + 1))
+_CIRCLE_THETAS = np.arange(17) * (math.pi / 32)
+_CIRCLE_DIRS = np.stack([np.sin(_CIRCLE_THETAS), np.zeros(17), np.cos(_CIRCLE_THETAS)])
+
+
+def _pick_start(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index (S,) and value (S,) of the start of S states from their ``values``
+    (S, K): the smallest index within GRID_TIE_TOL of the state's lowest."""
+    start = (values <= values.min(axis=1, keepdims=True) + GRID_TIE_TOL).argmax(axis=1)
+    return start, values[np.arange(len(values)), start]
+
+
+def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (S,) into _CIRCLE_DIRS and values (S,) of the starts of S states
+    on their circle: each call evaluates at most _POINTS_PER_CALL points and
+    :func:`_pick_start` picks its states' starts, so a state's start does not
+    depend on the states beside it."""
+    step = _POINTS_PER_CALL // _CIRCLE_DIRS.shape[1]
+    start, value = np.empty(len(a), dtype=int), np.empty(len(a))
+    for first in range(0, len(a), step):
+        s = slice(first, first + step)
+        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], _CIRCLE_DIRS))
+    return start, value
 
 
 def _circle_frame(n: np.ndarray) -> np.ndarray:
@@ -584,11 +576,12 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
     axes = _CIRCLE_AXES[k]
     a = np.take_along_axis(a, axes, axis=1)
     r = np.take_along_axis(r, axes[:, :, None], axis=1)
-    start, value = _grid_start(a, b, r, _CIRCLE_DIRS)
-    m, value = _newton(a, b, r, _CIRCLE_DIRS.T[start], value, _circle_frame)
-    n = np.empty_like(m)
-    np.put_along_axis(n, axes, m, axis=1)
-    return n, value
+    start, value = _grid_start(a, b, r)
+    m, value = _newton(a, b, r, _CIRCLE_DIRS.T[start][:, None], value[:, None], _circle_frame,
+                       INITIAL_RADIUS)
+    n = np.empty((len(a), 3))
+    np.put_along_axis(n, axes, m[:, 0], axis=1)
+    return n, value[:, 0]
 
 
 def _tie_break(n: np.ndarray, value: np.ndarray,
@@ -613,17 +606,20 @@ def _minimize_many(a: np.ndarray, b: np.ndarray,
 
     Each state takes one geometry: X-shaped states (:func:`_circle_states`)
     are settled on their great circle by :func:`_circle_minimum`, and every
-    other state takes :func:`_sphere_minimum`.  The tie-break then reads the
-    same axis values either way, so an on-axis result has the bits that the
-    hemisphere path would give it.
+    other state takes :func:`_sphere_minimum`, which starts at the axis
+    values.  The tie-break then reads the same axis values either way, so an
+    on-axis result has the bits that the sphere path would give it.
     """
     count = len(a)
     axis_values = _ce_many(a, b, r, _TIE_AXES)
     n, value = np.empty((count, 3)), np.empty(count)
     x_shaped = _circle_states(a, b, r)
-    for states, solve in ((x_shaped, _circle_minimum), (~x_shaped, _sphere_minimum)):
-        if states.any():
-            n[states], value[states] = solve(a[states], b[states], r[states])
+    if x_shaped.any():
+        n[x_shaped], value[x_shaped] = _circle_minimum(a[x_shaped], b[x_shaped], r[x_shaped])
+    sphere = ~x_shaped
+    if sphere.any():
+        n[sphere], value[sphere] = _sphere_minimum(a[sphere], b[sphere], r[sphere],
+                                                   axis_values[sphere])
     return (*_tie_break(n, value, axis_values), axis_values)
 
 
@@ -631,26 +627,29 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     """Global minimum of the conditional entropy over the measurement hemisphere,
     as :func:`quantum_discord` reports it.
 
-    Two deterministic stages on the canonical form's blocks: a scan of a
-    fixed hemisphere grid of 1,321 points on 32 rings of polar angle, about
-    pi/32 apart, then a trust-region Newton refinement from the first of the
-    lowest grid points, with the exact gradient and Hessian of CE in an
-    orthonormal tangent frame, until its quadratic model promises a decrease
-    of at most 1e-17.  Ties resolve to the MCDM axis, then the second, then
-    the third correlation axis.  Returns the direction in the frame of
-    ``rho`` (hemisphere representative) and the value in bits.
+    A deterministic trust-region Newton refinement on the canonical form's
+    blocks, with the exact gradient and Hessian of CE in an orthonormal
+    tangent frame, runs at once from the three canonical axes: x, the MCDM,
+    and the second and third correlation axes y and z, with a first trust
+    radius of pi/4.  A start stops once its quadratic model promises a
+    decrease of at most 1e-17, or once another start of the state has
+    stopped at or below its value; the lowest end wins, the earlier axis on
+    ties.  Ties with an axis value resolve to the MCDM axis, then the
+    second, then the third.  Returns the direction in the frame of ``rho``
+    (hemisphere representative) and the value in bits.
 
     An X-shaped canonical form (R diagonal, a and b along one axis k) has its
     minimum on the great circle through e_k and the transverse axis of the
-    larger correlation.  The two stages run on that circle instead (17
-    points, then the same iteration along the circle), and the state is
-    settled there: its direction has no component along the third axis.
+    larger correlation.  The state is settled on that circle instead: the
+    lowest of 17 points from e_k to the transverse axis starts the same
+    iteration along the circle, and the direction has no component along
+    the third axis.
 
     The value is reproducible to its last bits; the direction only to about
     2e-8, because CE is flat to second order at its minimum: scaling the
-    canonical block a by 1 + 2^-52 moved the direction by up to 1.7e-8
-    (median 1.2e-16) and the value by up to 5.0e-16 on 300 seed-137
-    Hilbert-Schmidt states.
+    canonical block a by 1 + 2^-52 moved the direction, up to its sign, by
+    up to 1.7e-8 (median 1.2e-16) and the value by up to 4.4e-16 on 300
+    seed-137 Hilbert-Schmidt states.
     """
     report = quantum_discord(rho)
     return report.optimal_direction, report.min_conditional_entropy

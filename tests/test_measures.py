@@ -25,11 +25,11 @@ from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
-from qdiscord.measures import (_CIRCLE_DIRS, _GRID_DIRS, _POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
-                               CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, MAX_ITERATIONS,
-                               PROBABILITY_SUM_TOL, VALUE_TIE_TOL,
+from qdiscord.measures import (_POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
+                               CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, INITIAL_RADIUS,
+                               MAX_ITERATIONS, PROBABILITY_SUM_TOL, SPHERE_RADIUS, VALUE_TIE_TOL,
                                WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
-                               _angle_dirs, _branch_entropy, _ce_many,
+                               _branch_entropy, _ce_many,
                                _circle_minimum, _circle_states, _discord_reports, _grid_start,
                                _minimize_many, _newton, _pick_start, _sphere_frame,
                                _sphere_minimum, _tangent_derivatives, _tie_break)
@@ -714,16 +714,18 @@ def stacked_canonical(states):
     return canonical.a, canonical.b, canonical.r
 
 
-# the 96 x 192 (theta, phi) grid, a reference for the start on the ring grid:
+# the 96 x 192 (theta, phi) grid, a reference for the sphere's axis starts:
 # rows of polar angle k pi/96, each of 192 azimuths from -pi/2, row by row
-DENSE_DIRS = _angle_dirs(*(m.ravel() for m in np.meshgrid(
+DENSE_THETAS, DENSE_PHIS = (m.ravel() for m in np.meshgrid(
     np.arange(96) * (math.pi / 96), -math.pi / 2 + np.arange(192) * (math.pi / 192),
-    indexing="ij")))
+    indexing="ij"))
+DENSE_DIRS = np.stack([np.sin(DENSE_THETAS) * np.cos(DENSE_PHIS),
+                       np.sin(DENSE_THETAS) * np.sin(DENSE_PHIS), np.cos(DENSE_THETAS)])
 
 
 def dense_start(a, b, r):
     """CE at every point of the 96 x 192 grid for one state, in blocks of 24
-    rows, and the start rule of measures._grid_start: the flat index and value
+    rows, and the start rule of measures._pick_start: the flat index and value
     of the first point within GRID_TIE_TOL of the lowest."""
     values = np.concatenate([_ce_many(a, b, r, np.ascontiguousarray(block))[0]
                              for block in np.hsplit(DENSE_DIRS, 4)])
@@ -737,72 +739,107 @@ def axis_ties(axis_values, value):
     return axis_values <= value[:, None] + VALUE_TIE_TOL
 
 
+def sphere_minimum(a, b, r):
+    """measures._sphere_minimum with the axis values _minimize_many gives it."""
+    return _sphere_minimum(a, b, r, _ce_many(a, b, r, _TIE_AXES))
+
+
+def separate_axis_refinements(a, b, r):
+    """The values (3,) that the refinement reaches from each axis of one state
+    alone, from the circle's first radius: the sphere path without its two
+    speed-ups."""
+    ends, values = _newton(*(np.repeat(x, 3, axis=0) for x in (a, b, r)), _TIE_AXES.T[:, None],
+                           _ce_many(a, b, r, _TIE_AXES).T, _sphere_frame, INITIAL_RADIUS)
+    return values[:, 0]
+
+
+def axis_started(rho):
+    """Blocks of ``rho``'s canonical form, its three axis starts (1, 3, 3) and
+    their values (1, 3), as measures._sphere_minimum refines them."""
+    a, b, r = canonical_stack(rho)
+    return a, b, r, _TIE_AXES.T[None], _ce_many(a, b, r, _TIE_AXES)
+
+
+# the seed-7 Hilbert-Schmidt states whose optimum lies in a narrow basin that
+# the refinement from the MCDM alone misses
+NARROW_BASINS = (9716, 40997)
+
+
 class TestGridStart:
-    """The scan of the ring grid: the solve reaches the minimum that the
-    refinement reaches from the dense 96 x 192 scan, each state evaluates the
-    whole grid once, and a state's start does not depend on its stack."""
+    """The starts of the refinement: every state off the circle starts at its
+    three canonical axes and reaches the minimum that the refinement reaches
+    from the dense 96 x 192 scan, and a state's result does not depend on its
+    stack; X-shaped states scan their circle's 17 points."""
 
     @staticmethod
-    def assert_minimum_equals_refined_dense_scan(rho):
-        a, b, r = canonical_stack(rho)
+    def refined_dense_scan(a, b, r):
+        """The minimum that the refinement reaches from the first lowest point
+        of the dense scan, after the axis tie-break."""
         start, value = dense_start(a, b, r)
-        n, dense = _newton(a, b, r, DENSE_DIRS.T[[start]], np.array([value]), _sphere_frame)
-        dense = _tie_break(n, dense, _ce_many(a, b, r, _TIE_AXES))[1]
-        assert abs(_minimize_many(a, b, r)[1][0] - dense[0]) <= 1e-14
+        n, dense = _newton(a, b, r, DENSE_DIRS.T[[start]][:, None], np.array([[value]]),
+                           _sphere_frame, INITIAL_RADIUS)
+        return _tie_break(n[:, 0], dense[:, 0], _ce_many(a, b, r, _TIE_AXES))[1][0]
+
+    def assert_minimum_equals_refined_dense_scan(self, rho):
+        a, b, r = canonical_stack(rho)
+        assert abs(_minimize_many(a, b, r)[1][0] - self.refined_dense_scan(a, b, r)) <= 1e-14
 
     @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner", "pure", "product"))
     def test_minimum_equals_refined_dense_scan(self, family):
-        for seed in range(20):
+        for seed in range(50):
             self.assert_minimum_equals_refined_dense_scan(family_state(family, seed))
 
-    def test_narrow_basin_reached(self):
-        # the optimum of this state lies in a narrow basin: from the start of a
-        # rectangular 24 x 48 grid, or of a ring grid of 24 rings, the
-        # refinement ends near theta = 0.498 pi, phi = 0.054 pi, 1.67e-4 above
-        # the optimum at theta = 0.474 pi, phi = 0.463 pi
-        rho = _hs_states(ExperimentConfig(seed=7), range(9716, 9717))[0]
-        self.assert_minimum_equals_refined_dense_scan(rho)
+    @pytest.mark.parametrize("index", NARROW_BASINS)
+    def test_narrow_basin_reached(self, index):
+        # these optima lie in narrow basins near the second axis: from the
+        # MCDM alone the refinement ends 1.67e-4 (9716) and 4.89e-4 (40997)
+        # above them
+        rho = _hs_states(ExperimentConfig(seed=7), range(index, index + 1))[0]
+        a, b, r, starts, values = axis_started(rho)
+        dense = self.refined_dense_scan(a, b, r)
+        assert abs(_minimize_many(a, b, r)[1][0] - dense) <= 1e-14
+        mcdm_alone = _newton(a, b, r, starts[:, :1], values[:, :1], _sphere_frame,
+                             SPHERE_RADIUS)[1][0, 0]
+        assert mcdm_alone - dense > 1e-4
 
-    def test_grid_holds_the_pole_x_and_minus_y(self):
-        # ring i of 32 holds max(1, ceil(64 sin(i pi/32))) points
-        assert _GRID_DIRS.shape == (3, 1321)
-        for axis in (Z, X, -Y):
-            assert np.abs(_GRID_DIRS.T - axis).max(axis=1).min() < 1e-16
-        assert _GRID_DIRS.T[0].tolist() == [0.0, 0.0, 1.0]
-
-    def test_stacked_start_equals_state_alone(self):
-        # 100 states: a stack of 64 takes 22 grid calls, the last of one state
+    def test_stacked_solve_equals_state_alone(self):
+        # 100 states, cut into stacks of several sizes
         states = [family_state(family, seed) for family in CERTIFIED_FAMILIES + ("werner",)
                   for seed in range(12)]
         states += [mixture_family(0.0)] * 4  # a product state
         np.random.default_rng(20261023).shuffle(states)
         a, b, r = stacked_canonical(states)
-        alone = [tuple(x.item() for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1],
-                                                      _GRID_DIRS))
+        alone = [tuple(x[0].tolist() for x in sphere_minimum(a[s:s + 1], b[s:s + 1], r[s:s + 1]))
                  for s in range(len(a))]
         for size in (1, 2, 3, 4, 58, 64):
-            starts = []
+            ends = []
             for k in range(0, len(a), size):
-                start, value = _grid_start(a[k:k + size], b[k:k + size], r[k:k + size],
-                                           _GRID_DIRS)
-                assert start.shape == value.shape == (len(a[k:k + size]),)
-                starts += zip(start.tolist(), value.tolist())
-            assert starts == alone
+                n, value = sphere_minimum(a[k:k + size], b[k:k + size], r[k:k + size])
+                assert n.shape == (len(a[k:k + size]), 3) and value.shape == (len(a[k:k + size]),)
+                ends += zip(n.tolist(), value.tolist())
+            assert ends == alone
 
-    @pytest.mark.parametrize("dirs", [_GRID_DIRS, _CIRCLE_DIRS], ids=["grid", "circle"])
-    def test_scan_call_holds_at_most_4608_points(self, dirs, monkeypatch):
-        # 3 states of 1,321 grid points a call, 271 of the circle's 17
-        a, b, r = stacked_canonical(hs_states(7, 1) * 600)
-        calls = []
+    def test_sphere_starts_at_the_three_axes(self, monkeypatch):
+        # the closed form is evaluated once per state, at the axes x, y, z,
+        # for the tie-break and the starts alike, and the refinement's first
+        # evaluation is at those three points: no scan remains on the sphere
+        a, b, r = stacked_canonical(hs_states(7, 600))
+        closed_form, derivatives = [], []
 
-        def counted(a_k, b_k, r_k, dirs_k):
-            calls.append(len(a_k) * dirs_k.shape[-1])
-            return _ce_many(a_k, b_k, r_k, dirs_k)
+        def counted(a_k, b_k, r_k, dirs):
+            closed_form.append((len(a_k), dirs))
+            return _ce_many(a_k, b_k, r_k, dirs)
+
+        def evaluated(a_k, b_k, r_k, n, frame):
+            derivatives.append(n)
+            return _tangent_derivatives(a_k, b_k, r_k, n, frame)
 
         monkeypatch.setattr(measures, "_ce_many", counted)
-        _grid_start(a, b, r, dirs)
-        assert max(calls) == _POINTS_PER_CALL // dirs.shape[1] * dirs.shape[1] <= 4608
-        assert sum(calls) == 600 * dirs.shape[1]
+        monkeypatch.setattr(measures, "_tangent_derivatives", evaluated)
+        _minimize_many(a, b, r)
+        assert len(closed_form) == 1 and closed_form[0][0] == 600
+        assert closed_form[0][1] is _TIE_AXES
+        assert derivatives[0].tolist() == np.tile(np.eye(3), (600, 1)).tolist()
 
     @given(size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12)
@@ -813,10 +850,10 @@ class TestGridStart:
         states = [family_state(families[k], s) for k, s in
                   zip(rng.integers(len(families), size=size), rng.integers(2 ** 32, size=size))]
         a, b, r = stacked_canonical(states)
-        start, value = _grid_start(a, b, r, _GRID_DIRS)
+        n, value = sphere_minimum(a, b, r)
         for s in range(len(a)):
-            assert (start[s], value[s]) == tuple(
-                x[0] for x in _grid_start(a[s:s + 1], b[s:s + 1], r[s:s + 1], _GRID_DIRS))
+            n1, value1 = sphere_minimum(a[s:s + 1], b[s:s + 1], r[s:s + 1])
+            assert n[s].tolist() == n1[0].tolist() and value[s] == value1[0]
         report = _discord_reports(np.stack(states))
         # the bound is the discord formula at the MCDM, so where CE is
         # lowest there it equals the discord to the bit (rank1 seed 66)
@@ -824,19 +861,23 @@ class TestGridStart:
         assert (np.abs(report.discord + report.classical_correlation
                        - report.mutual_information) <= CLAMP_WINDOW).all()
 
-    def test_grid_tie_tolerance_pinned_at_its_boundary(self):
-        # a point GRID_TIE_TOL above the lowest ties it, and being first it
-        # wins; one double higher, the lowest point wins
-        for above, k in ((0.5 + GRID_TIE_TOL, 0), (np.nextafter(0.5 + GRID_TIE_TOL, 1.0), 1)):
-            values = np.array([[above, 0.5]])
-            start, value = _pick_start(values)
-            assert start.tolist() == [k] and value.tolist() == [values[0, k]]
+    def test_lowest_end_wins_and_ties_go_to_the_earlier_axis(self, monkeypatch):
+        # of the three ends the lowest is the state's result; of equal ends,
+        # that of the earlier axis
+        ends = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]] * 3)
+        values = np.array([[0.3, 0.2, 0.2], [0.1, 0.2, 0.1], [0.5, 0.5, 0.4]])
+        monkeypatch.setattr(measures, "_newton", lambda *args: (ends, values))
+        n, value = _sphere_minimum(*(np.zeros((3,) + shape) for shape in ((3,), (3,), (3, 3))),
+                                   np.zeros((3, 3)))
+        assert n.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        assert value.tolist() == [0.2, 0.1, 0.4]
 
-    def test_flat_and_pure_states_evaluate_the_grid_once(self, monkeypatch):
+    def test_flat_and_pure_states_start_at_the_axes(self, monkeypatch):
         # CE is flat for Werner and product states and 0 for pure ones, and a
         # near-pure state's CE is flat to rounding noise but for a narrow dip:
-        # each state, whatever its landscape, evaluates the 1,321 grid points
-        # and no others
+        # each state, whatever its landscape, is first evaluated at its three
+        # axes, and a pure state, whose axis values are at most CE_FLOOR, not
+        # at all
         rng = np.random.default_rng(20261024)
         states = [family_state(family, seed) for family in ("pure", "near_pure", "werner", "hs")
                   for seed in range(3)]
@@ -845,25 +886,30 @@ class TestGridStart:
         a, b, r = stacked_canonical(states)
         blocks = np.concatenate([a, b, r.reshape(-1, 9)], axis=1)
         assert len(np.unique(blocks, axis=0)) == len(a)
-        columns = np.zeros(len(a), dtype=int)
+        axis_values = _ce_many(a, b, r, _TIE_AXES)
+        calls = []
 
-        def counted(a_k, b_k, r_k, dirs):
-            for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
-                columns[(blocks == row).all(axis=1)] += dirs.shape[-1]
-            return _ce_many(a_k, b_k, r_k, dirs)
+        def evaluated(a_k, b_k, r_k, n, frame):
+            calls.append((np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1), n))
+            return _tangent_derivatives(a_k, b_k, r_k, n, frame)
 
-        monkeypatch.setattr(measures, "_ce_many", counted)
-        _grid_start(a, b, r, _GRID_DIRS)
-        assert columns.tolist() == [1321] * len(a)
+        monkeypatch.setattr(measures, "_tangent_derivatives", evaluated)
+        _sphere_minimum(a, b, r, axis_values)
+        rows, points = calls[0]
+        at_floor = axis_values.min(axis=1) <= CE_FLOOR
+        assert 0 < at_floor.sum() < len(a)
+        for k in range(len(a)):
+            first = points[(rows == blocks[k]).all(axis=1)]
+            assert first.tolist() == ([] if at_floor[k] else np.eye(3).tolist())
 
     @pytest.mark.parametrize("family", ["rank1", "werner", "hs", "near_pure"])
     def test_chunk_solve_without_large_temporaries(self, family):
-        # a call holds the values of at most _POINTS_PER_CALL points; holding
-        # the values of all 64 states at once peaked at 1.43 MiB.  Rank-1 and
-        # Werner states are X-shaped, so _minimize_many settles them on their
-        # circle, and _sphere_minimum scans the grid
+        # a scan call holds the values of at most _POINTS_PER_CALL points, and
+        # the sphere's starts hold three rows per state.  Rank-1 and Werner
+        # states are X-shaped, so _minimize_many settles them on their circle,
+        # and _sphere_minimum refines them from their axes
         a, b, r = stacked_canonical([family_state(family, s) for s in range(64)])
-        for solve in (_minimize_many, _sphere_minimum):
+        for solve in (_minimize_many, sphere_minimum):
             solve(a, b, r)
             tracemalloc.start()
             try:
@@ -875,19 +921,43 @@ class TestGridStart:
 
     def test_value_reproducible_to_last_bits_direction_to_1e7(self):
         # CE is flat to second order at its minimum, so a one-ulp change of the
-        # blocks moves the minimizing direction far more than the minimum
+        # blocks moves the minimizing direction far more than the minimum.
+        # Two starts can end at the same measurement from opposite sides, n
+        # and -n, and a one-ulp change can swap which of them is lower
         for rho in hs_states(137, 100):
             a, b, r = canonical_stack(rho)
             n, value, _ = _minimize_many(a, b, r)
             n1, value1, _ = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
             assert abs(value1[0] - value[0]) < 1e-14
-            assert np.abs(n1 - n).max() < 2e-7
+            assert min(np.abs(n1 - n).max(), np.abs(n1 + n).max()) < 2e-7
+
+    def test_scan_call_holds_at_most_4608_points(self, monkeypatch):
+        # 271 states of the circle's 17 points a call
+        a, b, r = stacked_canonical(hs_states(7, 1) * 600)
+        calls = []
+
+        def counted(a_k, b_k, r_k, dirs_k):
+            calls.append(len(a_k) * dirs_k.shape[-1])
+            return _ce_many(a_k, b_k, r_k, dirs_k)
+
+        monkeypatch.setattr(measures, "_ce_many", counted)
+        _grid_start(a, b, r)
+        assert max(calls) == _POINTS_PER_CALL // 17 * 17 <= 4608
+        assert sum(calls) == 600 * 17
+
+    def test_grid_tie_tolerance_pinned_at_its_boundary(self):
+        # a point GRID_TIE_TOL above the lowest ties it, and being first it
+        # wins; one double higher, the lowest point wins
+        for above, k in ((0.5 + GRID_TIE_TOL, 0), (np.nextafter(0.5 + GRID_TIE_TOL, 1.0), 1)):
+            values = np.array([[above, 0.5]])
+            start, value = _pick_start(values)
+            assert start.tolist() == [k] and value.tolist() == [values[0, k]]
 
 
 def sphere_path(a, b, r):
-    """The hemisphere path alone: grid scan, refinement and axis tie-break."""
-    n, value = _sphere_minimum(a, b, r)
-    return _tie_break(n, value, _ce_many(a, b, r, _TIE_AXES))
+    """The sphere path alone: refinement from the axes and axis tie-break."""
+    axis_values = _ce_many(a, b, r, _TIE_AXES)
+    return _tie_break(*_sphere_minimum(a, b, r, axis_values), axis_values)
 
 
 X_FAMILIES = ("plain", "unbiased", "degenerate", "mirror")
@@ -975,9 +1045,9 @@ class TestXStateCircle:
         """The number of states of each call of the hemisphere path."""
         calls = []
 
-        def recorded(a, b, r):
+        def recorded(a, *rest):
             calls.append(len(a))
-            return _sphere_minimum(a, b, r)
+            return _sphere_minimum(a, *rest)
 
         monkeypatch.setattr(measures, "_sphere_minimum", recorded)
         return calls
@@ -992,7 +1062,7 @@ class TestXStateCircle:
         np.testing.assert_array_equal(n, circle_n)
         assert value.tolist() == circle.tolist()
         assert abs(angles_from_direction(n[0])[0] / np.pi - 0.155) < 0.01
-        assert abs(value[0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
+        assert abs(value[0] - sphere_minimum(a, b, r)[1][0]) <= 1e-15
 
     def test_each_state_takes_one_geometry(self, monkeypatch):
         # every state of a mixed stack reaches exactly one of the circle and
@@ -1004,10 +1074,10 @@ class TestXStateCircle:
         reached = {"circle": np.zeros(len(a), dtype=int), "sphere": np.zeros(len(a), dtype=int)}
 
         def counted(name, solve):
-            def recorded(a_k, b_k, r_k):
+            def recorded(a_k, b_k, r_k, *rest):
                 for row in np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1):
                     reached[name][(blocks == row).all(axis=1)] += 1
-                return solve(a_k, b_k, r_k)
+                return solve(a_k, b_k, r_k, *rest)
             return recorded
 
         monkeypatch.setattr(measures, "_circle_minimum", counted("circle", _circle_minimum))
@@ -1056,31 +1126,38 @@ class TestXStateCircle:
     def test_circle_minimum_equals_sphere_minimum(self, family, seed):
         a, b, r = canonical_stack(x_state(family, seed))
         assert _circle_states(a, b, r).tolist() == [True]
-        assert abs(_circle_minimum(a, b, r)[1][0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-15
+        assert abs(_circle_minimum(a, b, r)[1][0] - sphere_minimum(a, b, r)[1][0]) <= 1e-15
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
     def test_near_pure_circle_minimum_equals_sphere_minimum(self, seed):
         # near a pure state CE can be flat to rounding noise over the whole
-        # sphere but for a narrow dip; the grid start, the first of the tied
-        # points, lies nearest the pole, and from it the sphere path reaches
-        # the circle's minimum within 2.3e-15 (1,500 draws).  A start at the
-        # x axis, a critical point where CE is flat, ended up to 8.6e-11 above
+        # sphere but for a narrow dip near the pole.  Each refined alone from
+        # the circle's first radius, the best of the three axis starts
+        # reaches the circle's minimum within 4.3e-15 (1,500 draws); the
+        # sphere path, whose first radius is a quarter turn and whose starts
+        # leave once a sibling has settled as low, steps over the narrowest
+        # dips, up to 6.3e-13 above (seed 196: 3.6e-13).  X-shaped states
+        # never take it
         a, b, r = canonical_stack(x_state("near_pure", seed))
         assert _circle_states(a, b, r).tolist() == [True]
-        assert abs(_circle_minimum(a, b, r)[1][0] - _sphere_minimum(a, b, r)[1][0]) <= 1e-14
+        circle = _circle_minimum(a, b, r)[1][0]
+        assert abs(circle - separate_axis_refinements(a, b, r).min()) <= 1e-14
+        assert abs(sphere_minimum(a, b, r)[1][0] - circle) <= 1e-12
 
     def test_pole_start_refined_off_the_pole(self):
         # this near-pure X-state's minimum lies 0.01 rad from the pole z, at
-        # azimuth pi; at the pole the gradient vanishes and the Hessian is
-        # negative definite, so only a step along its lowest eigenvector leaves
-        a, b, r = canonical_stack(x_state("near_pure", 122))
-        assert _grid_start(a, b, r, _GRID_DIRS)[0].tolist() == [0]  # the pole, ring 0's one point
-        axis_values = _ce_many(a, b, r, _TIE_AXES)[0]
-        n, value = _sphere_minimum(a, b, r)
-        assert value[0] < axis_values.min() - 1e-7
-        assert abs(value[0] - _circle_minimum(a, b, r)[1][0]) <= 1e-15
-        assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
+        # azimuth pi; at the pole, the third start, the gradient vanishes and
+        # the Hessian is negative definite, so only a step along its lowest
+        # eigenvector leaves, on the sphere path as from the circle's first
+        # radius
+        a, b, r, starts, axis_values = axis_started(x_state("near_pure", 122))
+        circle = _circle_minimum(a, b, r)[1][0]
+        pole = _newton(a, b, r, starts[:, 2:], axis_values[:, 2:], _sphere_frame, INITIAL_RADIUS)
+        assert abs(pole[1][0, 0] - circle) <= 1e-15
+        for n, value in ((pole[0][:, 0], pole[1][:, 0]), _sphere_minimum(a, b, r, axis_values)):
+            assert value[0] < axis_values.min() - 1e-7
+            assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
 
 
 class TestNewtonRefinement:
@@ -1227,17 +1304,19 @@ class TestNewtonRefinement:
         rng = np.random.default_rng(20261022)
         states = [bell_diagonal(*np.full(3, -q)) for q in np.linspace(0.05, 0.95, 10)]
         states += [np.eye(4, dtype=complex) / 4, mixture_family(0.0)] + pure_states(rng, 10)
+        # pure states, one evaluation of the three axis starts on the sphere
+        # and of the one start on the circle
         for rho in states:
             a, b, r = canonical_stack(rho)
-            paths = [_sphere_minimum]
+            paths = [(sphere_minimum, 3)]
             if _circle_states(a, b, r).any():
-                paths.append(_circle_minimum)
-            for path in paths:
+                paths.append((_circle_minimum, 1))
+            for path, starts in paths:
                 derivative_calls.clear()
                 path(a, b, r)
-                assert derivative_calls in ([], [1])
+                assert derivative_calls in ([], [starts])
         werner = canonical_stack(bell_diagonal(-0.5, -0.5, -0.5))
-        assert axis_ties(_ce_many(*werner, _TIE_AXES), _sphere_minimum(*werner)[1]).all()
+        assert axis_ties(_ce_many(*werner, _TIE_AXES), sphere_minimum(*werner)[1]).all()
 
     def test_no_state_reaches_the_iteration_cap(self, monkeypatch):
         iterations = []
@@ -1262,20 +1341,23 @@ class TestNewtonRefinement:
                 *(canonical_stack(x_state(family, seed)) for seed in range(128))))
             for k in range(0, len(a), 64):
                 _circle_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
-                _sphere_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
+                sphere_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
         assert len(iterations) > 64 and max(iterations) < MAX_ITERATIONS
 
-    @staticmethod
-    def grid_started(rho):
-        """Blocks of ``rho``'s canonical form, its grid start and that start's value."""
-        a, b, r = canonical_stack(rho)
-        start, value = _grid_start(a, b, r, _GRID_DIRS)
-        return a, b, r, _GRID_DIRS.T[start], value
+    def test_starts_leave_once_their_state_settles_as_low(self, derivative_calls):
+        # here the MCDM start ends lowest; the other two, still above it, leave
+        # when it does, so the three take as many evaluations as it alone
+        a, b, r, starts, values = axis_started(hs_states(7, 3)[2])
+        _newton(a, b, r, starts[:, :1], values[:, :1], _sphere_frame, SPHERE_RADIUS)
+        alone = len(derivative_calls)
+        derivative_calls.clear()
+        ends = _newton(a, b, r, starts, values, _sphere_frame, SPHERE_RADIUS)[1][0]
+        assert derivative_calls == [3] * alone and ends[0] < ends[1:].min()
 
     def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
         # a first step that promises DECREASE_STOP ends the refinement, one
         # that promises the next double above it is taken
-        a, b, r, n, value = self.grid_started(hs_states(7, 1)[0])
+        a, b, r, n, value = axis_started(hs_states(7, 1)[0])
         trust_step = measures._trust_step
         counts = []
         for promised in (DECREASE_STOP, np.nextafter(DECREASE_STOP, 1.0)):
@@ -1287,18 +1369,19 @@ class TestNewtonRefinement:
 
             monkeypatch.setattr(measures, "_trust_step", forced)
             derivative_calls.clear()
-            _newton(a, b, r, n, value, _sphere_frame)
+            _newton(a, b, r, n, value, _sphere_frame, SPHERE_RADIUS)
             counts.append(len(derivative_calls))
         assert counts[0] == 1 and counts[1] > 1
 
     def test_ce_floor_pinned_at_its_boundary(self, derivative_calls):
         # CE >= 0, so a value at CE_FLOOR is final; the next double above it
         # is refined
-        a, b, r, n, _ = self.grid_started(hs_states(7, 1)[0])
-        n1, value1 = _newton(a, b, r, n, np.array([CE_FLOOR]), _sphere_frame)
-        assert derivative_calls == [] and (n1 == n).all() and value1[0] == CE_FLOOR
-        _newton(a, b, r, n, np.array([np.nextafter(CE_FLOOR, 1.0)]), _sphere_frame)
-        assert derivative_calls[0] == 1
+        a, b, r, n, _ = axis_started(hs_states(7, 1)[0])
+        n1, value1 = _newton(a, b, r, n, np.full((1, 3), CE_FLOOR), _sphere_frame, SPHERE_RADIUS)
+        assert derivative_calls == [] and (n1 == n).all() and (value1 == CE_FLOOR).all()
+        _newton(a, b, r, n, np.full((1, 3), np.nextafter(CE_FLOOR, 1.0)), _sphere_frame,
+                SPHERE_RADIUS)
+        assert derivative_calls[0] == 3
 
     def test_x_cap_pinned_at_its_boundary(self):
         # Bell-diagonal blocks R = diag(rho, 0, 0) have g/w = rho at n = x, where

@@ -20,9 +20,10 @@ Each time is the median of REPEATS repeats, given with its quartiles as
 ``{"median": ..., "q1": ..., "q3": ...}``.  The record has two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states:
-  - the grid scan, the refinement with the axis tie-break, and the whole
-    minimizer, on chunks of 64 states and on batches of one, each chunk
-    followed by its states alone;
+  - the hemisphere grid scan of the commits that have one, the rest of the
+    solve (refinement and axis tie-break), and the whole minimizer, on
+    chunks of 64 states and on batches of one, each chunk followed by its
+    states alone;
   - the same on the X projections of the same states, which the ``table1``
     pipeline solves; the scan of their great circle is not grid time;
   - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
@@ -31,7 +32,8 @@ Each time is the median of REPEATS repeats, given with its quartiles as
     and the angles;
   - ``quantum_discord`` of each state, a batch of one;
   - the mean and the largest number of evaluations of the Newton derivatives
-    per state, on the same states and on their X projections, counted once;
+    per state, and the mean per start, on the same states and on their X
+    projections, counted once;
 - per call, in microseconds: ``cli.main(["discord", FILE, "--json"])`` in
   this process on CLI_STATES fixed state files, half of them seed-7
   Hilbert-Schmidt states and half their X projections;
@@ -124,18 +126,21 @@ def solve_times(tree, blocks) -> dict:
     the solve (refinement and axis tie-break) and of the whole solve on
     ``blocks``, on chunks of CHUNK states and on batches of one, each chunk
     followed by its states alone.  The grid is timed inside the solve,
-    through a wrapper around ``measures._grid_start``, which the solve calls
-    once per stack of states that reach the sphere, to scan ``_GRID_DIRS``,
-    and once per stack of X-shaped states, to scan their great circle; only
-    the grid's calls count.  A tree whose ``_grid_start`` takes no directions
-    scans only the grid."""
+    through a wrapper around ``measures._grid_start``.  In a tree with a
+    hemisphere grid ``_GRID_DIRS`` the solve calls it once per stack of
+    states that reach the sphere, to scan that grid, and only those calls
+    count: with three arguments (the grid alone) or with ``_GRID_DIRS`` as
+    the fourth, not with the great circle of X-shaped states.  A tree
+    without ``_GRID_DIRS`` starts the sphere at the axes and reads 0 grid
+    time; its ``_grid_start`` scans the circle only."""
     measures = tree.measures
     a, b, r = blocks
     grid = measures._grid_start
+    grid_dirs = getattr(measures, "_GRID_DIRS", None)
     spent = [0.0]
 
     def wrapper(*args):
-        if len(args) > 3 and args[3] is not measures._GRID_DIRS:
+        if grid_dirs is None or (len(args) > 3 and args[3] is not grid_dirs):
             return grid(*args)
         start = time.perf_counter()
         try:
@@ -205,29 +210,35 @@ def cli_call_times(tree, paths: list) -> dict:
 
 
 def newton_evaluations(tree, hs_blocks, x_blocks) -> dict:
-    """Evaluations of the Newton derivatives per state, mean and largest, on
-    the states of the solve stages and on their X projections, each solved
-    alone, counted through a wrapper around ``measures._tangent_derivatives``.
-    A state's count does not depend on the states solved beside it."""
+    """Evaluations of the Newton derivatives on the states of the solve stages
+    and on their X projections, each solved alone, counted through a wrapper
+    around ``measures._tangent_derivatives``: per state, the mean and the
+    largest number of calls, and per start, the mean number of calls that
+    evaluate it.  The starts of a state are the rows of its first call: the
+    three axes on the sphere, or one point of a scan.  A state's counts do
+    not depend on the states solved beside it."""
     measures = tree.measures
     evaluate = measures._tangent_derivatives
     calls = []
 
     def counted(*args):
-        calls.append(None)
+        calls.append(len(args[0]))
         return evaluate(*args)
 
     record = {}
     measures._tangent_derivatives = counted
     try:
         for name, (a, b, r) in (("hs", hs_blocks), ("x_projected", x_blocks)):
-            counts = []
+            counts, rows, starts = [], 0, 0
             for k in range(STATES):
                 calls.clear()
                 measures._minimize_many(a[k:k + 1], b[k:k + 1], r[k:k + 1])
                 counts.append(len(calls))
+                rows += sum(calls)
+                starts += calls[0] if calls else 0
             record[f"{name}_mean"] = sum(counts) / STATES
             record[f"{name}_max"] = max(counts)
+            record[f"{name}_per_start_mean"] = rows / starts if starts else 0.0
     finally:
         measures._tangent_derivatives = evaluate
     return record
