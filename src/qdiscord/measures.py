@@ -70,11 +70,12 @@ MAX_ITERATIONS = 60
 # the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
 # h''(x) = -1/(ln 2 (1 - x^2)) are finite
 X_CAP = 1.0 - 1e-12
-# the first trust radius on the circle, whose scan puts the start within
-# pi/64 of its minimum, and on the sphere, whose axis starts lie farther off:
-# there pi/96 takes 5.0 evaluations per Hilbert-Schmidt state, pi/4 4.0
+# first trust radii: INITIAL_RADIUS on the circle, whose scan puts the start
+# within pi/64 of its minimum, and at the sphere's z (_sphere_minimum);
+# SPHERE_RADIUS at x and y (pi/96 took 5.0 evaluations per HS state, pi/4 4.0)
 INITIAL_RADIUS = math.pi / 96
 SPHERE_RADIUS = math.pi / 4
+_AXIS_RADII = np.array([SPHERE_RADIUS, SPHERE_RADIUS, INITIAL_RADIUS])
 # points evaluated per call of a scan, over all states of the call: at most
 # 4,608.  The largest temporary of a call, both branches' vectors b +- R^T n,
 # then holds 6 x 4,608 doubles (221 KB)
@@ -218,7 +219,8 @@ def _branch_vectors(a: np.ndarray, b: np.ndarray, r: np.ndarray,
 def _lengths(squares: np.ndarray) -> np.ndarray:
     """|u| = sqrt((u_x^2 + u_y^2) + u_z^2), the order in which np.linalg.norm
     sums, from the squared components (S, 3, K) of vectors u: (S, K)."""
-    g = np.add.reduce(squares, axis=1)
+    g = np.add(squares[:, 0], squares[:, 1])
+    g += squares[:, 2]
     return np.sqrt(g, out=g)
 
 
@@ -336,9 +338,8 @@ def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndar
     artanh = np.arctanh(x)
     gap = (1.0 - x) * (1.0 + x)
     # T_w and T_g, signed by the branch as grad w and grad g are
-    signed = half * _SIGNS
-    t_w = signed * (1.0 - 0.5 * np.log2(gap))
-    t_g = signed * artanh / -_LN2
+    t_w = half * _SIGNS * (1.0 - 0.5 * np.log2(gap))
+    t_g = half * _SIGNS * artanh / -_LN2
     c_rr = half * artanh / (-_LN2 * g_floor)  # h'/(2g)
     fr = rows @ r  # (S, k + 1, 3)
     fa = rows @ a[:, :, None]  # (S, k + 1, 1)
@@ -361,10 +362,7 @@ def _lowest_eigenpair(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p, q, s = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
     half_diff = 0.5 * (p - s)
     t = 0.5 * np.arctan2(q, half_diff)
-    vec = np.empty((len(hess), 2))
-    np.negative(np.sin(t), out=vec[:, 0])
-    np.cos(t, out=vec[:, 1])
-    return 0.5 * (p + s) - np.hypot(half_diff, q), vec
+    return 0.5 * (p + s) - np.hypot(half_diff, q), np.stack([-np.sin(t), np.cos(t)], axis=1)
 
 
 def _trust_step(grad: np.ndarray, hess: np.ndarray,
@@ -409,6 +407,7 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     whole = definite & (scale == 1.0)
     if whole.all():
         return newton, -newton_model
+    newton_model[~definite] = np.inf
     # -along grad is the lowest point of the model on the gradient line within
     # the radius: along = min(radius/|grad|, |grad|^2/curvature) when that is
     # positive
@@ -420,18 +419,16 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     g_low = g0 * vec[:, 0] + g1 * vec[:, 1]
     lowest = np.where(g_low > 0.0, -radius, radius)
     saddle = lowest * (g_low + 0.5 * low * lowest)
-    take_newton = whole | (definite & (newton_model <= np.minimum(cauchy, saddle)))
+    take_newton = whole | (newton_model <= np.minimum(cauchy, saddle))
     take_cauchy = cauchy <= saddle
-    # the Cauchy step runs along -grad, the other along the lowest eigenvector
-    step = np.where(take_cauchy[:, None], grad, vec)
-    step *= np.where(take_cauchy, -along, lowest)[:, None]
-    return (np.where(take_newton[:, None], newton, step),
-            -np.where(take_newton, newton_model, np.where(take_cauchy, cauchy, saddle)))
+    step = np.where(take_newton[:, None], newton,
+                    np.where(take_cauchy[:, None], -along[:, None] * grad, lowest[:, None] * vec))
+    return step, -np.where(take_newton, newton_model, np.where(take_cauchy, cauchy, saddle))
 
 
 def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: np.ndarray,
             frame: Callable[[np.ndarray], np.ndarray],
-            radius: float) -> tuple[np.ndarray, np.ndarray]:
+            radius) -> tuple[np.ndarray, np.ndarray]:
     """Trust-region Newton refinement of S states from P starts each, unit
     vectors n (S, P, 3) with values (S, P), in the tangent rows of
     ``frame(n)``: the whole sphere, or a great circle.
@@ -440,33 +437,35 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
     and evaluates CE and its derivatives in one pass
     (:func:`_tangent_derivatives`) at the end of that step along the great
     circle, where a start moves if CE is lower.  The trust radius, first
-    ``radius``, shrinks to a quarter of the step when the decrease falls
-    short of a quarter of the predicted one, and doubles when the step
-    reached it and the decrease exceeded three quarters.  A start leaves once
-    the model promises at most DECREASE_STOP, once its value is at most
-    CE_FLOOR, or once a start of its state has left at or below its value.
-    Returns the ends: directions (S, P, 3) and values (S, P)."""
+    ``radius`` (one, or one per start), shrinks to a quarter of the step
+    when the decrease falls short of a quarter of the predicted one, and
+    doubles when the step reached it and the decrease exceeded three
+    quarters.  A start stops once the model promises at most DECREASE_STOP
+    or its value is at most CE_FLOOR; it leaves then, or once a start of its
+    state stopped at or below halfway to where its model leads: into a
+    stopped start's minimum it promises about the gap, toward a lower one
+    more.  Decided at every iteration from the state's own starts, so no
+    result depends on the stack.  Returns the ends (S, P, 3) and (S, P)."""
     starts = value.shape[1]
     best_n, best_value = n.reshape(-1, 3).copy(), value.reshape(-1).copy()
-    # per state, the lowest value of its starts that have left, at first those
-    # at most CE_FLOOR.  The arrays below hold the active starts only
+    # per state, the lowest value of its starts that have stopped, at first
+    # those at most CE_FLOOR.  The arrays below hold the active starts only
     settled = np.where(value <= CE_FLOOR, value, np.inf).min(axis=1)
     active = np.flatnonzero(best_value < settled.repeat(starts))
     if not active.size:
         return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
     a, b, r = (x[active // starts] for x in (a, b, r))
+    radius = np.broadcast_to(radius, value.shape).ravel()[active]
     n, value = best_n[active], best_value[active]
-    radius = np.full(active.size, radius)
     # the start keeps its given value, whose bits a lone evaluation need not share
     rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)[2:]
     for _ in range(MAX_ITERATIONS):
         step, decrease = _trust_step(grad, hess, radius)
-        keep = (decrease > DECREASE_STOP) & (value > CE_FLOOR)
+        stop = (decrease <= DECREASE_STOP) | (value <= CE_FLOOR)
+        np.minimum.at(settled, active[stop] // starts, value[stop])
+        keep = ~stop & (value - 0.5 * decrease < settled[active // starts])
         if not keep.all():
             best_n[active], best_value[active] = n, value
-            if starts > 1:  # a lone start per state has no other to settle
-                np.minimum.at(settled, active[~keep] // starts, value[~keep])
-                keep &= value < settled[active // starts]
             if not keep.any():
                 break
             active, a, b, r, n, value, radius, rows, grad, hess, step, decrease = (
@@ -482,14 +481,11 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         radius = np.where(ratio < 0.25, 0.25 * length,
                           np.where((ratio > 0.75) & (length >= radius), 2.0 * radius, radius))
         lower = trial_value < value
-        if lower.all():  # the selections below, without a lone state's numpy calls
-            n, value, rows, grad, hess = trial, trial_value, trial_rows, trial_grad, trial_hess
-        else:
-            n = np.where(lower[:, None], trial, n)
-            value = np.where(lower, trial_value, value)
-            rows = np.where(lower[:, None, None], trial_rows, rows)
-            grad = np.where(lower[:, None], trial_grad, grad)
-            hess = np.where(lower[:, None, None], trial_hess, hess)
+        n = np.where(lower[:, None], trial, n)
+        value = np.where(lower, trial_value, value)
+        rows = np.where(lower[:, None, None], trial_rows, rows)
+        grad = np.where(lower[:, None], trial_grad, grad)
+        hess = np.where(lower[:, None, None], trial_hess, hess)
     else:
         best_n[active], best_value[active] = n, value
     return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
@@ -499,9 +495,13 @@ def _sphere_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray,
                     axis_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Directions (S, 3) and values (S,) of S states before the axis tie-break:
     the lowest end, the earlier axis's on ties, of the Newton refinement from
-    the axes x (the MCDM), y and z, whose values are ``axis_values`` (S, 3)."""
+    the axes x (the MCDM), y and z, whose values are ``axis_values`` (S, 3).
+    The z start takes the circle's first radius: near a pure product state,
+    whose Bloch vectors lie along z, the axis of the smallest connected
+    correlation, CE can have a narrow dip beside z that a quarter turn
+    steps over (README, "How the sphere solve starts")."""
     ends, values = _newton(a, b, r, _TIE_AXES.T[None].repeat(len(a), axis=0), axis_values,
-                           _sphere_frame, SPHERE_RADIUS)
+                           _sphere_frame, _AXIS_RADII)
     pick = (np.arange(len(a)), values.argmin(axis=1))
     return ends[pick], values[pick]
 
@@ -631,12 +631,12 @@ def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:
     blocks, with the exact gradient and Hessian of CE in an orthonormal
     tangent frame, runs at once from the three canonical axes: x, the MCDM,
     and the second and third correlation axes y and z, with a first trust
-    radius of pi/4.  A start stops once its quadratic model promises a
-    decrease of at most 1e-17, or once another start of the state has
-    stopped at or below its value; the lowest end wins, the earlier axis on
-    ties.  Ties with an axis value resolve to the MCDM axis, then the
-    second, then the third.  Returns the direction in the frame of ``rho``
-    (hemisphere representative) and the value in bits.
+    radius of pi/4 at x and y and of pi/96 at z.  A start stops once its
+    quadratic model promises a decrease of at most 1e-17, and leaves then
+    or once another has stopped at or below halfway to where its model
+    leads; the lowest end wins, the earlier axis on ties.  Ties with an
+    axis value resolve to x, then y, then z.  Returns the direction in the
+    frame of ``rho`` (hemisphere representative) and the value in bits.
 
     An X-shaped canonical form (R diagonal, a and b along one axis k) has its
     minimum on the great circle through e_k and the transverse axis of the

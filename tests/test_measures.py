@@ -25,7 +25,7 @@ from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
-from qdiscord.measures import (_POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
+from qdiscord.measures import (_AXIS_RADII, _POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
                                CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, INITIAL_RADIUS,
                                MAX_ITERATIONS, PROBABILITY_SUM_TOL, SPHERE_RADIUS, VALUE_TIE_TOL,
                                WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
@@ -526,8 +526,9 @@ CERTIFIED_FAMILIES = ("hs", "rank1", "rank2", "rank3", "near_pure", "x_projected
 
 
 def family_state(family, seed):
-    """A seeded state of one of CERTIFIED_FAMILIES, a Werner state, a pure
-    state, or the product state mixture_family(0), which takes no seed."""
+    """A seeded state of one of CERTIFIED_FAMILIES, "nearer_pure" (as
+    "near_pure", within 1e-12 to 1e-10 of a pure state), a Werner state, a
+    pure state, or the product state mixture_family(0), which takes no seed."""
     rng = np.random.default_rng(seed)
     if family == "product":
         return mixture_family(0.0)
@@ -537,8 +538,8 @@ def family_state(family, seed):
         return turned(bell_diagonal(*bell_diagonal_triples(rng, 1)[0]), rng)
     if family == "werner":
         return bell_diagonal(*np.full(3, -rng.uniform()))
-    if family == "near_pure":
-        eps = 10.0 ** rng.uniform(-10.0, -2.0)
+    if family in ("near_pure", "nearer_pure"):
+        eps = 10.0 ** rng.uniform(*((-10.0, -2.0) if family == "near_pure" else (-12.0, -10.0)))
         return (1.0 - eps) * pure_states(rng, 1)[0] + eps * family_state("hs", seed)
     rank = int(family[-1]) if family.startswith("rank") else 4
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
@@ -744,15 +745,6 @@ def sphere_minimum(a, b, r):
     return _sphere_minimum(a, b, r, _ce_many(a, b, r, _TIE_AXES))
 
 
-def separate_axis_refinements(a, b, r):
-    """The values (3,) that the refinement reaches from each axis of one state
-    alone, from the circle's first radius: the sphere path without its two
-    speed-ups."""
-    ends, values = _newton(*(np.repeat(x, 3, axis=0) for x in (a, b, r)), _TIE_AXES.T[:, None],
-                           _ce_many(a, b, r, _TIE_AXES).T, _sphere_frame, INITIAL_RADIUS)
-    return values[:, 0]
-
-
 def axis_started(rho):
     """Blocks of ``rho``'s canonical form, its three axis starts (1, 3, 3) and
     their values (1, 3), as measures._sphere_minimum refines them."""
@@ -784,7 +776,8 @@ class TestGridStart:
         a, b, r = canonical_stack(rho)
         assert abs(_minimize_many(a, b, r)[1][0] - self.refined_dense_scan(a, b, r)) <= 1e-14
 
-    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner", "pure", "product"))
+    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("nearer_pure", "werner", "pure",
+                                                             "product"))
     def test_minimum_equals_refined_dense_scan(self, family):
         for seed in range(50):
             self.assert_minimum_equals_refined_dense_scan(family_state(family, seed))
@@ -1132,31 +1125,26 @@ class TestXStateCircle:
     @settings(max_examples=40)
     def test_near_pure_circle_minimum_equals_sphere_minimum(self, seed):
         # near a pure state CE can be flat to rounding noise over the whole
-        # sphere but for a narrow dip near the pole.  Each refined alone from
-        # the circle's first radius, the best of the three axis starts
-        # reaches the circle's minimum within 4.3e-15 (1,500 draws); the
-        # sphere path, whose first radius is a quarter turn and whose starts
-        # leave once a sibling has settled as low, steps over the narrowest
-        # dips, up to 6.3e-13 above (seed 196: 3.6e-13).  X-shaped states
-        # never take it
+        # sphere but for a narrow dip near the pole z, a local maximum; from
+        # the pole start, whose first radius is the circle's, the sphere path
+        # reaches the circle's minimum within 2.8e-15 (seeds 0 to 1,499).
+        # From a quarter turn at the pole it ended up to 6.3e-13 above
         a, b, r = canonical_stack(x_state("near_pure", seed))
         assert _circle_states(a, b, r).tolist() == [True]
-        circle = _circle_minimum(a, b, r)[1][0]
-        assert abs(circle - separate_axis_refinements(a, b, r).min()) <= 1e-14
-        assert abs(sphere_minimum(a, b, r)[1][0] - circle) <= 1e-12
+        assert abs(_circle_minimum(a, b, r)[1][0] - sphere_minimum(a, b, r)[1][0]) <= 1e-14
 
     def test_pole_start_refined_off_the_pole(self):
         # this near-pure X-state's minimum lies 0.01 rad from the pole z, at
         # azimuth pi; at the pole, the third start, the gradient vanishes and
         # the Hessian is negative definite, so only a step along its lowest
-        # eigenvector leaves, on the sphere path as from the circle's first
-        # radius
+        # eigenvector leaves.  The pole start alone and the sphere path both
+        # end there
         a, b, r, starts, axis_values = axis_started(x_state("near_pure", 122))
         circle = _circle_minimum(a, b, r)[1][0]
-        pole = _newton(a, b, r, starts[:, 2:], axis_values[:, 2:], _sphere_frame, INITIAL_RADIUS)
-        assert abs(pole[1][0, 0] - circle) <= 1e-15
+        pole = _newton(a, b, r, starts[:, 2:], axis_values[:, 2:], _sphere_frame, _AXIS_RADII[2:])
         for n, value in ((pole[0][:, 0], pole[1][:, 0]), _sphere_minimum(a, b, r, axis_values)):
             assert value[0] < axis_values.min() - 1e-7
+            assert abs(value[0] - circle) <= 1e-15
             assert 0.005 < np.arccos(abs(n[0, 2])) < 0.02
 
 
@@ -1345,14 +1333,26 @@ class TestNewtonRefinement:
         assert len(iterations) > 64 and max(iterations) < MAX_ITERATIONS
 
     def test_starts_leave_once_their_state_settles_as_low(self, derivative_calls):
-        # here the MCDM start ends lowest; the other two, still above it, leave
-        # when it does, so the three take as many evaluations as it alone
+        # here the MCDM start ends lowest; the other two, on their way into
+        # its minimum, leave when it stops, so the three take as many
+        # evaluations as it alone
         a, b, r, starts, values = axis_started(hs_states(7, 3)[2])
         _newton(a, b, r, starts[:, :1], values[:, :1], _sphere_frame, SPHERE_RADIUS)
         alone = len(derivative_calls)
         derivative_calls.clear()
-        ends = _newton(a, b, r, starts, values, _sphere_frame, SPHERE_RADIUS)[1][0]
+        ends = _newton(a, b, r, starts, values, _sphere_frame, _AXIS_RADII)[1][0]
         assert derivative_calls == [3] * alone and ends[0] < ends[1:].min()
+
+    def test_start_heading_lower_outlives_a_stopped_one(self):
+        # on this near-pure state the MCDM start stops in a local minimum
+        # while the pole start, 3.5e-8 above it, is on its way into a basin
+        # 1.6e-7 lower; its model promises far more than that gap, so it goes
+        # on, and the solve reaches the refined dense scan's minimum
+        a, b, r, starts, values = axis_started(family_state("near_pure", 492))
+        ends = _newton(a, b, r, starts, values, _sphere_frame, _AXIS_RADII)[1][0]
+        assert ends.argmin() == 2 and ends[0] - ends[2] > 1e-7
+        dense = TestGridStart.refined_dense_scan(a, b, r)
+        assert abs(_minimize_many(a, b, r)[1][0] - dense) <= 1e-14
 
     def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
         # a first step that promises DECREASE_STOP ends the refinement, one
@@ -1369,7 +1369,7 @@ class TestNewtonRefinement:
 
             monkeypatch.setattr(measures, "_trust_step", forced)
             derivative_calls.clear()
-            _newton(a, b, r, n, value, _sphere_frame, SPHERE_RADIUS)
+            _newton(a, b, r, n, value, _sphere_frame, _AXIS_RADII)
             counts.append(len(derivative_calls))
         assert counts[0] == 1 and counts[1] > 1
 
@@ -1377,10 +1377,10 @@ class TestNewtonRefinement:
         # CE >= 0, so a value at CE_FLOOR is final; the next double above it
         # is refined
         a, b, r, n, _ = axis_started(hs_states(7, 1)[0])
-        n1, value1 = _newton(a, b, r, n, np.full((1, 3), CE_FLOOR), _sphere_frame, SPHERE_RADIUS)
+        n1, value1 = _newton(a, b, r, n, np.full((1, 3), CE_FLOOR), _sphere_frame, _AXIS_RADII)
         assert derivative_calls == [] and (n1 == n).all() and (value1 == CE_FLOOR).all()
         _newton(a, b, r, n, np.full((1, 3), np.nextafter(CE_FLOOR, 1.0)), _sphere_frame,
-                SPHERE_RADIUS)
+                _AXIS_RADII)
         assert derivative_calls[0] == 3
 
     def test_x_cap_pinned_at_its_boundary(self):
