@@ -428,7 +428,7 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
 
 def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: np.ndarray,
             frame: Callable[[np.ndarray], np.ndarray],
-            radius) -> tuple[np.ndarray, np.ndarray]:
+            radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trust-region Newton refinement of S states from P starts each, unit
     vectors n (S, P, 3) with values (S, P), in the tangent rows of
     ``frame(n)``: the whole sphere, or a great circle.
