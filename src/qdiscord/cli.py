@@ -47,8 +47,10 @@ def _add_experiment_flags(parser, samples: int = ExperimentConfig.samples) -> No
                         help=f"number of samples (default {samples})")
     parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                         help=f"stream seed (default {ExperimentConfig.seed})")
-    parser.add_argument("--workers", type=int, default=ExperimentConfig.workers,
-                        help="worker processes; the output does not depend on this")
+    parser.add_argument("--workers", type=int, default=ExperimentConfig.workers, metavar="W",
+                        help="processes that solve the states: this one and W - 1 forked "
+                             "children, at most one per chunk and per usable core; the output "
+                             "does not depend on this")
     parser.add_argument("--out", default=None,
                         help="output CSV path (default: stdout); written atomically")
 

@@ -4,14 +4,20 @@ Every pipeline draws state k from the substream (seed, k) and solves its
 states in chunks, each state to the same bits as alone, so the output is a
 pure function of the configuration: reruns, chunk sizes and worker counts
 produce byte-identical tables.
+
+With W workers, at most one per chunk and per usable core, the chunks form
+W contiguous shares.  This process solves the first; each of W - 1 children
+forked with ``os.fork`` solves one later share and sends its array back
+through its own pipe.  The arrays are joined in
+index order and every child is reaped, on success and on failure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -56,7 +62,7 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------- #
-# chunked solves (module level so they pickle for worker pools)               #
+# chunked solves                                                              #
 # --------------------------------------------------------------------------- #
 
 # states drawn and solved together by one task
@@ -94,11 +100,68 @@ def _mixture_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     return np.stack([qs, report.discord, report.mcdm_discord], axis=1)
 
 
+def _solve_share(task, share: list) -> np.ndarray:
+    return np.concatenate([task(chunk) for chunk in share])
+
+
+def _fork_share(task, share: list, inherited: list) -> tuple[int, int]:
+    """Fork a child to solve ``share``; return its pid and the read end of its
+    pipe.  The child sends ``pickle.dumps((ok, array_or_exception))`` and ends
+    with ``os._exit``.  It first closes ``inherited``, the read ends of the
+    pipes of earlier children, so that when the parent closes them their
+    writers see a broken pipe at once rather than when this child ends."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        for fd in inherited + [read_fd]:
+            os.close(fd)
+        try:
+            payload = (True, _solve_share(task, share))
+        except Exception as exc:  # sent to the parent, which raises it again
+            payload = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share_result(pid: int, read_fd: int) -> np.ndarray:
+    """The array a child sent through ``read_fd``; its exception raised again;
+    RuntimeError if it ended without sending one.  Closes ``read_fd`` and reaps
+    the child."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"worker {pid} sent no result; exit status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def _solve(chunk_fn, config: ExperimentConfig, **options) -> np.ndarray:
     """``chunk_fn(config, indices, **options)`` over chunks of CHUNK_SIZE indices,
-    its arrays concatenated in index order.  Each state's result depends only on its
-    index, so neither the chunks nor the fork pool, of at most one worker per
-    chunk and per usable core, change the output."""
+    its arrays concatenated in index order.
+
+    With W = min(workers, chunks, usable cores) > 1 the chunks are split into
+    W contiguous shares: this process solves the first while W - 1 forked
+    children solve one later share each.  Every child is reaped before this
+    returns or raises.  Each state's result depends only on its index, so
+    neither the chunks nor the shares change the output."""
     config.validate()
     task = functools.partial(chunk_fn, config, **options)
     chunks = [range(start, min(start + CHUNK_SIZE, config.samples))
@@ -107,10 +170,23 @@ def _solve(chunk_fn, config: ExperimentConfig, **options) -> np.ndarray:
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(config.workers, len(chunks), cores)
     if workers <= 1:
-        results = [task(chunk) for chunk in chunks]
-    else:
-        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            results = pool.map(task, chunks, chunksize=1)
+        return _solve_share(task, chunks)
+    ends = [len(chunks) * w // workers for w in range(workers + 1)]
+    shares = [chunks[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    children = []  # (pid, read end), until reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(task, share, [fd for _, fd in children]))
+        results = [_solve_share(task, shares[0])]
+        while children:
+            results.append(_share_result(*children.pop(0)))
+    finally:
+        # on failure, closing the read ends first lets a child blocked on a
+        # full pipe end instead of waiting for a read that never comes
+        for _, read_fd in children:
+            os.close(read_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
     return np.concatenate(results)
 
 

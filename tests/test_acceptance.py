@@ -35,17 +35,22 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @contextmanager
-def criterion(number, description, budget_seconds):
-    start = time.perf_counter()
+def criterion(number, description, budget_seconds, clock=time.perf_counter):
+    """Run the block as criterion ``number`` within ``budget_seconds`` of ``clock``:
+    wall time by default, or ``time.process_time`` for this process's CPU time,
+    which other processes on the host do not inflate."""
+    unit = "s CPU" if clock is time.process_time else "s"
+    start = clock()
     try:
         yield
     except Exception:
         print(f"criterion {number}: FAIL - {description}")
         raise
-    elapsed = time.perf_counter() - start
+    elapsed = clock() - start
     assert elapsed < budget_seconds, (
-        f"criterion {number} exceeded its runtime budget: {elapsed:.1f}s >= {budget_seconds}s")
-    print(f"criterion {number}: PASS in {elapsed:.1f}s (budget {budget_seconds:.0f}s)"
+        f"criterion {number} exceeded its runtime budget: {elapsed:.1f}{unit} >= "
+        f"{budget_seconds}{unit}")
+    print(f"criterion {number}: PASS in {elapsed:.1f}{unit} (budget {budget_seconds:.0f}{unit})"
           f" - {description}")
 
 
@@ -60,7 +65,7 @@ def random_bell_diagonal_coefficients(rng):
 
 def test_criterion_1_closed_form_oracle_equivalence():
     with criterion(1, "closed form matches direct diagonalization to 1e-10 "
-                      "on 1000 states x 20 directions", 10.0):
+                      "on 1000 states x 20 directions", 10.0, clock=time.process_time):
         gen = SeededGenerator(101)
         worst = 0.0
         for index in range(1000):

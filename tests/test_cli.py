@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qdiscord.cli
 import qdiscord.experiments
@@ -16,7 +20,7 @@ from qdiscord import (SeededGenerator, angles_from_direction, format_state,
                       hemisphere_representative, mixture_family, off_axis_x_state,
                       quantum_discord, random_hs_state, reconstruct)
 from qdiscord.cli import build_parser, main
-from qdiscord.experiments import (ExperimentConfig, _directions_chunk, bound_scatter,
+from qdiscord.experiments import (ExperimentConfig, _directions_chunk, _solve, bound_scatter,
                                   optimal_direction_clusters,
                                   optimal_direction_histogram, render_csv)
 
@@ -25,6 +29,14 @@ def write_state(tmp_path, rho, name="state.txt"):
     path = tmp_path / name
     path.write_text(format_state(rho))
     return str(path)
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, no child of this process is left running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def bell_state():
@@ -120,6 +132,79 @@ class TestDiscordCommand:
         with pytest.raises(SystemExit) as err:
             main(["discord", "--bogus"])
         assert err.value.code == 2
+
+
+# tokens that complex() rejects, reads as non-finite or huge, or reads though they look wrong
+ODD_TOKENS = ("nan", "inf", "-inf", "nan+nanj", "infj", "1e400", "1e-400", "1e308+1e308i",
+              "0x1", "1_0", "i", "+i", "1ii", "--1", "1+", "1e", "(1+2j)", "\u0661", "\u221e")
+# amounts just inside and just outside HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_FLOOR
+DEFECT_SIZES = (5e-13, 2e-12, 5e-11, 2e-10, 1e-3)
+
+
+@st.composite
+def state_texts(draw):
+    """Text of a state file: a random state of rank 1 to 4, with at most one
+    defect in its matrix and at most one in its text."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh(g @ g.conj().T)
+    w[:4 - draw(st.integers(1, 4))] = 0.0
+    w /= w.sum()
+    size = draw(st.sampled_from(DEFECT_SIZES))
+    defect = draw(st.sampled_from(["none", "hermiticity", "trace", "spectrum", "huge"]))
+    if defect == "spectrum":  # lowest eigenvalues below 0, the trace kept
+        k = draw(st.integers(1, 3))
+        w[:k] -= size
+        w[3] += k * size
+    rho = (v * w) @ v.conj().T
+    if defect == "hermiticity":
+        rho = rho + size * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    elif defect == "trace":
+        rho = rho * (1.0 + draw(st.sampled_from([-size, size])))
+    elif defect == "huge":
+        rho = rho * 1e300
+    rows = [line.split() for line in format_state(rho).splitlines()]
+    # half the texts reach validation unedited
+    edit = draw(st.sampled_from(["none"] * 6 + ["token", "drop_row", "extra_row", "drop_entry",
+                                                "extra_entry", "truncate"]))
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if edit == "token":
+        rows[r][c] = draw(st.sampled_from(ODD_TOKENS))
+    elif edit == "drop_row":
+        del rows[r]
+    elif edit == "extra_row":
+        rows.insert(r, rows[c])
+    elif edit == "drop_entry":
+        del rows[r][c]
+    elif edit == "extra_entry":
+        rows[r].insert(c, rows[r][c])
+    text = "\n".join(" ".join(row) for row in rows) + "\n"
+    if edit == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestGeneratedStateFiles:
+    """``qdiscord discord FILE`` on generated text ends with exit 0, 2 or 3,
+    never with an exception (exit 1 and a traceback)."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("generated") / "state.txt")
+
+    @given(text=state_texts())
+    @settings(max_examples=300)
+    def test_exit_code_is_documented(self, path, text):
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["discord", path], ["discord", "--json", path]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3)
+        event(f"exit {code}")
+        if code == 0:  # a report is finite: json.loads rejects NaN and Infinity here
+            json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
 
 
 class TestSharedParser:
@@ -227,9 +312,10 @@ class TestExperimentCommands:
         assert out.endswith("\n")
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestDeterminism:
     def test_workers_do_not_change_output(self, tmp_path):
-        # three chunks, a ragged last one among them, over a real pool
+        # three chunks, a ragged last one among them, over forked children
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table1", "--samples", "150", "--seed", "7", "--workers", "1",
               "--out", str(a)])
@@ -238,27 +324,20 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     @staticmethod
-    def serial_pool(monkeypatch, cores, affinity=True):
-        """Record the pool sizes asked for; the fake pool maps in this process.
+    def counted_forks(monkeypatch, cores, affinity=True):
+        """Record the pid of every child forked; the children still run.
         The machine has ``cores`` usable cores, reported by ``os.sched_getaffinity``,
         or without ``affinity`` (as off Linux) by ``os.cpu_count`` alone."""
-        sizes = []
+        forked = []
+        fork = os.fork
 
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, items, chunksize=1):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(qdiscord.experiments.multiprocessing, "get_context",
-                            lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(qdiscord.experiments.os, "fork", counted_fork)
         if affinity:
             monkeypatch.setattr(qdiscord.experiments.os, "sched_getaffinity",
                                 lambda pid: set(range(cores)), raising=False)
@@ -266,26 +345,26 @@ class TestDeterminism:
             monkeypatch.delattr(qdiscord.experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(qdiscord.experiments.os, "cpu_count",
                             lambda: 1 if affinity else cores)
-        return sizes
+        return forked
 
     def test_pool_no_larger_than_work(self, capsys, monkeypatch):
-        # 150 points make three chunks of at most 64
-        sizes = self.serial_pool(monkeypatch, cores=64)
+        # 150 points make three chunks of at most 64: this process and two children
+        forked = self.counted_forks(monkeypatch, cores=64)
         assert main(["mixture", "--samples", "150", "--workers", "50"]) == 0
         pooled = capsys.readouterr().out
         assert main(["mixture", "--samples", "150"]) == 0
         assert pooled == capsys.readouterr().out
         assert main(["mixture", "--samples", "3", "--workers", "50"]) == 0
-        assert sizes == [3]  # one chunk runs without a pool
+        assert len(forked) == 2  # one chunk, or one worker, forks no child
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_pool_no_larger_than_cores(self, capsys, monkeypatch, affinity):
-        sizes = self.serial_pool(monkeypatch, cores=2, affinity=affinity)
+        forked = self.counted_forks(monkeypatch, cores=2, affinity=affinity)
         assert main(["mixture", "--samples", "150", "--workers", "64"]) == 0
         pooled = capsys.readouterr().out
         assert main(["mixture", "--samples", "150"]) == 0
         assert pooled == capsys.readouterr().out
-        assert sizes == [2]
+        assert len(forked) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -305,6 +384,63 @@ class TestDeterminism:
         with pytest.raises(RuntimeError):
             main(["mixture", "--samples", "3", "--out", str(tmp_path / "x.csv")])
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkShares:
+    """``_solve`` with 3 usable cores and 3 workers over 3 chunks: this process
+    solves chunk 0 and two forked children one later chunk each."""
+
+    CONFIG = ExperimentConfig(samples=3 * 64, workers=3)
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(qdiscord.experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(3)), raising=False)
+
+    @staticmethod
+    def wide_chunk(config, indices):
+        """A chunk's result of 4 MiB, far more than a pipe holds."""
+        return np.full((len(indices), 2 ** 13), float(indices.start))
+
+    def test_wide_results_arrive_in_index_order(self):
+        serial = _solve(self.wide_chunk, dataclasses.replace(self.CONFIG, workers=1))
+        assert np.array_equal(_solve(self.wide_chunk, self.CONFIG), serial)
+
+    def test_child_exception_raised_again(self):
+        def chunk(config, indices):
+            if indices.start == 128:
+                raise KeyError("last share")
+            return self.wide_chunk(config, indices)
+        with pytest.raises(KeyError, match="last share"):
+            _solve(chunk, self.CONFIG)
+
+    def test_child_dying_silently_names_its_status(self):
+        def chunk(config, indices):
+            if indices.start == 64:
+                os._exit(7)
+            return self.wide_chunk(config, indices)
+        with pytest.raises(RuntimeError, match="exit status 7"):
+            _solve(chunk, self.CONFIG)
+
+    def test_parent_exception_unblocks_children(self):
+        # the children block on their full pipes unless this process closes
+        # the read ends before it waits for them
+        def chunk(config, indices):
+            if indices.start == 0:
+                raise ValueError("first share")
+            return self.wide_chunk(config, indices)
+
+        def hang(signum, frame):
+            raise TimeoutError("_solve still waits for its children")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValueError, match="first share"):
+                _solve(chunk, self.CONFIG)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestOutputPath:
@@ -536,6 +672,12 @@ class TestDependencies:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    qdiscord.cli.main(['mixture', '--samples', '3'])\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert run_python(code) == "[]\n"
+
+    def test_cli_leaves_multiprocessing_unimported(self):
+        # the experiments fork their children directly
+        code = ("import sys, qdiscord.cli\n"
+                "print([m for m in ('multiprocessing', 'socket', 'selectors') if m in sys.modules])\n")
         assert run_python(code) == "[]\n"
 
     def test_discord_call_leaves_numpy_random_unimported(self, tmp_path):

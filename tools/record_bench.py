@@ -40,7 +40,9 @@ Each time is the median of REPEATS repeats, given with its quartiles as
 - per CLI run, in seconds of wall time, the median of CLI_REPEATS runs:
   ``table1``, ``histogram`` and ``scatter`` at 10,000 samples, seed 7, with
   1 worker and with as many workers as this process may use cores, each
-  run in a fresh interpreter, the trees taking turns run by run.
+  run in a fresh interpreter, the trees taking turns run by run; and per
+  command, whether the CSV with all cores equals the 1-worker CSV byte for
+  byte.
 
 The sizes are fixed, so that records of different commits compare.
 """
@@ -63,6 +65,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -265,10 +268,15 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def cli_csv(tree, command: str, workers: int, tmp: str) -> str:
+    """Where ``cli_run`` writes the CSV of ``tree``'s ``command`` with ``workers``."""
+    return os.path.join(tmp, f"{tree.__name__}-{command}-w{workers}.csv")
+
+
 def cli_run(tree, command: str, workers: int, tmp: str) -> dict:
     """Seconds of wall time of one CLI run of ``command`` in a fresh interpreter
     that imports ``tree`` as qdiscord."""
-    path = os.path.join(tmp, f"{command}-w{workers}.csv")
+    path = cli_csv(tree, command, workers, tmp)
     argv = [sys.executable, "-m", "qdiscord.cli", command, "--samples", str(SAMPLES),
             "--seed", str(SEED), "--workers", str(workers), "--out", path]
     env = dict(os.environ, PYTHONPATH=tree_source(tree))
@@ -319,6 +327,11 @@ def main(argv=None) -> int:
             f"{command}_workers{workers}": (
                 lambda tree, command=command, workers=workers: cli_run(tree, command, workers, tmp))
             for command in COMMANDS for workers in sorted({1, cores})}, trees, CLI_REPEATS)
+        # per tree and command: is the CSV with `cores` workers the 1-worker CSV, byte for byte
+        same_csv = {label: {command: Path(cli_csv(tree, command, 1, tmp)).read_bytes()
+                            == Path(cli_csv(tree, command, cores, tmp)).read_bytes()
+                            for command in COMMANDS}
+                    for label, tree in trees.items()}
     record = {
         "machine": {"cores": cores, "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
@@ -332,6 +345,7 @@ def main(argv=None) -> int:
             "newton_evaluations_per_state": newton_evaluations(tree, hs_blocks, x_blocks),
             "cli_wall": {figure: stats for by_command in wall[label].values()
                          for figure, stats in by_command.items()},
+            "cli_csv_same_for_1_and_all_cores": same_csv[label],
         }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
