@@ -30,9 +30,9 @@ import numpy as np
 from .canonical import OFF_DIAGONAL, canonical_blocks, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (EIGENVALUE_FLOOR, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
-                     entropy_bits, partial_trace, validate_density_matrix,
-                     validated_spectrum, von_neumann_entropy)
+from .linalg import (EIGENVALUE_FLOOR, ENTROPY_TRACE_TOL, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                     _checked_state, binary_entropy, entropy_bits, validate_density_matrix,
+                     validated_spectrum)
 
 # tie-break axes x, y, z as columns; in the canonical frame x is the MCDM
 _TIE_AXES = np.eye(3)
@@ -76,10 +76,6 @@ X_CAP = 1.0 - 1e-12
 INITIAL_RADIUS = math.pi / 96
 SPHERE_RADIUS = math.pi / 4
 _AXIS_RADII = np.array([SPHERE_RADIUS, SPHERE_RADIUS, INITIAL_RADIUS])
-# points evaluated per call of a scan, over all states of the call: at most
-# 4,608.  The largest temporary of a call, both branches' vectors b +- R^T n,
-# then holds 6 x 4,608 doubles (221 KB)
-_POINTS_PER_CALL = 4608
 
 
 # --------------------------------------------------------------------------- #
@@ -132,11 +128,18 @@ def angles_from_direction(n) -> tuple[float, float]:
 # measurements and post-measurement ensembles                                 #
 # --------------------------------------------------------------------------- #
 
+def _projector_pairs(v: np.ndarray) -> np.ndarray:
+    """Projector pairs (1 +- n.sigma)/2 of the measurements along the unit rows n
+    of ``v`` (K, 3): (K, 2, 2, 2), the + outcome first."""
+    ns = (v[:, 0, None, None] * SIGMA_X + v[:, 1, None, None] * SIGMA_Y
+          + v[:, 2, None, None] * SIGMA_Z)
+    return np.stack([SIGMA_0 + ns, SIGMA_0 - ns], axis=1) / 2.0
+
+
 def projectors(n) -> tuple[np.ndarray, np.ndarray]:
     """Projector pair (1 +- n.sigma)/2 of the measurement along ``n``."""
-    v = validate_direction(n)
-    ns = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-    return (SIGMA_0 + ns) / 2.0, (SIGMA_0 - ns) / 2.0
+    plus, minus = _projector_pairs(validate_direction(n)[None])[0]
+    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -156,20 +159,54 @@ class PostMeasurementEnsemble:
     outcomes: tuple[MeasurementOutcome, MeasurementOutcome]
 
 
+def _measured_branches(rho: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both outcomes of the measurements of A along the unit rows of ``v`` (K, 3)
+    on a validated two-qubit ``rho``, the + outcome first: their probabilities
+    p (K, 2), which of them are live (p >= ZERO_PROBABILITY), and the
+    remaining B states of the live ones in that order (L, 2, 2), normalized
+    by p and made Hermitian.  All 2K unnormalized B states Tr_A[(P x 1) rho]
+    are one contraction of the projectors with rho's (2, 2, 2, 2) view."""
+    if rho.shape != (4, 4):
+        raise ValidationError(f"expected one two-qubit state (4x4), got shape {rho.shape}")
+    m = np.einsum("...ac,cbad->...bd", _projector_pairs(v), rho.reshape(2, 2, 2, 2))
+    p = m.trace(axis1=-2, axis2=-1).real
+    live = p >= ZERO_PROBABILITY
+    states = m[live] / p[live][:, None, None]
+    return p, live, (states + states.conj().swapaxes(-1, -2)) / 2.0
+
+
 def post_measurement(rho, n) -> PostMeasurementEnsemble:
     """Outcome probabilities and remaining B states for a measurement along ``n``."""
+    p, live, states = _measured_branches(validate_density_matrix(rho),
+                                         validate_direction(n)[None])
+    remaining = iter(states)
+    return PostMeasurementEnsemble(outcomes=tuple(
+        MeasurementOutcome(q, next(remaining)) if alive else MeasurementOutcome(max(q, 0.0), None)
+        for q, alive in zip(p[0].tolist(), live[0].tolist())))
+
+
+def _ce_direct(rho, dirs) -> np.ndarray:
+    """Average entropy of B after measuring A along each row of ``dirs`` (K, 3),
+    by explicit diagonalization: (K,).  Never touches the closed form; each
+    row equals its direction's call alone.
+
+    ``rho`` and ``dirs`` are validated once, and the stack of live branches
+    of :func:`_measured_branches` takes the checks of
+    ``linalg.von_neumann_entropy`` once, with the eigenvalue floor of a branch
+    of probability p at EIGENVALUE_FLOOR / p: before the division by p, a
+    branch is rho compressed onto |m><m| x 1 (P = |m><m|), whose eigenvalues
+    lie at or above rho's lowest, which validation lets reach
+    -EIGENVALUE_FLOOR.  Rounding alone took the lowest eigenvalue of such
+    branches down to -5.5e-5 at p = 1.2e-12 (pure product states measured
+    near their Bloch vector on A)."""
     rho = validate_density_matrix(rho)
-    results = []
-    for proj in projectors(n):
-        m = np.kron(proj, SIGMA_0) @ rho
-        p = float(np.trace(m).real)
-        if p < ZERO_PROBABILITY:
-            results.append(MeasurementOutcome(max(p, 0.0), None))
-            continue
-        branch = partial_trace(m, keep="B") / p
-        branch = (branch + branch.conj().T) / 2.0
-        results.append(MeasurementOutcome(p, branch))
-    return PostMeasurementEnsemble(outcomes=(results[0], results[1]))
+    p, live, states = _measured_branches(rho, validate_directions(dirs))
+    p_live = p[live]
+    terms = np.zeros(p.shape)
+    terms[live] = p_live * entropy_bits(
+        _checked_state(states, ENTROPY_TRACE_TOL, EIGENVALUE_FLOOR / p_live)[1])
+    return terms[:, 0] + terms[:, 1]
 
 
 def conditional_entropy_direct(rho, n) -> float:
@@ -178,12 +215,7 @@ def conditional_entropy_direct(rho, n) -> float:
     Brute-force counterpart of :func:`conditional_entropy_closed`; the two
     must agree to 1e-10 on every valid (state, direction) pair.
     """
-    ens = post_measurement(rho, n)
-    total = 0.0
-    for outcome in ens.outcomes:
-        if outcome.state is not None:
-            total += outcome.probability * von_neumann_entropy(outcome.state)
-    return total
+    return float(_ce_direct(rho, np.asarray(n, dtype=float)[None])[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -528,19 +560,6 @@ def _pick_start(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, values[np.arange(len(values)), start]
 
 
-def _grid_start(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (S,) into _CIRCLE_DIRS and values (S,) of the starts of S states
-    on their circle: each call evaluates at most _POINTS_PER_CALL points and
-    :func:`_pick_start` picks its states' starts, so a state's start does not
-    depend on the states beside it."""
-    step = _POINTS_PER_CALL // _CIRCLE_DIRS.shape[1]
-    start, value = np.empty(len(a), dtype=int), np.empty(len(a))
-    for first in range(0, len(a), step):
-        s = slice(first, first + step)
-        start[s], value[s] = _pick_start(_ce_many(a[s], b[s], r[s], _CIRCLE_DIRS))
-    return start, value
-
-
 def _circle_frame(n: np.ndarray) -> np.ndarray:
     """The unit tangent of the circle phi = 0 at its points n (S, 3), then n:
     (S, 2, 3)."""
@@ -568,15 +587,15 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
     azimuth if |R_jj| >= |R_ii|.  Each branch term is nonincreasing in g, so
     the minimum lies on the great circle through e_k and e_j, which an exact
     permutation of the axes (k to z, j to x) makes the circle phi = 0.  Its
-    17 points are scanned by :func:`_grid_start` and the start refined by
-    :func:`_newton` along the circle; the inverse permutation takes the
-    direction back, with exactly 0 along e_i.  Blocks within X_SHAPE_TOL of
+    17 points are scanned in one call, :func:`_pick_start` picks the start
+    and :func:`_newton` refines it along the circle; the inverse permutation
+    takes the direction back, with exactly 0 along e_i.  Blocks within X_SHAPE_TOL of
     that shape move CE by far less than VALUE_TIE_TOL."""
     k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
     axes = _CIRCLE_AXES[k]
     a = np.take_along_axis(a, axes, axis=1)
     r = np.take_along_axis(r, axes[:, :, None], axis=1)
-    start, value = _grid_start(a, b, r)
+    start, value = _pick_start(_ce_many(a, b, r, _CIRCLE_DIRS))
     m, value = _newton(a, b, r, _CIRCLE_DIRS.T[start][:, None], value[:, None], _circle_frame,
                        INITIAL_RADIUS)
     n = np.empty((len(a), 3))

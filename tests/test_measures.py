@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction,
                       random_qubit_state, random_unitary)
-from qdiscord import (PAULIS, BlockDecomposition, ConsistencyError, DiscordReport,
-                      ValidationError,
+from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
+                      NotAStateError, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
                       conditional_entropy_direct, construct_zero_discord,
@@ -25,12 +25,12 @@ from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
-from qdiscord.measures import (_AXIS_RADII, _POINTS_PER_CALL, _TIE_AXES, CE_FLOOR,
+from qdiscord.measures import (_AXIS_RADII, _TIE_AXES, CE_FLOOR,
                                CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, INITIAL_RADIUS,
                                MAX_ITERATIONS, PROBABILITY_SUM_TOL, SPHERE_RADIUS, VALUE_TIE_TOL,
                                WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
-                               _branch_entropy, _ce_many,
-                               _circle_minimum, _circle_states, _discord_reports, _grid_start,
+                               _branch_entropy, _ce_direct, _ce_many,
+                               _circle_minimum, _circle_states, _discord_reports,
                                _minimize_many, _newton, _pick_start, _sphere_frame,
                                _sphere_minimum, _tangent_derivatives, _tie_break)
 
@@ -307,27 +307,12 @@ class TestDisplacementNorm:
 
 
 def fibonacci_sphere(count):
-    """``count`` nearly uniform unit vectors, as the columns of a (3, count) array."""
+    """``count`` nearly uniform unit vectors, as the rows of a (count, 3) array."""
     k = np.arange(count) + 0.5
     z = 1.0 - 2.0 * k / count
     phi = np.pi * (1.0 + np.sqrt(5.0)) * k
     s = np.sqrt(1.0 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z])
-
-
-def direct_many(rho, dirs):
-    """conditional_entropy_direct at every column of ``dirs``, batched: for each
-    outcome, the eigenvalues of the unnormalized B state Tr_A[(P x 1) rho]."""
-    ns = np.einsum("ik,ijl->kjl", dirs, np.array(PAULIS[1:]))
-    r4 = rho.reshape(2, 2, 2, 2)
-    total = np.zeros(dirs.shape[1])
-    for sign in (1.0, -1.0):
-        m = np.einsum("kac,cbad->kbd", (np.eye(2) + sign * ns) / 2.0, r4)
-        lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-        ratio = np.divide(lam, lam.sum(axis=1, keepdims=True), out=np.ones_like(lam),
-                          where=lam > 0.0)
-        total -= np.sum(lam * np.log2(ratio), axis=1)
-    return total
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
 SPHERE = fibonacci_sphere(2000)
@@ -373,8 +358,7 @@ class TestMinimizeConditionalEntropy:
             _minimize_many(NON_PHYSICAL.a[None], NON_PHYSICAL.b[None], NON_PHYSICAL.r[None])
 
     def test_no_large_temporaries(self):
-        # the grid and the circle are evaluated in calls of at most 4,608
-        # points, whose largest temporary is 221 KB
+        # a lone solve's largest temporaries hold a few rows per start
         rho = hs_states(151, 1)[0]
         minimize_conditional_entropy(rho)
         tracemalloc.start()
@@ -389,10 +373,7 @@ class TestMinimizeConditionalEntropy:
         for rho in hs_states(113, 50):
             n, value = minimize_conditional_entropy(rho)
             assert abs(value - conditional_entropy_direct(rho, n)) < 1e-10
-            sphere = direct_many(rho, SPHERE)
-            assert_allclose(sphere[:5], [conditional_entropy_direct(rho, v) for v in SPHERE[:, :5].T],
-                            rtol=0, atol=1e-12)
-            assert value <= sphere.min() + 1e-12
+            assert value <= _ce_direct(rho, SPHERE).min() + 1e-12
 
 
 class TestCorrelationMeasures:
@@ -559,6 +540,128 @@ def test_x_projection_equals_kraus_form(family):
     assert np.array_equal(projected.view(np.uint8), kraus.view(np.uint8))
     for rho, expected in zip(states, projected):
         assert np.array_equal(project_x_state(rho).view(np.uint8), expected.view(np.uint8))
+
+
+def zero_probability_stack():
+    """|0><0| x rho_B and directions along which one outcome has probability 0
+    (+-z), 1e-13, 1e-12 or 1e-11 (beside z), or 1/2 (x), in one stack."""
+    rho = np.kron(np.diag([1.0, 0.0]), random_qubit_state(np.random.default_rng(20261020)))
+    thetas = [0.0, math.pi] + [2.0 * math.asin(math.sqrt(p)) for p in (1e-13, 1e-12, 1e-11)]
+    return rho, np.array([direction_from_angles(t, 0.0) for t in thetas + [math.pi / 2]])
+
+
+def rare_outcome_directions(rho, probabilities, rng):
+    """Directions (K, 3) along which the - outcome of measuring A on ``rho`` has
+    each of ``probabilities`` (K,), (1 - a.n)/2 = p, or, where the Bloch
+    vector a is too short for that, its least probability."""
+    a = state_blocks(rho).a
+    length = np.linalg.norm(a)
+    side = np.cross(a, random_direction(rng))
+    side /= np.linalg.norm(side)
+    cos = np.minimum(1.0, (1.0 - 2.0 * np.asarray(probabilities)) / length)
+    return cos[:, None] * (a / length) + np.sqrt(1.0 - cos * cos)[:, None] * side
+
+
+@st.composite
+def oracle_cases(draw):
+    """A state and directions (K, 3).  The state has rank 1 to 3, or its marginal
+    on A lies within 0 to 1e-2 of pure: a pure state of A times a state of B of
+    rank 1 or 2, turned by local unitaries and mixed with a little of a random
+    state.  Besides random directions, the directions include ones along
+    which an outcome's probability lies within 10x of ZERO_PROBABILITY on
+    either side, or, where the marginal on A is too mixed for that, is the
+    least it can be."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["rank1", "rank2", "rank3", "near_pure_marginal"]))
+    if kind == "near_pure_marginal":
+        eps = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-6, 1e-2]))
+        if draw(st.booleans()):
+            ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            rho_b = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        else:
+            rho_b = random_qubit_state(rng)
+        rho = turned((1.0 - eps) * np.kron(np.diag([1.0, 0.0]), rho_b)
+                     + eps * family_state("hs", int(rng.integers(2 ** 32))), rng)
+    else:
+        rho = family_state(kind, int(rng.integers(2 ** 32)))
+    rare = rare_outcome_directions(rho, 10.0 ** rng.uniform(-13.0, -11.0, 2), rng)
+    return rho, np.concatenate([[random_direction(rng) for _ in range(4)], rare, -rare])
+
+
+class TestDirectOracle:
+    """The stacked direct-diagonalization oracle, ``_ce_direct``."""
+
+    def test_never_touches_the_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("the oracle evaluated the closed form")
+
+        rho = hs_states(173, 1)[0]
+        expected = [conditional_entropy_direct(rho, n) for n in np.eye(3)]
+        for name in ("_branch_vectors", "_branches", "_ce_many"):
+            monkeypatch.setattr(measures, name, closed_form)
+        ens = post_measurement(rho, X)
+        assert sum(o.probability for o in ens.outcomes) == pytest.approx(1.0, abs=1e-12)
+        assert [conditional_entropy_direct(rho, n) for n in np.eye(3)] == expected
+        assert _ce_direct(rho, np.eye(3)).tolist() == expected
+
+    @pytest.mark.parametrize("family", ("zero_probability",) + CERTIFIED_FAMILIES
+                             + ("nearer_pure", "werner", "pure", "product"))
+    def test_rows_equal_lone_calls(self, family):
+        cases = ([zero_probability_stack()] if family == "zero_probability"
+                 else [(family_state(family, seed), fibonacci_sphere(40)) for seed in range(4)])
+        for rho, dirs in cases:
+            assert _ce_direct(rho, dirs).tolist() == [conditional_entropy_direct(rho, n)
+                                                      for n in dirs]
+
+    def test_zero_probability_outcome(self):
+        rho, dirs = zero_probability_stack()
+        s_b = von_neumann_entropy(partial_trace(rho, "B"))
+        assert_allclose(_ce_direct(rho, dirs), s_b, rtol=0, atol=1e-11)
+        for n, dead in ((dirs[0], 1), (dirs[1], 0)):
+            outcomes = post_measurement(rho, n).outcomes
+            assert outcomes[dead].probability == 0.0 and outcomes[dead].state is None
+            assert_allclose(outcomes[1 - dead].state, partial_trace(rho, "B"), atol=1e-15)
+
+    def test_branch_floor_scales_with_its_probability(self):
+        # a pure product state measured near its Bloch vector on A: divided
+        # by p, the rare branch's rounding noise of about 1e-16 takes its
+        # lowest eigenvalue far below -EIGENVALUE_FLOOR
+        rng = np.random.default_rng(20261021)
+        worst = 0.0
+        for _ in range(40):
+            ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            rho = turned(np.kron(np.diag([1.0, 0.0]), np.outer(ket, ket.conj())
+                                 / np.vdot(ket, ket).real), rng)
+            dirs = rare_outcome_directions(rho, [2e-12, 5e-12, 1e-11], rng)
+            states = measures._measured_branches(rho, dirs)[2]
+            worst = min(worst, np.linalg.eigvalsh(states)[:, 0].min())
+            blocks = state_blocks(rho)
+            closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
+            assert_allclose(_ce_direct(rho, dirs), closed, rtol=0, atol=1e-10)
+        assert worst < -1e3 * EIGENVALUE_FLOOR
+
+    def test_validates_like_a_lone_call(self):
+        rho = hs_states(179, 1)[0]
+        for bad in (rho + 1e-3 * np.eye(4), np.diag([1.1, -0.1, 0.0, 0.0])):
+            with pytest.raises(NotAStateError):
+                _ce_direct(bad, np.eye(3))
+        for dirs in ([[1.0, 0.0, 0.0], [0.0, 1.1, 0.0]], [[1.0, 0.0]], np.eye(3)[0]):
+            with pytest.raises(ValidationError):
+                _ce_direct(rho, dirs)
+        with pytest.raises(ValidationError):
+            conditional_entropy_direct(rho, [1.0, 0.0])
+        for bad in (np.eye(2) / 2, np.stack([rho, rho])):
+            for call in (conditional_entropy_direct, post_measurement):
+                with pytest.raises(ValidationError, match="two-qubit"):
+                    call(bad, X)
+
+    @given(case=oracle_cases())
+    @settings(max_examples=300)
+    def test_closed_form_equals_oracle(self, case):
+        rho, dirs = case
+        blocks = state_blocks(rho)
+        closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
+        assert_allclose(closed, _ce_direct(rho, dirs), rtol=0, atol=1e-10)
 
 
 class TestSingleSolvePath:
@@ -897,10 +1000,10 @@ class TestGridStart:
 
     @pytest.mark.parametrize("family", ["rank1", "werner", "hs", "near_pure"])
     def test_chunk_solve_without_large_temporaries(self, family):
-        # a scan call holds the values of at most _POINTS_PER_CALL points, and
-        # the sphere's starts hold three rows per state.  Rank-1 and Werner
-        # states are X-shaped, so _minimize_many settles them on their circle,
-        # and _sphere_minimum refines them from their axes
+        # the circle's scan holds 17 points per state and the sphere's starts
+        # three rows per state.  Rank-1 and Werner states are X-shaped, so
+        # _minimize_many settles them on their circle, and _sphere_minimum
+        # refines them from their axes
         a, b, r = stacked_canonical([family_state(family, s) for s in range(64)])
         for solve in (_minimize_many, sphere_minimum):
             solve(a, b, r)
@@ -923,20 +1026,6 @@ class TestGridStart:
             n1, value1, _ = _minimize_many(a * (1.0 + 2.0 ** -52), b, r)
             assert abs(value1[0] - value[0]) < 1e-14
             assert min(np.abs(n1 - n).max(), np.abs(n1 + n).max()) < 2e-7
-
-    def test_scan_call_holds_at_most_4608_points(self, monkeypatch):
-        # 271 states of the circle's 17 points a call
-        a, b, r = stacked_canonical(hs_states(7, 1) * 600)
-        calls = []
-
-        def counted(a_k, b_k, r_k, dirs_k):
-            calls.append(len(a_k) * dirs_k.shape[-1])
-            return _ce_many(a_k, b_k, r_k, dirs_k)
-
-        monkeypatch.setattr(measures, "_ce_many", counted)
-        _grid_start(a, b, r)
-        assert max(calls) == _POINTS_PER_CALL // 17 * 17 <= 4608
-        assert sum(calls) == 600 * 17
 
     def test_grid_tie_tolerance_pinned_at_its_boundary(self):
         # a point GRID_TIE_TOL above the lowest ties it, and being first it

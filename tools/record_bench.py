@@ -20,12 +20,10 @@ Each time is the median of REPEATS repeats, given with its quartiles as
 ``{"median": ..., "q1": ..., "q3": ...}``.  The record has two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states:
-  - the hemisphere grid scan of the commits that have one, the rest of the
-    solve (refinement and axis tie-break), and the whole minimizer, on
-    chunks of 64 states and on batches of one, each chunk followed by its
-    states alone;
+  - the whole minimizer on chunks of 64 states and on batches of one, each
+    chunk followed by its states alone;
   - the same on the X projections of the same states, which the ``table1``
-    pipeline solves; the scan of their great circle is not grid time;
+    pipeline solves;
   - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
     public functions at 256 samples, seed 7, from the draw to their rows, and
     three stages of their chunks of 64 indices: the draw, the X projection
@@ -76,7 +74,7 @@ SEED = 7
 STATES = 256
 REPEATS = 11
 CLI_STATES = 8
-CLI_REPEATS = 3
+CLI_REPEATS = 9
 SAMPLES = 10000
 COMMANDS = ("table1", "histogram", "scatter")
 # the modules of a tree that the stages call, besides the package itself
@@ -125,51 +123,18 @@ def spread(values: list) -> dict:
 
 
 def solve_times(tree, blocks) -> dict:
-    """Microseconds per state of one repeat of the grid scan, of the rest of
-    the solve (refinement and axis tie-break) and of the whole solve on
-    ``blocks``, on chunks of CHUNK states and on batches of one, each chunk
-    followed by its states alone.  The grid is timed inside the solve,
-    through a wrapper around ``measures._grid_start``.  In a tree with a
-    hemisphere grid ``_GRID_DIRS`` the solve calls it once per stack of
-    states that reach the sphere, to scan that grid, and only those calls
-    count: with three arguments (the grid alone) or with ``_GRID_DIRS`` as
-    the fourth, not with the great circle of X-shaped states.  A tree
-    without ``_GRID_DIRS`` starts the sphere at the axes and reads 0 grid
-    time; its ``_grid_start`` scans the circle only."""
-    measures = tree.measures
+    """Microseconds per state of one repeat of the whole solve on ``blocks``,
+    on chunks of CHUNK states and on batches of one, each chunk followed by
+    its states alone."""
     a, b, r = blocks
-    grid = measures._grid_start
-    grid_dirs = getattr(measures, "_GRID_DIRS", None)
-    spent = [0.0]
-
-    def wrapper(*args):
-        if grid_dirs is None or (len(args) > 3 and args[3] is not grid_dirs):
-            return grid(*args)
-        start = time.perf_counter()
-        try:
-            return grid(*args)
-        finally:
-            spent[0] += time.perf_counter() - start
-
-    totals = {f"chunks_of_{CHUNK}": [0.0, 0.0], "batches_of_one": [0.0, 0.0]}
-    measures._grid_start = wrapper
-    try:
-        for first in range(0, STATES, CHUNK):
-            runs = [(f"chunks_of_{CHUNK}", first, first + CHUNK)]
-            runs += [("batches_of_one", k, k + 1) for k in range(first, first + CHUNK)]
-            for label, lo, hi in runs:
-                spent[0] = 0.0
-                totals[label][0] += seconds(lambda: measures._minimize_many(a[lo:hi], b[lo:hi],
-                                                                            r[lo:hi]))
-                totals[label][1] += spent[0]
-    finally:
-        measures._grid_start = grid
-    record = {}
-    for label, (solve, grid_s) in totals.items():
-        record[f"{label}_grid_us"] = 1e6 * grid_s / STATES
-        record[f"{label}_refine_and_tie_break_us"] = 1e6 * (solve - grid_s) / STATES
-        record[f"{label}_solve_us"] = 1e6 * solve / STATES
-    return record
+    totals = {f"chunks_of_{CHUNK}": 0.0, "batches_of_one": 0.0}
+    for first in range(0, STATES, CHUNK):
+        runs = [(f"chunks_of_{CHUNK}", first, first + CHUNK)]
+        runs += [("batches_of_one", k, k + 1) for k in range(first, first + CHUNK)]
+        for label, lo, hi in runs:
+            totals[label] += seconds(lambda: tree.measures._minimize_many(a[lo:hi], b[lo:hi],
+                                                                         r[lo:hi]))
+    return {f"{label}_solve_us": 1e6 * solve / STATES for label, solve in totals.items()}
 
 
 def pipeline_times(tree, inputs: dict) -> dict:
