@@ -1,15 +1,18 @@
 """Reproducible ensemble experiments behind the CLI.
 
 Every pipeline draws state k from the substream (seed, k) and solves its
-states in chunks, each state to the same bits as alone, so the output is a
-pure function of the configuration: reruns, chunk sizes and worker counts
+states in stacks, each state to the same bits as alone, so the output is a
+pure function of the configuration: reruns, stack sizes and worker counts
 produce byte-identical tables.
 
-With W workers, at most one per chunk and per usable core, the chunks form
-W contiguous shares.  This process solves the first; each of W - 1 children
-forked with ``os.fork`` solves one later share and sends its array back
-through its own pipe.  The arrays are joined in
-index order and every child is reaped, on success and on failure.
+The indices fall into chunks of CHUNK_SIZE.  With W workers, at most one per
+chunk and per usable core, the chunks form W contiguous shares.  This process
+solves the first; each of W - 1 children forked with ``os.fork`` solves one
+later share and sends its array back through its own pipe.  A share is
+solved in stacks of at most STACK_SIZE contiguous indices, one call of the
+pipeline's chunk function each, since a stacked solve pays numpy's cost per
+call once per stack.  The arrays are joined in index order and every child
+is reaped, on success and on failure.
 """
 
 from __future__ import annotations
@@ -62,16 +65,19 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------- #
-# chunked solves                                                              #
+# stacked solves                                                              #
 # --------------------------------------------------------------------------- #
 
-# states drawn and solved together by one task
+# indices per chunk, the unit that the shares of the workers are made of
 CHUNK_SIZE = 64
+# most indices drawn and solved together in one call, 16 chunks: larger
+# stacks gain little per state and cost memory
+STACK_SIZE = 1024
 
 
 def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
     """Random state k drawn from the substream (seed, k), for each index k, stacked:
-    the normals of every index from one seeding pass over the chunk, then one
+    the normals of every index from one seeding pass over the stack, then one
     kernel call for the whole stack, so each state has the bits of its
     random_hs_state."""
     return _ginibre_states(_substream_normals(config.seed, indices))
@@ -100,11 +106,12 @@ def _mixture_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     return np.stack([qs, report.discord, report.mcdm_discord], axis=1)
 
 
-def _solve_share(task, share: list) -> np.ndarray:
-    return np.concatenate([task(chunk) for chunk in share])
+def _solve_share(task, share: range, stack: int) -> np.ndarray:
+    """``task`` over ``share`` in calls of at most ``stack`` contiguous indices."""
+    return np.concatenate([task(share[lo:lo + stack]) for lo in range(0, len(share), stack)])
 
 
-def _fork_share(task, share: list, inherited: list) -> tuple[int, int]:
+def _fork_share(task, share: range, stack: int, inherited: list) -> tuple[int, int]:
     """Fork a child to solve ``share``; return its pid and the read end of its
     pipe.  The child sends ``pickle.dumps((ok, array_or_exception))`` and ends
     with ``os._exit``.  It first closes ``inherited``, the read ends of the
@@ -125,7 +132,7 @@ def _fork_share(task, share: list, inherited: list) -> tuple[int, int]:
         for fd in inherited + [read_fd]:
             os.close(fd)
         try:
-            payload = (True, _solve_share(task, share))
+            payload = (True, _solve_share(task, share, stack))
         except Exception as exc:  # sent to the parent, which raises it again
             payload = (False, exc)
         with open(write_fd, "wb") as pipe:
@@ -153,31 +160,35 @@ def _share_result(pid: int, read_fd: int) -> np.ndarray:
     return value
 
 
-def _solve(chunk_fn, config: ExperimentConfig, **options) -> np.ndarray:
-    """``chunk_fn(config, indices, **options)`` over chunks of CHUNK_SIZE indices,
-    its arrays concatenated in index order.
+def _solve(chunk_fn, config: ExperimentConfig, *, stack: Optional[int] = None,
+           **options) -> np.ndarray:
+    """``chunk_fn(config, indices, **options)`` over contiguous ranges of at most
+    ``stack`` indices (default STACK_SIZE), its arrays concatenated in index
+    order.
 
-    With W = min(workers, chunks, usable cores) > 1 the chunks are split into
-    W contiguous shares: this process solves the first while W - 1 forked
-    children solve one later share each.  Every child is reaped before this
-    returns or raises.  Each state's result depends only on its index, so
-    neither the chunks nor the shares change the output."""
+    With W = min(workers, chunks of CHUNK_SIZE, usable cores) > 1 the chunks
+    are split into W contiguous shares: this process solves the first while
+    W - 1 forked children solve one later share each.  No call crosses a
+    share.  Every child is reaped before this returns or raises.  Each
+    state's result depends only on its index, so neither the stacks nor the
+    shares change the output."""
     config.validate()
     task = functools.partial(chunk_fn, config, **options)
-    chunks = [range(start, min(start + CHUNK_SIZE, config.samples))
-              for start in range(0, config.samples, CHUNK_SIZE)]
+    stack = STACK_SIZE if stack is None else stack
+    samples = range(config.samples)
+    chunks = -(-config.samples // CHUNK_SIZE)
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(config.workers, len(chunks), cores)
+    workers = min(config.workers, chunks, cores)
     if workers <= 1:
-        return _solve_share(task, chunks)
-    ends = [len(chunks) * w // workers for w in range(workers + 1)]
-    shares = [chunks[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        return _solve_share(task, samples, stack)
+    ends = [CHUNK_SIZE * (chunks * w // workers) for w in range(workers + 1)]
+    shares = [samples[lo:hi] for lo, hi in zip(ends, ends[1:])]
     children = []  # (pid, read end), until reaped
     try:
         for share in shares[1:]:
-            children.append(_fork_share(task, share, [fd for _, fd in children]))
-        results = [_solve_share(task, shares[0])]
+            children.append(_fork_share(task, share, stack, [fd for _, fd in children]))
+        results = [_solve_share(task, shares[0], stack)]
         while children:
             results.append(_share_result(*children.pop(0)))
     finally:
@@ -210,7 +221,9 @@ def optimal_direction_clusters(config: ExperimentConfig) -> list[tuple[float, fl
     clustered labels a new cluster and takes, in one array pass, every later
     direction within the tolerance of it.
     """
-    dirs = _solve(_directions_chunk, config, x_project=True)
+    # one call per chunk: a round of perfbench's table1-x workload, 300 states
+    # in one stack, ends within one period of its speed probe and exits 1
+    dirs = _solve(_directions_chunk, config, stack=CHUNK_SIZE, x_project=True)
     # cos(tol * pi), exactly 0 at tol = 1/2, which merges every pair of axes
     cos_tol = math.sin((0.5 - config.cluster_tol) * math.pi)
     firsts, counts = [], []

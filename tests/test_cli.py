@@ -400,8 +400,9 @@ class TestForkShares:
 
     @staticmethod
     def wide_chunk(config, indices):
-        """A chunk's result of 4 MiB, far more than a pipe holds."""
-        return np.full((len(indices), 2 ** 13), float(indices.start))
+        """A chunk's result of 4 MiB, far more than a pipe holds; each row is
+        filled with its own index, so the result does not depend on the calls."""
+        return np.repeat(np.array(indices, dtype=float)[:, None], 2 ** 13, axis=1)
 
     def test_wide_results_arrive_in_index_order(self):
         serial = _solve(self.wide_chunk, dataclasses.replace(self.CONFIG, workers=1))
@@ -441,6 +442,65 @@ class TestForkShares:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestStacks:
+    """``_solve`` calls the chunk function on contiguous stacks of at most
+    STACK_SIZE indices, each within one share, and the stack size never
+    changes the output."""
+
+    SAMPLES = 5000  # 78 chunks of 64 and a ragged last one of 8
+
+    @staticmethod
+    def call_chunk(config, indices):
+        """Per index: the index, the first and the end of its call's range,
+        and the pid of the process that made the call."""
+        rows = np.empty((len(indices), 4), dtype=np.int64)
+        rows[:, 0] = indices
+        rows[:, 1:] = indices.start, indices.stop, os.getpid()
+        return rows
+
+    @pytest.mark.parametrize("workers, share_ends", [
+        (1, [5000]),
+        # 79 chunks over 3 workers: shares of 26, 26 and 27 chunks
+        (3, [26 * 64, 52 * 64, 5000]),
+    ])
+    def test_calls_stay_within_stacks_and_shares(self, monkeypatch, workers, share_ends):
+        monkeypatch.setattr(qdiscord.experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(3)), raising=False)
+        config = ExperimentConfig(samples=self.SAMPLES, workers=workers)
+        rows = _solve(self.call_chunk, config)
+        assert np.array_equal(rows[:, 0], np.arange(self.SAMPLES))  # each index once, in order
+        calls = np.unique(rows[:, 1:], axis=0)  # (first, end, pid) per call, in order
+        assert np.array_equal(calls[1:, 0], calls[:-1, 1])  # contiguous, no gap or overlap
+        assert (calls[:, 1] - calls[:, 0] <= qdiscord.experiments.STACK_SIZE).all()
+        share_starts = [0] + share_ends[:-1]
+        for first, end in zip(share_starts, share_ends):
+            within = calls[(calls[:, 0] >= first) & (calls[:, 0] < end)]
+            assert within[0, 0] == first and within[-1, 1] == end  # no call crosses a share
+            assert len(set(within[:, 2].tolist())) == 1  # one process per share
+        assert len(set(calls[:, 2].tolist())) == workers
+
+    def test_table1_calls_hold_one_chunk(self, monkeypatch):
+        sizes = []
+        chunk = qdiscord.experiments._directions_chunk
+
+        def recorded(config, indices, **options):
+            sizes.append(len(indices))
+            return chunk(config, indices, **options)
+        monkeypatch.setattr(qdiscord.experiments, "_directions_chunk", recorded)
+        optimal_direction_clusters(ExperimentConfig(samples=300, seed=7))
+        assert sizes == [64] * 4 + [44]
+
+    @pytest.mark.parametrize("command", ["histogram", "scatter", "mixture"])
+    def test_stack_size_does_not_change_output(self, capsys, monkeypatch, command):
+        outputs = []
+        for stack in (64, 128, qdiscord.experiments.STACK_SIZE):
+            monkeypatch.setattr(qdiscord.experiments, "STACK_SIZE", stack)
+            assert main([command, "--samples", "300", "--seed", "7"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestOutputPath:

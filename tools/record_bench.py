@@ -20,8 +20,8 @@ Each time is the median of REPEATS repeats, given with its quartiles as
 ``{"median": ..., "q1": ..., "q3": ...}``.  The record has two levels:
 
 - per state, in microseconds, over 256 seed-7 Hilbert-Schmidt states:
-  - the whole minimizer on chunks of 64 states and on batches of one, each
-    chunk followed by its states alone;
+  - the whole minimizer on one stack of all 256 states, on chunks of 64
+    states and on batches of one, each chunk followed by its states alone;
   - the same on the X projections of the same states, which the ``table1``
     pipeline solves;
   - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
@@ -124,10 +124,11 @@ def spread(values: list) -> dict:
 
 def solve_times(tree, blocks) -> dict:
     """Microseconds per state of one repeat of the whole solve on ``blocks``,
-    on chunks of CHUNK states and on batches of one, each chunk followed by
-    its states alone."""
+    on one stack of all STATES states, on chunks of CHUNK states and on
+    batches of one, each chunk followed by its states alone."""
     a, b, r = blocks
-    totals = {f"chunks_of_{CHUNK}": 0.0, "batches_of_one": 0.0}
+    totals = {f"one_stack_of_{STATES}": seconds(lambda: tree.measures._minimize_many(a, b, r)),
+              f"chunks_of_{CHUNK}": 0.0, "batches_of_one": 0.0}
     for first in range(0, STATES, CHUNK):
         runs = [(f"chunks_of_{CHUNK}", first, first + CHUNK)]
         runs += [("batches_of_one", k, k + 1) for k in range(first, first + CHUNK)]
