@@ -166,8 +166,8 @@ def _solve(chunk_fn, config: ExperimentConfig, *, stack: Optional[int] = None,
     ``stack`` indices (default STACK_SIZE), its arrays concatenated in index
     order.
 
-    With W = min(workers, chunks of CHUNK_SIZE, usable cores) > 1 the chunks
-    are split into W contiguous shares: this process solves the first while
+    With W = min(workers, chunks of CHUNK_SIZE, usable cores) the chunks are
+    split into W contiguous shares: this process solves the first while
     W - 1 forked children solve one later share each.  No call crosses a
     share.  Every child is reaped before this returns or raises.  Each
     state's result depends only on its index, so neither the stacks nor the
@@ -180,8 +180,6 @@ def _solve(chunk_fn, config: ExperimentConfig, *, stack: Optional[int] = None,
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(config.workers, chunks, cores)
-    if workers <= 1:
-        return _solve_share(task, samples, stack)
     ends = [CHUNK_SIZE * (chunks * w // workers) for w in range(workers + 1)]
     shares = [samples[lo:hi] for lo, hi in zip(ends, ends[1:])]
     children = []  # (pid, read end), until reaped

@@ -50,19 +50,17 @@ def eigvals_hermitian(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
-def _checked_state(rho, trace_tol: float = TRACE_TOL,
-                   floor=EIGENVALUE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def _checked_state(rho, trace_tol: float = TRACE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The state, or stack of states, as a complex ndarray and its ascending
-    eigenvalues, the lowest of which may lie down to ``floor`` (one number, or
-    one per state) below 0.  A stack raises what its first state to fail a
-    check raises alone."""
+    eigenvalues, the lowest of which may lie down to EIGENVALUE_FLOOR below 0.
+    A stack raises what its first state to fail a check raises alone."""
     rho = require_hermitian(rho)
     trace = rho.trace(axis1=-2, axis2=-1).real
     off = np.abs(trace - 1.0) > trace_tol
     if off.any():
         raise NotAStateError(f"trace is {float(trace[off][0])!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    negative = w[..., 0] < -floor
+    negative = w[..., 0] < -EIGENVALUE_FLOOR
     if negative.any():
         raise NotAStateError(f"negative eigenvalue {float(w[..., 0][negative][0])!r}")
     return rho, w

@@ -30,9 +30,8 @@ import numpy as np
 from .canonical import OFF_DIAGONAL, canonical_blocks, hemisphere_representative
 from .errors import ConsistencyError, ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (EIGENVALUE_FLOOR, ENTROPY_TRACE_TOL, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                     _checked_state, binary_entropy, entropy_bits, validate_density_matrix,
-                     validated_spectrum)
+from .linalg import (EIGENVALUE_FLOOR, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy,
+                     entropy_bits, validate_density_matrix, validated_spectrum)
 
 # tie-break axes x, y, z as columns; in the canonical frame x is the MCDM
 _TIE_AXES = np.eye(3)
@@ -191,21 +190,20 @@ def _ce_direct(rho, dirs) -> np.ndarray:
     by explicit diagonalization: (K,).  Never touches the closed form; each
     row equals its direction's call alone.
 
-    ``rho`` and ``dirs`` are validated once, and the stack of live branches
-    of :func:`_measured_branches` takes the checks of
-    ``linalg.von_neumann_entropy`` once, with the eigenvalue floor of a branch
-    of probability p at EIGENVALUE_FLOOR / p: before the division by p, a
-    branch is rho compressed onto |m><m| x 1 (P = |m><m|), whose eigenvalues
-    lie at or above rho's lowest, which validation lets reach
-    -EIGENVALUE_FLOOR.  Rounding alone took the lowest eigenvalue of such
-    branches down to -5.5e-5 at p = 1.2e-12 (pure product states measured
-    near their Bloch vector on A)."""
+    ``rho`` and ``dirs`` are validated once.  The live branches of
+    :func:`_measured_branches`, Hermitian with unit trace by construction,
+    are diagonalized as one stack with no further check: before the
+    division by its probability p, a branch is rho compressed onto
+    |m><m| x 1 (P = |m><m|), whose eigenvalues lie at or above rho's lowest,
+    which validation lets reach -EIGENVALUE_FLOOR.  Rounding alone took the
+    lowest eigenvalue of such branches down to -5.5e-5 at p = 1.2e-12 (pure
+    product states measured near their Bloch vector on A).  Eigenvalues are
+    read as at most 1, as the closed form reads g/w, so one below 0 and its
+    partner above 1 add nothing to the entropy."""
     rho = validate_density_matrix(rho)
     p, live, states = _measured_branches(rho, validate_directions(dirs))
-    p_live = p[live]
     terms = np.zeros(p.shape)
-    terms[live] = p_live * entropy_bits(
-        _checked_state(states, ENTROPY_TRACE_TOL, EIGENVALUE_FLOOR / p_live)[1])
+    terms[live] = p[live] * entropy_bits(np.minimum(np.linalg.eigvalsh(states), 1.0))
     return terms[:, 0] + terms[:, 1]
 
 
@@ -295,17 +293,14 @@ def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h[:, :k] + h[:, k:]
 
 
-def _require_state(w: np.ndarray, g: np.ndarray) -> None:
-    """Raise ConsistencyError where a live branch has g - w > POSITIVITY_SLACK."""
-    if ((w > ZERO_PROBABILITY) & (g - w > POSITIVITY_SLACK)).any():
-        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
-
-
 def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Closed form for S states on unit vectors ``dirs``, shared (3, K) or per state
-    (S, 3, K): both branches in one pass; returns (S, K)."""
+    (S, 3, K): both branches in one pass; returns (S, K).  Raises
+    ConsistencyError where a live branch has g - w > POSITIVITY_SLACK, which
+    blocks of a state cannot reach."""
     w, g = _branches(a, b, r, dirs)
-    _require_state(w, g)
+    if ((w > ZERO_PROBABILITY) & (g - w > POSITIVITY_SLACK)).any():
+        raise ConsistencyError("|b +- R^T n| exceeds 1 +- a.n: input was not a state")
     return _branch_entropy(w, g)
 
 
@@ -477,7 +472,11 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
     state stopped at or below halfway to where its model leads: into a
     stopped start's minimum it promises about the gap, toward a lower one
     more.  Decided at every iteration from the state's own starts, so no
-    result depends on the stack.  Returns the ends (S, P, 3) and (S, P)."""
+    result depends on the stack.  Trial points take no positivity check:
+    the caller's :func:`_ce_many` checked the blocks once, and the blocks of
+    a validated state keep g - w <= 4 EIGENVALUE_FLOOR, under
+    POSITIVITY_SLACK, at every direction.  Returns the ends (S, P, 3) and
+    (S, P)."""
     starts = value.shape[1]
     best_n, best_value = n.reshape(-1, 3).copy(), value.reshape(-1).copy()
     # per state, the lowest value of its starts that have stopped, at first
@@ -506,7 +505,6 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         trial = n + (step[:, None] @ rows[:, :-1])[:, 0]
         trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
         w, g, trial_rows, trial_grad, trial_hess = _tangent_derivatives(a, b, r, trial, frame)
-        _require_state(w, g)
         trial_value = _branch_entropy(w, g)[:, 0]
         ratio = (value - trial_value) / decrease
         length = np.sqrt((step * step).sum(axis=1))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (bell_psi_plus, hs_states, random_direction,
-                      random_qubit_state, random_unitary)
+from conftest import (bell_psi_plus, hs_states, random_direction, random_qubit_state,
+                      random_rotation, random_unitary)
 from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
                       NotAStateError, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
@@ -24,7 +25,8 @@ from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
 from qdiscord import measures
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.experiments import ExperimentConfig, _hs_states
-from qdiscord.linalg import EIGENVALUE_FLOOR, validated_spectrum
+from qdiscord.linalg import (EIGENVALUE_FLOOR, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                             validated_spectrum)
 from qdiscord.measures import (_AXIS_RADII, _TIE_AXES, CE_FLOOR,
                                CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, INITIAL_RADIUS,
                                MAX_ITERATIONS, PROBABILITY_SUM_TOL, SPHERE_RADIUS, VALUE_TIE_TOL,
@@ -556,10 +558,12 @@ def rare_outcome_directions(rho, probabilities, rng):
     vector a is too short for that, its least probability."""
     a = state_blocks(rho).a
     length = np.linalg.norm(a)
-    side = np.cross(a, random_direction(rng))
+    axis = a / length if length else random_direction(rng)
+    side = np.cross(axis, random_direction(rng))
     side /= np.linalg.norm(side)
-    cos = np.minimum(1.0, (1.0 - 2.0 * np.asarray(probabilities)) / length)
-    return cos[:, None] * (a / length) + np.sqrt(1.0 - cos * cos)[:, None] * side
+    cos = np.minimum(1.0, (1.0 - 2.0 * np.asarray(probabilities))
+                     / max(length, np.finfo(float).tiny))
+    return cos[:, None] * axis + np.sqrt(1.0 - cos * cos)[:, None] * side
 
 
 @st.composite
@@ -622,7 +626,53 @@ class TestDirectOracle:
             assert outcomes[dead].probability == 0.0 and outcomes[dead].state is None
             assert_allclose(outcomes[1 - dead].state, partial_trace(rho, "B"), atol=1e-15)
 
-    def test_branch_floor_scales_with_its_probability(self):
+    @pytest.mark.parametrize("family", CERTIFIED_FAMILIES
+                             + ("nearer_pure", "werner", "pure", "product"))
+    def test_live_branches_are_hermitian_with_unit_trace(self, family):
+        # what lets the oracle diagonalize its branches without checking them
+        rng = np.random.default_rng(20261022)
+        for seed in range(8):
+            rho = family_state(family, seed)
+            rare = rare_outcome_directions(rho, 10.0 ** rng.uniform(-12.0, -11.0, 8), rng)
+            p, live, states = measures._measured_branches(
+                rho, np.concatenate([fibonacci_sphere(200), rare, -rare]))
+            assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+            trace = states.trace(axis1=-2, axis2=-1).real
+            assert np.abs(trace - 1.0).max() <= 4 * 2.0 ** -52
+
+    def test_validated_state_below_the_floor_in_a_branch(self):
+        # rho's lowest eigenvalue at -EIGENVALUE_FLOOR, its eigenvector a
+        # product |m>|v>, measured along m: the + branch has that eigenvalue
+        # over p, which rounding takes below -EIGENVALUE_FLOOR / p on some of
+        # these validated states, and a partner eigenvalue above 1, which the
+        # oracle must read as 1, as the closed form reads g/w, or the two
+        # part by EIGENVALUE_FLOOR / ln 2
+        below = 0
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            m, v = (ket / np.linalg.norm(ket) for ket in
+                    rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            basis = np.column_stack([np.kron(m, v), rng.standard_normal((4, 3))
+                                     + 1j * rng.standard_normal((4, 3))])
+            q = np.linalg.qr(basis)[0]
+            w = np.concatenate([[-EIGENVALUE_FLOOR],
+                                rng.dirichlet(np.ones(3)) * (1.0 + EIGENVALUE_FLOOR)])
+            rho = (q * w) @ q.conj().T
+            rho = (rho + rho.conj().T) / 2.0
+            try:
+                validated_spectrum(rho)
+            except NotAStateError:
+                continue
+            bloch = np.real([np.conj(m) @ sigma @ m for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+            dirs = np.stack([bloch, -bloch]) / np.linalg.norm(bloch)
+            p, live, states = measures._measured_branches(rho, dirs)
+            below += int((np.linalg.eigvalsh(states)[:, 0] < -EIGENVALUE_FLOOR / p[live]).any())
+            blocks = state_blocks(rho)
+            closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
+            assert_allclose(_ce_direct(rho, dirs), closed, rtol=0, atol=1e-10)
+        assert below > 0
+
+    def test_rare_branches_far_below_the_floor_give_the_closed_form(self):
         # a pure product state measured near its Bloch vector on A: divided
         # by p, the rare branch's rounding noise of about 1e-16 takes its
         # lowest eigenvalue far below -EIGENVALUE_FLOOR
@@ -662,6 +712,172 @@ class TestDirectOracle:
         blocks = state_blocks(rho)
         closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
         assert_allclose(closed, _ce_direct(rho, dirs), rtol=0, atol=1e-10)
+
+
+def at_the_floor(rho):
+    """``rho`` with its lowest eigenvalue set to -0.999 EIGENVALUE_FLOOR and
+    the others scaled to keep the trace 1."""
+    w, v = np.linalg.eigh(rho)
+    w[0] = -0.999 * EIGENVALUE_FLOOR
+    w[1:] *= (1.0 - w[0]) / w[1:].sum()
+    out = (v * w) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+FLOOR_FAMILIES = CERTIFIED_FAMILIES + ("nearer_pure", "werner", "pure")
+
+
+class TestAtTheEigenvalueFloor:
+    """Validated states whose lowest eigenvalue lies just above -EIGENVALUE_FLOOR:
+    the solver checks their blocks once and the oracle none of their branches."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        rhos = np.stack([at_the_floor(family_state(family, seed))
+                         for family in FLOOR_FAMILIES for seed in range(30)])
+        lowest = validated_spectrum(rhos)[1][:, 0]
+        assert (lowest <= -0.99 * EIGENVALUE_FLOOR).all()
+        return rhos
+
+    def test_branches_stay_within_four_floors(self, states):
+        # the branch eigenvalues (w +- g)/4 lie at or above rho's lowest, so
+        # g - w <= 4 EIGENVALUE_FLOOR, under POSITIVITY_SLACK, everywhere;
+        # these states come near that bound
+        for blocks in (state_blocks(states), canonical_blocks(state_blocks(states))[1]):
+            w, g = measures._branches(blocks.a, blocks.b, blocks.r, SPHERE.T)
+            excess = (g - w)[w > ZERO_PROBABILITY].max()
+            assert 3 * EIGENVALUE_FLOOR < excess <= 4 * EIGENVALUE_FLOOR
+        assert 4 * EIGENVALUE_FLOOR < measures.POSITIVITY_SLACK
+
+    def test_discord_returns(self, states):
+        reports = _discord_reports(states)
+        for k in range(0, len(states), 5):
+            report = quantum_discord(states[k])
+            assert report.min_conditional_entropy == reports.min_conditional_entropy[k]
+
+    def test_oracle_equals_closed_form_on_rare_branches(self, states):
+        rng = np.random.default_rng(20261023)
+        for rho in states:
+            rare = rare_outcome_directions(rho, 10.0 ** rng.uniform(-12.0, -11.0, 4), rng)
+            dirs = np.concatenate([rare, -rare])
+            blocks = state_blocks(rho)
+            closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
+            assert_allclose(_ce_direct(rho, dirs), closed, rtol=0, atol=1e-10)
+
+
+def _rotation_about(axis, angle):
+    """The rotation by ``angle`` about unit vector ``axis``."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+@st.composite
+def tied_optimum_cases(draw):
+    """A state whose conditional entropy is invariant under an orthogonal map P
+    of the measurement direction, and P in the state's frame.
+
+    Built from blocks (a, b, R), R diagonal, and an axis e: a and b lie
+    along e or in the plane normal to e, and P is the reflection across
+    that plane or, where R is symmetric about e and a and b lie along it, a
+    rotation about e.  The blocks are scaled toward the maximally mixed
+    state, to the edge of positivity or inside it, and each qubit is turned
+    by a random rotation:
+
+    - "mirror": any R, e = z, so CE(theta) = CE(pi - theta);
+    - "l1_eq_l2" and "l2_eq_l3": R = diag(L, L, L3) with |L3| <= L and
+      e = z, or R = diag(L1, L, +-L) with L1 >= L and e = x; a or b is 0,
+      so R is also the connected correlation matrix;
+    - "werner": R = +-I, a = b = 0, where CE is constant and P any rotation.
+
+    Along e the canonical blocks are X-shaped, and in the plane they are
+    not: the circle and the sphere both take these states."""
+    kind = draw(st.sampled_from(["mirror", "l1_eq_l2", "l2_eq_l3", "werner"]))
+    along = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ab = np.zeros((2, 3))
+    if kind == "werner":
+        r = np.full(3, rng.choice([-1.0, 1.0]))
+        symmetry = _rotation_about(random_direction(rng), rng.uniform(0.0, 2.0 * np.pi))
+    else:
+        axis = 0 if kind == "l2_eq_l3" else 2
+        if kind == "mirror":
+            r = rng.uniform(-1.0, 1.0, 3)
+            nonzero = [0, 1]
+        else:
+            low, high = sorted(rng.uniform(0.0, 1.0, 2))
+            pair = [0, 1] if axis == 2 else [1, 2]
+            r = np.empty(3)
+            r[axis] = rng.choice([-1.0, 1.0]) * (low if axis == 2 else high)
+            r[pair] = (high if axis == 2 else low) * np.array([1.0, rng.choice([-1.0, 1.0])])
+            nonzero = draw(st.sampled_from([[0], [1], []]))
+        ab[nonzero] = rng.uniform(-1.0, 1.0, (len(nonzero), 3))
+        normal = np.eye(3)[axis]
+        if along:
+            ab[:, :] = ab[:, axis, None] * normal
+        else:
+            ab[:, axis] = 0.0
+        symmetry = (_rotation_about(normal, rng.uniform(0.0, 2.0 * np.pi))
+                    if along and kind != "mirror" else np.eye(3) - 2.0 * np.outer(normal, normal))
+    tau = np.eye(4)
+    tau[1:, 0], tau[0, 1:], tau[1:, 1:] = ab[0], ab[1], np.diag(r)
+    # the traceless part's lowest eigenvalue fixes the largest positive scale
+    traceless = np.linalg.eigvalsh(sum(tau[i, j] * np.kron(PAULIS[i], PAULIS[j])
+                                       for i in range(4) for j in range(4) if i or j))[0] / 4.0
+    scale = draw(st.sampled_from([1.0, rng.uniform(0.05, 1.0)])) / (-4.0 * traceless)
+    o_a, o_b = random_rotation(rng), random_rotation(rng)
+    tau[1:, 0], tau[0, 1:] = o_a @ (scale * ab[0]), o_b @ (scale * ab[1])
+    tau[1:, 1:] = o_a @ (scale * np.diag(r)) @ o_b.T
+    return kind, reconstruct(tau), o_a @ symmetry @ o_a.T
+
+
+@functools.cache
+def stack_companions():
+    """63 states to stack beside a case: HS states (sphere) and X projections."""
+    return np.stack(hs_states(7, 32) + [family_state("x_projected", seed) for seed in range(31)])
+
+
+class TestTiedOptima:
+    """States with mirror optima or degenerate correlation spectra, where the tie
+    rules decide the reported direction."""
+
+    @given(case=tied_optimum_cases(), position=st.integers(0, 63))
+    @settings(max_examples=200)
+    def test_tied_optima(self, case, position):
+        kind, rho, symmetry = case
+        recorded = []
+        tie_break = measures._tie_break
+
+        def recording_tie_break(n, value, axis_values):
+            recorded.append((value.copy(), axis_values.copy()))
+            return tie_break(n, value, axis_values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_tie_break", recording_tie_break)
+            report = quantum_discord(rho)
+        ((before,), (axis_values,)), = recorded
+        # the oracle at the optimum and at its mirror or tied partner
+        n = report.optimal_direction
+        dirs = np.stack([n, symmetry @ n])
+        blocks = state_blocks(rho)
+        closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
+        assert_allclose(closed, _ce_direct(rho, dirs), rtol=0, atol=1e-10)
+        assert abs(closed[1] - closed[0]) <= 1e-12
+        # ties go to x, then y, then z
+        tied = np.flatnonzero(axis_values <= before + VALUE_TIE_TOL)
+        o1 = canonical_blocks(blocks)[0]
+        if tied.size:
+            assert report.min_conditional_entropy == axis_values[tied[0]]
+            assert np.array_equal(n, hemisphere_representative(o1[tied[0]]))
+        else:
+            assert report.min_conditional_entropy == before
+        if kind == "werner":
+            assert tied[0] == 0 and np.array_equal(n, report.mcdm_direction)
+        # the same bits in a stack of 64
+        stack = np.insert(stack_companions(), position, rho, axis=0)
+        stacked = _discord_reports(stack)
+        assert np.array_equal(stacked.optimal_direction[position].view(np.uint64),
+                              n.view(np.uint64))
+        assert stacked.min_conditional_entropy[position] == report.min_conditional_entropy
 
 
 class TestSingleSolvePath:
