@@ -19,7 +19,7 @@ from .linalg import su2_from_so3, validate_density_matrix
 
 # below this, det(Lambda) carries no usable sign information
 DEGENERATE_DET_TOL = 1e-12
-# an ordered lam this close to diagonal skips the SVD (see measures.X_SHAPE_TOL)
+# an ordered lam this close to diagonal keeps the identity, not its SVD's (see refine.X_SHAPE_TOL)
 _DIAGONAL_FAST_PATH_TOL = 1e-13
 CANONICAL_TOL = 1e-9  # is_canonical's default: Lambda's off-diagonal and order slack
 # the off-diagonal entries of a 3 x 3 matrix

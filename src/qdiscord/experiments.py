@@ -28,10 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import canonical_blocks, hemisphere_representative
+from .canonical import canonical_blocks
 from .ensembles import _ginibre_states, _substream_normals, mixture_family, project_x_state
 from .fano_bloch import state_blocks
-from .measures import _discord_reports, _minimize_many, angles_from_directions
+from .measures import _discord_reports, angles_from_directions
+from .refine import _minimize_many
 
 
 # histogram bins in all: each bin key theta_bin * phi_bins + phi_bin is then exact
@@ -84,13 +85,15 @@ def _hs_states(config: ExperimentConfig, indices: range) -> np.ndarray:
 
 
 def _directions_chunk(config: ExperimentConfig, indices: range, x_project: bool) -> np.ndarray:
-    """Hemisphere representative (S, 3) of each random state's optimal direction in
-    its canonical frame (no SU(2) lift), after the X projection if ``x_project``."""
+    """Optimal direction (S, 3) of each random state in its canonical frame (no
+    SU(2) lift), after the X projection if ``x_project``.  Its sign is left as
+    the solve gives it: the angles take the hemisphere representative, and
+    the clusters compare |n . m|."""
     rhos = _hs_states(config, indices)
     if x_project:
         rhos = project_x_state(rhos)
     _, canonical = canonical_blocks(state_blocks(rhos))
-    return hemisphere_representative(_minimize_many(canonical.a, canonical.b, canonical.r)[0])
+    return _minimize_many(canonical.a, canonical.b, canonical.r)[0]
 
 
 def _scatter_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:

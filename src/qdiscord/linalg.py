@@ -1,8 +1,9 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Pauli constants, Hermitian eigensolving, entropies in bits, partial traces,
-and the SO(3) -> SU(2) lift used by the canonical-form machinery.  All
-functions are pure and safe for concurrent use.
+the checks of measurement directions, and the SO(3) -> SU(2) lift used by
+the canonical-form machinery.  All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ EIGENVALUE_FLOOR = 1e-10
 BLOCH_LENGTH_TOL = 1e-12
 # require_rotation accepts O when no entry of O^T O - I exceeds this in size
 ROTATION_TOL = 1e-12
+DIRECTION_TOL = 1e-12
+# outcomes rarer than this are deterministic-zero; their entropy term is 0
+ZERO_PROBABILITY = 1e-12
 _HALF_PLUS_MINUS = np.array([0.5, -0.5])
 
 
@@ -43,6 +47,28 @@ def require_hermitian(matrix) -> np.ndarray:
     if (np.abs(m - m.conj().swapaxes(-1, -2)) > HERMITICITY_TOL).any():
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
+
+
+def validate_directions(n) -> np.ndarray:
+    """Return ``n``, a stack (S, 3) of vectors, as floats, checking that each has
+    unit norm.  A stack raises what its first non-unit row raises alone."""
+    v = np.asarray(n, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValidationError(f"expected a stack of 3-vectors, got shape {v.shape}")
+    norm = np.linalg.norm(v, axis=1)
+    # not <=, so that a NaN norm is off too
+    off = ~(np.abs(norm - 1.0) <= DIRECTION_TOL)
+    if off.any():
+        raise ValidationError(f"direction must be a unit vector, |n| = {float(norm[off][0])!r}")
+    return v
+
+
+def validate_direction(n) -> np.ndarray:
+    """Return ``n`` as a float 3-vector, checking unit norm."""
+    v = np.asarray(n, dtype=float)
+    if v.shape != (3,):
+        raise ValidationError(f"expected a 3-vector, got shape {v.shape}")
+    return validate_directions(v[None])[0]
 
 
 def eigvals_hermitian(matrix) -> np.ndarray:

@@ -25,10 +25,10 @@ from qdiscord import (SeededGenerator, angles_from_direction,
                       zero_discord_witness)
 from qdiscord.canonical import canonical_blocks
 from qdiscord.cli import main
+from qdiscord.closed_form import _ce_many
 from qdiscord.experiments import (ExperimentConfig, _hs_states, bound_scatter,
                                   optimal_direction_clusters)
-from qdiscord.measures import (_TIE_AXES, VALUE_TIE_TOL, _ce_many, _circle_minimum,
-                               _circle_states)
+from qdiscord.refine import _TIE_AXES, VALUE_TIE_TOL, _circle_minimum, _circle_states
 
 WORKERS = min(4, os.cpu_count() or 1)
 X_AXIS = np.array([1.0, 0.0, 0.0])

@@ -12,7 +12,7 @@ from qdiscord import (PAULIS, SeededGenerator, conditional_entropy_closed,
 from qdiscord.experiments import ExperimentConfig, _directions_chunk
 from qdiscord.canonical import (_DIAGONAL_FAST_PATH_TOL, CANONICAL_TOL, OFF_DIAGONAL,
                                 canonical_rotations)
-from qdiscord.measures import X_AXIS
+from qdiscord.refine import X_AXIS
 
 
 def conjugate(rho, u1, u2):

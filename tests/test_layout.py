@@ -1,0 +1,125 @@
+"""The package's module layering, and the benchmark recorder's reach into it."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qdiscord
+from qdiscord import SeededGenerator, project_x_state, random_hs_state
+
+PACKAGE = Path(qdiscord.__file__).parent
+RECORD_BENCH = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
+
+
+def package_imports(source: str) -> set:
+    """The modules of the package that ``source`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif node.level == 0 and (node.module or "").startswith("qdiscord."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("qdiscord."))
+    return found
+
+
+def import_graph() -> dict:
+    """Each module of the package, by its name, and the modules it imports."""
+    return {path.stem: package_imports(path.read_text())
+            for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+
+
+def cycle(graph: dict):
+    """A list of modules that import each other in a ring, or None."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        for imported in sorted(graph.get(module, ())):
+            found = visit(imported)
+            if found:
+                return found
+        path.pop()
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        found = visit(module)
+        if found:
+            return found
+    return None
+
+
+class TestLayering:
+    def test_graph_holds_every_module(self):
+        graph = import_graph()
+        assert {"oracle", "closed_form", "refine", "measures", "linalg"} <= set(graph)
+        assert graph["measures"] >= {"closed_form", "oracle", "refine"}
+
+    def test_oracle_imports_only_errors_and_linalg(self):
+        # the oracle checks the closed form, so it cannot reach it
+        assert import_graph()["oracle"] <= {"errors", "linalg"}
+
+    def test_closed_form_imports_only_its_leaves(self):
+        assert import_graph()["closed_form"] <= {"errors", "fano_bloch", "linalg"}
+
+    def test_refine_reaches_neither_the_reports_nor_the_oracle(self):
+        assert not import_graph()["refine"] & {"measures", "oracle"}
+
+    def test_no_import_cycle(self):
+        assert cycle(import_graph()) is None
+
+    def test_cycle_finder_finds_a_ring(self):
+        assert cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+        assert cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+    def test_reader_sees_every_import_form(self):
+        source = ("from .closed_form import _ce_many\nfrom . import refine\n"
+                  "from qdiscord.oracle import projectors\nimport qdiscord.measures\n"
+                  "from .linalg import (SIGMA_0,\n    SIGMA_X)\nimport numpy as np\n")
+        assert package_imports(source) == {"closed_form", "refine", "oracle", "measures",
+                                           "linalg"}
+
+
+@pytest.fixture
+def record_bench(monkeypatch):
+    """tools/record_bench.py, loaded as a module, with the thread settings it
+    writes on import restored afterwards."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "STATES", 4)
+    return module
+
+
+class TestRecordBench:
+    def test_counts_newton_evaluations(self, record_bench):
+        tree = record_bench.with_modules(qdiscord)
+        gen = SeededGenerator(7)
+        states = np.stack([random_hs_state(gen) for _ in range(4)])
+        record = record_bench.newton_evaluations(
+            tree, record_bench.canonical_stack(tree, states),
+            record_bench.canonical_stack(tree, project_x_state(states)))
+        assert record["hs_mean"] > 0 and record["x_projected_mean"] > 0
+        assert record["hs_per_start_mean"] > 0 and record["x_projected_per_start_mean"] > 0
+
+    def test_raises_when_nothing_is_counted(self, record_bench):
+        # CE is 0 along every axis of a pure product state, so no start moves
+        tree = record_bench.with_modules(qdiscord)
+        product = np.zeros((4, 4, 4), dtype=complex)
+        product[:, 0, 0] = 1.0
+        blocks = record_bench.canonical_stack(tree, product)
+        with pytest.raises(RuntimeError, match="no call"):
+            record_bench.newton_evaluations(tree, blocks, blocks)

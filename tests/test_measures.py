@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,19 +23,21 @@ from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
-from qdiscord import measures
+from qdiscord import closed_form, measures, refine
 from qdiscord.canonical import canonical_blocks, canonical_rotations
+from qdiscord.closed_form import (POSITIVITY_SLACK, X_CAP, _branch_entropy, _branches, _ce_many,
+                                  _tangent_derivatives)
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import (EIGENVALUE_FLOOR, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                             ZERO_PROBABILITY, validate_direction, validate_directions,
                              validated_spectrum)
-from qdiscord.measures import (_AXIS_RADII, _TIE_AXES, CE_FLOOR,
-                               CLAMP_WINDOW, DECREASE_STOP, GRID_TIE_TOL, INITIAL_RADIUS,
-                               MAX_ITERATIONS, PROBABILITY_SUM_TOL, SPHERE_RADIUS, VALUE_TIE_TOL,
-                               WITNESS_TOL, WITNESS_VANISHING_TOL, X_AXIS, X_CAP, ZERO_PROBABILITY,
-                               _branch_entropy, _ce_direct, _ce_many,
-                               _circle_minimum, _circle_states, _discord_reports,
-                               _minimize_many, _newton, _pick_start, _sphere_frame,
-                               _sphere_minimum, _tangent_derivatives, _tie_break)
+from qdiscord.measures import (CLAMP_WINDOW, PROBABILITY_SUM_TOL, WITNESS_TOL,
+                               WITNESS_VANISHING_TOL, _discord_reports)
+from qdiscord.oracle import _ce_direct, _measured_branches
+from qdiscord.refine import (_AXIS_RADII, _TIE_AXES, CE_FLOOR, DECREASE_STOP, INITIAL_RADIUS,
+                             MAX_ITERATIONS, SCAN_TIE_TOL, SPHERE_RADIUS, VALUE_TIE_TOL, X_AXIS,
+                             _circle_minimum, _circle_states, _minimize_many, _newton,
+                             _pick_start, _sphere_frame, _sphere_minimum, _tie_break)
 
 H_OF_0P6 = 0.7219280948873623
 X, Y, Z = np.eye(3)
@@ -117,13 +120,26 @@ class TestDirections:
         dirs = np.array([random_direction(rng) for _ in range(4)])
         dirs[2] = row
         blocks = state_blocks(hs_states(7, 1)[0])
-        for call in (measures.validate_direction, projectors, angles_from_direction,
+        for call in (validate_direction, projectors, angles_from_direction,
                      lambda n: conditional_entropy_closed(blocks, n)):
             with pytest.raises(ValidationError):
                 call(np.array(row))
-        for call in (measures.validate_directions, measures.angles_from_directions):
+        for call in (validate_directions, measures.angles_from_directions):
             with pytest.raises(ValidationError):
                 call(dirs)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (2, 3)])
+    def test_one_direction_calls_name_the_shape_passed(self, shape):
+        rho = hs_states(7, 1)[0]
+        blocks = state_blocks(rho)
+        n = np.zeros(shape)
+        n[..., 0] = 1.0
+        for call in (lambda n: conditional_entropy_direct(rho, n),
+                     lambda n: conditional_entropy_closed(blocks, n),
+                     lambda n: post_measurement(rho, n), projectors):
+            with pytest.raises(ValidationError) as raised:
+                call(n)
+            assert str(raised.value) == f"expected a 3-vector, got shape {shape}"
 
 
 class TestProjectors:
@@ -596,13 +612,20 @@ class TestDirectOracle:
     """The stacked direct-diagonalization oracle, ``_ce_direct``."""
 
     def test_never_touches_the_closed_form(self, monkeypatch):
-        def closed_form(*args):
+        def evaluated(*args):
             raise AssertionError("the oracle evaluated the closed form")
 
         rho = hs_states(173, 1)[0]
         expected = [conditional_entropy_direct(rho, n) for n in np.eye(3)]
-        for name in ("_branch_vectors", "_branches", "_ce_many"):
-            monkeypatch.setattr(measures, name, closed_form)
+        # every function of the closed form, in every qdiscord module that holds it
+        holders = set()
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qdiscord"]:
+            for name, value in list(vars(module).items()):
+                if callable(value) and getattr(value, "__module__", None) == closed_form.__name__:
+                    monkeypatch.setattr(module, name, evaluated)
+                    holders.add(module.__name__)
+        assert {"qdiscord", "qdiscord.closed_form", "qdiscord.measures",
+                "qdiscord.refine"} <= holders
         ens = post_measurement(rho, X)
         assert sum(o.probability for o in ens.outcomes) == pytest.approx(1.0, abs=1e-12)
         assert [conditional_entropy_direct(rho, n) for n in np.eye(3)] == expected
@@ -634,7 +657,7 @@ class TestDirectOracle:
         for seed in range(8):
             rho = family_state(family, seed)
             rare = rare_outcome_directions(rho, 10.0 ** rng.uniform(-12.0, -11.0, 8), rng)
-            p, live, states = measures._measured_branches(
+            p, live, states = _measured_branches(
                 rho, np.concatenate([fibonacci_sphere(200), rare, -rare]))
             assert np.array_equal(states, states.conj().swapaxes(-1, -2))
             trace = states.trace(axis1=-2, axis2=-1).real
@@ -665,7 +688,7 @@ class TestDirectOracle:
                 continue
             bloch = np.real([np.conj(m) @ sigma @ m for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
             dirs = np.stack([bloch, -bloch]) / np.linalg.norm(bloch)
-            p, live, states = measures._measured_branches(rho, dirs)
+            p, live, states = _measured_branches(rho, dirs)
             below += int((np.linalg.eigvalsh(states)[:, 0] < -EIGENVALUE_FLOOR / p[live]).any())
             blocks = state_blocks(rho)
             closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
@@ -683,7 +706,7 @@ class TestDirectOracle:
             rho = turned(np.kron(np.diag([1.0, 0.0]), np.outer(ket, ket.conj())
                                  / np.vdot(ket, ket).real), rng)
             dirs = rare_outcome_directions(rho, [2e-12, 5e-12, 1e-11], rng)
-            states = measures._measured_branches(rho, dirs)[2]
+            states = _measured_branches(rho, dirs)[2]
             worst = min(worst, np.linalg.eigvalsh(states)[:, 0].min())
             blocks = state_blocks(rho)
             closed = _ce_many(blocks.a[None], blocks.b[None], blocks.r[None], dirs.T)[0]
@@ -744,10 +767,10 @@ class TestAtTheEigenvalueFloor:
         # g - w <= 4 EIGENVALUE_FLOOR, under POSITIVITY_SLACK, everywhere;
         # these states come near that bound
         for blocks in (state_blocks(states), canonical_blocks(state_blocks(states))[1]):
-            w, g = measures._branches(blocks.a, blocks.b, blocks.r, SPHERE.T)
+            w, g = _branches(blocks.a, blocks.b, blocks.r, SPHERE.T)
             excess = (g - w)[w > ZERO_PROBABILITY].max()
             assert 3 * EIGENVALUE_FLOOR < excess <= 4 * EIGENVALUE_FLOOR
-        assert 4 * EIGENVALUE_FLOOR < measures.POSITIVITY_SLACK
+        assert 4 * EIGENVALUE_FLOOR < POSITIVITY_SLACK
 
     def test_discord_returns(self, states):
         reports = _discord_reports(states)
@@ -845,14 +868,14 @@ class TestTiedOptima:
     def test_tied_optima(self, case, position):
         kind, rho, symmetry = case
         recorded = []
-        tie_break = measures._tie_break
+        tie_break = refine._tie_break
 
         def recording_tie_break(n, value, axis_values):
             recorded.append((value.copy(), axis_values.copy()))
             return tie_break(n, value, axis_values)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measures, "_tie_break", recording_tie_break)
+            patch.setattr(refine, "_tie_break", recording_tie_break)
             report = quantum_discord(rho)
         ((before,), (axis_values,)), = recorded
         # the oracle at the optimum and at its mirror or tied partner
@@ -1016,12 +1039,13 @@ class TestBatchInvariance:
             return _ce_many(*args)
 
         states = self.mixed_stack()
-        monkeypatch.setattr(measures, "_ce_many", counted)
+        for module in (closed_form, refine):
+            monkeypatch.setattr(module, "_ce_many", counted)
         _discord_reports(np.stack(states))
         in_reports = len(calls)
         calls.clear()
         _minimize_many(*stacked_canonical(states))
-        assert in_reports == len(calls)
+        assert calls and in_reports == len(calls)
 
 
 def canonical_stack(rho):
@@ -1045,28 +1069,28 @@ DENSE_DIRS = np.stack([np.sin(DENSE_THETAS) * np.cos(DENSE_PHIS),
 
 def dense_start(a, b, r):
     """CE at every point of the 96 x 192 grid for one state, in blocks of 24
-    rows, and the start rule of measures._pick_start: the flat index and value
-    of the first point within GRID_TIE_TOL of the lowest."""
+    rows, and the start rule of refine._pick_start: the flat index and value
+    of the first point within SCAN_TIE_TOL of the lowest."""
     values = np.concatenate([_ce_many(a, b, r, np.ascontiguousarray(block))[0]
                              for block in np.hsplit(DENSE_DIRS, 4)])
-    start = np.flatnonzero(values <= values.min() + GRID_TIE_TOL)[0]
+    start = np.flatnonzero(values <= values.min() + SCAN_TIE_TOL)[0]
     return int(start), float(values[start])
 
 
 def axis_ties(axis_values, value):
     """Which of the axes x, y, z, with values (S, 3), tie each value (S,), as
-    measures._tie_break reads them."""
+    refine._tie_break reads them."""
     return axis_values <= value[:, None] + VALUE_TIE_TOL
 
 
 def sphere_minimum(a, b, r):
-    """measures._sphere_minimum with the axis values _minimize_many gives it."""
+    """refine._sphere_minimum with the axis values _minimize_many gives it."""
     return _sphere_minimum(a, b, r, _ce_many(a, b, r, _TIE_AXES))
 
 
 def axis_started(rho):
     """Blocks of ``rho``'s canonical form, its three axis starts (1, 3, 3) and
-    their values (1, 3), as measures._sphere_minimum refines them."""
+    their values (1, 3), as refine._sphere_minimum refines them."""
     a, b, r = canonical_stack(rho)
     return a, b, r, _TIE_AXES.T[None], _ce_many(a, b, r, _TIE_AXES)
 
@@ -1146,8 +1170,8 @@ class TestGridStart:
             derivatives.append(n)
             return _tangent_derivatives(a_k, b_k, r_k, n, frame)
 
-        monkeypatch.setattr(measures, "_ce_many", counted)
-        monkeypatch.setattr(measures, "_tangent_derivatives", evaluated)
+        monkeypatch.setattr(refine, "_ce_many", counted)
+        monkeypatch.setattr(refine, "_tangent_derivatives", evaluated)
         _minimize_many(a, b, r)
         assert len(closed_form) == 1 and closed_form[0][0] == 600
         assert closed_form[0][1] is _TIE_AXES
@@ -1178,7 +1202,7 @@ class TestGridStart:
         # that of the earlier axis
         ends = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]] * 3)
         values = np.array([[0.3, 0.2, 0.2], [0.1, 0.2, 0.1], [0.5, 0.5, 0.4]])
-        monkeypatch.setattr(measures, "_newton", lambda *args: (ends, values))
+        monkeypatch.setattr(refine, "_newton", lambda *args: (ends, values))
         n, value = _sphere_minimum(*(np.zeros((3,) + shape) for shape in ((3,), (3,), (3, 3))),
                                    np.zeros((3, 3)))
         assert n.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -1205,7 +1229,7 @@ class TestGridStart:
             calls.append((np.concatenate([a_k, b_k, r_k.reshape(-1, 9)], axis=1), n))
             return _tangent_derivatives(a_k, b_k, r_k, n, frame)
 
-        monkeypatch.setattr(measures, "_tangent_derivatives", evaluated)
+        monkeypatch.setattr(refine, "_tangent_derivatives", evaluated)
         _sphere_minimum(a, b, r, axis_values)
         rows, points = calls[0]
         at_floor = axis_values.min(axis=1) <= CE_FLOOR
@@ -1244,9 +1268,9 @@ class TestGridStart:
             assert min(np.abs(n1 - n).max(), np.abs(n1 + n).max()) < 2e-7
 
     def test_grid_tie_tolerance_pinned_at_its_boundary(self):
-        # a point GRID_TIE_TOL above the lowest ties it, and being first it
+        # a point SCAN_TIE_TOL above the lowest ties it, and being first it
         # wins; one double higher, the lowest point wins
-        for above, k in ((0.5 + GRID_TIE_TOL, 0), (np.nextafter(0.5 + GRID_TIE_TOL, 1.0), 1)):
+        for above, k in ((0.5 + SCAN_TIE_TOL, 0), (np.nextafter(0.5 + SCAN_TIE_TOL, 1.0), 1)):
             values = np.array([[above, 0.5]])
             start, value = _pick_start(values)
             assert start.tolist() == [k] and value.tolist() == [values[0, k]]
@@ -1347,7 +1371,7 @@ class TestXStateCircle:
             calls.append(len(a))
             return _sphere_minimum(a, *rest)
 
-        monkeypatch.setattr(measures, "_sphere_minimum", recorded)
+        monkeypatch.setattr(refine, "_sphere_minimum", recorded)
         return calls
 
     def test_interior_optimum_settled_on_the_circle(self, sphere_calls):
@@ -1378,8 +1402,8 @@ class TestXStateCircle:
                 return solve(a_k, b_k, r_k, *rest)
             return recorded
 
-        monkeypatch.setattr(measures, "_circle_minimum", counted("circle", _circle_minimum))
-        monkeypatch.setattr(measures, "_sphere_minimum", counted("sphere", _sphere_minimum))
+        monkeypatch.setattr(refine, "_circle_minimum", counted("circle", _circle_minimum))
+        monkeypatch.setattr(refine, "_sphere_minimum", counted("sphere", _sphere_minimum))
         _minimize_many(a, b, r)
         x_shaped = _circle_states(a, b, r)
         assert 0 < x_shaped.sum() < len(a)
@@ -1466,12 +1490,12 @@ class TestNewtonRefinement:
             calls.append(len(a))
             return _tangent_derivatives(a, b, r, n, frame)
 
-        monkeypatch.setattr(measures, "_tangent_derivatives", recorded)
+        monkeypatch.setattr(refine, "_tangent_derivatives", recorded)
         return calls
 
     @staticmethod
     def eigh_trust_step(grad, hess, radius):
-        """Reference for measures._trust_step: the same three candidates in the
+        """Reference for refine._trust_step: the same three candidates in the
         eigenbasis that np.linalg.eigh gives, stacked, and the first lowest
         model taken."""
         lam, vec = np.linalg.eigh(hess)
@@ -1506,7 +1530,7 @@ class TestNewtonRefinement:
 
     def test_lowest_eigenpair_closed_form(self):
         hess = self.symmetric(np.random.default_rng(20261019), 400, 2)
-        low, vec = measures._lowest_eigenpair(hess)
+        low, vec = refine._lowest_eigenpair(hess)
         scale = np.abs(hess).max(axis=(1, 2))
         assert_allclose(low / scale, np.linalg.eigvalsh(hess)[:, 0] / scale, rtol=0, atol=1e-15)
         assert_allclose(np.linalg.norm(vec, axis=1), 1.0, rtol=1e-15)
@@ -1523,14 +1547,14 @@ class TestNewtonRefinement:
         grad = rng.standard_normal((400, k)) * 10.0 ** rng.uniform(-8.0, 1.0, (400, 1))
         radius = 10.0 ** rng.uniform(-6.0, 0.0, 400)
         eigenpairs = []
-        lowest_eigenpair = measures._lowest_eigenpair
+        lowest_eigenpair = refine._lowest_eigenpair
 
         def counted(hess):
             eigenpairs.append(len(hess))
             return lowest_eigenpair(hess)
 
-        monkeypatch.setattr(measures, "_lowest_eigenpair", counted)
-        step, decrease = measures._trust_step(grad, hess, radius)
+        monkeypatch.setattr(refine, "_lowest_eigenpair", counted)
+        step, decrease = refine._trust_step(grad, hess, radius)
         ref_step, ref_decrease = self.eigh_trust_step(grad, hess, radius)
         assert_allclose(step / radius[:, None], ref_step / radius[:, None], rtol=0, atol=1e-12)
         # relative to the size of the model's terms, which cancel in it
@@ -1545,7 +1569,7 @@ class TestNewtonRefinement:
         skipped = 0
         for i in range(0, 400, 7):
             del eigenpairs[:]
-            alone = measures._trust_step(grad[i:i + 1], hess[i:i + 1], radius[i:i + 1])
+            alone = refine._trust_step(grad[i:i + 1], hess[i:i + 1], radius[i:i + 1])
             np.testing.assert_array_equal(alone[0][0], step[i])
             assert alone[1][0] == decrease[i]
             skipped += not eigenpairs
@@ -1555,7 +1579,7 @@ class TestNewtonRefinement:
     def test_trust_step_leaves_a_saddle_along_the_lowest_eigenvector(self):
         hess = np.array([[[1.0, 0.0], [0.0, -2.0]], [[-3.0, 1.0], [1.0, -3.0]]])
         radius = np.array([0.1, 0.2])
-        step, decrease = measures._trust_step(np.zeros((2, 2)), hess, radius)
+        step, decrease = refine._trust_step(np.zeros((2, 2)), hess, radius)
         lam, vec = np.linalg.eigh(hess)
         assert_allclose(np.abs((step[:, None] @ vec[:, :, :1])[:, 0, 0]), radius, rtol=1e-15)
         assert_allclose(decrease, -0.5 * lam[:, 0] * radius ** 2, rtol=1e-15)
@@ -1568,8 +1592,8 @@ class TestNewtonRefinement:
         for seed in range(6):
             a, b, r = canonical_stack(family_state(family, seed))
             n = random_direction(rng)[None]
-            for frame in (_sphere_frame, measures._circle_frame):
-                if frame is measures._circle_frame:
+            for frame in (_sphere_frame, refine._circle_frame):
+                if frame is refine._circle_frame:
                     n = np.array([[n[0, 0], 0.0, n[0, 2]]]) / np.hypot(n[0, 0], n[0, 2])
                 w, g, rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)
                 np.testing.assert_array_equal(rows[:, -1], n)
@@ -1622,8 +1646,8 @@ class TestNewtonRefinement:
             iterations[-1] += 1
             return _tangent_derivatives(*args)
 
-        monkeypatch.setattr(measures, "_newton", newton)
-        monkeypatch.setattr(measures, "_tangent_derivatives", derivatives)
+        monkeypatch.setattr(refine, "_newton", newton)
+        monkeypatch.setattr(refine, "_tangent_derivatives", derivatives)
         states = hs_states(181, 2000)
         states += [project_x_state(rho) for rho in states]
         canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
@@ -1663,7 +1687,7 @@ class TestNewtonRefinement:
         # a first step that promises DECREASE_STOP ends the refinement, one
         # that promises the next double above it is taken
         a, b, r, n, value = axis_started(hs_states(7, 1)[0])
-        trust_step = measures._trust_step
+        trust_step = refine._trust_step
         counts = []
         for promised in (DECREASE_STOP, np.nextafter(DECREASE_STOP, 1.0)):
             promises = [promised]
@@ -1672,7 +1696,7 @@ class TestNewtonRefinement:
                 step, decrease = trust_step(grad, hess, radius)
                 return step, np.full_like(decrease, promises.pop()) if promises else decrease
 
-            monkeypatch.setattr(measures, "_trust_step", forced)
+            monkeypatch.setattr(refine, "_trust_step", forced)
             derivative_calls.clear()
             _newton(a, b, r, n, value, _sphere_frame, _AXIS_RADII)
             counts.append(len(derivative_calls))

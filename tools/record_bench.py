@@ -127,14 +127,14 @@ def solve_times(tree, blocks) -> dict:
     on one stack of all STATES states, on chunks of CHUNK states and on
     batches of one, each chunk followed by its states alone."""
     a, b, r = blocks
-    totals = {f"one_stack_of_{STATES}": seconds(lambda: tree.measures._minimize_many(a, b, r)),
+    solver = tree.experiments._minimize_many
+    totals = {f"one_stack_of_{STATES}": seconds(lambda: solver(a, b, r)),
               f"chunks_of_{CHUNK}": 0.0, "batches_of_one": 0.0}
     for first in range(0, STATES, CHUNK):
         runs = [(f"chunks_of_{CHUNK}", first, first + CHUNK)]
         runs += [("batches_of_one", k, k + 1) for k in range(first, first + CHUNK)]
         for label, lo, hi in runs:
-            totals[label] += seconds(lambda: tree.measures._minimize_many(a[lo:hi], b[lo:hi],
-                                                                         r[lo:hi]))
+            totals[label] += seconds(lambda: solver(a[lo:hi], b[lo:hi], r[lo:hi]))
     return {f"{label}_solve_us": 1e6 * solve / STATES for label, solve in totals.items()}
 
 
@@ -181,13 +181,17 @@ def cli_call_times(tree, paths: list) -> dict:
 def newton_evaluations(tree, hs_blocks, x_blocks) -> dict:
     """Evaluations of the Newton derivatives on the states of the solve stages
     and on their X projections, each solved alone, counted through a wrapper
-    around ``measures._tangent_derivatives``: per state, the mean and the
-    largest number of calls, and per start, the mean number of calls that
-    evaluate it.  The starts of a state are the rows of its first call: the
-    three axes on the sphere, or one point of a scan.  A state's counts do
-    not depend on the states solved beside it."""
-    measures = tree.measures
-    evaluate = measures._tangent_derivatives
+    around ``_tangent_derivatives`` in the module of the solver
+    ``experiments._minimize_many``: per state, the mean and the largest
+    number of calls, and per start, the mean number of calls that evaluate
+    it.  The starts of a state are the rows of its first call: the three
+    axes on the sphere, or one point of a scan.  A state's counts do not
+    depend on the states solved beside it.  Raises RuntimeError when no call
+    is counted on either set of states, as when the wrapper sits where the
+    solver does not look."""
+    solver = tree.experiments._minimize_many
+    module = sys.modules[solver.__module__]
+    evaluate = module._tangent_derivatives
     calls = []
 
     def counted(*args):
@@ -195,21 +199,24 @@ def newton_evaluations(tree, hs_blocks, x_blocks) -> dict:
         return evaluate(*args)
 
     record = {}
-    measures._tangent_derivatives = counted
+    module._tangent_derivatives = counted
     try:
         for name, (a, b, r) in (("hs", hs_blocks), ("x_projected", x_blocks)):
             counts, rows, starts = [], 0, 0
             for k in range(STATES):
                 calls.clear()
-                measures._minimize_many(a[k:k + 1], b[k:k + 1], r[k:k + 1])
+                solver(a[k:k + 1], b[k:k + 1], r[k:k + 1])
                 counts.append(len(calls))
                 rows += sum(calls)
                 starts += calls[0] if calls else 0
+            if not rows:
+                raise RuntimeError(f"no call of {module.__name__}._tangent_derivatives "
+                                   f"was counted on the {name} states")
             record[f"{name}_mean"] = sum(counts) / STATES
             record[f"{name}_max"] = max(counts)
-            record[f"{name}_per_start_mean"] = rows / starts if starts else 0.0
+            record[f"{name}_per_start_mean"] = rows / starts
     finally:
-        measures._tangent_derivatives = evaluate
+        module._tangent_derivatives = evaluate
     return record
 
 
@@ -270,7 +277,7 @@ def main(argv=None) -> int:
     inputs = {
         "chunks": chunks,
         "stacks": [change.experiments._hs_states(config, chunk) for chunk in chunks],
-        "dirs": [change.measures._minimize_many(*(x[c.start:c.stop] for x in x_blocks))[0]
+        "dirs": [change.experiments._minimize_many(*(x[c.start:c.stop] for x in x_blocks))[0]
                  for c in chunks],
         "states": list(states),
     }
