@@ -147,17 +147,22 @@ def _fork_share(task, share: range, stack: int, inherited: list) -> tuple[int, i
 
 def _share_result(pid: int, read_fd: int) -> np.ndarray:
     """The array a child sent through ``read_fd``; its exception raised again;
-    RuntimeError if it ended without sending one.  Closes ``read_fd`` and reaps
+    RuntimeError, naming its pid and exit status, if it ended without sending
+    one whole, as when it is killed mid-write.  Closes ``read_fd`` and reaps
     the child."""
     try:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
+    ended = f"exit status {os.waitstatus_to_exitcode(status)}"
     if not data:
-        raise RuntimeError(f"worker {pid} sent no result; exit status "
-                           f"{os.waitstatus_to_exitcode(status)}")
-    ok, value = pickle.loads(data)
+        raise RuntimeError(f"worker {pid} sent no result; {ended}")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:
+        raise RuntimeError(f"worker {pid} sent an unreadable result of {len(data)} bytes; "
+                           f"{ended}") from exc
     if not ok:
         raise value
     return value

@@ -63,12 +63,18 @@ def validate_directions(n) -> np.ndarray:
     return v
 
 
-def validate_direction(n) -> np.ndarray:
-    """Return ``n`` as a float 3-vector, checking unit norm."""
+def direction_row(n) -> np.ndarray:
+    """Return ``n``, one 3-vector, as a float row (1, 3), checking its shape
+    only, for a caller that passes it on to :func:`validate_directions`."""
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValidationError(f"expected a 3-vector, got shape {v.shape}")
-    return validate_directions(v[None])[0]
+    return v[None]
+
+
+def validate_direction(n) -> np.ndarray:
+    """Return ``n`` as a float 3-vector, checking unit norm."""
+    return validate_directions(direction_row(n))[0]
 
 
 def eigvals_hermitian(matrix) -> np.ndarray:

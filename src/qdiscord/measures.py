@@ -20,7 +20,7 @@ from .canonical import canonical_blocks, hemisphere_representative
 from .closed_form import conditional_entropy_closed
 from .errors import ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (binary_entropy, entropy_bits, validate_density_matrix, validate_direction,
+from .linalg import (binary_entropy, direction_row, entropy_bits, validate_density_matrix,
                      validate_directions, validated_spectrum)
 from .oracle import projectors
 from .refine import X_AXIS, _minimize_many
@@ -53,7 +53,7 @@ def angles_from_directions(n) -> list[tuple[float, float]]:
 
 def angles_from_direction(n) -> tuple[float, float]:
     """(theta, phi) of the hemisphere representative of ``n``."""
-    return angles_from_directions(validate_direction(n)[None])[0]
+    return angles_from_directions(direction_row(n))[0]
 
 
 def minimize_conditional_entropy(rho) -> tuple[np.ndarray, float]:

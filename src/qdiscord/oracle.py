@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (EIGENVALUE_FLOOR, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, ZERO_PROBABILITY,
-                     entropy_bits, validate_density_matrix, validate_direction,
+                     direction_row, entropy_bits, validate_density_matrix, validate_direction,
                      validate_directions)
 
 
@@ -94,8 +94,9 @@ def _ce_direct(rho, dirs) -> np.ndarray:
     product states measured near their Bloch vector on A).  Eigenvalues are
     read as at most 1, as the closed form reads g/w, so one below 0 and its
     partner above 1 add nothing to the entropy."""
-    rho = validate_density_matrix(rho)
-    p, live, states = _measured_branches(rho, validate_directions(dirs))
+    # the directions before rho: a lone call checks its direction first
+    dirs = validate_directions(dirs)
+    p, live, states = _measured_branches(validate_density_matrix(rho), dirs)
     terms = np.zeros(p.shape)
     terms[live] = p[live] * entropy_bits(np.minimum(np.linalg.eigvalsh(states), 1.0))
     return terms[:, 0] + terms[:, 1]
@@ -107,7 +108,7 @@ def conditional_entropy_direct(rho, n) -> float:
     Brute-force counterpart of :func:`conditional_entropy_closed`; the two
     must agree to 1e-10 on every valid (state, direction) pair.
     """
-    return float(_ce_direct(rho, validate_direction(n)[None])[0])
+    return float(_ce_direct(rho, direction_row(n))[0])
 
 
 def bell_diagonal_classical_correlation(c) -> float:

@@ -85,11 +85,9 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     elsewhere to the step to the radius downhill, or forward where the slope
     vanishes, where the Cauchy and the lowest-eigenvector step coincide.  On
     the sphere (k = 2) the Newton step comes from the adjugate of the
-    Hessian; one that needs no shortening minimizes the model on the whole
-    disc and is taken without the others, which are computed only when some
-    state of the stack needs them, the lowest eigenpair by
-    :func:`_lowest_eigenpair`.  The general rule takes that step too, to the
-    bit."""
+    Hessian, and one that needs no shortening minimizes the model on the
+    whole disc, so it is always taken; the lowest eigenpair comes from
+    :func:`_lowest_eigenpair`."""
     if grad.shape[1] == 1:
         g, h = grad[:, 0], hess[:, 0, 0]
         convex = h > 0.0
@@ -109,8 +107,6 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray,
     newton *= scale[:, None]
     newton_model = (g0 * newton[:, 0] + g1 * newton[:, 1]) * (1.0 - 0.5 * scale)
     whole = definite & (scale == 1.0)
-    if whole.all():
-        return newton, -newton_model
     newton_model[~definite] = np.inf
     # -along grad is the lowest point of the model on the gradient line within
     # the radius: along = min(radius/|grad|, |grad|^2/curvature) when that is
@@ -193,8 +189,7 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         rows = np.where(lower[:, None, None], trial_rows, rows)
         grad = np.where(lower[:, None], trial_grad, grad)
         hess = np.where(lower[:, None, None], trial_hess, hess)
-    else:
-        best_n[active], best_value[active] = n, value
+    best_n[active], best_value[active] = n, value
     return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
 
 

@@ -424,6 +424,15 @@ class TestForkShares:
         with pytest.raises(RuntimeError, match="exit status 7"):
             _solve(chunk, self.CONFIG)
 
+    def test_child_cut_off_mid_write_names_its_status(self, monkeypatch):
+        # as a child killed while it writes: half of each payload arrives
+        dumps = qdiscord.experiments.pickle.dumps
+        monkeypatch.setattr(qdiscord.experiments.pickle, "dumps",
+                            lambda obj: dumps(obj)[:len(dumps(obj)) // 2])
+        with pytest.raises(RuntimeError, match=r"^worker \d+ sent an unreadable result of "
+                                               r"\d+ bytes; exit status 0$"):
+            _solve(self.wide_chunk, self.CONFIG)
+
     def test_parent_exception_unblocks_children(self):
         # the children block on their full pipes unless this process closes
         # the read ends before it waits for them

@@ -23,7 +23,7 @@ from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
-from qdiscord import closed_form, measures, refine
+from qdiscord import closed_form, linalg, measures, oracle, refine
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.closed_form import (POSITIVITY_SLACK, X_CAP, _branch_entropy, _branches, _ce_many,
                                   _tangent_derivatives)
@@ -140,6 +140,23 @@ class TestDirections:
             with pytest.raises(ValidationError) as raised:
                 call(n)
             assert str(raised.value) == f"expected a 3-vector, got shape {shape}"
+
+    def test_one_direction_calls_check_the_norm_once(self, monkeypatch):
+        # the one-vector wrappers check the shape and leave the norm to the
+        # stacked call they make
+        calls = []
+
+        def counted(n):
+            calls.append(len(n))
+            return validate_directions(n)
+
+        for module in (linalg, oracle, measures):
+            monkeypatch.setattr(module, "validate_directions", counted)
+        rho = hs_states(7, 1)[0]
+        for call in (lambda n: conditional_entropy_direct(rho, n), angles_from_direction):
+            del calls[:]
+            call(X)
+            assert calls == [1]
 
 
 class TestProjectors:
@@ -1100,7 +1117,7 @@ def axis_started(rho):
 NARROW_BASINS = (9716, 40997)
 
 
-class TestGridStart:
+class TestAxisStarts:
     """The starts of the refinement: every state off the circle starts at its
     three canonical axes and reaches the minimum that the refinement reaches
     from the dense 96 x 192 scan, and a state's result does not depend on its
@@ -1267,7 +1284,7 @@ class TestGridStart:
             assert abs(value1[0] - value[0]) < 1e-14
             assert min(np.abs(n1 - n).max(), np.abs(n1 + n).max()) < 2e-7
 
-    def test_grid_tie_tolerance_pinned_at_its_boundary(self):
+    def test_scan_tie_tol_pinned_at_its_boundary(self):
         # a point SCAN_TIE_TOL above the lowest ties it, and being first it
         # wins; one double higher, the lowest point wins
         for above, k in ((0.5 + SCAN_TIE_TOL, 0), (np.nextafter(0.5 + SCAN_TIE_TOL, 1.0), 1)):
@@ -1561,20 +1578,15 @@ class TestNewtonRefinement:
         terms = np.linalg.norm(grad, axis=1) * radius + np.abs(hess).max(axis=(1, 2)) * radius ** 2
         assert (np.abs(decrease - ref_decrease) <= 1e-12 * terms).all()
         assert (np.linalg.norm(step, axis=1) <= radius * (1.0 + 1e-15)).all()
-        # a state's step does not depend on the states beside it, although a
-        # stack whose Newton steps all need no shortening skips the other
-        # steps: on the sphere the whole stack took the general rule, and
-        # states alone took both it and the whole-disc return
+        # a state's step does not depend on the states beside it, and on the
+        # sphere every call takes the lowest eigenpair, stacked or alone
         assert eigenpairs == ([400] if k == 2 else [])
-        skipped = 0
         for i in range(0, 400, 7):
             del eigenpairs[:]
             alone = refine._trust_step(grad[i:i + 1], hess[i:i + 1], radius[i:i + 1])
             np.testing.assert_array_equal(alone[0][0], step[i])
             assert alone[1][0] == decrease[i]
-            skipped += not eigenpairs
-        if k == 2:
-            assert 0 < skipped < len(range(0, 400, 7))
+            assert eigenpairs == ([1] if k == 2 else [])
 
     def test_trust_step_leaves_a_saddle_along_the_lowest_eigenvector(self):
         hess = np.array([[[1.0, 0.0], [0.0, -2.0]], [[-3.0, 1.0], [1.0, -3.0]]])
@@ -1661,6 +1673,41 @@ class TestNewtonRefinement:
                 sphere_minimum(a[k:k + 64], b[k:k + 64], r[k:k + 64])
         assert len(iterations) > 64 and max(iterations) < MAX_ITERATIONS
 
+    @pytest.mark.parametrize("geometry", ["sphere", "circle"])
+    def test_iteration_cap_ends_starts_where_they_are(self, geometry, monkeypatch):
+        # a start still active after MAX_ITERATIONS iterations ends at its
+        # lowest point so far, alone as in a stack
+        if geometry == "sphere":
+            path = sphere_minimum
+            states = hs_states(191, 48) + [family_state("near_pure", s) for s in range(16)]
+        else:
+            path = _circle_minimum
+            states = [x_state(family, s) for family in X_FAMILIES + ("near_pure",)
+                      for s in range(16)]
+        canonical = canonical_blocks(state_blocks(np.stack(states)))[1]
+        inputs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(refine, "_newton", lambda *args: inputs.append(args) or _newton(*args))
+            path(canonical.a, canonical.b, canonical.r)
+        (a, b, r, n, value, frame, radius), = inputs
+        unpatched = _newton(a, b, r, n, value, frame, radius)
+        ends = {}
+        for cap in (1, 2, 60):
+            monkeypatch.setattr(refine, "MAX_ITERATIONS", cap)
+            ends[cap] = _newton(a, b, r, n, value, frame, radius)
+            assert (ends[cap][1] <= value).all()
+            for s in range(len(a)):
+                alone = _newton(a[s:s + 1], b[s:s + 1], r[s:s + 1], n[s:s + 1], value[s:s + 1],
+                                frame, radius)
+                for lone, stacked in zip(alone, ends[cap]):
+                    assert lone[0].tobytes() == stacked[s].tobytes()
+        # the cap of 1 cuts starts short after their first step, so its exit
+        # is the one that stores where they are
+        assert (ends[1][1] > unpatched[1]).any() and (ends[1][1] < value).any()
+        assert (ends[2][1] <= ends[1][1]).all()
+        for capped, free in zip(ends[60], unpatched):
+            assert capped.tobytes() == free.tobytes()
+
     def test_starts_leave_once_their_state_settles_as_low(self, derivative_calls):
         # here the MCDM start ends lowest; the other two, on their way into
         # its minimum, leave when it stops, so the three take as many
@@ -1680,7 +1727,7 @@ class TestNewtonRefinement:
         a, b, r, starts, values = axis_started(family_state("near_pure", 492))
         ends = _newton(a, b, r, starts, values, _sphere_frame, _AXIS_RADII)[1][0]
         assert ends.argmin() == 2 and ends[0] - ends[2] > 1e-7
-        dense = TestGridStart.refined_dense_scan(a, b, r)
+        dense = TestAxisStarts.refined_dense_scan(a, b, r)
         assert abs(_minimize_many(a, b, r)[1][0] - dense) <= 1e-14
 
     def test_decrease_stop_pinned_at_its_boundary(self, monkeypatch, derivative_calls):
