@@ -45,8 +45,6 @@ def _add_experiment_flags(parser, samples: int = ExperimentConfig.samples) -> No
     parser.set_defaults(parser=parser)  # validate's errors print this subcommand's usage
     parser.add_argument("--samples", type=int, default=samples,
                         help=f"number of samples (default {samples})")
-    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
-                        help=f"stream seed (default {ExperimentConfig.seed})")
     parser.add_argument("--workers", type=int, default=ExperimentConfig.workers, metavar="W",
                         help="processes that solve the states: this one and W - 1 forked "
                              "children, at most one per chunk and per usable core; the output "
@@ -87,6 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="discord versus upper bound for random states")
     _add_experiment_flags(p)
 
+    # mixture walks a fixed grid and draws nothing, so it takes no seed
+    for name in ("table1", "histogram", "scatter"):
+        sub.choices[name].add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                                       help=f"stream seed (default {ExperimentConfig.seed})")
     return parser
 
 

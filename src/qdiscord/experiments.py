@@ -116,10 +116,12 @@ def _solve_share(task, share: range, stack: int) -> np.ndarray:
 
 def _fork_share(task, share: range, stack: int, inherited: list) -> tuple[int, int]:
     """Fork a child to solve ``share``; return its pid and the read end of its
-    pipe.  The child sends ``pickle.dumps((ok, array_or_exception))`` and ends
-    with ``os._exit``.  It first closes ``inherited``, the read ends of the
-    pipes of earlier children, so that when the parent closes them their
-    writers see a broken pipe at once rather than when this child ends."""
+    pipe.  The child sends ``pickle.dumps((ok, array_or_exception))``, an
+    exception that cannot be pickled as a RuntimeError naming its type and
+    message, and ends with ``os._exit``.  It first closes ``inherited``, the
+    read ends of the pipes of earlier children, so that when the parent
+    closes them their writers see a broken pipe at once rather than when
+    this child ends."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -138,8 +140,15 @@ def _fork_share(task, share: range, stack: int, inherited: list) -> tuple[int, i
             payload = (True, _solve_share(task, share, stack))
         except Exception as exc:  # sent to the parent, which raises it again
             payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+        except Exception:  # an exception pickle cannot send goes as its type and message
+            exc = payload[1]
+            data = pickle.dumps((False, RuntimeError(
+                f"worker {os.getpid()} raised {type(exc).__name__}: {exc}, "
+                "which cannot be pickled")))
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)

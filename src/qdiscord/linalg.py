@@ -82,10 +82,12 @@ def eigvals_hermitian(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
-def _checked_state(rho, trace_tol: float = TRACE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The state, or stack of states, as a complex ndarray and its ascending
-    eigenvalues, the lowest of which may lie down to EIGENVALUE_FLOOR below 0.
-    A stack raises what its first state to fail a check raises alone."""
+def validated_spectrum(rho, trace_tol: float = TRACE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The state, or stack of states (..., d, d), as a complex ndarray and its
+    ascending eigenvalues (..., d), the lowest of which may lie down to
+    EIGENVALUE_FLOOR below 0, once it is checked Hermitian, of unit trace
+    within ``trace_tol`` and positive.  A stack raises what its first state to
+    fail a check raises alone."""
     rho = require_hermitian(rho)
     trace = rho.trace(axis1=-2, axis2=-1).real
     off = np.abs(trace - 1.0) > trace_tol
@@ -105,12 +107,7 @@ def validate_density_matrix(rho) -> np.ndarray:
     Eigenvalues in ``[-EIGENVALUE_FLOOR, 0)`` are accepted as arithmetic
     noise; anything lower raises :class:`NotAStateError`.
     """
-    return _checked_state(rho)[0]
-
-
-def validated_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`validate_density_matrix`, also returning the ascending eigenvalues (..., d)."""
-    return _checked_state(rho)
+    return validated_spectrum(rho)[0]
 
 
 def entropy_bits(eigenvalues) -> np.ndarray:
@@ -125,7 +122,7 @@ def entropy_bits(eigenvalues) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    return float(entropy_bits(_checked_state(rho, ENTROPY_TRACE_TOL)[1]))
+    return float(entropy_bits(validated_spectrum(rho, ENTROPY_TRACE_TOL)[1]))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
