@@ -7,9 +7,10 @@ upper bound along the product/entangled mixture family), ``scatter``
 (discord versus upper bound for random states).
 
 Exit codes: 0 success; 2 unparseable input, an unreadable state file, a
-bad option value (such as a ``--cluster-tol`` outside (0, 0.5]) or an
-``--out`` path that cannot be written; 3 a parsed matrix is not a valid
-state (including non-finite entries).
+bad option value (such as a ``--cluster-tol`` outside (0, 0.5]), or an
+``--out`` path or a stdout that cannot be written (closed, or a pipe whose
+reader has gone); 3 a parsed matrix is not a valid state (including
+non-finite entries).  Each error prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -142,11 +143,8 @@ def _cmd_discord(args) -> int:
     except ValidationError as exc:
         print(f"error: {args.statefile}: not a valid density matrix: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
-    if args.json:
-        print(_report_json(report))
-    else:
-        print("\n".join(_report_lines(report)))
-    return EXIT_OK
+    text = _report_json(report) if args.json else "\n".join(_report_lines(report))
+    return _write(OutputFile(None), text + "\n")
 
 
 def _scatter_csv(config: ExperimentConfig) -> str:
@@ -161,6 +159,17 @@ _PIPELINES = {
     "mixture": lambda config: render_csv(MIXTURE_HEADER, mixture_curve(config)),
     "scatter": _scatter_csv,
 }
+
+
+def _write(out: OutputFile, text: str) -> int:
+    """Write ``text`` to ``out``: exit 0, or exit 2 with one error line."""
+    try:
+        out.write(text)
+    except OSError as exc:
+        where = "stdout" if out.path is None else repr(out.path)
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
@@ -178,8 +187,7 @@ def _cmd_experiment(args) -> int:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with out:
-        out.write(_PIPELINES[args.command](config))
-    return EXIT_OK
+        return _write(out, _PIPELINES[args.command](config))
 
 
 def main(argv=None) -> int:

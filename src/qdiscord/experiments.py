@@ -322,8 +322,21 @@ class OutputFile:
             os.chmod(self._tmp, 0o666 & ~umask)  # mkstemp creates the file private
 
     def write(self, text: str) -> None:
+        """Write ``text``, or raise OSError.  Stdout is flushed at once; when it
+        is closed or its reader has gone, that raises, and a broken stdout is
+        pointed at os.devnull so that the interpreter's flush at exit has
+        nothing left to fail on."""
         if self.path is None:
-            sys.stdout.write(text)
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
             return
         with open(self._tmp, "w", newline="") as fh:
             fh.write(text)

@@ -106,9 +106,10 @@ def _discord(mutual: np.ndarray, s_b: np.ndarray, ce: np.ndarray) -> np.ndarray:
     return _clamp(mutual - _clamp(s_b - ce))
 
 
-def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarray, np.ndarray]:
-    """Validate ``rho``, one state or a stack (..., 4, 4), once; return its blocks
-    and S(rho_A), S(rho_B), S(rho), each of shape (...).
+def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarray]:
+    """Validate ``rho``, one state or a stack (..., 4, 4), once; return its blocks,
+    S(rho_B) and the mutual information S(rho_A) + S(rho_B) - S(rho), clamped,
+    each of shape (...).
 
     The marginals have eigenvalues (1 +- |a|)/2 and (1 +- |b|)/2; within the
     validation tolerance a Bloch length may exceed 1 by rounding noise.
@@ -119,13 +120,13 @@ def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarr
     # |a| and |b| as np.linalg.norm takes them of one vector: a dot product
     lengths = np.sqrt((ab[..., None, :] @ ab[..., :, None])[..., 0, 0])
     marginal = binary_entropy(np.minimum(1.0, lengths))
-    return blocks, marginal[..., 0], marginal[..., 1], entropy_bits(spectrum)
+    s_b = marginal[..., 1]
+    return blocks, s_b, _clamp(marginal[..., 0] + s_b - entropy_bits(spectrum))
 
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
-    _, s_a, s_b, s_ab = _blocks_and_entropies(rho)
-    return float(_clamp(s_a + s_b - s_ab))
+    return float(_blocks_and_entropies(rho)[2])
 
 
 def classical_correlation(rho) -> float:
@@ -152,12 +153,11 @@ class DiscordReport:
 def _discord_reports(rhos) -> DiscordReport:
     """:func:`quantum_discord` of each state of a stack (S, 4, 4), as one report
     of stacked fields, with one call per stage for all of them."""
-    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rhos)
+    blocks, s_b, mutual = _blocks_and_entropies(rhos)
     o1, canonical = canonical_blocks(blocks)
     n_opt, ce_min, axis_values = _minimize_many(canonical.a, canonical.b, canonical.r)
     # CE at the MCDM, the first tie-break axis, so ce_min <= ce_mcdm
     ce_mcdm = axis_values[:, 0]
-    mutual = _clamp(s_a + s_b - s_ab)
     return DiscordReport(
         mutual, _clamp(s_b - ce_min), _discord(mutual, s_b, ce_min), _discord(mutual, s_b, ce_mcdm),
         hemisphere_representative((o1.swapaxes(-1, -2) @ n_opt[..., None])[..., 0]),
@@ -177,8 +177,8 @@ def mcdm_discord(rho) -> float:
     An upper bound on the quantum discord: the direction is a member of the
     set the true discord minimizes over.
     """
-    blocks, s_a, s_b, s_ab = _blocks_and_entropies(rho)
-    return float(_discord(_clamp(s_a + s_b - s_ab), s_b,
+    blocks, s_b, mutual = _blocks_and_entropies(rho)
+    return float(_discord(mutual, s_b,
                           conditional_entropy_closed(canonical_blocks(blocks)[1], X_AXIS)))
 
 

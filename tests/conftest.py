@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qdiscord import SeededGenerator, random_hs_state
+from qdiscord.experiments import ExperimentConfig, _hs_states
 
 # property tests draw the same examples on every run and store none
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
@@ -45,8 +45,9 @@ def bell_psi_plus():
 
 
 def hs_states(seed, count):
-    gen = SeededGenerator(seed)
-    return [random_hs_state(gen) for _ in range(count)]
+    """The first ``count`` states of ``random_hs_state(SeededGenerator(seed))``,
+    drawn as one stack."""
+    return list(_hs_states(ExperimentConfig(seed=seed), range(count)))
 
 
 @pytest.fixture

@@ -2,6 +2,13 @@
 
 Each test enforces one acceptance criterion at its stated tolerance and
 runtime budget and prints one pass/fail line (visible with ``pytest -s``).
+
+The criteria run stacked, through the calls that the pipelines make: the
+draw of a stream's states is one ``experiments._hs_states`` call, and the
+reports of many states are one ``measures._discord_reports`` call.  Each
+stacked row has the bits of the lone public call, which
+``TestStackedDraw`` (draws) and ``TestBatchInvariance`` (solves) pin, and
+each criterion also checks every 100th state against its lone call.
 """
 
 import hashlib
@@ -15,7 +22,7 @@ import pytest
 
 from conftest import random_direction, random_qubit_state, random_unitary
 from qdiscord import (SeededGenerator, angles_from_direction,
-                      bell_diagonal_classical_correlation, classical_correlation,
+                      bell_diagonal_classical_correlation,
                       conditional_entropy_closed, conditional_entropy_direct,
                       construct_zero_discord, correlation_matrix,
                       direction_from_angles, minimize_conditional_entropy,
@@ -27,6 +34,8 @@ from qdiscord.cli import main
 from qdiscord.closed_form import _ce_many
 from qdiscord.experiments import (SCATTER_HEADER, ExperimentConfig, _hs_states,
                                   bound_scatter, optimal_direction_clusters, render_csv)
+from qdiscord.measures import _discord_reports
+from qdiscord.oracle import _ce_direct
 from qdiscord.refine import _TIE_AXES, VALUE_TIE_TOL, _circle_minimum, _circle_states
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -64,21 +73,36 @@ def random_bell_diagonal_coefficients(rng):
             return c
 
 
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def assert_report_row(stacked, k, lone):
+    """Row ``k`` of the stacked report is the lone report, bit for bit."""
+    for name, value in vars(lone).items():
+        assert same_bits(getattr(stacked, name)[k], value), name
+
+
 def test_criterion_1_closed_form_oracle_equivalence():
     with criterion(1, "closed form matches direct diagonalization to 1e-10 "
                       "on 1000 states x 20 directions", 10.0, clock=time.process_time):
-        gen = SeededGenerator(101)
-        worst = 0.0
-        for index in range(1000):
-            rho = random_hs_state(gen)
-            blocks = state_blocks(rho)
-            rng = np.random.default_rng([102, index])
-            for _ in range(20):
-                n = random_direction(rng)
-                gap = abs(conditional_entropy_closed(blocks, n)
-                          - conditional_entropy_direct(rho, n))
-                worst = max(worst, gap)
+        rhos = _hs_states(ExperimentConfig(seed=101), range(1000))
+        dirs = np.array([[random_direction(rng) for _ in range(20)]
+                         for rng in (np.random.default_rng([102, k]) for k in range(1000))])
+        direct = np.stack([_ce_direct(rho, n) for rho, n in zip(rhos, dirs)])
+        # one call per direction slot, each state at its own direction: a
+        # state's 20 directions in one call can round differently in the last bit
+        blocks = state_blocks(rhos)
+        closed = np.stack([_ce_many(blocks.a, blocks.b, blocks.r, dirs[:, j, :, None])[:, 0]
+                           for j in range(20)], axis=1)
+        worst = np.abs(closed - direct).max()
         assert worst <= 1e-10, f"max closed/direct gap {worst:.3e}"
+        for k in range(0, 1000, 100):
+            rho = random_hs_state(SeededGenerator(101, start=k))
+            assert same_bits(rho, rhos[k])
+            for n, ce_closed, ce_direct in zip(dirs[k], closed[k], direct[k]):
+                assert same_bits(conditional_entropy_closed(state_blocks(rho), n), ce_closed)
+                assert same_bits(conditional_entropy_direct(rho, n), ce_direct)
 
 
 def test_criterion_2_reference_x_state():
@@ -102,23 +126,27 @@ def test_criterion_3_bell_diagonal_analytic_agreement():
     with criterion(3, "numerical classical correlation matches the Bell-diagonal "
                       "closed form; canonical optima sit on the x axis", 30.0):
         rng = np.random.default_rng(333)
-        canonical_seen = 0
-        for _ in range(1000):
-            c = random_bell_diagonal_coefficients(rng)
-            rho = reconstruct(np.diag([1.0, c[0], c[1], c[2]]))
-            n_opt, ce_min = minimize_conditional_entropy(rho)
-            numeric = 1.0 - ce_min
-            assert abs(numeric - bell_diagonal_classical_correlation(c)) <= 1e-6
-            if c[0] >= c[1] >= abs(c[2]):
-                canonical_seen += 1
-                axis_angle = math.acos(min(1.0, abs(float(n_opt @ X_AXIS))))
-                assert axis_angle <= 1e-4
-        assert canonical_seen >= 20  # the canonical sub-ensemble is populated
+        coefficients = [random_bell_diagonal_coefficients(rng) for _ in range(1000)]
+        rhos = np.stack([reconstruct(np.diag([1.0, c[0], c[1], c[2]])) for c in coefficients])
+        report = _discord_reports(rhos)
+        numeric = 1.0 - report.min_conditional_entropy
+        analytic = np.array([bell_diagonal_classical_correlation(c) for c in coefficients])
+        assert np.abs(numeric - analytic).max() <= 1e-6
+        canonical = np.array([c[0] >= c[1] >= abs(c[2]) for c in coefficients])
+        axis_angles = [math.acos(min(1.0, abs(x)))
+                       for x in (report.optimal_direction[canonical] @ X_AXIS).tolist()]
+        assert max(axis_angles) <= 1e-4
+        assert canonical.sum() >= 20  # the canonical sub-ensemble is populated
+        for k in range(0, 1000, 100):
+            n_opt, ce_min = minimize_conditional_entropy(rhos[k])
+            assert same_bits(n_opt, report.optimal_direction[k])
+            assert same_bits(ce_min, report.min_conditional_entropy[k])
 
 
 def test_criterion_4_zero_discord_soundness():
     with criterion(4, "constructed zero-discord states: witness found, discord "
                       "vanishes, canonical optimum equals the MCDM value", 60.0):
+        states, canonical_states = [], []
         for index in range(500):
             rng = np.random.default_rng([444, index])
             p1 = float(rng.uniform(0.0, 1.0))
@@ -128,15 +156,22 @@ def test_criterion_4_zero_discord_soundness():
 
             witness = zero_discord_witness(state_blocks(rho))
             assert witness is not None, f"no witness for constructed state {index}"
+            states.append(rho)
+            canonical_states.append(to_canonical(rho).canonical_state)
 
-            report = quantum_discord(rho)
-            assert report.discord <= 1e-6
+        report = _discord_reports(np.stack(states))
+        assert report.discord.max() <= 1e-6
 
-            decomp = to_canonical(rho)
-            _, ce_min = minimize_conditional_entropy(decomp.canonical_state)
-            ce_mcdm = conditional_entropy_closed(
-                state_blocks(decomp.canonical_state), X_AXIS)
-            assert abs(ce_min - ce_mcdm) <= 1e-9
+        canonical = np.stack(canonical_states)
+        ce_min = _discord_reports(canonical).min_conditional_entropy
+        blocks = state_blocks(canonical)
+        ce_mcdm = _ce_many(blocks.a, blocks.b, blocks.r, X_AXIS[:, None])[:, 0]
+        assert np.abs(ce_min - ce_mcdm).max() <= 1e-9
+        for k in range(0, 500, 100):
+            assert_report_row(report, k, quantum_discord(states[k]))
+            assert same_bits(minimize_conditional_entropy(canonical[k])[1], ce_min[k])
+            assert same_bits(conditional_entropy_closed(state_blocks(canonical[k]), X_AXIS),
+                             ce_mcdm[k])
 
 
 def test_criterion_5_x_state_cluster_table():
@@ -184,29 +219,33 @@ def test_criterion_6_bound_quality():
 def test_criterion_7_decomposition_identity_and_positivity():
     with criterion(7, "5000 random states: discord + classical = mutual "
                       "information, all three non-negative", 300.0):
-        gen = SeededGenerator(4242)
-        for _ in range(5000):
-            r = quantum_discord(random_hs_state(gen))
-            residual = abs(r.discord + r.classical_correlation - r.mutual_information)
-            assert residual <= 1e-12
-            assert r.discord >= -1e-9 and r.discord >= 0.0
-            assert r.classical_correlation >= 0.0
-            assert r.mutual_information >= 0.0
+        r = _discord_reports(_hs_states(ExperimentConfig(seed=4242), range(5000)))
+        residual = np.abs(r.discord + r.classical_correlation - r.mutual_information)
+        assert residual.max() <= 1e-12
+        assert r.discord.min() >= -1e-9 and r.discord.min() >= 0.0
+        assert r.classical_correlation.min() >= 0.0
+        assert r.mutual_information.min() >= 0.0
+        for k in range(0, 5000, 100):
+            assert_report_row(r, k, quantum_discord(random_hs_state(SeededGenerator(4242, start=k))))
 
 
 def test_criterion_8_local_unitary_invariance():
     with criterion(8, "discord is invariant under random local unitaries "
                       "to 1e-7 on 500 states", 300.0):
-        gen = SeededGenerator(555)
-        for index in range(500):
-            rho = random_hs_state(gen)
+        rhos = _hs_states(ExperimentConfig(seed=555), range(500))
+        rotated = []
+        for index, rho in enumerate(rhos):
             rng = np.random.default_rng([556, index])
             u = np.kron(random_unitary(rng), random_unitary(rng))
-            rotated = u @ rho @ u.conj().T
-            rotated = (rotated + rotated.conj().T) / 2.0
-            d0 = quantum_discord(rho).discord
-            d1 = quantum_discord(rotated).discord
-            assert abs(d0 - d1) <= 1e-7
+            turned = u @ rho @ u.conj().T
+            rotated.append((turned + turned.conj().T) / 2.0)
+        d0 = _discord_reports(rhos).discord
+        d1 = _discord_reports(np.stack(rotated)).discord
+        assert np.abs(d0 - d1).max() <= 1e-7
+        for k in range(0, 500, 100):
+            rho = random_hs_state(SeededGenerator(555, start=k))
+            assert same_bits(quantum_discord(rho).discord, d0[k])
+            assert same_bits(quantum_discord(rotated[k]).discord, d1[k])
 
 
 def test_criterion_9_worker_count_determinism(tmp_path):

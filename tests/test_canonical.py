@@ -12,6 +12,7 @@ from qdiscord import (PAULIS, SeededGenerator, conditional_entropy_closed,
 from qdiscord.experiments import ExperimentConfig, _directions_chunk
 from qdiscord.canonical import (_DIAGONAL_FAST_PATH_TOL, CANONICAL_TOL, OFF_DIAGONAL,
                                 canonical_rotations)
+from qdiscord.measures import _discord_reports
 from qdiscord.refine import X_AXIS
 
 
@@ -143,17 +144,24 @@ class TestLocalUnitaryInvariance:
     def test_measures_invariant(self, rng):
         states = hs_states(53, 300)
         states += [project_x_state(rho) for rho in states[:100]]
-        for rho in states:
-            u1, u2 = random_unitary(rng), random_unitary(rng)
-            r0 = quantum_discord(rho)
-            r1 = quantum_discord(conjugate(rho, u1, u2))
-            for name in self.VALUES:
-                assert abs(getattr(r0, name) - getattr(r1, name)) <= 1e-14, name
+        unitaries = [(random_unitary(rng), random_unitary(rng)) for _ in states]
+        conjugated = [conjugate(rho, u1, u2) for rho, (u1, u2) in zip(states, unitaries)]
+        r0 = _discord_reports(np.stack(states))
+        r1 = _discord_reports(np.stack(conjugated))
+        for name in self.VALUES:
+            assert np.abs(getattr(r0, name) - getattr(r1, name)).max() <= 1e-14, name
+        for k, (u1, _) in enumerate(unitaries):
             o = bloch_rotation(u1)
             for name, bound in (("mcdm_direction", 1e-12), ("optimal_direction", 1e-6)):
-                turned, direction = o @ getattr(r0, name), getattr(r1, name)
+                turned, direction = o @ getattr(r0, name)[k], getattr(r1, name)[k]
                 assert min(np.abs(direction - turned).max(),
                            np.abs(direction + turned).max()) <= bound, name
+        # the stacked rows are the lone reports, bit for bit
+        for k in range(0, len(states), 100):
+            for report, rho in ((r0, states[k]), (r1, conjugated[k])):
+                for name, value in vars(quantum_discord(rho)).items():
+                    assert np.asarray(getattr(report, name)[k]).tobytes() == \
+                        np.asarray(value).tobytes(), name
 
 
 class TestBlocksOnlyPaths:

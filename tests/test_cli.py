@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -567,6 +568,32 @@ class TestOutputPath:
         assert out.stat().st_mode & 0o777 == 0o644
 
 
+class TestUnwritableStdout:
+    """A stdout that cannot be written exits 2 with one error line and no
+    traceback, neither from the command nor at interpreter exit."""
+
+    @pytest.mark.parametrize("argv", [["discord", "STATE"], ["discord", "STATE", "--json"],
+                                      ["mixture", "--samples", "3"], ["scatter", "--samples", "2"]],
+                             ids=["discord", "discord_json", "mixture", "scatter"])
+    def test_pipe_without_reader(self, tmp_path, argv):
+        argv = [write_state(tmp_path, bell_state()) if arg == "STATE" else arg for arg in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "qdiscord.cli", *argv], stdout=write_end,
+                                   stderr=subprocess.PIPE, text=True, env=child_env())
+        finally:
+            os.close(write_end)
+        broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        assert (child.returncode, child.stderr) == (2, f"error: cannot write stdout: {broken}\n")
+
+    def test_closed_stdout(self, capsys, monkeypatch):
+        # the interpreter sets sys.stdout to None when it starts with file descriptor 1 closed
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["mixture", "--samples", "3"]) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
+
+
 class TestSettingRanges:
     """ExperimentConfig.validate is the one range check of the run settings: a
     setting out of range is a usage error that names it, raised before the
@@ -766,11 +793,15 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_100K_SEED7_SHA256
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this qdiscord."""
+    src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code):
     """Standard output of ``code`` run by a fresh interpreter that imports this qdiscord."""
-    src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, check=True).stdout
 
 

@@ -46,14 +46,13 @@ class TestRandomHsState:
             validate_density_matrix(random_hs_state(gen))
 
     def test_mean_purity_regression(self):
-        gen = SeededGenerator(2024)
         n = 20000
-        total = 0.0
-        for _ in range(n):
-            rho = random_hs_state(gen)
-            total += np.trace(rho @ rho).real
+        rhos = _hs_states(ExperimentConfig(seed=2024), range(n))
+        for k in range(0, n, 100):
+            assert same_bits(random_hs_state(SeededGenerator(2024, start=k)), rhos[k])
+        purity = (rhos @ rhos).trace(axis1=1, axis2=2).real
         # standard error at this sample size is about 4.7e-4
-        assert total / n == pytest.approx(MEAN_PURITY, abs=2e-3)
+        assert purity.mean() == pytest.approx(MEAN_PURITY, abs=2e-3)
 
     def test_spectra_reproducible(self):
         def spectra(gen):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import qdiscord
-from qdiscord import SeededGenerator, project_x_state, random_hs_state
 
 PACKAGE = Path(qdiscord.__file__).parent
 RECORD_BENCH = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
@@ -100,18 +99,26 @@ def record_bench(monkeypatch):
     spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "STATES", 4)
+    for name, value in (("STATES", 4), ("CHUNK", 2), ("CLI_STATES", 4)):
+        monkeypatch.setattr(module, name, value)
     return module
 
 
 class TestRecordBench:
-    def test_counts_newton_evaluations(self, record_bench):
+    def test_times_every_stage(self, record_bench, tmp_path):
+        # each stage on 4 states, as the tool's main runs it: a name that the
+        # tool reaches and that is gone fails here
         tree = record_bench.with_modules(qdiscord)
-        gen = SeededGenerator(7)
-        states = np.stack([random_hs_state(gen) for _ in range(4)])
-        record = record_bench.newton_evaluations(
-            tree, record_bench.canonical_stack(tree, states),
-            record_bench.canonical_stack(tree, project_x_state(states)))
+        inputs = record_bench.bench_inputs(tree, str(tmp_path))
+        record = {**record_bench.solve_times(tree, inputs["hs_blocks"]),
+                  **record_bench.pipeline_times(tree, inputs),
+                  **record_bench.cli_call_times(tree, inputs["paths"])}
+        assert len(record) == 12 and all(value > 0 for value in record.values())
+
+    def test_counts_newton_evaluations(self, record_bench, tmp_path):
+        tree = record_bench.with_modules(qdiscord)
+        inputs = record_bench.bench_inputs(tree, str(tmp_path))
+        record = record_bench.newton_evaluations(tree, inputs["hs_blocks"], inputs["x_blocks"])
         assert record["hs_mean"] > 0 and record["x_projected_mean"] > 0
         assert record["hs_per_start_mean"] > 0 and record["x_projected_per_start_mean"] > 0
 

@@ -110,6 +110,37 @@ def canonical_stack(tree, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return canonical.a, canonical.b, canonical.r
 
 
+def bench_inputs(tree, tmp: str) -> dict:
+    """The inputs of the stages, drawn by ``tree``: STATES seed-SEED
+    Hilbert-Schmidt states ("states"), the canonical blocks of the states and
+    of their X projections ("hs_blocks", "x_blocks"), their chunks of CHUNK
+    indices ("chunks") with the draw of each ("stacks") and the minimizer's
+    directions on its X projections ("dirs"), and CLI_STATES state files
+    written to ``tmp`` ("paths"): the first CLI_STATES / 2 states, then their
+    X projections."""
+    experiments = tree.experiments
+    config = experiments.ExperimentConfig(samples=STATES, seed=SEED)
+    states = experiments._hs_states(config, range(STATES))
+    x_blocks = canonical_stack(tree, tree.project_x_state(states))
+    chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
+    cli_states = list(states[:CLI_STATES // 2])
+    cli_states += [tree.project_x_state(rho) for rho in cli_states]
+    paths = [os.path.join(tmp, f"state{k}.txt") for k in range(len(cli_states))]
+    for path, rho in zip(paths, cli_states):
+        with open(path, "w") as fh:
+            fh.write(tree.format_state(rho))
+    return {
+        "states": list(states),
+        "hs_blocks": canonical_stack(tree, states),
+        "x_blocks": x_blocks,
+        "chunks": chunks,
+        "stacks": [experiments._hs_states(config, chunk) for chunk in chunks],
+        "dirs": [experiments._minimize_many(*(x[c.start:c.stop] for x in x_blocks))[0]
+                 for c in chunks],
+        "paths": paths,
+    }
+
+
 def seconds(call) -> float:
     """Wall time of ``call()``."""
     start = time.perf_counter()
@@ -268,33 +299,14 @@ def main(argv=None) -> int:
     if args.parent:
         trees = {"parent": load_tree(args.parent, "qdiscord_parent"), "change": change}
 
-    gen = change.SeededGenerator(SEED)
-    states = np.stack([change.random_hs_state(gen) for _ in range(STATES)])
-    hs_blocks = canonical_stack(change, states)
-    x_blocks = canonical_stack(change, change.project_x_state(states))
-    chunks = [range(first, first + CHUNK) for first in range(0, STATES, CHUNK)]
-    config = change.experiments.ExperimentConfig(samples=STATES, seed=SEED)
-    inputs = {
-        "chunks": chunks,
-        "stacks": [change.experiments._hs_states(config, chunk) for chunk in chunks],
-        "dirs": [change.experiments._minimize_many(*(x[c.start:c.stop] for x in x_blocks))[0]
-                 for c in chunks],
-        "states": list(states),
-    }
-    cli_states = inputs["states"][:CLI_STATES // 2]
-    cli_states += [change.project_x_state(rho) for rho in cli_states]
     cores = usable_cores()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, rho in enumerate(cli_states):
-            paths.append(os.path.join(tmp, f"state{k}.txt"))
-            with open(paths[-1], "w") as fh:
-                fh.write(change.format_state(rho))
+        inputs = bench_inputs(change, tmp)
         timed = alternate({
-            "per_state": lambda tree: solve_times(tree, hs_blocks),
-            "per_x_projected_state": lambda tree: solve_times(tree, x_blocks),
+            "per_state": lambda tree: solve_times(tree, inputs["hs_blocks"]),
+            "per_x_projected_state": lambda tree: solve_times(tree, inputs["x_blocks"]),
             "pipelines_per_state": lambda tree: pipeline_times(tree, inputs),
-            "discord_cli_call": lambda tree: cli_call_times(tree, paths),
+            "discord_cli_call": lambda tree: cli_call_times(tree, inputs["paths"]),
         }, trees, REPEATS)
         wall = alternate({
             f"{command}_workers{workers}": (
@@ -315,7 +327,8 @@ def main(argv=None) -> int:
     for label, tree in trees.items():
         record[label] = {
             **timed[label],
-            "newton_evaluations_per_state": newton_evaluations(tree, hs_blocks, x_blocks),
+            "newton_evaluations_per_state": newton_evaluations(tree, inputs["hs_blocks"],
+                                                               inputs["x_blocks"]),
             "cli_wall": {figure: stats for by_command in wall[label].values()
                          for figure, stats in by_command.items()},
             "cli_csv_same_for_1_and_all_cores": same_csv[label],
