@@ -45,10 +45,15 @@ def _branch_vectors(a: np.ndarray, b: np.ndarray, r: np.ndarray,
     Each state's contractions are the same matrix products as for that state
     alone, so a value does not depend on the states stacked beside it.
     """
-    f = (a[:, None, :] @ dirs)[:, 0, :]
-    rn = r.swapaxes(1, 2) @ dirs
+    return _signed_pairs((a[:, None, :] @ dirs)[:, 0, :], b, r.swapaxes(1, 2) @ dirs)
+
+
+def _signed_pairs(f: np.ndarray, b: np.ndarray,
+                  rn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = 1 +- f (S, 2K) and u = b +- rn (S, 3, 2K) from f = a.n (S, K) and
+    rn = R^T n (S, 3, K), the + branch first."""
     k = rn.shape[2]
-    w = np.empty((len(a), 2 * k))
+    w = np.empty((len(f), 2 * k))
     np.add(1.0, f, out=w[:, :k])
     np.subtract(1.0, f, out=w[:, k:])
     u = np.empty(rn.shape[:2] + (2 * k,))
@@ -124,8 +129,8 @@ def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
 def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray,
                          frame: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
     """One evaluation at unit vectors n (S, 3): w and g (S, 2) of both branches,
-    as :func:`_branches` gives them, from which :func:`_branch_entropy` gives
-    the closed form's value to the bit; the rows ``frame(n)`` (S, k + 1, 3), k
+    the values of :func:`_branches`, from which :func:`_branch_entropy` gives
+    the closed form's value; the rows ``frame(n)`` (S, k + 1, 3), k
     orthonormal tangents and then n; and the gradient (S, k) and Hessian
     (S, k, k) of CE on the unit sphere in those tangents.
 
@@ -139,10 +144,22 @@ def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndar
     (n . grad CE) I.  The frame rows project a, R and R u/g, and the
     rank-one terms of both branches are one product.  Dead branches
     contribute 0, and x is read as at most X_CAP.
+
+    R^T n is read off the last row of ``frame(n) @ r``, a different matrix
+    product from :func:`_branch_vectors`' ``r^T @ n``.  That w and g, and so
+    the value, keep :func:`_branches`' bits is not given by the algebra: it
+    was measured with numpy 2.4 on OpenBLAS, and
+    ``test_stacked_derivatives_have_the_closed_form_bits`` and
+    ``tools/bitcheck.py`` guard it.  If a numpy or BLAS upgrade fails them,
+    this read is the first suspect, not the minimizer.
     """
     rows = frame(n)
     k = rows.shape[1] - 1
-    w, u = _branch_vectors(a, b, r, n[:, :, None])  # (S, 2), (S, 3, 2)
+    # (S, k + 1, 3), whose last row n^T R is (R^T n)^T in value; in bits only
+    # as measured (see the docstring)
+    fr = rows @ r
+    w, u = _signed_pairs((a[:, None, :] @ n[:, :, None])[:, 0, :], b,
+                         fr[:, k, :, None])  # (S, 2), (S, 3, 2)
     g = _lengths(u * u)
     live = w > ZERO_PROBABILITY
     # half the weight of a live branch, 0 for a dead one
@@ -156,15 +173,19 @@ def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndar
     t_w = half * _SIGNS * (1.0 - 0.5 * np.log2(gap))
     t_g = half * _SIGNS * artanh / -_LN2
     c_rr = half * artanh / (-_LN2 * g_floor)  # h'/(2g)
-    fr = rows @ r  # (S, k + 1, 3)
     fa = rows @ a[:, :, None]  # (S, k + 1, 1)
     fru = fr @ (u / g_floor[:, None])  # R u/g along each row: (S, k + 1, 2)
     grad = fa[:, :, 0] * t_w.sum(axis=1)[:, None] + (fru @ t_g[:, :, None])[:, :, 0]
-    # the columns v of both branches, then R u/g of both, and their weights
-    # h''/(2w) and -h'/(2g)
-    vecs = np.concatenate([x[:, None] * fa[:, :k] - fru[:, :k], fru[:, :k]], axis=2)
+    # the tangent components (S, 4, k) of v of both branches, then of R u/g of
+    # both, and their weights h''/(2w) and -h'/(2g); each product's right
+    # operand is contiguous, which numpy's batched matmul reads two to three
+    # times faster than a transposed view, with the same bits as measured and
+    # guarded as R^T n is
+    fru_t = fru[:, :k].swapaxes(1, 2)
+    vecs_t = np.concatenate([x[:, :, None] * fa[:, None, :k, 0] - fru_t, fru_t], axis=1)
     weights = np.concatenate([half / (-_LN2 * gap * w_live), -c_rr], axis=1)
-    hess = (vecs * weights[:, None]) @ vecs.swapaxes(1, 2)
-    hess += c_rr.sum(axis=1)[:, None, None] * (fr[:, :k] @ fr[:, :k].swapaxes(1, 2))
+    hess = (vecs_t * weights[:, :, None]).swapaxes(1, 2) @ vecs_t
+    frk = fr[:, :k]
+    hess += c_rr.sum(axis=1)[:, None, None] * (frk @ np.ascontiguousarray(frk.swapaxes(1, 2)))
     hess -= grad[:, k, None, None] * _EYE[:k, :k]
     return w, g, rows, grad[:, :k], hess

@@ -284,16 +284,16 @@ def bound_scatter(config: ExperimentConfig) -> tuple[list[tuple[int, float, floa
 # CSV output                                                                  #
 # --------------------------------------------------------------------------- #
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
 def render_csv(header, rows, summary: Optional[str] = None) -> str:
-    """CSV text: header row, 12-significant-digit values, LF endings."""
+    """CSV text: the header row, one line per row of the sequence ``rows`` and
+    ``summary``, if given, with LF endings.  Each column keeps the format of
+    its value in the first row: integers (``int``, ``np.integer``) as such,
+    any other value to 12 significant digits."""
     lines = [",".join(header)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    if rows:
+        line = ",".join("%d" if isinstance(value, (int, np.integer)) else "%.12g"
+                        for value in rows[0])
+        lines.extend(line % tuple(row) for row in rows)
     if summary is not None:
         lines.append(summary)
     return "\n".join(lines) + "\n"

@@ -738,6 +738,43 @@ class TestPipelineHelpers:
         assert text == "a,b\n0.5,1\n0.333333333333,2\n"
         assert "\r" not in text
 
+    @staticmethod
+    def per_value_csv(header, rows, summary=None):
+        """The CSV text of the per-value rule: an int or np.integer as an
+        integer, any other value as f"{float(value):.12g}"."""
+        def cell(value):
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return f"{float(value):.12g}"
+        lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+        return "\n".join(lines + ([summary] if summary is not None else [])) + "\n"
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([(np.int64(2 ** 62), 0.5, 2.0), (7, np.float64(1 / 3), np.float64(-2.0)),
+          (np.int64(-3), -0.0, 5e-324), (0, 1e300, 123456789012345.0)],
+         "i,x,y\n4611686018427387904,0.5,2\n7,0.333333333333,-2\n-3,-0,4.94065645841e-324\n"
+         "0,1e+300,1.23456789012e+14\n"),
+        ([(2 ** 63, 2.5, 1e-05), (np.int64(1), 2.0, np.float64(0.0))],
+         "i,x,y\n9223372036854775808,2.5,1e-05\n1,2,0\n"),
+        ([(math.nan, math.inf, -math.inf), (np.float64(math.nan), 0.1, np.float64(-math.inf))],
+         "i,x,y\nnan,inf,-inf\nnan,0.1,-inf\n"),
+        ([[0.25, 1.0, -0.0], [np.float64(1e-300), 1e16, 7.0]],
+         "i,x,y\n0.25,1,-0\n1e-300,1e+16,7\n"),
+        ([], "i,x,y\n"),
+    ])
+    @pytest.mark.parametrize("summary", [None, "# mean_squared_gap = 1"])
+    def test_render_csv_keeps_the_per_value_bytes(self, rows, expected, summary):
+        text = render_csv(("i", "x", "y"), rows, summary=summary)
+        assert text == self.per_value_csv(("i", "x", "y"), rows, summary)
+        assert text == expected + (f"{summary}\n" if summary else "")
+
+    def test_render_csv_sweep_call(self):
+        # the two-argument call of perfbench's sweep, on report fields
+        reports = [quantum_discord(random_hs_state(SeededGenerator(5, start=i))) for i in range(3)]
+        rows = [(i, report.discord, report.mcdm_discord) for i, report in enumerate(reports)]
+        header = ("index", "discord", "mcdm_discord")
+        assert render_csv(header, rows) == self.per_value_csv(header, rows)
+
     def test_scatter_rows_equal_single_state_reports(self):
         # 130 states: two full chunks and a ragged one of two
         config = ExperimentConfig(samples=130, seed=11)

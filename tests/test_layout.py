@@ -1,7 +1,8 @@
-"""The package's module layering, and the benchmark recorder's reach into it."""
+"""The package's module layering, and the reach of the tools into it."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 import qdiscord
 
 PACKAGE = Path(qdiscord.__file__).parent
-RECORD_BENCH = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+RECORD_BENCH = TOOLS / "record_bench.py"
+BITCHECK = TOOLS / "bitcheck.py"
 
 
 def package_imports(source: str) -> set:
@@ -90,15 +93,22 @@ class TestLayering:
                                            "linalg"}
 
 
-@pytest.fixture
-def record_bench(monkeypatch):
-    """tools/record_bench.py, loaded as a module, with the thread settings it
-    writes on import restored afterwards."""
+def load_tool(path, monkeypatch):
+    """The script ``path`` of tools/, loaded as a module, with the thread
+    settings and the import path it changes on import restored afterwards."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def record_bench(monkeypatch):
+    """tools/record_bench.py, on 4 states in chunks of 2 and 4 CLI states."""
+    module = load_tool(RECORD_BENCH, monkeypatch)
     for name, value in (("STATES", 4), ("CHUNK", 2), ("CLI_STATES", 4)):
         monkeypatch.setattr(module, name, value)
     return module
@@ -130,3 +140,39 @@ class TestRecordBench:
         blocks = record_bench.canonical_stack(tree, product)
         with pytest.raises(RuntimeError, match="no call"):
             record_bench.newton_evaluations(tree, blocks, blocks)
+
+
+@pytest.fixture
+def bitcheck(monkeypatch):
+    """tools/bitcheck.py, on 4 seed-7 states, 2 of them alone, and 2 states
+    of each family."""
+    module = load_tool(BITCHECK, monkeypatch)
+    for name, value in (("STATES", 4), ("LONE", 2), ("FAMILY_STATES", 2)):
+        monkeypatch.setattr(module, name, value)
+    return module
+
+
+class TestBitcheck:
+    def test_tree_against_itself(self, bitcheck, capsys):
+        # every comparison on a few states, as the tool's main runs it: a name
+        # that the tool reaches and that is gone fails here
+        src = str(PACKAGE.parent)
+        assert bitcheck.main([src, src]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 4 + 2 * len(bitcheck.FAMILIES) + 1
+        assert all(line.endswith("bit-identical") for line in lines)
+
+    def test_one_moved_bit_fails(self, bitcheck, monkeypatch, capsys):
+        src = str(PACKAGE.parent)
+        parent = bitcheck.load_tree(src, "qdiscord_parent")
+        change = bitcheck.load_tree(src, "qdiscord_change")
+        minimize = change.refine._minimize_many
+
+        def nudged(a, b, r):
+            n, value, axis_values = minimize(a, b, r)
+            return n, np.nextafter(value, np.inf), axis_values
+
+        monkeypatch.setattr(change.refine, "_minimize_many", nudged)
+        assert not bitcheck.check(parent, change)
+        out = capsys.readouterr().out
+        assert "HS: 4 states, stacks of 1024: DIFFER" in out and out.endswith("SOME DIFFER\n")

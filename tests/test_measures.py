@@ -1627,6 +1627,27 @@ class TestNewtonRefinement:
                             slope = (ce[2] - ce[0]) / (2.0 * h)
                             assert abs(slope - grad[0, i]) <= 1e-6 * max(1.0, np.abs(grad).max())
 
+    @pytest.mark.parametrize("frame", [_sphere_frame, refine._circle_frame])
+    def test_stacked_derivatives_have_the_closed_form_bits(self, frame):
+        # 750 seed-7 HS states, each at a random unit direction and at the
+        # three axes: 3,000 rows in one evaluation (the bit checks hold for
+        # any unit n, on the circle or off it)
+        a, b, r = stacked_canonical(hs_states(7, 750))
+        rng = np.random.default_rng(20261020)
+        dirs = rng.standard_normal((750, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        n = np.concatenate([dirs] + [np.tile(axis, (750, 1)) for axis in np.eye(3)])
+        a, b, r = (np.concatenate([x, x, x, x]) for x in (a, b, r))
+        stacked = _tangent_derivatives(a, b, r, n, frame)
+        # every row's value is the closed form's, bit for bit
+        np.testing.assert_array_equal(_branch_entropy(*stacked[:2]),
+                                      _ce_many(a, b, r, n[:, :, None]))
+        # and every row's outputs are those of that row alone
+        for i in range(len(n)):
+            alone = _tangent_derivatives(a[i:i + 1], b[i:i + 1], r[i:i + 1], n[i:i + 1], frame)
+            for x, y in zip(alone, stacked, strict=True):
+                assert x[0].tobytes() == y[i].tobytes()
+
     def test_flat_and_pure_states_leave_after_one_evaluation(self, derivative_calls):
         # CE is constant for Werner states, I/4 and product states, and 0 for
         # pure states

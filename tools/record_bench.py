@@ -89,7 +89,10 @@ def with_modules(package):
 
 
 def load_tree(src: str, name: str):
-    """The ``qdiscord`` package of the source tree ``src``, imported as ``name``."""
+    """The ``qdiscord`` package of the source tree ``src``, imported as ``name``
+    afresh, with none of the modules of an earlier import under that name."""
+    for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+        del sys.modules[module]
     init = os.path.join(src, "qdiscord", "__init__.py")
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[os.path.dirname(init)])
