@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fano_bloch import BlockDecomposition, correlation_matrix
-from .linalg import su2_from_so3, validate_density_matrix
+from .linalg import one_matrix, su2_from_so3, validate_density_matrix
 
 # below this, det(Lambda) carries no usable sign information
 DEGENERATE_DET_TOL = 1e-12
@@ -84,7 +84,7 @@ def canonical_blocks(blocks: BlockDecomposition) -> tuple[np.ndarray, BlockDecom
 def to_canonical(rho) -> CanonicalDecomposition:
     """Canonical decomposition of an arbitrary two-qubit state: the rotations
     of :func:`canonical_rotations` lifted to SU(2) and applied to ``rho``."""
-    rho = validate_density_matrix(rho)
+    rho = validate_density_matrix(one_matrix(rho))
     o1, o2, s = canonical_rotations(correlation_matrix(rho))
     u1 = su2_from_so3(o1)
     u2 = su2_from_so3(o2)
@@ -97,7 +97,7 @@ def to_canonical(rho) -> CanonicalDecomposition:
 
 def is_canonical(rho, tol: float = CANONICAL_TOL) -> bool:
     """Whether the connected-correlation matrix is diagonal and ordered within ``tol``."""
-    lam = correlation_matrix(validate_density_matrix(rho))
+    lam = correlation_matrix(validate_density_matrix(one_matrix(rho)))
     d = lam.diagonal()
     if np.max(np.abs(lam - np.diag(d))) > tol:
         return False

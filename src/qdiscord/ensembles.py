@@ -8,8 +8,6 @@ reproduces the same sequence bit for bit.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ValidationError
@@ -22,9 +20,9 @@ class SeededGenerator:
     """Counter-indexed random stream.
 
     Each draw consumes one index of an independent substream derived from
-    ``(seed, index)``.  ``fork(k)`` positions a new generator at index ``k``,
-    the documented way to split work across processes: a worker that owns
-    indices ``k0..k1`` forks at ``k0`` and draws ``k1 - k0 + 1`` times.
+    ``(seed, index)``.  ``fork(k)`` positions a new generator at index ``k``.
+    The pipelines need neither: they draw each stack by its indices, and state
+    k has the bits of a generator at index k, in any thread or process.
     """
 
     def __init__(self, seed: int, start: int = 0):
@@ -35,13 +33,11 @@ class SeededGenerator:
         return SeededGenerator(self.seed, start=index)
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding, both
-# fixed by numpy's stream-compatibility policy
+# numpy's SeedSequence hash (pool of 4 uint32 words), fixed by numpy's
+# stream-compatibility policy
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2 ** 128 - 1
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -63,13 +59,17 @@ def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     return words ^ (words >> 16)
 
 
-@functools.cache
-def _pcg64_generator() -> np.random.Generator:
-    """The one generator that _substream_normals reseeds before each draw, built at
-    first use (``import qdiscord`` leaves numpy.random unimported) from a fixed
-    seed.  Every draw sets its whole state, so a forked copy draws the same; two
-    threads must not draw with it at once (the pipelines run none)."""
-    return np.random.Generator(np.random.PCG64(0))
+class _SeedWords:
+    """numpy's ISeedSequence over one index's hashed words (registered at the first
+    draw: ``import qdiscord`` leaves numpy.random unimported).  PCG64 asks for
+    ``generate_state(4, uint64)`` and reads the words through a raw pointer, so
+    ``words`` must be a C-contiguous (4,) uint64 array."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _substream_normals(seed: int, indices) -> np.ndarray:
@@ -81,9 +81,13 @@ def _substream_normals(seed: int, indices) -> np.ndarray:
     (0 gives one word), then those of k: at most the 4 words of the pool, and a
     missing word hashes as a word 0, so every k takes two words, the high one 0
     below 2**32.  The pool is hashed and mixed on (4, S) arrays of uint32, which
-    wrap as the C code does, and generate_state gives PCG64's seed (s0, s1) and
-    increment (i0, i1).
+    wrap as the C code does, and generate_state's words seed a fresh PCG64 per
+    index, so concurrent draws share no generator.
     """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     seed %= _UINT64
     seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
     k = np.array([index % _UINT64 for index in indices], dtype=np.uint64)
@@ -98,16 +102,11 @@ def _substream_normals(seed: int, indices) -> np.ndarray:
         mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(pool[_GENERATE_SOURCE], _GENERATE).astype(np.uint64)
-    generator = _pcg64_generator()
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    # a C-contiguous row (s0, s1, i0, i1) per index, each uint64 two words, low first
+    seeds = np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
     z = np.empty((len(k), 2, 4, 4))
-    # (s0, s1, i0, i1) per index, each uint64 its two words, low word first
-    for normals, s0, s1, i0, i1 in zip(z, *(words[0::2] | words[1::2] << 32).tolist()):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128,
-                          "inc": inc}
-        generator.bit_generator.state = state
-        generator.standard_normal(out=normals)
+    for normals, row in zip(z, seeds):
+        Generator(PCG64(_SeedWords(row))).standard_normal(out=normals)
     return z
 
 

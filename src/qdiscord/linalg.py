@@ -77,6 +77,17 @@ def validate_direction(n) -> np.ndarray:
     return validate_directions(direction_row(n))[0]
 
 
+def one_matrix(matrix, sizes: tuple[int, ...] = (4,)) -> np.ndarray:
+    """Return ``matrix``, one d x d matrix with d in ``sizes``, as a complex ndarray,
+    checking its shape only, for a one-state call to check before the stacked
+    checks, which would take a stack and broadcast it."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in sizes:
+        expected = " or ".join(f"{d}x{d}" for d in sizes)
+        raise ValidationError(f"expected a {expected} matrix, got shape {m.shape}")
+    return m
+
+
 def eigvals_hermitian(matrix) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix, or of each of a stack."""
     return np.linalg.eigvalsh(require_hermitian(matrix))
@@ -122,7 +133,7 @@ def entropy_bits(eigenvalues) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr[rho log2 rho] in bits, with 0*log(0) taken as 0."""
-    return float(entropy_bits(validated_spectrum(rho, ENTROPY_TRACE_TOL)[1]))
+    return float(entropy_bits(validated_spectrum(one_matrix(rho, (2, 4)), ENTROPY_TRACE_TOL)[1]))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -137,10 +148,7 @@ def partial_trace(rho, keep: str) -> np.ndarray:
 
     The map is linear and accepts any (not necessarily positive) operator.
     """
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    r = m.reshape(2, 2, 2, 2)
+    r = one_matrix(rho).reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("abcb->ac", r)
     if keep == "B":

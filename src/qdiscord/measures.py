@@ -20,8 +20,8 @@ from .canonical import canonical_blocks, hemisphere_representative
 from .closed_form import conditional_entropy_closed
 from .errors import ValidationError
 from .fano_bloch import BlockDecomposition, state_blocks
-from .linalg import (binary_entropy, direction_row, entropy_bits, validate_density_matrix,
-                     validate_directions, validated_spectrum)
+from .linalg import (binary_entropy, direction_row, entropy_bits, one_matrix,
+                     validate_density_matrix, validate_directions, validated_spectrum)
 from .oracle import projectors
 from .refine import X_AXIS, _minimize_many
 
@@ -126,7 +126,7 @@ def _blocks_and_entropies(rho) -> tuple[BlockDecomposition, np.ndarray, np.ndarr
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
-    return float(_blocks_and_entropies(rho)[2])
+    return float(_blocks_and_entropies(one_matrix(rho))[2])
 
 
 def classical_correlation(rho) -> float:
@@ -167,7 +167,7 @@ def _discord_reports(rhos) -> DiscordReport:
 def quantum_discord(rho) -> DiscordReport:
     """Full correlation report: mutual information, classical correlation,
     discord, and the maximal-correlation-direction upper bound."""
-    stacked = vars(_discord_reports(np.asarray(rho, dtype=complex)[None]))
+    stacked = vars(_discord_reports(one_matrix(rho)[None]))
     return DiscordReport(*(v[0] if v.ndim > 1 else v.item() for v in stacked.values()))
 
 
@@ -177,7 +177,7 @@ def mcdm_discord(rho) -> float:
     An upper bound on the quantum discord: the direction is a member of the
     set the true discord minimizes over.
     """
-    blocks, s_b, mutual = _blocks_and_entropies(rho)
+    blocks, s_b, mutual = _blocks_and_entropies(one_matrix(rho))
     return float(_discord(mutual, s_b,
                           conditional_entropy_closed(canonical_blocks(blocks)[1], X_AXIS)))
 

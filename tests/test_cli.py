@@ -567,6 +567,17 @@ class TestOutputPath:
             os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o644
 
+    def test_write_output_to_stdout(self, capsys):
+        qdiscord.experiments.write_output("a,b\n1,2\n", None)
+        assert capsys.readouterr().out == "a,b\n1,2\n"
+
+    def test_write_output_replaces_the_file_atomically(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("old\n")
+        qdiscord.experiments.write_output("a,b\n1,2\n", str(out))
+        assert out.read_text() == "a,b\n1,2\n" and capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == [out]  # no temp file left beside it
+
 
 class TestUnwritableStdout:
     """A stdout that cannot be written exits 2 with one error line and no

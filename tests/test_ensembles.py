@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -109,6 +111,35 @@ class TestStackedDraw:
         for k in [*range(70), 2 ** 32 + 1]:
             gen.counter = k
             assert same_bits(random_hs_state(gen), ginibre_by_blocks(seed, k))
+
+
+class TestConcurrentDraws:
+    def test_two_threads_keep_their_bits(self):
+        # lone states at seed 3 in one thread and stacks of 64 at seed 4 in the
+        # other, both started at once, each draw against its serial draw
+        lone = range(3000)
+        stacks = [range(start, start + 64) for start in range(0, 500 * 64, 64)]
+        barrier = threading.Barrier(2)
+        drawn = {}
+
+        def draw_lone():
+            barrier.wait()
+            drawn["lone"] = [random_hs_state(SeededGenerator(3, start=k)) for k in lone]
+
+        def draw_stacks():
+            barrier.wait()
+            drawn["stacks"] = [_hs_states(ExperimentConfig(seed=4), s) for s in stacks]
+
+        threads = [threading.Thread(target=draw) for draw in (draw_lone, draw_stacks)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wrong_lone = sum(not same_bits(rho, random_hs_state(SeededGenerator(3, start=k)))
+                         for k, rho in zip(lone, drawn["lone"]))
+        wrong_stacks = sum(not same_bits(rhos, _hs_states(ExperimentConfig(seed=4), s))
+                           for s, rhos in zip(stacks, drawn["stacks"]))
+        assert (wrong_lone, wrong_stacks) == (0, 0)
 
 
 class TestProjectXState:

@@ -17,12 +17,13 @@ from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
                       angles_from_direction, bell_diagonal_classical_correlation,
                       classical_correlation, conditional_entropy_closed,
                       conditional_entropy_direct, construct_zero_discord,
-                      direction_from_angles, hemisphere_representative,
+                      direction_from_angles, hemisphere_representative, is_canonical,
                       mcdm_direction, mcdm_discord, minimize_conditional_entropy,
                       mixture_family, mutual_information, off_axis_x_state, partial_trace,
                       post_measurement, project_x_state, projectors, quantum_discord,
                       random_hs_state, reconstruct, state_blocks, to_canonical,
                       von_neumann_entropy, zero_discord_witness)
+import qdiscord
 from qdiscord import closed_form, linalg, measures, oracle, refine
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.closed_form import (POSITIVITY_SLACK, X_CAP, _branch_entropy, _branches, _ce_many,
@@ -141,6 +142,23 @@ class TestDirections:
                 call(n)
             assert str(raised.value) == f"expected a 3-vector, got shape {shape}"
 
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 4, 4), (4,)])
+    @pytest.mark.parametrize("call", [quantum_discord, classical_correlation,
+                                      minimize_conditional_entropy, mcdm_discord, is_canonical,
+                                      mutual_information, to_canonical, von_neumann_entropy])
+    def test_one_state_calls_name_the_shape_passed(self, call, shape):
+        # |++><++| stacked: valid states, so only the shape can fail
+        rho = np.full(shape, 0.25)
+        sizes = "2x2 or 4x4" if call is von_neumann_entropy else "4x4"
+        with pytest.raises(ValidationError) as raised:
+            call(rho)
+        assert str(raised.value) == f"expected a {sizes} matrix, got shape {shape}"
+
+    def test_quantum_discord_names_a_one_qubit_shape(self):
+        with pytest.raises(ValidationError) as raised:
+            quantum_discord(np.eye(2) / 2)
+        assert str(raised.value) == "expected a 4x4 matrix, got shape (2, 2)"
+
     def test_one_direction_calls_check_the_norm_once(self, monkeypatch):
         # the one-vector wrappers check the shape and leave the norm to the
         # stacked call they make
@@ -157,6 +175,29 @@ class TestDirections:
             del calls[:]
             call(X)
             assert calls == [1]
+
+
+class TestInputChecks:
+    """Input checks that no other test reaches, each with its exact message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: qdiscord.decompose(np.eye(2) / 2), "expected a 4x4 matrix, got shape (2, 2)"),
+        (lambda: reconstruct(np.eye(3)), "expected a 4x4 tensor, got shape (3, 3)"),
+        (lambda: qdiscord.blocks(np.eye(3)), "expected a 4x4 tensor, got shape (3, 3)"),
+        (lambda: partial_trace(np.eye(2) / 2, "A"), "expected a 4x4 matrix, got shape (2, 2)"),
+        (lambda: qdiscord.su2_from_so3(np.eye(2)), "expected a 3x3 matrix, got shape (2, 2)"),
+        (lambda: construct_zero_discord([1.0], X, [np.eye(2) / 2] * 2),
+         "expected two probabilities, got shape (1,)"),
+        (lambda: construct_zero_discord([0.5, 0.5], X, [np.eye(4) / 4] * 2),
+         "component states must be single-qubit (2x2)"),
+        (lambda: bell_diagonal_classical_correlation([0.1, 0.2]),
+         "expected three coefficients, got shape (2,)"),
+    ], ids=["decompose", "reconstruct", "blocks", "partial_trace", "su2_from_so3",
+            "one_probability", "two_qubit_components", "two_coefficients"])
+    def test_message(self, call, message):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 class TestProjectors:
