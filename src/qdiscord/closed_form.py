@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError
-from .fano_bloch import BlockDecomposition
+from .fano_bloch import BlockDecomposition, one_state_blocks
 from .linalg import ZERO_PROBABILITY, validate_direction
 
 # slack on g <= 1 +- f; a larger excess means the input was not a state
@@ -123,6 +123,7 @@ def _ce_many(a: np.ndarray, b: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> n
 def conditional_entropy_closed(blocks: BlockDecomposition, n) -> float:
     """Average entropy of B after measuring A along ``n``, from the block closed form."""
     v = validate_direction(n)
+    blocks = one_state_blocks(blocks)
     return float(_ce_many(blocks.a[None], blocks.b[None], blocks.r[None], v[:, None])[0, 0])
 
 

@@ -12,52 +12,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAStateError, ValidationError
-from .linalg import PAULIS, TRACE_TOL
+from .errors import ValidationError
+from .linalg import PAULIS, require_hermitian, validate_density_matrix
 
 # TAU_BASIS[i, j] = sigma_i x sigma_j
 TAU_BASIS = np.array([[np.kron(p, q) for q in PAULIS] for p in PAULIS])
 TAU_BASIS.setflags(write=False)
-
-IMAG_RESIDUE_TOL = 1e-8
-RECONSTRUCT_EIG_FLOOR = 1e-8
-TAU_ENTRY_TOL = 1e-10  # reconstruct takes tau entries up to 1 + TAU_ENTRY_TOL in size
 
 
 def decompose(rho) -> np.ndarray:
     """Pauli coefficient tensor tau of a two-qubit state as a real 4x4 array, or
     of each state of a stack (..., 4, 4) as (..., 4, 4).
 
-    The coefficients of a Hermitian operator are real by construction;
-    an imaginary residue above 1e-8 means the input was not Hermitian.
+    The input is checked by :func:`qdiscord.linalg.require_hermitian`:
+    finite, and Hermitian within its HERMITICITY_TOL.  The coefficients of
+    such a matrix are real up to rounding, which is dropped.
     """
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    tau = np.einsum("ijab,...ba->...ij", TAU_BASIS, m)
-    if (np.abs(tau.imag) > IMAG_RESIDUE_TOL).any():
-        raise ValidationError("non-Hermitian input: Pauli coefficients have imaginary parts")
-    return tau.real.copy()
+    return np.einsum("ijab,...ba->...ij", TAU_BASIS, require_hermitian(m)).real.copy()
 
 
 def reconstruct(tau) -> np.ndarray:
     """Rebuild the density matrix 1/4 sum_ij tau[i,j] sigma_i x sigma_j.
 
-    Raises :class:`NotAStateError` when the tensor lies outside the physical
-    set (an eigenvalue below -1e-8).
+    The matrix is returned through
+    :func:`qdiscord.linalg.validate_density_matrix`, so it raises exactly
+    what that raises: :class:`NotAStateError` for a trace tau[0,0] off 1 or
+    an eigenvalue below -EIGENVALUE_FLOOR.
     """
     t = np.asarray(tau, dtype=float)
     if t.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 tensor, got shape {t.shape}")
-    if abs(t[0, 0] - 1.0) > TRACE_TOL:
-        raise ValidationError(f"tau[0,0] is {float(t[0, 0])!r}, expected 1 (unit trace)")
-    if np.max(np.abs(t)) > 1.0 + TAU_ENTRY_TOL:
-        raise ValidationError("tau entries must lie in [-1, 1]")
-    rho = 0.25 * np.einsum("ij,ijab->ab", t, TAU_BASIS)
-    smallest = np.linalg.eigvalsh(rho)[0]
-    if smallest < -RECONSTRUCT_EIG_FLOOR:
-        raise NotAStateError(f"tensor is not a state: eigenvalue {float(smallest)!r}")
-    return rho
+    return validate_density_matrix(0.25 * np.einsum("ij,ijab->ab", t, TAU_BASIS))
 
 
 @dataclass(frozen=True)
@@ -76,6 +64,17 @@ class BlockDecomposition:
     def connected(self) -> np.ndarray:
         """Connected correlation matrix R - a b^T, (..., 3, 3)."""
         return self.r - self.a[..., :, None] * self.b[..., None, :]
+
+
+def one_state_blocks(blocks: BlockDecomposition) -> BlockDecomposition:
+    """Return ``blocks``, checking that they are one state's, a and b (3,) and
+    R (3, 3), for a one-state call to check before the stacked arithmetic,
+    which would take a stack and broadcast it."""
+    shapes = tuple(np.shape(x) for x in (blocks.a, blocks.b, blocks.r))
+    if shapes != ((3,), (3,), (3, 3)):
+        raise ValidationError("expected the blocks of one state, a (3,), b (3,) and R (3, 3), "
+                              f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}")
+    return blocks
 
 
 def blocks(tau) -> BlockDecomposition:

@@ -19,7 +19,7 @@ import numpy as np
 from .canonical import canonical_blocks, hemisphere_representative
 from .closed_form import conditional_entropy_closed
 from .errors import ValidationError
-from .fano_bloch import BlockDecomposition, state_blocks
+from .fano_bloch import BlockDecomposition, one_state_blocks, state_blocks
 from .linalg import (binary_entropy, direction_row, entropy_bits, one_matrix,
                      validate_density_matrix, validate_directions, validated_spectrum)
 from .oracle import projectors
@@ -195,6 +195,7 @@ def zero_discord_witness(blocks: BlockDecomposition) -> Optional[np.ndarray]:
     WITNESS_VANISHING_TOL) the candidate is a itself, and with both vanishing
     every axis qualifies and the maximal-correlation axis x is returned.
     """
+    blocks = one_state_blocks(blocks)
     a = blocks.a
     r = blocks.r
     if np.linalg.norm(r) > WITNESS_VANISHING_TOL:
@@ -223,8 +224,6 @@ def construct_zero_discord(probabilities, n, states) -> np.ndarray:
     if p.min() < 0.0 or not abs(p.sum() - 1.0) <= PROBABILITY_SUM_TOL:
         raise ValidationError(f"invalid probability pair {p!r}")
     proj_1, proj_2 = projectors(n)
-    sigma_1 = validate_density_matrix(states[0])
-    sigma_2 = validate_density_matrix(states[1])
-    if sigma_1.shape != (2, 2) or sigma_2.shape != (2, 2):
-        raise ValidationError("component states must be single-qubit (2x2)")
+    sigma_1 = validate_density_matrix(one_matrix(states[0], (2,)))
+    sigma_2 = validate_density_matrix(one_matrix(states[1], (2,)))
     return p[0] * np.kron(proj_1, sigma_1) + p[1] * np.kron(proj_2, sigma_2)

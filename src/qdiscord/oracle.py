@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (EIGENVALUE_FLOOR, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, ZERO_PROBABILITY,
-                     direction_row, entropy_bits, validate_density_matrix, validate_direction,
-                     validate_directions)
+                     direction_row, entropy_bits, one_matrix, validate_density_matrix,
+                     validate_direction, validate_directions)
 
 
 def _projector_pairs(v: np.ndarray) -> np.ndarray:
@@ -60,8 +60,6 @@ def _measured_branches(rho: np.ndarray,
     remaining B states of the live ones in that order (L, 2, 2), normalized
     by p and made Hermitian.  All 2K unnormalized B states Tr_A[(P x 1) rho]
     are one contraction of the projectors with rho's (2, 2, 2, 2) view."""
-    if rho.shape != (4, 4):
-        raise ValidationError(f"expected one two-qubit state (4x4), got shape {rho.shape}")
     m = np.einsum("...ac,cbad->...bd", _projector_pairs(v), rho.reshape(2, 2, 2, 2))
     p = m.trace(axis1=-2, axis2=-1).real
     live = p >= ZERO_PROBABILITY
@@ -71,7 +69,7 @@ def _measured_branches(rho: np.ndarray,
 
 def post_measurement(rho, n) -> PostMeasurementEnsemble:
     """Outcome probabilities and remaining B states for a measurement along ``n``."""
-    p, live, states = _measured_branches(validate_density_matrix(rho),
+    p, live, states = _measured_branches(validate_density_matrix(one_matrix(rho)),
                                          validate_direction(n)[None])
     remaining = iter(states)
     return PostMeasurementEnsemble(outcomes=tuple(
@@ -96,7 +94,7 @@ def _ce_direct(rho, dirs) -> np.ndarray:
     partner above 1 add nothing to the entropy."""
     # the directions before rho: a lone call checks its direction first
     dirs = validate_directions(dirs)
-    p, live, states = _measured_branches(validate_density_matrix(rho), dirs)
+    p, live, states = _measured_branches(validate_density_matrix(one_matrix(rho)), dirs)
     terms = np.zeros(p.shape)
     terms[live] = p[live] * entropy_bits(np.minimum(np.linalg.eigvalsh(states), 1.0))
     return terms[:, 0] + terms[:, 1]

@@ -160,22 +160,23 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
     a, b, r = (x[active // starts] for x in (a, b, r))
     radius = np.broadcast_to(radius, value.shape).ravel()[active]
-    n, value = best_n[active], best_value[active]
-    # the start keeps its given value, whose bits a lone evaluation need not share
-    rows, grad, hess = _tangent_derivatives(a, b, r, n, frame)[2:]
+    value = best_value[active]
+    # the start keeps its given value, whose bits a lone evaluation need not share.
+    # The frame's last row is the point n itself, so n is read from rows[:, -1]
+    rows, grad, hess = _tangent_derivatives(a, b, r, best_n[active], frame)[2:]
     for _ in range(MAX_ITERATIONS):
         step, decrease = _trust_step(grad, hess, radius)
         stop = (decrease <= DECREASE_STOP) | (value <= CE_FLOOR)
         np.minimum.at(settled, active[stop] // starts, value[stop])
         keep = ~stop & (value - 0.5 * decrease < settled[active // starts])
         if not keep.all():
-            best_n[active], best_value[active] = n, value
+            best_n[active], best_value[active] = rows[:, -1], value
             if not keep.any():
                 break
-            active, a, b, r, n, value, radius, rows, grad, hess, step, decrease = (
-                x[keep] for x in (active, a, b, r, n, value, radius, rows, grad, hess, step,
+            active, a, b, r, value, radius, rows, grad, hess, step, decrease = (
+                x[keep] for x in (active, a, b, r, value, radius, rows, grad, hess, step,
                                   decrease))
-        trial = n + (step[:, None] @ rows[:, :-1])[:, 0]
+        trial = rows[:, -1] + (step[:, None] @ rows[:, :-1])[:, 0]
         trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
         w, g, trial_rows, trial_grad, trial_hess = _tangent_derivatives(a, b, r, trial, frame)
         trial_value = _branch_entropy(w, g)[:, 0]
@@ -184,12 +185,11 @@ def _newton(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndarray, value: n
         radius = np.where(ratio < 0.25, 0.25 * length,
                           np.where((ratio > 0.75) & (length >= radius), 2.0 * radius, radius))
         lower = trial_value < value
-        n = np.where(lower[:, None], trial, n)
         value = np.where(lower, trial_value, value)
         rows = np.where(lower[:, None, None], trial_rows, rows)
         grad = np.where(lower[:, None], trial_grad, grad)
         hess = np.where(lower[:, None, None], trial_hess, hess)
-    best_n[active], best_value[active] = n, value
+    best_n[active], best_value[active] = rows[:, -1], value
     return best_n.reshape(-1, starts, 3), best_value.reshape(-1, starts)
 
 

@@ -12,6 +12,7 @@ import re
 import numpy as np
 
 from .errors import StateParseError
+from .linalg import one_matrix
 
 _TOKEN = re.compile(r"\S+")
 
@@ -55,9 +56,6 @@ def parse_state_text(text: str) -> np.ndarray:
 
 
 def format_state(rho) -> str:
-    """Render a 4x4 complex matrix in the state-file format (17 significant digits)."""
-    m = np.asarray(rho, dtype=complex)
-    lines = []
-    for row in m:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
-    return "\n".join(lines) + "\n"
+    """Render one 4x4 complex matrix in the state-file format (17 significant digits)."""
+    return "".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n"
+                   for row in one_matrix(rho))

@@ -9,12 +9,26 @@ from qdiscord import (NotAStateError, ValidationError, blocks,
                       correlation_matrix, decompose, off_axis_x_state,
                       reconstruct, state_blocks, su2_from_so3)
 from conftest import random_rotation
-from qdiscord.fano_bloch import TAU_ENTRY_TOL
-from qdiscord.linalg import TRACE_TOL
+from qdiscord.linalg import EIGENVALUE_FLOOR, PAULIS, TRACE_TOL, validate_density_matrix
 
 # direct decimal arithmetic on the printed entries
 A3_REFERENCE = -0.5934
 LAMBDA3_REFERENCE = 0.14787644
+
+
+def pauli_sum(tau):
+    """1/4 sum_ij tau[i,j] sigma_i x sigma_j, term by term."""
+    return sum(tau[i, j] * np.kron(p, q) for i, p in enumerate(PAULIS)
+               for j, q in enumerate(PAULIS)) / 4
+
+
+def raises_not_a_state(call, matrix):
+    """Whether ``call(matrix)`` raises :class:`NotAStateError`."""
+    try:
+        call(matrix)
+    except NotAStateError:
+        return True
+    return False
 
 
 class TestDecompose:
@@ -40,11 +54,20 @@ class TestDecompose:
             assert tau[0, 0] == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(tau)) <= 1.0 + 1e-10
 
-    def test_rejects_non_hermitian(self):
+    @pytest.mark.parametrize("entry, message", [
+        (0.1, "matrix is not Hermitian within tolerance"),
+        (1e-10, "matrix is not Hermitian within tolerance"),
+        (np.nan, "matrix has non-finite entries")])
+    @pytest.mark.parametrize("call", [decompose, state_blocks, correlation_matrix])
+    def test_rejects_non_hermitian(self, call, entry, message):
+        # linalg's rule: 1e-10 off Hermitian and a NaN entry are refused, as
+        # validation refuses them, alone and in a stack
         m = np.eye(4, dtype=complex) / 4
-        m[0, 1] = 0.1
-        with pytest.raises(ValidationError):
-            decompose(m)
+        m[0, 1] = entry
+        for matrix in (m, np.stack([np.eye(4) / 4, m])):
+            with pytest.raises(ValidationError) as raised:
+                call(matrix)
+            assert str(raised.value) == message
 
 
 class TestReconstruct:
@@ -71,8 +94,9 @@ class TestReconstruct:
     def test_rejects_bad_trace(self):
         tau = np.zeros((4, 4))
         tau[0, 0] = 0.5
-        with pytest.raises(ValidationError):
+        with pytest.raises(NotAStateError) as raised:
             reconstruct(tau)
+        assert str(raised.value) == "trace is 0.5, expected 1"
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_trace_tolerance_pinned_at_its_boundary(self, side):
@@ -91,18 +115,31 @@ class TestReconstruct:
             reconstruct(tau)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_entry_bound_pinned_at_its_boundary(self, sign):
-        # an entry of size 1 + TAU_ENTRY_TOL is accepted (its state has an
-        # eigenvalue of -TAU_ENTRY_TOL / 4, above the floor); one double more is not
-        edge = 1.0 + TAU_ENTRY_TOL
-        for size, accepted in ((edge, True), (np.nextafter(edge, 2.0), False)):
-            tau = np.diag([1.0, 0.0, 0.0, sign * size])
-            if accepted:
-                expected = np.diag([1.0 + sign, 1.0 - sign, 1.0 - sign, 1.0 + sign]) / 4
-                assert_allclose(reconstruct(tau), expected, atol=1e-10)
-            else:
-                with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
-                    reconstruct(tau)
+    def test_refuses_what_validation_refuses(self, sign):
+        # tau = diag(1, 0, 0, c) has the lowest eigenvalue (1 - |c|)/4, which
+        # crosses -EIGENVALUE_FLOOR at |c| = 1 + 4 EIGENVALUE_FLOOR: c steps
+        # double by double across that point, and reconstruct must raise
+        # exactly where validate_density_matrix raises on the same matrix
+        c = 1.0 + 4 * EIGENVALUE_FLOOR
+        for _ in range(40):
+            c = np.nextafter(c, 0.0)
+        seen = set()
+        for _ in range(80):
+            tau = np.diag([1.0, 0.0, 0.0, sign * c])
+            refused = raises_not_a_state(validate_density_matrix, pauli_sum(tau))
+            assert raises_not_a_state(reconstruct, tau) == refused
+            if not refused:
+                assert np.array_equal(reconstruct(tau), pauli_sum(tau))
+            seen.add(refused)
+            c = np.nextafter(c, 2.0)
+        assert seen == {False, True}
+
+    def test_refuses_a_bell_diagonal_tensor_below_the_floor(self):
+        # its matrix has the eigenvalue -5e-9, which every state-taking call refuses
+        tau = np.diag([1.0, 0.5, 0.3, 0.2 + 2e-8])
+        assert raises_not_a_state(validate_density_matrix, pauli_sum(tau))
+        with pytest.raises(NotAStateError, match="negative eigenvalue"):
+            reconstruct(tau)
 
 
 class TestBlocks:

@@ -31,6 +31,17 @@ def package_imports(source: str) -> set:
     return found
 
 
+def raised_names(source: str) -> set:
+    """The names of the exceptions that ``source`` raises by name, called or not."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                found.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return found
+
+
 def import_graph() -> dict:
     """Each module of the package, by its name, and the modules it imports."""
     return {path.stem: package_imports(path.read_text())
@@ -77,6 +88,16 @@ class TestLayering:
 
     def test_refine_reaches_neither_the_reports_nor_the_oracle(self):
         assert not import_graph()["refine"] & {"measures", "oracle"}
+
+    def test_only_linalg_says_what_a_state_is(self):
+        raisers = {path.stem for path in PACKAGE.glob("*.py")
+                   if "NotAStateError" in raised_names(path.read_text())}
+        assert raisers == {"linalg"}
+
+    def test_raise_reader_sees_every_raise_form(self):
+        source = ("raise NotAStateError('x')\nraise errors.ValidationError\n"
+                  "try:\n    pass\nexcept KeyError:\n    raise\n")
+        assert raised_names(source) == {"NotAStateError", "ValidationError"}
 
     def test_no_import_cycle(self):
         assert cycle(import_graph()) is None

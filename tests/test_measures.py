@@ -50,6 +50,14 @@ def bell_diagonal(c1, c2, c3):
     return reconstruct(np.diag([1.0, c1, c2, c3]))
 
 
+def direct_along_x(rho):
+    return conditional_entropy_direct(rho, X)
+
+
+def post_measurement_along_x(rho):
+    return post_measurement(rho, X)
+
+
 class TestDirections:
     def test_round_trip(self, rng):
         for _ in range(100):
@@ -145,9 +153,15 @@ class TestDirections:
     @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 4, 4), (4,)])
     @pytest.mark.parametrize("call", [quantum_discord, classical_correlation,
                                       minimize_conditional_entropy, mcdm_discord, is_canonical,
-                                      mutual_information, to_canonical, von_neumann_entropy])
-    def test_one_state_calls_name_the_shape_passed(self, call, shape):
-        # |++><++| stacked: valid states, so only the shape can fail
+                                      mutual_information, to_canonical, von_neumann_entropy,
+                                      direct_along_x, post_measurement_along_x])
+    def test_one_state_calls_name_the_shape_passed(self, call, shape, monkeypatch):
+        # |++><++| stacked: valid states, so only the shape can fail, and it
+        # fails before any state is diagonalized
+        def diagonalized(*args):
+            raise AssertionError("a state was diagonalized before its shape was checked")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diagonalized)
         rho = np.full(shape, 0.25)
         sizes = "2x2 or 4x4" if call is von_neumann_entropy else "4x4"
         with pytest.raises(ValidationError) as raised:
@@ -189,14 +203,41 @@ class TestInputChecks:
         (lambda: construct_zero_discord([1.0], X, [np.eye(2) / 2] * 2),
          "expected two probabilities, got shape (1,)"),
         (lambda: construct_zero_discord([0.5, 0.5], X, [np.eye(4) / 4] * 2),
-         "component states must be single-qubit (2x2)"),
+         "expected a 2x2 matrix, got shape (4, 4)"),
+        (lambda: construct_zero_discord([0.5, 0.5], X, [np.eye(3) / 3] * 2),
+         "expected a 2x2 matrix, got shape (3, 3)"),
         (lambda: bell_diagonal_classical_correlation([0.1, 0.2]),
          "expected three coefficients, got shape (2,)"),
     ], ids=["decompose", "reconstruct", "blocks", "partial_trace", "su2_from_so3",
-            "one_probability", "two_qubit_components", "two_coefficients"])
+            "one_probability", "two_qubit_components", "three_level_components",
+            "two_coefficients"])
     def test_message(self, call, message):
         with pytest.raises(ValidationError) as raised:
             call()
+        assert str(raised.value) == message
+
+    # |++><++| stacked, and one input of the wrong size, for each one-state
+    # call that takes blocks or writes a state file
+    PLUS_PLUS_STACK = np.full((2, 4, 4), 0.25)
+    STACK_BLOCKS = state_blocks(PLUS_PLUS_STACK)
+    SHORT_A = BlockDecomposition(a=np.zeros(2), b=np.zeros(3), r=np.zeros((3, 3)))
+    STACKED_BLOCKS = ("expected the blocks of one state, a (3,), b (3,) and R (3, 3), "
+                      "got shapes (2, 3), (2, 3) and (2, 3, 3)")
+    SHORT_BLOCKS = ("expected the blocks of one state, a (3,), b (3,) and R (3, 3), "
+                    "got shapes (2,), (3,) and (3, 3)")
+
+    @pytest.mark.parametrize("call, argument, message", [
+        (lambda blocks: conditional_entropy_closed(blocks, X), STACK_BLOCKS, STACKED_BLOCKS),
+        (lambda blocks: conditional_entropy_closed(blocks, X), SHORT_A, SHORT_BLOCKS),
+        (zero_discord_witness, STACK_BLOCKS, STACKED_BLOCKS),
+        (zero_discord_witness, SHORT_A, SHORT_BLOCKS),
+        (qdiscord.format_state, PLUS_PLUS_STACK, "expected a 4x4 matrix, got shape (2, 4, 4)"),
+        (qdiscord.format_state, np.eye(2) / 2, "expected a 4x4 matrix, got shape (2, 2)"),
+    ], ids=["closed_form_stack", "closed_form_short_a", "witness_stack", "witness_short_a",
+            "format_state_stack", "format_state_one_qubit"])
+    def test_one_state_calls_refuse_other_shapes(self, call, argument, message):
+        with pytest.raises(ValidationError) as raised:
+            call(argument)
         assert str(raised.value) == message
 
 
@@ -783,7 +824,7 @@ class TestDirectOracle:
             conditional_entropy_direct(rho, [1.0, 0.0])
         for bad in (np.eye(2) / 2, np.stack([rho, rho])):
             for call in (conditional_entropy_direct, post_measurement):
-                with pytest.raises(ValidationError, match="two-qubit"):
+                with pytest.raises(ValidationError, match="expected a 4x4 matrix"):
                     call(bad, X)
 
     @given(case=oracle_cases())
