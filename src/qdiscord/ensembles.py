@@ -133,15 +133,22 @@ X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 X_MASK.setflags(write=False)
 
 
+def _x_projection(rhos: np.ndarray) -> np.ndarray:
+    """The X projection of each state of a complex stack (..., 4, 4), unchecked:
+    its X_MASK entries, the rest 0.  The pipelines apply it to the states they
+    have just drawn, which are states by construction."""
+    return np.where(X_MASK, rhos, 0.0)
+
+
 def project_x_state(rho) -> np.ndarray:
     """Project a state, or each state of a stack (..., 4, 4), onto the X-shaped
-    subspace (diagonal plus anti-diagonal).
+    subspace (diagonal plus anti-diagonal), once it is checked a state.
 
     The channel E_1 rho E_1 + E_2 rho E_2 with E_1 = diag(1,0,0,1),
     E_2 = diag(0,1,1,0), which keeps the X_MASK entries and zeroes the rest:
     trace preserving, positivity preserving, and idempotent.
     """
-    return np.where(X_MASK, validate_density_matrix(rho), 0.0)
+    return _x_projection(validate_density_matrix(rho))
 
 
 _PSI_PRODUCT = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)   # (|00> + |10>)/sqrt2

@@ -21,6 +21,7 @@ import functools
 import math
 import os
 import pickle
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import canonical_blocks
-from .ensembles import _ginibre_states, _substream_normals, mixture_family, project_x_state
+from .ensembles import _ginibre_states, _substream_normals, _x_projection, mixture_family
 from .fano_bloch import state_blocks
 from .measures import _discord_reports, angles_from_directions
 from .refine import _minimize_many
@@ -88,10 +89,11 @@ def _directions_chunk(config: ExperimentConfig, indices: range, x_project: bool)
     """Optimal direction (S, 3) of each random state in its canonical frame (no
     SU(2) lift), after the X projection if ``x_project``.  Its sign is left as
     the solve gives it: the angles take the hemisphere representative, and
-    the clusters compare |n . m|."""
+    the clusters compare |n . m|.  The draws are states by construction, so
+    neither path diagonalizes them."""
     rhos = _hs_states(config, indices)
     if x_project:
-        rhos = project_x_state(rhos)
+        rhos = _x_projection(rhos)
     _, canonical = canonical_blocks(state_blocks(rhos))
     return _minimize_many(canonical.a, canonical.b, canonical.r)[0]
 
@@ -237,7 +239,9 @@ def optimal_direction_clusters(config: ExperimentConfig) -> list[tuple[float, fl
     direction within the tolerance of it.
     """
     # one call per chunk: a round of perfbench's table1-x workload, 300 states
-    # in one stack, ends within one period of its speed probe and exits 1
+    # in one stack, ends within one period of its speed probe and exits 1.  In
+    # chunks a round takes about 7.7 ms (2 shared cores), against the probe's
+    # 5 ms period
     dirs = _solve(_directions_chunk, config, stack=CHUNK_SIZE, x_project=True)
     # cos(tol * pi), exactly 0 at tol = 1/2, which merges every pair of axes
     cos_tol = math.sin((0.5 - config.cluster_tol) * math.pi)
@@ -300,26 +304,39 @@ def render_csv(header, rows, summary: Optional[str] = None) -> str:
 
 
 class OutputFile:
-    """Destination of one CSV text: stdout, or ``path`` replaced atomically.
+    """Destination of one CSV text: stdout, or ``path``.
 
-    The constructor creates a unique temp file next to ``path``, so an empty
-    path or a bad directory raises :class:`OSError` before any computation; :meth:`write`
-    renames it onto ``path``, and leaving the ``with`` block before that removes it.
+    A path that names a FIFO or a character device, through any symlinks, is
+    opened at once and written in place.  Any other path is replaced
+    atomically, or through a symlink the file that it names: the constructor
+    creates a unique temp file in that file's directory, :meth:`write` renames
+    it onto the file, and leaving the ``with`` block before that removes it.
+    So an empty path, a directory, a bad directory or an unwritable device
+    raises :class:`OSError` before any computation.
     """
 
     def __init__(self, path: Optional[str]):
-        self.path, self._tmp = path, None
-        if path is not None:
-            if not path:
-                raise FileNotFoundError("empty output path")
-            if os.path.isdir(path):
-                raise IsADirectoryError(f"{path!r} is a directory")
-            fd, self._tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                                             dir=os.path.dirname(path) or ".")
-            os.close(fd)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(self._tmp, 0o666 & ~umask)  # mkstemp creates the file private
+        self.path, self._tmp, self._fd = path, None, None
+        if path is None:
+            return
+        if not path:
+            raise FileNotFoundError("empty output path")
+        self._target = os.path.realpath(path)
+        try:
+            mode = os.stat(self._target).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(f"{path!r} is a directory")
+        if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+            self._fd = os.open(self._target, os.O_WRONLY)
+            return
+        fd, self._tmp = tempfile.mkstemp(prefix=f".{os.path.basename(self._target)}.",
+                                         suffix=".tmp", dir=os.path.dirname(self._target))
+        os.close(fd)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(self._tmp, 0o666 & ~umask)  # mkstemp creates the file private
 
     def write(self, text: str) -> None:
         """Write ``text``, or raise OSError.  Stdout is flushed at once; when it
@@ -338,20 +355,27 @@ class OutputFile:
                 os.close(devnull)
                 raise
             return
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            with open(fd, "w", newline="") as fh:  # closes fd, also when the write fails
+                fh.write(text)
+            return
         with open(self._tmp, "w", newline="") as fh:
             fh.write(text)
-        os.replace(self._tmp, self.path)
+        os.replace(self._tmp, self._target)
         self._tmp = None
 
     def __enter__(self) -> "OutputFile":
         return self
 
     def __exit__(self, *exc) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
         if self._tmp is not None:
             os.unlink(self._tmp)
 
 
 def write_output(text: str, path: Optional[str]) -> None:
-    """Write to stdout, or atomically to ``path`` (temp file and rename)."""
+    """Write to stdout, or to ``path`` as :class:`OutputFile` does."""
     with OutputFile(path) as out:
         out.write(text)

@@ -263,13 +263,13 @@ def _circle_minimum(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> tuple[np.nda
     that shape move CE by far less than VALUE_TIE_TOL."""
     k = np.maximum(np.abs(a), np.abs(b)).argmax(axis=1)
     axes = _CIRCLE_AXES[k]
-    a = np.take_along_axis(a, axes, axis=1)
-    r = np.take_along_axis(r, axes[:, :, None], axis=1)
+    states = np.arange(len(a))[:, None]
+    a, r = a[states, axes], r[states, axes]
     start, value = _pick_start(_ce_many(a, b, r, _CIRCLE_DIRS))
     m, value = _newton(a, b, r, _CIRCLE_DIRS.T[start][:, None], value[:, None], _circle_frame,
                        INITIAL_RADIUS)
     n = np.empty((len(a), 3))
-    np.put_along_axis(n, axes, m[:, 0], axis=1)
+    n[states, axes] = m[:, 0]
     return n, value[:, 0]
 
 

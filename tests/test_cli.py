@@ -8,8 +8,10 @@ import math
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -520,6 +522,16 @@ class TestStacks:
         optimal_direction_clusters(ExperimentConfig(samples=300, seed=7))
         assert sizes == [64] * 4 + [44]
 
+    def test_table1_diagonalizes_no_state_it_draws(self, monkeypatch):
+        # the draws and their X projections are states by construction, and
+        # nothing in table1 reads a spectrum
+        def refused(*args, **kwargs):
+            raise AssertionError("table1 diagonalized a state")
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        rows = optimal_direction_clusters(ExperimentConfig(samples=300, seed=7))
+        assert sum(percentage for _, _, percentage in rows) == pytest.approx(100.0)
+
     @pytest.mark.parametrize("command", ["histogram", "scatter", "mixture"])
     def test_stack_size_does_not_change_output(self, capsys, monkeypatch, command):
         outputs = []
@@ -557,6 +569,37 @@ class TestOutputPath:
         assert main(["mixture", "--samples", "3", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_fifo_is_written_in_place(self, tmp_path, capsys):
+        assert main(["mixture", "--samples", "3"]) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo, alias = tmp_path / "fifo", tmp_path / "alias"
+        os.mkfifo(fifo)
+        os.link(fifo, alias)  # the FIFO under a name that --out does not touch
+        received = []
+        reader = threading.Thread(target=lambda: received.append(alias.read_bytes()))
+        reader.start()
+        try:
+            assert main(["mixture", "--samples", "3", "--out", str(fifo)]) == 0
+            reader.join(timeout=30.0)
+            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            assert received == [expected]
+        finally:
+            if reader.is_alive():  # nothing wrote to the FIFO: let the reader see its end
+                os.close(os.open(alias, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join()
+
+    def test_out_symlink_replaces_the_file_it_names(self, tmp_path, capsys):
+        assert main(["mixture", "--samples", "3"]) == 0
+        expected = capsys.readouterr().out
+        target = tmp_path / "data" / "x.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "x.csv"))
+        assert main(["mixture", "--samples", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "x.csv"]
 
     def test_output_file_mode_follows_umask(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord import (SeededGenerator, ValidationError, correlation_matrix,
+from qdiscord import (NotAStateError, SeededGenerator, ValidationError, correlation_matrix,
                       mixture_family, off_axis_x_state, project_x_state,
                       quantum_discord, random_hs_state,
                       validate_density_matrix)
+from qdiscord.ensembles import _x_projection
 from qdiscord.experiments import ExperimentConfig, _hs_states
 
 # locked after a 100,000-sample run: mean 0.47071, standard error 2.1e-4;
@@ -171,6 +172,19 @@ class TestProjectXState:
         mixed = project_x_state(0.5 * r1 + 0.5 * r2)
         assert_allclose(mixed, 0.5 * project_x_state(r1) + 0.5 * project_x_state(r2),
                         atol=1e-14)
+
+    def test_refuses_a_matrix_that_is_no_state(self):
+        # checked before the projection, whose result here would be I / 4
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = rho[1, 0] = 0.5
+        with pytest.raises(NotAStateError, match="negative eigenvalue"):
+            project_x_state(rho)
+        assert np.array_equal(_x_projection(rho), np.eye(4) / 4)
+
+    def test_table1_draws_project_to_states(self):
+        # table1 projects its draws unchecked: these are the states of its
+        # 10,000-sample seed-7 run
+        validate_density_matrix(_x_projection(_hs_states(ExperimentConfig(seed=7), range(10000))))
 
 
 class TestMixtureFamily:

@@ -165,10 +165,11 @@ class TestRecordBench:
 
 @pytest.fixture
 def bitcheck(monkeypatch):
-    """tools/bitcheck.py, on 4 seed-7 states, 2 of them alone, and 2 states
-    of each family."""
+    """tools/bitcheck.py, on 4 seed-7 states, 2 of them alone, 2 states of
+    each family, and 5 pipeline indices in chunks of 2."""
     module = load_tool(BITCHECK, monkeypatch)
-    for name, value in (("STATES", 4), ("LONE", 2), ("FAMILY_STATES", 2)):
+    for name, value in (("STATES", 4), ("LONE", 2), ("FAMILY_STATES", 2),
+                        ("PIPELINE_STATES", 5), ("CHUNK", 2)):
         monkeypatch.setattr(module, name, value)
     return module
 
@@ -180,7 +181,7 @@ class TestBitcheck:
         src = str(PACKAGE.parent)
         assert bitcheck.main([src, src]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1 + 4 + 2 * len(bitcheck.FAMILIES) + 1
+        assert len(lines) == 1 + 4 + 2 * len(bitcheck.FAMILIES) + 3 + 1
         assert all(line.endswith("bit-identical") for line in lines)
 
     def test_one_moved_bit_fails(self, bitcheck, monkeypatch, capsys):
@@ -197,3 +198,17 @@ class TestBitcheck:
         assert not bitcheck.check(parent, change)
         out = capsys.readouterr().out
         assert "HS: 4 states, stacks of 1024: DIFFER" in out and out.endswith("SOME DIFFER\n")
+
+    def test_one_moved_pipeline_bit_fails(self, bitcheck, monkeypatch, capsys):
+        # a change to a pipeline's own stages, outside the minimizer: table1
+        # chunks that skip their X projection
+        src = str(PACKAGE.parent)
+        parent = bitcheck.load_tree(src, "qdiscord_parent")
+        change = bitcheck.load_tree(src, "qdiscord_change")
+        monkeypatch.setattr(change.experiments, "_x_projection", lambda rhos: rhos)
+        assert not bitcheck.check(parent, change)
+        out = capsys.readouterr().out.splitlines()
+        assert out[-4:] == ["table1 directions: 5 indices, calls of 2: DIFFER",
+                            "histogram directions: 5 indices, calls of 2: bit-identical",
+                            "scatter rows: 5 indices, calls of 1024: bit-identical",
+                            "SOME DIFFER"]

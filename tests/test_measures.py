@@ -28,6 +28,7 @@ from qdiscord import closed_form, linalg, measures, oracle, refine
 from qdiscord.canonical import canonical_blocks, canonical_rotations
 from qdiscord.closed_form import (POSITIVITY_SLACK, X_CAP, _branch_entropy, _branches, _ce_many,
                                   _tangent_derivatives)
+from qdiscord.ensembles import _x_projection
 from qdiscord.experiments import ExperimentConfig, _hs_states
 from qdiscord.linalg import (EIGENVALUE_FLOOR, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                              ZERO_PROBABILITY, validate_direction, validate_directions,
@@ -651,12 +652,15 @@ KRAUS_X = (np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex),
 
 @pytest.mark.parametrize("family", CERTIFIED_FAMILIES + ("werner", "pure", "product"))
 def test_x_projection_equals_kraus_form(family):
+    # and the unchecked kernel of project_x_state equals it
     states = np.stack([family_state(family, seed) for seed in range(16)])
     kraus = sum(e @ states @ e for e in KRAUS_X)
     projected = project_x_state(states)
     assert np.array_equal(projected.view(np.uint8), kraus.view(np.uint8))
+    assert np.array_equal(_x_projection(states).view(np.uint8), projected.view(np.uint8))
     for rho, expected in zip(states, projected):
         assert np.array_equal(project_x_state(rho).view(np.uint8), expected.view(np.uint8))
+        assert np.array_equal(_x_projection(rho).view(np.uint8), expected.view(np.uint8))
 
 
 def zero_probability_stack():

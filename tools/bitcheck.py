@@ -15,8 +15,16 @@ axes) of the two trees are compared bit for bit:
 - FAMILY_STATES states of every family of the tests' ``family_state``, in
   one stack and alone.
 
-The canonical blocks of the two trees are compared too.  One line is
-printed per comparison; the exit status is 1 if any bit differs, else 0.
+The canonical blocks of the two trees are compared too.  The pipelines'
+rows are compared on the first PIPELINE_STATES seed-7 indices, each tree
+drawing its own states:
+
+- ``experiments._directions_chunk`` with and without the X projection, in
+  calls of CHUNK indices, as ``table1`` makes them;
+- ``experiments._scatter_chunk``, in calls of STACK indices.
+
+One line is printed per comparison; the exit status is 1 if any bit
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from test_measures import CERTIFIED_FAMILIES, family_state  # noqa: E402
 SEED = 7
 STATES = 100_000
 STACK = 1024
+PIPELINE_STATES = 10_000
+CHUNK = 64
 LONE = 500
 FAMILY_STATES = 16
 FAMILIES = CERTIFIED_FAMILIES + ("nearer_pure", "werner", "pure", "product")
@@ -66,6 +76,22 @@ def compare(trees, label: str, rhos: np.ndarray, stack: int) -> bool:
     return same
 
 
+def compare_pipeline(trees, label: str, chunk: str, stack: int, **options) -> bool:
+    """Print and return whether both ``trees``' ``experiments.<chunk>`` give the
+    first PIPELINE_STATES seed-SEED indices the same bits, in calls of
+    ``stack`` contiguous indices."""
+    rows = []
+    for tree in trees:
+        config = tree.experiments.ExperimentConfig(seed=SEED)
+        task = getattr(tree.experiments, chunk)
+        rows.append([task(config, range(lo, min(lo + stack, PIPELINE_STATES)), **options)
+                     for lo in range(0, PIPELINE_STATES, stack)])
+    same = same_bits(*rows)
+    print(f"{label}: {PIPELINE_STATES} indices, calls of {stack}: "
+          f"{'bit-identical' if same else 'DIFFER'}")
+    return same
+
+
 def check(parent, change) -> bool:
     """Every comparison of the module docstring; True if no bit differs."""
     trees = (parent, change)
@@ -83,6 +109,11 @@ def check(parent, change) -> bool:
         rhos = np.stack([family_state(family, s) for s in range(FAMILY_STATES)])
         ok &= compare(trees, family, rhos, FAMILY_STATES)
         ok &= compare(trees, family, rhos, 1)
+    ok &= compare_pipeline(trees, "table1 directions", "_directions_chunk", CHUNK,
+                           x_project=True)
+    ok &= compare_pipeline(trees, "histogram directions", "_directions_chunk", CHUNK,
+                           x_project=False)
+    ok &= compare_pipeline(trees, "scatter rows", "_scatter_chunk", STACK)
     print("all bit-identical" if ok else "SOME DIFFER")
     return ok
 

@@ -27,7 +27,9 @@ Each time is the median of REPEATS repeats, given with its quartiles as
   - the ``table1``, ``histogram`` and ``scatter`` pipelines through their
     public functions at 256 samples, seed 7, from the draw to their rows, and
     three stages of their chunks of 64 indices: the draw, the X projection
-    and the angles;
+    and the angles.  The X projection stage times the public
+    ``project_x_state``, which validates each state; ``table1`` applies its
+    unchecked kernel to its draws, as the record's ``notes`` say;
   - ``quantum_discord`` of each state, a batch of one;
   - the mean and the largest number of evaluations of the Newton derivatives
     per state, and the mean per start, on the same states and on their X
@@ -75,6 +77,11 @@ STATES = 256
 REPEATS = 11
 CLI_STATES = 8
 CLI_REPEATS = 9
+# what a reader of a record needs to know of its stages
+NOTES = {
+    "x_project_us": "times the public project_x_state, which validates each state; table1 "
+                    "projects its draws with the unchecked ensembles._x_projection",
+}
 SAMPLES = 10000
 COMMANDS = ("table1", "histogram", "scatter")
 # the modules of a tree that the stages call, besides the package itself
@@ -326,6 +333,7 @@ def main(argv=None) -> int:
         "settings": {"states": STATES, "chunk": CHUNK, "seed": SEED, "repeats": REPEATS,
                      "cli_states": CLI_STATES, "cli_samples": SAMPLES,
                      "cli_repeats": CLI_REPEATS},
+        "notes": NOTES,
     }
     for label, tree in trees.items():
         record[label] = {
