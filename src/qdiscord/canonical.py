@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .fano_bloch import BlockDecomposition, correlation_matrix
 from .linalg import one_matrix, su2_from_so3, validate_density_matrix
 
@@ -51,8 +52,11 @@ def canonical_rotations(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decides (for degenerate spectra its branch is kept, for reproducibility),
     with both factors forced into SO(3): flipping a single singular value's
     sign is impossible inside SO(3) x SO(3), so s[2] carries sign(det lam).
+    A non-finite entry raises, before the SVD, which may not return on it.
     """
     lam = np.asarray(lam, dtype=float)
+    if not np.isfinite(lam).all():
+        raise ValidationError("matrix has non-finite entries")
     fast = np.abs(lam[..., OFF_DIAGONAL]).max(axis=-1) <= _DIAGONAL_FAST_PATH_TOL
     u, s, vt = np.linalg.svd(lam)
     # the determinant of an orthogonal factor is +-1

@@ -20,32 +20,17 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .fano_bloch import BlockDecomposition, one_state_blocks
-from .linalg import ZERO_PROBABILITY, validate_direction
+from .linalg import _TINY, ZERO_PROBABILITY, _binary_entropy, validate_direction
 
 # slack on g <= 1 +- f; a larger excess means the input was not a state
 POSITIVITY_SLACK = 1e-9
 # the derivatives read g/w as at most X_CAP, where h'(x) = -artanh(x)/ln 2 and
 # h''(x) = -1/(ln 2 (1 - x^2)) are finite
 X_CAP = 1.0 - 1e-12
-# the smallest normal double: the derivatives read g as at least this, so that
-# u/g and artanh(g/w)/g stay finite at g = 0, and q log2 q reads q as at least it
-_TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)
 _EYE = np.eye(3)
 # the + and the - branch
 _SIGNS = np.array([1.0, -1.0])
-
-
-def _branch_vectors(a: np.ndarray, b: np.ndarray, r: np.ndarray,
-                    dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w = 1 +- a.n (S, 2K) and u = b +- R^T n (S, 3, 2K) of S states at the K
-    columns of ``dirs``, shared (3, K) or per state (S, 3, K), the + branch
-    first.
-
-    Each state's contractions are the same matrix products as for that state
-    alone, so a value does not depend on the states stacked beside it.
-    """
-    return _signed_pairs((a[:, None, :] @ dirs)[:, 0, :], b, r.swapaxes(1, 2) @ dirs)
 
 
 def _signed_pairs(f: np.ndarray, b: np.ndarray,
@@ -72,8 +57,11 @@ def _lengths(squares: np.ndarray) -> np.ndarray:
 
 def _branches(a: np.ndarray, b: np.ndarray, r: np.ndarray,
               dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w and g = |u| of :func:`_branch_vectors`: (S, 2K) each."""
-    w, u = _branch_vectors(a, b, r, dirs)
+    """w = 1 +- a.n and g = |b +- R^T n| (S, 2K) of S states at the K columns of
+    ``dirs``, shared (3, K) or per state (S, 3, K), the + branch first.  Each
+    state's products are those of the state alone, so a value does not
+    depend on the states stacked beside it."""
+    w, u = _signed_pairs((a[:, None, :] @ dirs)[:, 0, :], b, r.swapaxes(1, 2) @ dirs)
     return w, _lengths(np.multiply(u, u, out=u))
 
 
@@ -88,23 +76,8 @@ def _branch_entropy(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     x = np.where(live, w, 1.0)
     np.divide(g, x, out=x)
     np.minimum(x, 1.0, out=x)
-    q = np.subtract(1.0, x)
-    q *= 0.5
-    p = np.add(1.0, x, out=x)
-    p *= 0.5
-    # x = g/w lies in [0, 1], so q is 0 or at least 2^-54: log2(max(q, tiny))
-    # is log2(q), and q = 0 gives q log2(tiny) = -0.0, which adds as 0
-    t = np.maximum(q, _TINY)
-    np.log2(t, out=t)
-    t *= q
-    h = np.log2(p)
-    h *= p
-    h += t
-    # 0.0 - h, not -h: a zero entropy is +0.0
-    np.subtract(0.0, h, out=h)
-    weight = np.where(live, w, 0.0)
-    weight *= 0.5
-    h *= weight
+    h = _binary_entropy(x)
+    h *= 0.5 * np.where(live, w, 0.0)
     k = h.shape[1] // 2
     return h[:, :k] + h[:, k:]
 
@@ -144,10 +117,11 @@ def _tangent_derivatives(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: np.ndar
     + h'/(2g) R (I - u u^T/g^2) R^T, v = x a - R u/g; on the sphere it loses
     (n . grad CE) I.  The frame rows project a, R and R u/g, and the
     rank-one terms of both branches are one product.  Dead branches
-    contribute 0, and x is read as at most X_CAP.
+    contribute 0, x is read as at most X_CAP, and g as at least the smallest
+    normal double, so that u/g and artanh(x)/g stay finite at g = 0.
 
     R^T n is read off the last row of ``frame(n) @ r``, a different matrix
-    product from :func:`_branch_vectors`' ``r^T @ n``.  That w and g, and so
+    product from :func:`_branches`' ``r^T @ n``.  That w and g, and so
     the value, keep :func:`_branches`' bits is not given by the algebra: it
     was measured with numpy 2.4 on OpenBLAS, and
     ``test_stacked_derivatives_have_the_closed_form_bits`` and

@@ -68,12 +68,15 @@ class BlockDecomposition:
 
 def one_state_blocks(blocks: BlockDecomposition) -> BlockDecomposition:
     """Return ``blocks``, checking that they are one state's, a and b (3,) and
-    R (3, 3), for a one-state call to check before the stacked arithmetic,
-    which would take a stack and broadcast it."""
-    shapes = tuple(np.shape(x) for x in (blocks.a, blocks.b, blocks.r))
+    R (3, 3), with finite entries, for a one-state call to check before the
+    stacked arithmetic, which would broadcast a stack and compute on NaN or inf."""
+    parts = (blocks.a, blocks.b, blocks.r)
+    shapes = tuple(np.shape(x) for x in parts)
     if shapes != ((3,), (3,), (3, 3)):
         raise ValidationError("expected the blocks of one state, a (3,), b (3,) and R (3, 3), "
                               f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}")
+    if not all(np.isfinite(x).all() for x in parts):
+        raise ValidationError("blocks have non-finite entries")
     return blocks
 
 

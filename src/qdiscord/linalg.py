@@ -22,7 +22,9 @@ for _p in PAULIS:
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-ENTROPY_TRACE_TOL = 1e-9  # von_neumann_entropy's trace check, wider than TRACE_TOL
+# von_neumann_entropy's trace check, wider than TRACE_TOL: the marginals of a
+# state whose trace is within TRACE_TOL of 1 can lie beyond it by rounding
+ENTROPY_TRACE_TOL = 1e-9
 # eigenvalues in [-EIGENVALUE_FLOOR, 0) are treated as rounding noise and clamped to 0
 EIGENVALUE_FLOOR = 1e-10
 # binary_entropy takes |x| up to 1 + BLOCH_LENGTH_TOL as rounding noise of a
@@ -33,7 +35,7 @@ ROTATION_TOL = 1e-12
 DIRECTION_TOL = 1e-12
 # outcomes rarer than this are deterministic-zero; their entropy term is 0
 ZERO_PROBABILITY = 1e-12
-_HALF_PLUS_MINUS = np.array([0.5, -0.5])
+_TINY = np.finfo(float).tiny
 
 
 def require_hermitian(matrix) -> np.ndarray:
@@ -156,20 +158,38 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def _binary_entropy(x: np.ndarray) -> np.ndarray:
+    """h(x) of :func:`binary_entropy` for each x in [0, 1] of an array with at
+    least one axis, unchecked; overwrites ``x``."""
+    q = np.subtract(1.0, x)
+    q *= 0.5
+    p = np.add(1.0, x, out=x)
+    p *= 0.5
+    # q is 0 or at least 2^-54: log2(max(q, tiny)) is log2(q), and q = 0
+    # gives q log2(tiny) = -0.0, which adds as 0
+    t = np.maximum(q, _TINY)
+    np.log2(t, out=t)
+    t *= q
+    h = np.log2(p)
+    h *= p
+    h += t
+    return np.subtract(0.0, h, out=h)  # 0.0 - h, not -h: a zero entropy is +0.0
+
+
 def binary_entropy(x):
     """Entropy in bits of the eigenvalue pair ((1+x)/2, (1-x)/2), for a number or
     elementwise for an array.
 
-    Even in ``x``; equals 1 at x=0 and 0 at x=+-1.  Inputs beyond
+    Even in ``x``; equals 1 at x=0 and 0 at x=+-1.  NaN and inputs beyond
     |x| = 1 + BLOCH_LENGTH_TOL signal a broken upstream norm computation and raise.
     """
     x = np.asarray(x, dtype=float)
-    beyond = np.abs(x) > 1.0 + BLOCH_LENGTH_TOL
-    if beyond.any():
-        raise ValidationError(f"binary_entropy argument {float(x[beyond][0])!r} outside [-1, 1]")
-    x = np.minimum(1.0, np.maximum(-1.0, x))
-    # 0.5 +- 0.5 x, which rounds as (1 +- x) / 2
-    return entropy_bits(0.5 + x[..., None] * _HALF_PLUS_MINUS)
+    length = np.abs(x)
+    off = ~(length <= 1.0 + BLOCH_LENGTH_TOL)  # not <=, so that NaN is off too
+    if off.any():
+        raise ValidationError(f"binary_entropy argument {float(x[off][0])!r} outside [-1, 1]")
+    h = _binary_entropy(np.minimum(np.atleast_1d(length), 1.0))
+    return h if x.ndim else h[0]
 
 
 def require_rotation(matrix) -> np.ndarray:

@@ -118,6 +118,8 @@ def bell_diagonal_classical_correlation(c) -> float:
     cv = np.asarray(c, dtype=float)
     if cv.shape != (3,):
         raise ValidationError(f"expected three coefficients, got shape {cv.shape}")
+    if not np.isfinite(cv).all():
+        raise ValidationError("coefficients have non-finite entries")
     c1, c2, c3 = cv
     eigs = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3,
                      1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4.0

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .canonical import OFF_DIAGONAL
-from .closed_form import _EYE, _TINY, _branch_entropy, _ce_many, _tangent_derivatives
+from .closed_form import _EYE, _branch_entropy, _ce_many, _tangent_derivatives
+from .linalg import _TINY
 
 # tie-break axes x, y, z as columns; in the canonical frame x is the MCDM
 _TIE_AXES = np.eye(3)

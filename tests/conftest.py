@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import qdiscord
 from qdiscord.experiments import ExperimentConfig, _hs_states
 
 # property tests draw the same examples on every run and store none
@@ -48,6 +54,28 @@ def hs_states(seed, count):
     """The first ``count`` states of ``random_hs_state(SeededGenerator(seed))``,
     drawn as one stack."""
     return list(_hs_states(ExperimentConfig(seed=seed), range(count)))
+
+
+def same_bits(x, y):
+    """Whether two arrays or numbers have the same dtype, shape and bits."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this qdiscord."""
+    src = str(Path(qdiscord.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(code, timeout=None):
+    """Standard output of ``code`` run by a fresh interpreter that imports this
+    qdiscord.  A child still running after ``timeout`` seconds, if given, is
+    killed and fails the test, so a call that does not return cannot hang the
+    suite."""
+    return subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True, timeout=timeout).stdout
 
 
 @pytest.fixture

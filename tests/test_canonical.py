@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_psi_plus, hs_states, random_unitary
-from qdiscord import (PAULIS, SeededGenerator, conditional_entropy_closed,
+from conftest import bell_psi_plus, hs_states, random_unitary, run_python
+from qdiscord import (PAULIS, SeededGenerator, ValidationError, conditional_entropy_closed,
                       correlation_matrix, is_canonical,
                       mcdm_direction, minimize_conditional_entropy,
                       mutual_information, off_axis_x_state, project_x_state,
@@ -194,3 +194,28 @@ class TestBlocksOnlyPaths:
                 rho = project_x_state(rho)
             np.testing.assert_array_equal(quantum_discord(rho).mcdm_direction,
                                           mcdm_direction(to_canonical(rho)))
+
+
+class TestNonFiniteCorrelations:
+    @pytest.mark.parametrize("position", [(0, 0), (1, 2)])
+    def test_nan_raises_validation_error(self, position):
+        # not the SVD's LinAlgError, and not a NaN rotation
+        lam = np.diag([0.3, 0.2, 0.1])
+        lam[position] = np.nan
+        for argument in (lam, np.stack([np.diag([0.3, 0.2, 0.1]), lam])):
+            with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+                canonical_rotations(argument)
+
+    def test_inf_raises_in_time(self):
+        # np.linalg.svd does not return on this matrix, so the call runs in a
+        # child that a timeout ends
+        code = ("import numpy as np\n"
+                "from qdiscord import ValidationError\n"
+                "from qdiscord.canonical import canonical_rotations\n"
+                "lam = np.eye(3)\n"
+                "lam[0, 0] = np.inf\n"
+                "try:\n"
+                "    canonical_rotations(lam)\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        assert run_python(code, timeout=30.0) == "matrix has non-finite entries\n"

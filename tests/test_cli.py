@@ -18,6 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env, run_python
 import qdiscord.cli
 import qdiscord.experiments
 from qdiscord import (SeededGenerator, angles_from_direction, format_state,
@@ -882,18 +883,6 @@ class TestGoldenOutputs:
         assert main(["table1", "--samples", "100000", "--seed", "7",
                      "--workers", "4", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_100K_SEED7_SHA256
-
-
-def child_env():
-    """The environment of a fresh interpreter that imports this qdiscord."""
-    src = os.path.dirname(os.path.dirname(qdiscord.cli.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def run_python(code):
-    """Standard output of ``code`` run by a fresh interpreter that imports this qdiscord."""
-    return subprocess.run([sys.executable, "-c", code], env=child_env(),
-                          capture_output=True, text=True, check=True).stdout
 
 
 class TestDependencies:

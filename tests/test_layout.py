@@ -86,6 +86,15 @@ class TestLayering:
     def test_closed_form_imports_only_its_leaves(self):
         assert import_graph()["closed_form"] <= {"errors", "fano_bloch", "linalg"}
 
+    def test_one_binary_entropy(self):
+        # the closed form weights linalg's binary entropy kernel, and the
+        # oracle's spectral entropy_bits stays apart from it
+        tree = ast.parse((PACKAGE / "closed_form.py").read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert "_binary_entropy" in names and "entropy_bits" not in names
+
     def test_refine_reaches_neither_the_reports_nor_the_oracle(self):
         assert not import_graph()["refine"] & {"measures", "oracle"}
 
@@ -181,7 +190,7 @@ class TestBitcheck:
         src = str(PACKAGE.parent)
         assert bitcheck.main([src, src]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1 + 4 + 2 * len(bitcheck.FAMILIES) + 3 + 1
+        assert len(lines) == 1 + 4 + 2 * len(bitcheck.FAMILIES) + 4 + 1
         assert all(line.endswith("bit-identical") for line in lines)
 
     def test_one_moved_bit_fails(self, bitcheck, monkeypatch, capsys):
@@ -208,7 +217,25 @@ class TestBitcheck:
         monkeypatch.setattr(change.experiments, "_x_projection", lambda rhos: rhos)
         assert not bitcheck.check(parent, change)
         out = capsys.readouterr().out.splitlines()
-        assert out[-4:] == ["table1 directions: 5 indices, calls of 2: DIFFER",
+        assert out[-5:] == ["table1 directions: 5 indices, calls of 2: DIFFER",
                             "histogram directions: 5 indices, calls of 2: bit-identical",
                             "scatter rows: 5 indices, calls of 1024: bit-identical",
+                            "mixture rows: 5 indices, calls of 1024: bit-identical",
+                            "SOME DIFFER"]
+
+    def test_one_moved_mixture_bit_fails(self, bitcheck, monkeypatch, capsys):
+        # mixture states whose weights are one bit off, while the q column
+        # keeps its grid: only the mixture rows differ
+        src = str(PACKAGE.parent)
+        parent = bitcheck.load_tree(src, "qdiscord_parent")
+        change = bitcheck.load_tree(src, "qdiscord_change")
+        family = change.experiments.mixture_family
+        monkeypatch.setattr(change.experiments, "mixture_family",
+                            lambda qs: family(np.nextafter(qs, 0.5)))
+        assert not bitcheck.check(parent, change)
+        out = capsys.readouterr().out.splitlines()
+        assert out[-5:] == ["table1 directions: 5 indices, calls of 2: bit-identical",
+                            "histogram directions: 5 indices, calls of 2: bit-identical",
+                            "scatter rows: 5 indices, calls of 1024: bit-identical",
+                            "mixture rows: 5 indices, calls of 1024: DIFFER",
                             "SOME DIFFER"]

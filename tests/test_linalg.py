@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_psi_plus, random_rotation
+from conftest import bell_psi_plus, hs_states, random_rotation, same_bits
 from qdiscord import (PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, NotAStateError,
                       ValidationError, binary_entropy, eigvals_hermitian, partial_trace,
                       su2_from_so3, validate_density_matrix, von_neumann_entropy)
-from qdiscord.linalg import (BLOCH_LENGTH_TOL, ENTROPY_TRACE_TOL, ROTATION_TOL, require_rotation,
-                             validated_spectrum)
+from qdiscord.linalg import (BLOCH_LENGTH_TOL, ENTROPY_TRACE_TOL, ROTATION_TOL, TRACE_TOL,
+                             entropy_bits, require_rotation, validated_spectrum)
 
 # independently computed with 40-digit arithmetic
 H_OF_0P6 = 0.7219280948873623
@@ -238,6 +238,74 @@ class TestBinaryEntropy:
         assert (binary_entropy(np.array([0.0, edge])) == [1.0, 0.0]).all()
         with pytest.raises(ValidationError):
             binary_entropy(np.nextafter(edge, sign * np.inf))
+
+
+def spectral_binary_entropy(x):
+    """The binary entropy as the entropy_bits of the two-outcome spectra
+    (0.5 + 0.5 x, 0.5 - 0.5 x), x clamped to [-1, 1]: an independent form, and
+    the reference bits of binary_entropy."""
+    x = np.minimum(1.0, np.maximum(-1.0, np.asarray(x, dtype=float)))
+    return entropy_bits(0.5 + x[..., None] * np.array([0.5, -0.5]))
+
+
+ONE = np.nextafter(1.0, 0.0)
+# zeros of both signs, the ends of the range and its tolerance, subnormals
+BINARY_ENTROPY_EDGES = np.array([0.0, -0.0, 1.0, -1.0, ONE, -ONE, 1.0 + 1e-13, -1.0 - 1e-13,
+                                 1.0 - 1e-13, -1.0 + 1e-13, 1.0 + BLOCH_LENGTH_TOL,
+                                 -1.0 - BLOCH_LENGTH_TOL, 5e-324, -5e-324, 1e-300, 1e-30, 0.5])
+
+
+class TestBinaryEntropyKernel:
+    """binary_entropy abs-checks-clamps x and hands it to linalg's unchecked
+    kernel, the one the closed form weights its branch terms with."""
+
+    def test_spectral_bits_on_a_dense_grid(self):
+        x = np.concatenate([np.linspace(-1.0, 1.0, 400_001), BINARY_ENTROPY_EDGES,
+                            1.0 - np.arange(4096) * 2.0 ** -53, 2.0 ** -np.arange(1075.0),
+                            -(2.0 ** -np.arange(1075.0))])
+        assert same_bits(binary_entropy(x), spectral_binary_entropy(x))
+        assert same_bits(binary_entropy(x.reshape(-1, 8)), spectral_binary_entropy(x).reshape(-1, 8))
+
+    @pytest.mark.parametrize("x", BINARY_ENTROPY_EDGES.tolist())
+    def test_types_and_bits_of_one_number(self, x):
+        # a float, an np.float64 and a 0-d array give an np.float64, as the
+        # spectral form does; the sign of zero included
+        for argument in (x, np.float64(x), np.array(x)):
+            h = binary_entropy(argument)
+            assert type(h) is np.float64 and type(spectral_binary_entropy(argument)) is np.float64
+            assert same_bits(h, spectral_binary_entropy(argument))
+        h = binary_entropy([x])
+        assert type(h) is np.ndarray and same_bits(h, spectral_binary_entropy([x]))
+
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], np.array([[np.nan]]), np.inf, -np.inf])
+    def test_nan_and_inf_raise(self, x):
+        # entropy_bits alone would read NaN as an empty outcome: h(nan) = 0
+        with pytest.raises(ValidationError, match="^binary_entropy argument -?(nan|inf) outside"):
+            binary_entropy(x)
+
+    def test_leaves_its_argument_unchanged(self):
+        x = np.array([0.25, -0.5, 1.0])
+        binary_entropy(x)
+        assert x.tolist() == [0.25, -0.5, 1.0]
+
+
+class TestEntropyTraceRule:
+    def test_marginals_of_edge_states_pass(self):
+        # states scaled to trace 1 + TRACE_TOL, those that validation takes:
+        # some of their marginals lie beyond TRACE_TOL by rounding, and
+        # von_neumann_entropy, which takes marginals, reads them with its
+        # wider ENTROPY_TRACE_TOL
+        rhos = np.array(hs_states(11, 2000)) * (1.0 + TRACE_TOL)
+        edge = rhos[np.abs(rhos.trace(axis1=1, axis2=2).real - 1.0) <= TRACE_TOL]
+        validate_density_matrix(edge)
+        marginals = [partial_trace(rho, keep) for rho in edge for keep in "AB"]
+        beyond = [m for m in marginals if abs(np.trace(m).real - 1.0) > TRACE_TOL]
+        assert beyond and ENTROPY_TRACE_TOL > TRACE_TOL
+        with pytest.raises(NotAStateError, match="^trace is"):
+            validate_density_matrix(beyond[0])
+        for m in beyond:
+            assert von_neumann_entropy(m) == pytest.approx(
+                float(entropy_bits(np.linalg.eigvalsh(m))), abs=1e-15)
 
 
 class TestRequireRotation:

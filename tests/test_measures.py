@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (bell_psi_plus, hs_states, random_direction, random_qubit_state,
-                      random_rotation, random_unitary)
+                      random_rotation, random_unitary, run_python, same_bits)
 from qdiscord import (BlockDecomposition, ConsistencyError, DiscordReport,
                       NotAStateError, ValidationError,
                       angles_from_direction, bell_diagonal_classical_correlation,
@@ -241,6 +241,36 @@ class TestInputChecks:
             call(argument)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("call", [lambda blocks: conditional_entropy_closed(blocks, X),
+                                      zero_discord_witness], ids=["closed_form", "witness"])
+    @pytest.mark.parametrize("blocks", [
+        BlockDecomposition(a=np.array([np.nan, 0.0, 0.0]), b=np.zeros(3), r=np.eye(3)),
+        BlockDecomposition(a=np.array([0.0, 0.0, np.nan]), b=np.zeros(3), r=np.zeros((3, 3))),
+        BlockDecomposition(a=np.zeros(3), b=np.array([0.0, np.nan, 0.0]), r=np.zeros((3, 3))),
+        BlockDecomposition(a=np.zeros(3), b=np.zeros(3), r=np.diag([np.nan, 0.0, 0.0])),
+        BlockDecomposition(a=np.array([np.inf, 0.0, 0.0]), b=np.zeros(3), r=np.zeros((3, 3))),
+        BlockDecomposition(a=np.zeros(3), b=np.zeros(3), r=np.diag([0.0, 0.0, -np.inf])),
+    ], ids=["nan_a", "nan_a_vanishing_r", "nan_b", "nan_r", "inf_a", "inf_r"])
+    def test_one_state_calls_refuse_non_finite_blocks(self, call, blocks):
+        # the closed form would read them as 0, inf or nan bits, and the
+        # witness as zero discord
+        with pytest.raises(ValidationError) as raised:
+            call(blocks)
+        assert str(raised.value) == "blocks have non-finite entries"
+
+    def test_witness_refuses_an_inf_in_r_in_time(self):
+        # np.linalg.svd does not return on this R, so the call runs in a child
+        # that a timeout ends
+        code = ("import numpy as np\n"
+                "from qdiscord import BlockDecomposition, ValidationError, zero_discord_witness\n"
+                "r = np.eye(3)\n"
+                "r[0, 0] = np.inf\n"
+                "try:\n"
+                "    zero_discord_witness(BlockDecomposition(np.zeros(3), np.zeros(3), r))\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        assert run_python(code, timeout=30.0) == "blocks have non-finite entries\n"
+
 
 class TestProjectors:
     def test_z_basis(self):
@@ -386,6 +416,65 @@ class TestConditionalEntropyClosed:
             assert entropy([w, 0.7], [0.0, 0.35]) == minus
             assert entropy([w, 0.7], [0.5, 0.35]) == minus
         assert entropy([np.nextafter(ZERO_PROBABILITY, 1.0), 0.7], [0.0, 0.35]) > minus
+
+
+def in_place_branch_entropy(w, g):
+    """The sum of the two branch terms (w/2) h(g/w) as one in-place body with
+    its own q log2 q: the reference bits of _branch_entropy."""
+    live = w > ZERO_PROBABILITY
+    x = np.where(live, w, 1.0)
+    np.divide(g, x, out=x)
+    np.minimum(x, 1.0, out=x)
+    q = np.subtract(1.0, x)
+    q *= 0.5
+    p = np.add(1.0, x, out=x)
+    p *= 0.5
+    t = np.maximum(q, np.finfo(float).tiny)
+    np.log2(t, out=t)
+    t *= q
+    h = np.log2(p)
+    h *= p
+    h += t
+    np.subtract(0.0, h, out=h)
+    weight = np.where(live, w, 0.0)
+    weight *= 0.5
+    h *= weight
+    k = h.shape[1] // 2
+    return h[:, :k] + h[:, k:]
+
+
+class TestBranchEntropyKernel:
+    """_branch_entropy weights linalg's binary entropy kernel; its bits are
+    those of the one-body reference."""
+
+    def test_dense_grid(self):
+        # g/w from 0 to 1 and beyond, in steps and at its ends, on live
+        # branches and on dead ones
+        x = np.concatenate([np.linspace(0.0, 1.0, 100_001), 1.0 - np.arange(4096) * 2.0 ** -53,
+                            2.0 ** -np.arange(1075.0), [1.0 + 1e-13, 1.5, 0.0, 1.0]])
+        for w_plus in (1.3, 2.0, 1.0 + 1e-16, np.nextafter(ZERO_PROBABILITY, 1.0),
+                       ZERO_PROBABILITY, 0.0, -1e-17):
+            w = np.empty((len(x), 2))
+            w[:, 0], w[:, 1] = w_plus, 2.0 - w_plus
+            g = x[:, None] * w
+            assert same_bits(_branch_entropy(w, g), in_place_branch_entropy(w, g))
+
+    @pytest.mark.parametrize("family", ["hs", "x_projected", "near_pure", "nearer_pure", "pure"])
+    def test_canonical_blocks(self, family):
+        # at the tie-break axes, the circle's 17 points and 64 random directions
+        if family in ("hs", "x_projected"):
+            rhos = _hs_states(ExperimentConfig(seed=7), range(1024))
+            rhos = _x_projection(rhos) if family == "x_projected" else rhos
+        else:
+            rhos = np.stack([family_state(family, seed) for seed in range(256)])
+        _, blocks = canonical_blocks(state_blocks(rhos))
+        random_dirs = np.random.default_rng(20261022).standard_normal((3, 64))
+        random_dirs /= np.linalg.norm(random_dirs, axis=0)
+        for dirs in (_TIE_AXES, refine._CIRCLE_DIRS, random_dirs):
+            w, g = _branches(blocks.a, blocks.b, blocks.r, dirs)
+            reference = in_place_branch_entropy(w, g)
+            assert same_bits(_branch_entropy(w, g), reference)
+            assert same_bits(_ce_many(blocks.a, blocks.b, blocks.r, dirs), reference)
 
 
 def branch_displacement_sq(rho, n):
@@ -556,6 +645,13 @@ class TestBellDiagonalOracle:
     def test_rejects_unphysical(self):
         with pytest.raises(ValidationError):
             bell_diagonal_classical_correlation([0.6, 0.4, 0.2])
+
+    @pytest.mark.parametrize("c", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [0.0, np.inf, 0.0],
+                                   [-np.inf, 0.0, 0.0]])
+    def test_rejects_non_finite(self, c):
+        # a NaN would pass the positivity test and read as h(nan) = nan
+        with pytest.raises(ValidationError, match="^coefficients have non-finite entries$"):
+            bell_diagonal_classical_correlation(c)
 
     def test_eigenvalue_floor_pinned_at_its_boundary(self):
         # c = (1, 0, c3) has the exact lowest eigenvalue -c3/4

@@ -21,7 +21,10 @@ drawing its own states:
 
 - ``experiments._directions_chunk`` with and without the X projection, in
   calls of CHUNK indices, as ``table1`` makes them;
-- ``experiments._scatter_chunk``, in calls of STACK indices.
+- ``experiments._scatter_chunk``, in calls of STACK indices;
+- ``experiments._mixture_chunk`` on the PIPELINE_STATES-point q grid, in
+  calls of STACK indices.  Its ends q = 0 and q = 1 give Bloch lengths of
+  exactly 1 and 0, the edges of the binary entropy.
 
 One line is printed per comparison; the exit status is 1 if any bit
 differs, else 0.
@@ -78,11 +81,11 @@ def compare(trees, label: str, rhos: np.ndarray, stack: int) -> bool:
 
 def compare_pipeline(trees, label: str, chunk: str, stack: int, **options) -> bool:
     """Print and return whether both ``trees``' ``experiments.<chunk>`` give the
-    first PIPELINE_STATES seed-SEED indices the same bits, in calls of
-    ``stack`` contiguous indices."""
+    first PIPELINE_STATES seed-SEED indices, of a run of PIPELINE_STATES
+    samples, the same bits, in calls of ``stack`` contiguous indices."""
     rows = []
     for tree in trees:
-        config = tree.experiments.ExperimentConfig(seed=SEED)
+        config = tree.experiments.ExperimentConfig(samples=PIPELINE_STATES, seed=SEED)
         task = getattr(tree.experiments, chunk)
         rows.append([task(config, range(lo, min(lo + stack, PIPELINE_STATES)), **options)
                      for lo in range(0, PIPELINE_STATES, stack)])
@@ -114,6 +117,7 @@ def check(parent, change) -> bool:
     ok &= compare_pipeline(trees, "histogram directions", "_directions_chunk", CHUNK,
                            x_project=False)
     ok &= compare_pipeline(trees, "scatter rows", "_scatter_chunk", STACK)
+    ok &= compare_pipeline(trees, "mixture rows", "_mixture_chunk", STACK)
     print("all bit-identical" if ok else "SOME DIFFER")
     return ok
 
